@@ -1,8 +1,11 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
 import catdom as cd
+from catdom.cli import main
 from catdom.axioms import (
     Exhaustive,
     Sampled,
@@ -217,3 +220,89 @@ class TestSampledVerdicts:
         assert doc["passed"] is False
         back = cd.profile_from_json(doc["counterexample"]["profile"])
         assert back.pref(1) == verdict.counterexample.profile.pref(1)
+
+
+def _digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+class TestGoldenVerdicts:
+    """Full verdict documents pinned by digest, with the per-axiom outcome
+    and ``checked`` count spelled out so a change shows where it happened.
+
+    A change to any digest here is a change to a seeded stream, an
+    enumeration order or a counterexample, and is recorded in CHANGES.md."""
+
+    CASES = {
+        "sd": (
+            lambda: sd_direct([1, 2]),
+            SHAPE_2X2,
+            Exhaustive(),
+            [True, True, True, True],
+            [26496, 26496, 1152, 2304],
+            "6ceb6fea93bbedcd82718ec50175102ac34d330e326e6625e458c2f0cf3dca29",
+        ),
+        "welfare": (
+            welfare_maximizer,
+            SHAPE_2X2,
+            Exhaustive(),
+            [False, True, True, True],
+            [25, 26496, 1152, 2304],
+            "73940a4df347edd2ce8a810a0404ab32aed793900864c83fc65c4e496cd6e177",
+        ),
+        "bossy": (
+            bossy_conditional_sd,
+            SHAPE_2X2,
+            Exhaustive(),
+            [True, True, True, True],
+            [26496, 26496, 1152, 2304],
+            "3f066096a17496c349b2955b8fbfe209ff08effd047bb6e19f180a1eaa75c461",
+        ),
+        "nonneutral": (
+            non_neutral_conditional_sd,
+            SHAPE_2X2,
+            Exhaustive(),
+            [True, True, True, True],
+            [26496, 26496, 1152, 2304],
+            "c54362c0f01e905d5b6c99c4965ede889ea186f8badb574eaedb87f6c8646358",
+        ),
+        "worst-pick": (
+            lambda: worst_pick_sd([1, 2]),
+            SHAPE_2X2,
+            Exhaustive(),
+            [False, True, True, False],
+            [1, 26496, 1152, 27],
+            "460f066fa791d35df5a5ac7c5fa7c9f88948f5fe0dd5b90a76be4f86951e6890",
+        ),
+        "bossy-3x2-sampled": (
+            bossy_conditional_sd,
+            SHAPE_3X2,
+            Sampled(count=2000, seed=0),
+            [True, False, True, True],
+            [2000, 112, 1652, 2000],
+            "adfd964218a86a1bbc627f5643f9552e5dadb600923aa5b3bc23a845fbfd023f",
+        ),
+        "nonneutral-3x2-sampled": (
+            non_neutral_conditional_sd,
+            SHAPE_3X2,
+            Sampled(count=2000, seed=0),
+            [True, True, False, True],
+            [2000, 2000, 29, 2000],
+            "c83aa60bc8c26afaf28e873051e2eaeacacc164eeeb2b8f342ad14fc4e1af1cb",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_check_all_pinned(self, name):
+        make, shape, mode, passed, checked, digest = self.CASES[name]
+        docs = [v.to_json() for v in check_all(make(), shape, mode)]
+        assert [d["passed"] for d in docs] == passed
+        assert [d["checked"] for d in docs] == checked
+        assert _digest(docs) == digest
+
+    def test_cli_default_pinned(self, capsys):
+        assert main(["check-axioms", "--mechanism", "sd", "--n", "2", "--p", "2"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "85a765a77691a5dc02dc6703e1f695c06d9f3200abf916482192f92a6e704779"
+        )
