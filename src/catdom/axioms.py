@@ -1,10 +1,27 @@
-"""Axiom checks for direct allocation mechanisms on categorized domains.
+"""Axiom audits for direct allocation mechanisms on categorized domains.
 
-A direct mechanism maps a full preference profile to an allocation. The four
-checks here (strategy-proofness, non-bossiness, category-wise neutrality,
-Pareto optimality) run either exhaustively over every profile of a small
-shape or on seeded random samples, and report the first counterexample found
-in a replayable form.
+A direct mechanism maps a full preference profile to an allocation. Four
+axioms are audited: strategy-proofness, non-bossiness, category-wise
+neutrality and Pareto optimality. Each ``check_*`` function is a predicate
+over a stream of cases; one driver, ``_verdict``, counts the cases, stops at
+the first one the predicate turns into a counterexample, and reports it in a
+replayable form.
+
+The streams:
+
+* ``_deviations`` yields ``(profile, agent, deviation, baseline,
+  alternative)``: the outcomes before and after one agent misreports.
+  Strategy-proofness and non-bossiness are predicates over it.
+* ``_relabelings`` yields ``(profile, category, permutation, outcome)`` for
+  category-wise neutrality.
+* Pareto optimality pairs each profile's outcome with the feasible
+  allocations.
+
+In ``Exhaustive`` mode a stream walks every profile of a small shape in
+ranking-index order, after one early-exit guard, ``_exceeds``, has refused
+any audit whose case count is over the budget; the same guard caps
+``all_rankings`` and ``all_allocations``. In ``Sampled`` mode a stream makes
+``count`` seeded draws.
 
 Category-wise neutrality: relabeling the items of one category commutes with
 the mechanism. Non-bossiness: no agent can change someone else's bundle by a
@@ -14,11 +31,10 @@ misreport that keeps her own bundle fixed.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,10 +46,10 @@ from .domain import (
     Preference,
     Profile,
     ValidationError,
-    decode_bundle,
     validate_allocation,
 )
-from .engine import direct_serial_dictatorship
+from .engine import _serial_picks, direct_serial_dictatorship
+from .mallows import uniform_preference
 
 
 @dataclass(frozen=True)
@@ -117,13 +133,33 @@ def _coverage(mode: Mode) -> str:
     return f"sampled(count={mode.count}, seed={mode.seed})"
 
 
+def _exceeds(limit: int, factors: Iterable[int]) -> bool:
+    """Whether the product of ``factors`` (each at least 1) is over ``limit``.
+
+    The running product is compared before every multiplication, so the
+    guard stops as soon as it passes the limit and never forms a number
+    much larger than it: counts such as ``(n**p)!`` stay unevaluated.
+    """
+    total = 1
+    for factor in factors:
+        if total > limit:
+            return True
+        total *= factor
+    return total > limit
+
+
+def _factorial_factors(k: int, power: int = 1) -> Iterator[int]:
+    """Factors whose product is ``factorial(k) ** power``."""
+    return itertools.chain.from_iterable(itertools.repeat(range(2, k + 1), power))
+
+
 @lru_cache(maxsize=None)
 def all_rankings(shape: DomainShape) -> tuple[Preference, ...]:
     """Every strict ranking of the bundle space, in lexicographic order."""
-    count = math.factorial(shape.bundle_count)
-    if count > 1_000_000:
+    if _exceeds(1_000_000, _factorial_factors(shape.bundle_count)):
         raise CapacityError(
-            f"{count} rankings exceed what can be materialized; use sampled mode"
+            f"shape {shape.n}x{shape.p} has more than 1000000 rankings to materialize; "
+            "use sampled mode"
         )
     bundles = list(shape.bundles())
     return tuple(Preference(shape, perm) for perm in itertools.permutations(bundles))
@@ -132,9 +168,10 @@ def all_rankings(shape: DomainShape) -> tuple[Preference, ...]:
 @lru_cache(maxsize=None)
 def all_allocations(shape: DomainShape) -> tuple[Allocation, ...]:
     """Every feasible allocation: one item permutation per category."""
-    count = math.factorial(shape.n) ** shape.p
-    if count > 1_000_000:
-        raise CapacityError(f"{count} allocations exceed what can be materialized")
+    if _exceeds(1_000_000, _factorial_factors(shape.n, shape.p)):
+        raise CapacityError(
+            f"shape {shape.n}x{shape.p} has more than 1000000 allocations to materialize"
+        )
     perms = list(itertools.permutations(range(1, shape.n + 1)))
     out = []
     for combo in itertools.product(perms, repeat=shape.p):
@@ -147,15 +184,6 @@ def all_allocations(shape: DomainShape) -> tuple[Allocation, ...]:
             )
         )
     return tuple(out)
-
-
-def _random_preference(shape: DomainShape, rng: np.random.Generator) -> Preference:
-    perm = rng.permutation(shape.bundle_count)
-    return Preference(shape, [decode_bundle(shape, int(i)) for i in perm])
-
-
-def _random_profile(shape: DomainShape, rng: np.random.Generator) -> Profile:
-    return Profile(shape, [_random_preference(shape, rng) for _ in shape.agents()])
 
 
 def apply_category_permutation(obj, category: int, permutation: Sequence[int]):
@@ -197,12 +225,6 @@ def _permute_bundle(bundle: Bundle, category: int, perm: tuple[int, ...]) -> Bun
     return bundle[: category - 1] + (perm[item - 1],) + bundle[category:]
 
 
-def _exhaustive_profiles(shape: DomainShape):
-    rankings = all_rankings(shape)
-    for idx in itertools.product(range(len(rankings)), repeat=shape.n):
-        yield idx, Profile(shape, [rankings[i] for i in idx])
-
-
 class _MechanismCache:
     def __init__(self, mechanism: DirectMechanism, shape: DomainShape):
         self.mechanism = mechanism
@@ -219,77 +241,134 @@ class _MechanismCache:
         return result
 
 
-def _deviation_space_cost(shape: DomainShape) -> int:
-    r = math.factorial(shape.bundle_count)
-    return (r**shape.n) * shape.n * r
+def _profiles(
+    shape: DomainShape, mode: Mode, rng: np.random.Generator | None
+) -> Iterator[Profile]:
+    """Every profile in ranking-index order, or ``mode.count`` uniform draws.
+
+    The sampled streams draw more from ``rng`` between two profiles; the
+    generator draws a profile only when asked for it, so those draws
+    interleave with the profile draws in a fixed order.
+    """
+    if isinstance(mode, Sampled):
+        for _ in range(mode.count):
+            yield Profile(shape, [uniform_preference(shape, rng) for _ in shape.agents()])
+        return
+    for prefs in itertools.product(all_rankings(shape), repeat=shape.n):
+        yield Profile(shape, prefs)
+
+
+def _deviations(
+    mechanism: DirectMechanism, shape: DomainShape, mode: Mode
+) -> Iterator[tuple[Profile, int, Preference, Allocation, Allocation]]:
+    """``(profile, agent, deviation, baseline, alternative)`` cases: the
+    mechanism's outcome on the truthful profile and on the profile with the
+    agent's report replaced by the deviation.
+
+    Exhaustive: every profile, agent and other ranking, with outcomes
+    memoized by ranking indices. Sampled: per draw, a profile, an agent and a
+    uniform misreport, which may equal the truthful ranking.
+    """
+    if isinstance(mode, Sampled):
+        rng = np.random.default_rng(mode.seed)
+        for profile in _profiles(shape, mode, rng):
+            j = int(rng.integers(1, shape.n + 1))
+            deviation = uniform_preference(shape, rng)
+            misreport = Profile(
+                shape, [deviation if a == j else profile.pref(a) for a in shape.agents()]
+            )
+            yield profile, j, deviation, mechanism.apply(profile), mechanism.apply(misreport)
+        return
+    cache = _MechanismCache(mechanism, shape)
+    rankings = cache.rankings
+    for idx in itertools.product(range(len(rankings)), repeat=shape.n):
+        profile = Profile(shape, [rankings[i] for i in idx])
+        base = cache.apply(idx)
+        for j in shape.agents():
+            for dev, deviation in enumerate(rankings):
+                if dev != idx[j - 1]:
+                    alt = cache.apply(idx[: j - 1] + (dev,) + idx[j:])
+                    yield profile, j, deviation, base, alt
+
+
+def _relabelings(
+    mechanism: DirectMechanism, shape: DomainShape, mode: Mode
+) -> Iterator[tuple[Profile, int, tuple[int, ...], Allocation]]:
+    """``(profile, category, permutation, outcome)`` cases, where ``outcome``
+    is the mechanism's allocation for the profile before relabeling.
+
+    Exhaustive: every profile, category and non-identity permutation.
+    Sampled: per draw, a profile, a category and a uniform permutation; a
+    draw whose permutation is the identity yields no case.
+    """
+    identity = tuple(shape.agents())
+    if isinstance(mode, Sampled):
+        rng = np.random.default_rng(mode.seed)
+        for profile in _profiles(shape, mode, rng):
+            category = int(rng.integers(1, shape.p + 1))
+            perm = tuple(int(x) + 1 for x in rng.permutation(shape.n))
+            if perm != identity:
+                yield profile, category, perm, mechanism.apply(profile)
+        return
+    for profile in _profiles(shape, mode, None):
+        outcome = mechanism.apply(profile)
+        for category in shape.categories():
+            for perm in itertools.permutations(identity):
+                if perm != identity:
+                    yield profile, category, perm, outcome
+
+
+def _verdict(
+    axiom: str,
+    mechanism: DirectMechanism,
+    shape: DomainShape,
+    mode: Mode,
+    per_profile: Iterable[int],
+    cases: Iterable[tuple],
+    violation: Callable[..., Counterexample | None],
+) -> AxiomVerdict:
+    """Count ``cases`` until ``violation`` returns a counterexample for one.
+
+    An exhaustive audit is refused before its first case when the number of
+    profiles times the product of ``per_profile`` (the cases per profile)
+    is over the budget.
+    """
+    if isinstance(mode, Exhaustive):
+        profiles = _factorial_factors(shape.bundle_count, shape.n)
+        if _exceeds(mode.budget, itertools.chain(per_profile, profiles)):
+            raise CapacityError(
+                f"exhaustive {axiom} over shape {shape.n}x{shape.p} needs more than "
+                f"{mode.budget} checks, the budget"
+            )
+    checked = 0
+    for checked, case in enumerate(cases, 1):
+        counterexample = violation(*case)
+        if counterexample is not None:
+            return AxiomVerdict(
+                axiom, mechanism.name, False, _coverage(mode), checked, counterexample
+            )
+    return AxiomVerdict(axiom, mechanism.name, True, _coverage(mode), checked)
+
+
+def _deviation_cost(shape: DomainShape) -> Iterator[int]:
+    # n agents times (n**p)! rankings each, the truthful one included
+    return itertools.chain((shape.n,), _factorial_factors(shape.bundle_count))
 
 
 def check_strategy_proofness(
     mechanism: DirectMechanism, shape: DomainShape, mode: Mode = Exhaustive()
 ) -> AxiomVerdict:
     """No agent can strictly improve her own bundle by misreporting."""
-    checked = 0
-    if isinstance(mode, Exhaustive):
-        if _deviation_space_cost(shape) > mode.budget:
-            raise CapacityError(
-                f"exhaustive strategy-proofness over shape {shape.n}x{shape.p} needs "
-                f"{_deviation_space_cost(shape)} checks, over budget {mode.budget}"
-            )
-        cache = _MechanismCache(mechanism, shape)
-        rankings = cache.rankings
-        for idx, profile in _exhaustive_profiles(shape):
-            base = cache.apply(idx)
-            for j in shape.agents():
-                true_pref = profile.pref(j)
-                base_rank = true_pref.rank_of(base[j])
-                for dev in range(len(rankings)):
-                    if dev == idx[j - 1]:
-                        continue
-                    alt_idx = idx[: j - 1] + (dev,) + idx[j:]
-                    alt = cache.apply(alt_idx)
-                    checked += 1
-                    if true_pref.rank_of(alt[j]) < base_rank:
-                        return AxiomVerdict(
-                            "strategy-proofness",
-                            mechanism.name,
-                            False,
-                            _coverage(mode),
-                            checked,
-                            Counterexample(
-                                "strategy-proofness",
-                                profile,
-                                base,
-                                alt,
-                                agent=j,
-                                deviation=rankings[dev],
-                            ),
-                        )
-        return AxiomVerdict("strategy-proofness", mechanism.name, True, _coverage(mode), checked)
+    axiom = "strategy-proofness"
 
-    rng = np.random.default_rng(mode.seed)
-    for _ in range(mode.count):
-        profile = _random_profile(shape, rng)
-        j = int(rng.integers(1, shape.n + 1))
-        deviation = _random_preference(shape, rng)
-        base = mechanism.apply(profile)
-        alt_profile = Profile(
-            shape,
-            [deviation if a == j else profile.pref(a) for a in shape.agents()],
-        )
-        alt = mechanism.apply(alt_profile)
-        checked += 1
-        if profile.pref(j).rank_of(alt[j]) < profile.pref(j).rank_of(base[j]):
-            return AxiomVerdict(
-                "strategy-proofness",
-                mechanism.name,
-                False,
-                _coverage(mode),
-                checked,
-                Counterexample(
-                    "strategy-proofness", profile, base, alt, agent=j, deviation=deviation
-                ),
-            )
-    return AxiomVerdict("strategy-proofness", mechanism.name, True, _coverage(mode), checked)
+    def violation(profile, j, deviation, base, alt):
+        truth = profile.pref(j)
+        if alt[j] != base[j] and truth.rank_of(alt[j]) < truth.rank_of(base[j]):
+            return Counterexample(axiom, profile, base, alt, agent=j, deviation=deviation)
+        return None
+
+    cases = _deviations(mechanism, shape, mode)
+    return _verdict(axiom, mechanism, shape, mode, _deviation_cost(shape), cases, violation)
 
 
 def check_non_bossiness(
@@ -297,142 +376,36 @@ def check_non_bossiness(
 ) -> AxiomVerdict:
     """A misreport that leaves the deviator's bundle unchanged must leave the
     whole allocation unchanged."""
-    checked = 0
-    if isinstance(mode, Exhaustive):
-        if _deviation_space_cost(shape) > mode.budget:
-            raise CapacityError(
-                f"exhaustive non-bossiness over shape {shape.n}x{shape.p} is over "
-                f"budget {mode.budget}"
-            )
-        cache = _MechanismCache(mechanism, shape)
-        rankings = cache.rankings
-        for idx, profile in _exhaustive_profiles(shape):
-            base = cache.apply(idx)
-            for j in shape.agents():
-                for dev in range(len(rankings)):
-                    if dev == idx[j - 1]:
-                        continue
-                    alt_idx = idx[: j - 1] + (dev,) + idx[j:]
-                    alt = cache.apply(alt_idx)
-                    checked += 1
-                    if alt[j] == base[j] and alt.bundles != base.bundles:
-                        return AxiomVerdict(
-                            "non-bossiness",
-                            mechanism.name,
-                            False,
-                            _coverage(mode),
-                            checked,
-                            Counterexample(
-                                "non-bossiness",
-                                profile,
-                                base,
-                                alt,
-                                agent=j,
-                                deviation=rankings[dev],
-                            ),
-                        )
-        return AxiomVerdict("non-bossiness", mechanism.name, True, _coverage(mode), checked)
+    axiom = "non-bossiness"
 
-    rng = np.random.default_rng(mode.seed)
-    for _ in range(mode.count):
-        profile = _random_profile(shape, rng)
-        j = int(rng.integers(1, shape.n + 1))
-        deviation = _random_preference(shape, rng)
-        base = mechanism.apply(profile)
-        alt_profile = Profile(
-            shape,
-            [deviation if a == j else profile.pref(a) for a in shape.agents()],
-        )
-        alt = mechanism.apply(alt_profile)
-        checked += 1
+    def violation(profile, j, deviation, base, alt):
         if alt[j] == base[j] and alt.bundles != base.bundles:
-            return AxiomVerdict(
-                "non-bossiness",
-                mechanism.name,
-                False,
-                _coverage(mode),
-                checked,
-                Counterexample(
-                    "non-bossiness", profile, base, alt, agent=j, deviation=deviation
-                ),
-            )
-    return AxiomVerdict("non-bossiness", mechanism.name, True, _coverage(mode), checked)
+            return Counterexample(axiom, profile, base, alt, agent=j, deviation=deviation)
+        return None
+
+    cases = _deviations(mechanism, shape, mode)
+    return _verdict(axiom, mechanism, shape, mode, _deviation_cost(shape), cases, violation)
 
 
 def check_category_wise_neutrality(
     mechanism: DirectMechanism, shape: DomainShape, mode: Mode = Exhaustive()
 ) -> AxiomVerdict:
     """Relabeling one category's items commutes with the mechanism."""
-    checked = 0
-    perms = [p for p in itertools.permutations(range(1, shape.n + 1))]
-    if isinstance(mode, Exhaustive):
-        r = math.factorial(shape.bundle_count)
-        cost = (r**shape.n) * shape.p * len(perms)
-        if cost > mode.budget:
-            raise CapacityError(
-                f"exhaustive neutrality over shape {shape.n}x{shape.p} needs {cost} "
-                f"checks, over budget {mode.budget}"
-            )
-        for _, profile in _exhaustive_profiles(shape):
-            base = mechanism.apply(profile)
-            for category in shape.categories():
-                for perm in perms:
-                    if perm == tuple(shape.agents()):
-                        continue
-                    checked += 1
-                    relabeled = apply_category_permutation(profile, category, perm)
-                    lhs = mechanism.apply(relabeled)
-                    rhs = apply_category_permutation(base, category, perm)
-                    if lhs.bundles != rhs.bundles:
-                        return AxiomVerdict(
-                            "category-wise-neutrality",
-                            mechanism.name,
-                            False,
-                            _coverage(mode),
-                            checked,
-                            Counterexample(
-                                "category-wise-neutrality",
-                                profile,
-                                lhs,
-                                rhs,
-                                category=category,
-                                permutation=perm,
-                            ),
-                        )
-        return AxiomVerdict(
-            "category-wise-neutrality", mechanism.name, True, _coverage(mode), checked
-        )
+    axiom = "category-wise-neutrality"
 
-    rng = np.random.default_rng(mode.seed)
-    for _ in range(mode.count):
-        profile = _random_profile(shape, rng)
-        category = int(rng.integers(1, shape.p + 1))
-        perm = tuple(int(x) + 1 for x in rng.permutation(shape.n))
-        if perm == tuple(shape.agents()):
-            continue
-        checked += 1
-        relabeled = apply_category_permutation(profile, category, perm)
-        lhs = mechanism.apply(relabeled)
-        rhs = apply_category_permutation(mechanism.apply(profile), category, perm)
+    def violation(profile, category, perm, outcome):
+        lhs = mechanism.apply(apply_category_permutation(profile, category, perm))
+        rhs = apply_category_permutation(outcome, category, perm)
         if lhs.bundles != rhs.bundles:
-            return AxiomVerdict(
-                "category-wise-neutrality",
-                mechanism.name,
-                False,
-                _coverage(mode),
-                checked,
-                Counterexample(
-                    "category-wise-neutrality",
-                    profile,
-                    lhs,
-                    rhs,
-                    category=category,
-                    permutation=perm,
-                ),
+            return Counterexample(
+                axiom, profile, lhs, rhs, category=category, permutation=perm
             )
-    return AxiomVerdict(
-        "category-wise-neutrality", mechanism.name, True, _coverage(mode), checked
-    )
+        return None
+
+    # p categories times n! permutations, the identity included
+    cost = itertools.chain((shape.p,), _factorial_factors(shape.n))
+    cases = _relabelings(mechanism, shape, mode)
+    return _verdict(axiom, mechanism, shape, mode, cost, cases, violation)
 
 
 def _dominates(profile: Profile, alt: Allocation, base: Allocation) -> bool:
@@ -452,47 +425,27 @@ def check_pareto_optimality(
 ) -> AxiomVerdict:
     """No feasible allocation weakly improves every agent and strictly
     improves at least one."""
+    axiom = "pareto-optimality"
     allocations = all_allocations(shape)
-    checked = 0
-    if isinstance(mode, Exhaustive):
-        r = math.factorial(shape.bundle_count)
-        cost = (r**shape.n) * len(allocations)
-        if cost > mode.budget:
-            raise CapacityError(
-                f"exhaustive Pareto check over shape {shape.n}x{shape.p} needs {cost} "
-                f"comparisons, over budget {mode.budget}"
-            )
-        for _, profile in _exhaustive_profiles(shape):
-            base = mechanism.apply(profile)
-            for alt in allocations:
-                checked += 1
-                if _dominates(profile, alt, base):
-                    return AxiomVerdict(
-                        "pareto-optimality",
-                        mechanism.name,
-                        False,
-                        _coverage(mode),
-                        checked,
-                        Counterexample("pareto-optimality", profile, base, alt),
-                    )
-        return AxiomVerdict("pareto-optimality", mechanism.name, True, _coverage(mode), checked)
 
-    rng = np.random.default_rng(mode.seed)
-    for _ in range(mode.count):
-        profile = _random_profile(shape, rng)
-        base = mechanism.apply(profile)
-        checked += 1
-        for alt in allocations:
+    def violation(profile, base, candidates):
+        for alt in candidates:
             if _dominates(profile, alt, base):
-                return AxiomVerdict(
-                    "pareto-optimality",
-                    mechanism.name,
-                    False,
-                    _coverage(mode),
-                    checked,
-                    Counterexample("pareto-optimality", profile, base, alt),
-                )
-    return AxiomVerdict("pareto-optimality", mechanism.name, True, _coverage(mode), checked)
+                return Counterexample(axiom, profile, base, alt)
+        return None
+
+    sampled = isinstance(mode, Sampled)
+    rng = np.random.default_rng(mode.seed) if sampled else None
+    # an exhaustive audit counts (profile, allocation) pairs, a sampled one profiles
+    groups = [allocations] if sampled else [(alt,) for alt in allocations]
+
+    def cases():
+        for profile in _profiles(shape, mode, rng):
+            base = mechanism.apply(profile)
+            for group in groups:
+                yield profile, base, group
+
+    return _verdict(axiom, mechanism, shape, mode, (len(allocations),), cases(), violation)
 
 
 def check_all(mechanism: DirectMechanism, shape: DomainShape, mode: Mode) -> list[AxiomVerdict]:
@@ -520,7 +473,7 @@ def welfare_maximizer() -> DirectMechanism:
 
     An agent's i-th ranked bundle scores (n**p - i) * (1 + (1/(2*n**p))**j)
     where j is the agent index; the perturbation makes every profile's
-    maximizer unique (asserted) while preserving the utilitarian flavor.
+    maximizer unique (checked) while preserving the utilitarian flavor.
     Strategy-proofness fails for it, which is the role it plays in tests.
     """
 
@@ -540,26 +493,20 @@ def welfare_maximizer() -> DirectMechanism:
                 best, best_score, tie = allocation, score, False
             elif score == best_score:
                 tie = True
-        assert best is not None and not tie, "perturbed welfare scores must not tie"
+        if best is None or tie:
+            raise AssertionError("perturbed welfare scores must have a unique maximum")
         return best
 
     return DirectMechanism("welfare-max", fn)
 
 
 def _conditional_sd(name: str, tail_order) -> DirectMechanism:
+    """Serial dictatorship led by agent 1, who gets her top bundle; the order
+    of the others is ``tail_order(profile, that bundle)``."""
+
     def fn(profile: Profile) -> Allocation:
-        shape = profile.shape
-        first = profile.pref(1).top()
-        taken = {i: {first[i - 1]} for i in shape.categories()}
-        bundles = {1: first}
-        for j in tail_order(profile, bundles[1]):
-            for bundle in profile.pref(j).order:
-                if all(comp not in taken[i] for i, comp in enumerate(bundle, 1)):
-                    bundles[j] = bundle
-                    for i, comp in enumerate(bundle, 1):
-                        taken[i].add(comp)
-                    break
-        return Allocation(bundles)
+        tail = tail_order(profile, profile.pref(1).top())
+        return direct_serial_dictatorship([1, *tail], profile)
 
     return DirectMechanism(name, fn)
 
@@ -601,21 +548,10 @@ def worst_pick_sd(agent_order: Sequence[int]) -> DirectMechanism:
     """Each dictator takes her worst still-compatible bundle; violates Pareto
     optimality on purpose (test fixture)."""
     order = tuple(agent_order)
-
-    def fn(profile: Profile) -> Allocation:
-        shape = profile.shape
-        taken = {i: set() for i in shape.categories()}
-        bundles = {}
-        for j in order:
-            for bundle in reversed(profile.pref(j).order):
-                if all(comp not in taken[i] for i, comp in enumerate(bundle, 1)):
-                    bundles[j] = bundle
-                    for i, comp in enumerate(bundle, 1):
-                        taken[i].add(comp)
-                    break
-        return Allocation(bundles)
-
-    return DirectMechanism(f"worst-pick-sd{list(order)}", fn)
+    return DirectMechanism(
+        f"worst-pick-sd{list(order)}",
+        lambda profile: _serial_picks(order, profile, worst_first=True),
+    )
 
 
 def constant_mechanism(allocation: Allocation) -> DirectMechanism:

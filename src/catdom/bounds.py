@@ -46,18 +46,6 @@ def strategic_bound(analytics: OrderAnalytics, agent: int) -> int:
     return shape.bundle_count + 1 - full
 
 
-def _slack_products_by_recursion(order: PickingOrder) -> dict[int, int]:
-    """Backward recursion cross-check: walking rounds from last to first and
-    multiplying each agent's factor in at her own rounds must reproduce the
-    full slack products used by strategic_bound."""
-    analytics = order.analytics
-    acc = {j: 1 for j in order.shape.agents()}
-    for t in range(len(order.rounds), 0, -1):
-        j, i = order.rounds[t - 1]
-        acc[j] *= analytics.slack(j, i)
-    return acc
-
-
 @dataclass(frozen=True)
 class AgentBound:
     agent: int
@@ -203,6 +191,10 @@ def search_orders(
             if best is None or score < best[0] or (score == best[0] and perm < best[1]):
                 best = (score, perm)
     elif mode == "random":
+        if budget < 1:
+            raise ValidationError(
+                f"random search needs a budget of at least 1 order, got {budget}"
+            )
         rng = np.random.default_rng(seed)
         arr = list(range(len(pairs)))
         for _ in range(budget):
@@ -216,7 +208,6 @@ def search_orders(
     else:
         raise ValidationError(f"unknown search mode {mode!r}")
 
-    assert best is not None
     return SearchResult(PickingOrder(shape, best[1]), best[0], evaluated)
 
 

@@ -219,16 +219,17 @@ def run_csam(
     return allocation, trace
 
 
-def direct_serial_dictatorship(agent_order: Sequence[int], profile: Profile) -> Allocation:
-    """Whole-bundle serial dictatorship: each agent, in order, takes her best
-    bundle compatible with the items already gone."""
-    shape = profile.shape
-    if sorted(agent_order) != list(shape.agents()):
-        raise ValidationError(f"agent order {agent_order} is not a permutation of 1..{shape.n}")
-    taken: dict[int, set[int]] = {i: set() for i in shape.categories()}
+def _serial_picks(
+    agent_order: Sequence[int], profile: Profile, worst_first: bool = False
+) -> Allocation:
+    """Each agent, in order, takes the first bundle of her ranking (read from
+    the bottom when ``worst_first``) that shares no item with the bundles
+    already taken."""
+    taken: dict[int, set[int]] = {i: set() for i in profile.shape.categories()}
     bundles: dict[int, Bundle] = {}
     for j in agent_order:
-        for bundle in profile.pref(j).order:
+        ranking = profile.pref(j).order
+        for bundle in reversed(ranking) if worst_first else ranking:
             if all(comp not in taken[i] for i, comp in enumerate(bundle, 1)):
                 bundles[j] = bundle
                 for i, comp in enumerate(bundle, 1):
@@ -237,3 +238,12 @@ def direct_serial_dictatorship(agent_order: Sequence[int], profile: Profile) -> 
         else:
             raise AssertionError("no compatible bundle left; inputs must be inconsistent")
     return Allocation(bundles)
+
+
+def direct_serial_dictatorship(agent_order: Sequence[int], profile: Profile) -> Allocation:
+    """Whole-bundle serial dictatorship: each agent, in order, takes her best
+    bundle compatible with the items already gone."""
+    shape = profile.shape
+    if sorted(agent_order) != list(shape.agents()):
+        raise ValidationError(f"agent order {agent_order} is not a permutation of 1..{shape.n}")
+    return _serial_picks(agent_order, profile)

@@ -74,7 +74,8 @@ def solve_spne(
             if best_rank is None or rank < best_rank:
                 best_rank = rank
                 best_outcome = outcome
-        assert best_outcome is not None
+        if best_outcome is None:
+            raise AssertionError(f"round {t}: category {category} has no available item")
         if len(memo) >= state_cap:
             raise CapacityError(
                 f"equilibrium solving exceeded the state cap of {state_cap} states"

@@ -42,6 +42,15 @@ class TestEnumeration:
         with pytest.raises(cd.CapacityError):
             all_rankings(cd.DomainShape(2, 5))  # 32! rankings
 
+    def test_all_rankings_capacity_never_forms_the_count(self):
+        # (2**14)! has over 60000 digits; formatting it once made this a ValueError
+        with pytest.raises(cd.CapacityError, match="more than 1000000 rankings"):
+            all_rankings(cd.DomainShape(2, 14))
+
+    def test_all_allocations_capacity_never_forms_the_count(self):
+        with pytest.raises(cd.CapacityError, match="more than 1000000 allocations"):
+            all_allocations(cd.DomainShape(1000, 2))
+
     def test_all_allocations(self):
         allocations = all_allocations(SHAPE_2X2)
         assert len(allocations) == 4
@@ -98,6 +107,17 @@ class TestMechanisms:
     def test_welfare_maximizer_fixture_allocation(self, welfare_profile_2x2):
         alloc = welfare_maximizer().apply(welfare_profile_2x2)
         assert dict(alloc.bundles) == {1: (1, 2), 2: (2, 1)}
+
+    @pytest.mark.parametrize("allocations", [(), "tie"])
+    def test_welfare_maximizer_needs_unique_maximum(
+        self, monkeypatch, welfare_profile_2x2, allocations
+    ):
+        if allocations == "tie":
+            alloc = cd.Allocation({1: (1, 2), 2: (2, 1)})
+            allocations = (alloc, alloc)
+        monkeypatch.setattr("catdom.axioms.all_allocations", lambda shape: allocations)
+        with pytest.raises(AssertionError, match="unique maximum"):
+            welfare_maximizer().apply(welfare_profile_2x2)
 
     def test_welfare_maximizer_is_deterministic(self, welfare_profile_2x2):
         mech = welfare_maximizer()

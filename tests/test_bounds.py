@@ -4,9 +4,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import catdom as cd
-from catdom.bounds import _slack_products_by_recursion
 
 from test_orders import order_strategy
+
+
+def _slack_products_by_recursion(order: cd.PickingOrder) -> dict[int, int]:
+    """Backward recursion cross-check: walking rounds from last to first and
+    multiplying each agent's factor in at her own rounds must reproduce the
+    full slack products used by strategic_bound."""
+    analytics = order.analytics
+    acc = {j: 1 for j in order.shape.agents()}
+    for t in range(len(order.rounds), 0, -1):
+        j, i = order.rounds[t - 1]
+        acc[j] *= analytics.slack(j, i)
+    return acc
 
 
 class TestFormulas:
@@ -149,6 +160,11 @@ class TestSearch:
     def test_unknown_mode_rejected(self):
         with pytest.raises(cd.ValidationError):
             cd.search_orders(2, 2, [cd.OPTIMISTIC] * 2, mode="simulated-annealing")
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_random_mode_needs_a_draw(self, budget):
+        with pytest.raises(cd.ValidationError):
+            cd.search_orders(2, 2, [cd.OPTIMISTIC] * 2, mode="random", budget=budget)
 
 
 class TestInterrupterAudit:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +145,28 @@ class TestSearch:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_random_mode_empty_budget_exit_code(self, capsys, budget):
+        code = main(
+            ["search", "--n", "2", "--p", "2", "--behaviors", "opt,opt",
+             "--mode", "random", "--budget", budget]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_random_mode_empty_budget_under_optimize_flag(self):
+        # the budget check must not be an assert, which python -O strips
+        env = dict(os.environ, PYTHONPATH=str(Path(cd.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "catdom.cli", "search", "--n", "2", "--p", "2",
+             "--behaviors", "opt,opt", "--mode", "random", "--budget", "0"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
 
 class TestWorstCase:
     def test_profile_written(self, capsys, tmp_path, order_file):
@@ -209,6 +235,15 @@ class TestCheckAxioms:
         doc = json.loads(out)
         by_axiom = {v["axiom"]: v["passed"] for v in doc["verdicts"]}
         assert by_axiom["non-bossiness"] is False
+
+    def test_oversized_exhaustive_refused(self, capsys):
+        # (2**14)! rankings: the budget guard must refuse without forming that count
+        code = main(["check-axioms", "--mechanism", "sd", "--n", "2", "--p", "14"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("refused: ") and captured.err.count("\n") == 1
+        assert "more than 10000000 checks" in captured.err
 
 
 class TestExperiment:

@@ -133,3 +133,8 @@ class TestStateSpace:
     def test_shape_mismatch(self, game_order_2x2, profile_3x2):
         with pytest.raises(cd.ValidationError):
             cd.solve_spne(game_order_2x2, profile_3x2)
+
+    def test_round_without_items_raises(self, monkeypatch, game_order_2x2, game_profile_2x2):
+        monkeypatch.setattr("catdom.spne._available", lambda state, shape, category: [])
+        with pytest.raises(AssertionError, match="no available item"):
+            cd.solve_spne(game_order_2x2, game_profile_2x2)
