@@ -5,7 +5,6 @@ import json
 import pytest
 
 import catdom as cd
-from catdom.cli import main
 from catdom.axioms import (
     Exhaustive,
     Sampled,
@@ -24,6 +23,7 @@ from catdom.axioms import (
     welfare_maximizer,
     worst_pick_sd,
 )
+from catdom.cli import main
 
 from conftest import SHAPE_2X2, pref_of
 
@@ -43,7 +43,7 @@ class TestEnumeration:
             all_rankings(cd.DomainShape(2, 5))  # 32! rankings
 
     def test_all_rankings_capacity_never_forms_the_count(self):
-        # (2**14)! has over 60000 digits; formatting it once made this a ValueError
+        # (2**14)! has over 60000 digits, past what int-to-str conversion allows
         with pytest.raises(cd.CapacityError, match="more than 1000000 rankings"):
             all_rankings(cd.DomainShape(2, 14))
 
