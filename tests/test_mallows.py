@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -218,3 +219,39 @@ class TestExperiment:
         assert len(first_row) == 11
         assert first_row[0] in {"sd", "balanced"}
         assert first_row[1] in {"opt", "pess"}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenStreams:
+    """Seeded sampler and experiment outputs pinned byte for byte: a change
+    to any random stream fails here and has to be a recorded decision."""
+
+    def test_experiment_2x2_3x2(self):
+        config = ExperimentConfig(
+            p=2, n_values=(2, 3), phis=(0.5, 1.0), samples=30, seed=42
+        )
+        assert _sha256(results_to_csv(run_experiment(config))) == (
+            "b351307bc2f63555c5253200832509eb29584c9f3ffbdcf6fe2e1dfbb7fa07c6"
+        )
+
+    def test_experiment_4x6(self):
+        config = ExperimentConfig(p=6, n_values=(4,), phis=(0.5, 1.0), samples=1, seed=7)
+        assert _sha256(results_to_csv(run_experiment(config))) == (
+            "6028f9df805e7b95c124f15994a4e211e844eef177e401e42f6e887d10836fdb"
+        )
+
+    def test_sampler_orders_3x4(self):
+        shape = cd.DomainShape(3, 4)
+        lines = []
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            ref = cd.uniform_preference(shape, rng)
+            lines.append(repr(ref.order))
+            for phi in (0.3, 0.8, 1.0):
+                lines.append(repr(cd.sample_mallows(cd.MallowsParams(ref, phi), rng).order))
+        assert _sha256("\n".join(lines)) == (
+            "3d92ce7fb2e561a92caffb65fa8de6453699467787df94681b036130c7657117"
+        )
