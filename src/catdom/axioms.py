@@ -18,7 +18,7 @@ The streams:
   allocations.
 
 In ``Exhaustive`` mode a stream walks every profile of a small shape in
-ranking-index order, after one early-exit guard, ``_exceeds``, has refused
+ranking-index order, after the early-exit guard ``domain._exceeds`` has refused
 any audit whose case count is over the budget; the same guard caps
 ``all_rankings`` and ``all_allocations``. In ``Sampled`` mode a stream makes
 ``count`` seeded draws.
@@ -46,6 +46,7 @@ from .domain import (
     Preference,
     Profile,
     ValidationError,
+    _exceeds,
     validate_allocation,
 )
 from .engine import _serial_picks, direct_serial_dictatorship
@@ -131,21 +132,6 @@ def _coverage(mode: Mode) -> str:
     if isinstance(mode, Exhaustive):
         return "exhaustive"
     return f"sampled(count={mode.count}, seed={mode.seed})"
-
-
-def _exceeds(limit: int, factors: Iterable[int]) -> bool:
-    """Whether the product of ``factors`` (each at least 1) is over ``limit``.
-
-    The running product is compared before every multiplication, so the
-    guard stops as soon as it passes the limit and never forms a number
-    much larger than it: counts such as ``(n**p)!`` stay unevaluated.
-    """
-    total = 1
-    for factor in factors:
-        if total > limit:
-            return True
-        total *= factor
-    return total > limit
 
 
 def _factorial_factors(k: int, power: int = 1) -> Iterator[int]:

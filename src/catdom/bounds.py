@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .domain import CapacityError, DomainShape, ValidationError
+from .domain import CapacityError, DomainShape, ValidationError, _exceeds
 from .engine import Behavior, Optimistic, Pessimistic, Scripted
 from .orders import OrderAnalytics, PickingOrder, analyze_order, interrupter_order
 
@@ -175,11 +175,10 @@ def search_orders(
     evaluated = 0
 
     if mode == "exhaustive":
-        total = math.factorial(len(pairs))
-        if total > budget:
+        if _exceeds(budget, range(2, len(pairs) + 1)):
             raise CapacityError(
-                f"exhaustive search over {total} orders exceeds budget {budget}; "
-                "raise the budget or use random mode"
+                f"exhaustive search over shape {n}x{p} needs more than {budget} orders, "
+                "the budget; raise the budget or use random mode"
             )
         class_of = {j: repr(behaviors[j - 1]) for j in shape.agents()}
         for perm in itertools.permutations(pairs):

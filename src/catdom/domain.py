@@ -11,13 +11,21 @@ Ranks are 1-based: rank 1 is an agent's most preferred bundle, rank ``n**p``
 her least preferred. Rank tables are materialized once at ``Preference``
 construction so rank lookups are O(1) everywhere else; this is what the
 ``CAPACITY_LIMIT`` guard protects.
+
+Internally a bundle is also known by its mixed-radix index (``encode_bundle``):
+each shape has one canonical bundle table (``bundle_table``), and a
+``Preference`` keeps its order as indices too, so the samplers work on
+integers and the engine on bitsets over ranking positions.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 Bundle = tuple[int, ...]
 
@@ -33,6 +41,21 @@ class CapacityError(RuntimeError):
     """A requested computation exceeds a configured capacity or budget."""
 
 
+def _exceeds(limit: int, factors: Iterable[int]) -> bool:
+    """Whether the product of ``factors`` (each at least 1) is over ``limit``.
+
+    The running product is compared before every multiplication, so the
+    guard stops as soon as it passes the limit and never forms a number
+    much larger than it: counts such as ``(n**p)!`` stay unevaluated.
+    """
+    total = 1
+    for factor in factors:
+        if total > limit:
+            return True
+        total *= factor
+    return total > limit
+
+
 @dataclass(frozen=True)
 class DomainShape:
     """Domain dimensions: ``n`` agents (and items per category), ``p`` categories."""
@@ -45,7 +68,8 @@ class DomainShape:
             raise ValidationError(f"shape dimensions must be integers, got {self.n!r}, {self.p!r}")
         if self.n < 1 or self.p < 1:
             raise ValidationError(f"shape ({self.n}, {self.p}) invalid: need n >= 1 and p >= 1")
-        if self.n**self.p > CAPACITY_LIMIT:
+        # n == 1 spans one bundle for any p; otherwise at most ~20 factors run
+        if self.n > 1 and _exceeds(CAPACITY_LIMIT, itertools.repeat(self.n, self.p)):
             raise CapacityError(
                 f"bundle space {self.n}**{self.p} exceeds the capacity limit {CAPACITY_LIMIT}"
             )
@@ -83,6 +107,19 @@ def encode_bundle(shape: DomainShape, bundle: Sequence[int]) -> int:
     return idx
 
 
+@lru_cache(maxsize=8)
+def bundle_table(shape: DomainShape) -> tuple[Bundle, ...]:
+    """Every bundle of ``shape`` in bundle-index order: one shared tuple per
+    bundle, so ``bundle_table(shape)[i]`` decodes index ``i`` without
+    building anything."""
+    return tuple(shape.bundles())
+
+
+@lru_cache(maxsize=8)
+def _bundle_lookup(shape: DomainShape) -> dict[Bundle, int]:
+    return {b: i for i, b in enumerate(bundle_table(shape))}
+
+
 def decode_bundle(shape: DomainShape, index: int) -> Bundle:
     if not (0 <= index < shape.bundle_count):
         raise ValidationError(f"bundle index {index} outside 0..{shape.bundle_count - 1}")
@@ -96,29 +133,63 @@ def decode_bundle(shape: DomainShape, index: int) -> Bundle:
 class Preference:
     """A strict total order over the full bundle space of a shape.
 
-    ``order[0]`` is the most preferred bundle. Construction validates that the
-    sequence is a permutation of the whole bundle space and precomputes the
-    rank table.
+    ``order[0]`` is the most preferred bundle and ``indices[0]`` its bundle
+    index. Construction validates that the sequence is a permutation of the
+    whole bundle space and precomputes the rank table.
     """
 
-    __slots__ = ("shape", "order", "_rank")
+    __slots__ = ("shape", "order", "indices", "_rank", "_masks")
 
     def __init__(self, shape: DomainShape, order: Iterable[Sequence[int]]):
-        seq = tuple(tuple(b) for b in order)
+        seq = tuple(map(tuple, order))
         count = shape.bundle_count
         if len(seq) != count:
             raise ValidationError(
                 f"preference lists {len(seq)} bundles, expected all {count}"
             )
+        table = bundle_table(shape)
+        lookup = _bundle_lookup(shape)
         rank = [0] * count
-        for pos, bundle in enumerate(seq):
-            idx = encode_bundle(shape, bundle)
+        indices = []
+        for pos, bundle in enumerate(seq, 1):
+            try:
+                idx = lookup.get(bundle)
+            except TypeError:  # an unhashable item; encode_bundle names it
+                idx = None
+            # a hit equal to a canonical bundle may still hold 1.0 or True:
+            # anything but the canonical tuple or plain ints is re-checked
+            if idx is None or (
+                bundle is not table[idx] and not all(type(x) is int for x in bundle)
+            ):
+                idx = encode_bundle(shape, bundle)
             if rank[idx]:
                 raise ValidationError(f"bundle {bundle} appears twice in preference")
-            rank[idx] = pos + 1
+            rank[idx] = pos
+            indices.append(idx)
         self.shape = shape
         self.order = seq
+        self.indices = tuple(indices)
         self._rank = rank
+        self._masks = None
+
+    @property
+    def position_masks(self) -> tuple[tuple[int, ...], ...]:
+        """Where each item sits in the ranking, as bitsets: bit ``r`` of
+        ``position_masks[c][d - 1]`` is set when ``order[r]`` holds item ``d``
+        in category ``c + 1``. Built on first use from the bundle indices."""
+        if self._masks is None:
+            n = self.shape.n
+            index = np.array(self.indices)
+            items = np.arange(n)[:, None]
+            by_category = []
+            for _ in range(self.shape.p):
+                # the last category is the lowest mixed-radix digit
+                packed = np.packbits(index % n == items, axis=1, bitorder="little")
+                index //= n
+                masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
+                by_category.append(tuple(masks))
+            self._masks = tuple(reversed(by_category))
+        return self._masks
 
     def rank_of(self, bundle: Sequence[int]) -> int:
         return self._rank[encode_bundle(self.shape, bundle)]

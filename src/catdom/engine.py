@@ -12,6 +12,12 @@ with per-agent behaviors:
 * scripted agents follow a fixed item list (one item per category, in the
   order their categories come up).
 
+Picks read a per-round consistency mask over the agent's ranking positions,
+a Python-int bitset: the AND over categories of the positions of each
+category's allowed items (``Preference.position_masks``). The optimistic pick
+is the lowest set bit; the pessimistic comparison takes the highest set bit
+per candidate item.
+
 The returned trace records, per round, the available item set of the round's
 category and (for pessimistic rounds) the candidate-to-worst-bundle
 comparison that justified the pick.
@@ -19,6 +25,8 @@ comparison that justified the pick.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -94,17 +102,23 @@ def message_count(trace: ExecutionTrace) -> int:
     return trace.message_count
 
 
-def _consistent(bundle: Bundle, picks: dict[int, int], available: dict[int, set[int]]) -> bool:
-    # consistent = agrees with own past picks and uses only available items
-    # in categories still open for this agent
-    for i, comp in enumerate(bundle, 1):
-        own = picks.get(i)
-        if own is not None:
-            if own != comp:
-                return False
-        elif comp not in available[i]:
-            return False
-    return True
+def _consistency_mask(
+    pref: Preference,
+    picks: Mapping[int, int],
+    available: Mapping[int, set[int]],
+    open_category: int | None = None,
+) -> int:
+    """Bitset over ranking positions: bit ``r`` is set when ``pref.order[r]``
+    agrees with the agent's own picks and uses only available items in her
+    open categories. ``open_category`` is held to its available items even
+    when picked."""
+    mask = (1 << pref.shape.bundle_count) - 1
+    for i, by_item in enumerate(pref.position_masks, 1):
+        items = (picks[i],) if i != open_category and i in picks else available[i]
+        allowed = [bits for d, bits in enumerate(by_item, 1) if d in items]
+        if len(allowed) < len(by_item):
+            mask &= functools.reduce(operator.or_, allowed, 0)
+    return mask
 
 
 def optimistic_choice(
@@ -114,12 +128,11 @@ def optimistic_choice(
     category: int,
 ) -> int:
     """Component of the best consistent available bundle in ``category``."""
-    picks = dict(picks)
-    available = {i: set(s) for i, s in available.items()}
-    for bundle in pref.order:
-        if _consistent(bundle, picks, available):
-            return bundle[category - 1]
-    raise ValidationError("no consistent available bundle; available sets exhausted")
+    mask = _consistency_mask(pref, picks, available)
+    if not mask:
+        raise ValidationError("no consistent available bundle; available sets exhausted")
+    # the lowest set bit is the best consistent bundle
+    return pref.order[(mask & -mask).bit_length() - 1][category - 1]
 
 
 def pessimistic_comparison(
@@ -129,18 +142,21 @@ def pessimistic_comparison(
     category: int,
 ) -> dict[int, Bundle]:
     """Worst consistent available bundle per candidate item of ``category``."""
-    base = dict(picks)
-    avail = {i: set(s) for i, s in available.items()}
+    mask = _consistency_mask(pref, picks, available, category)
     out: dict[int, Bundle] = {}
-    for d in sorted(avail[category]):
-        base[category] = d
-        for bundle in reversed(pref.order):
-            if _consistent(bundle, base, avail):
-                out[d] = bundle
-                break
+    for d, bits in enumerate(pref.position_masks[category - 1], 1):
+        hits = mask & bits
+        if hits:
+            # the highest set bit is the candidate's worst consistent bundle
+            out[d] = pref.order[hits.bit_length() - 1]
     if not out:
         raise ValidationError(f"category {category} has no available items")
     return out
+
+
+def _least_worst(pref: Preference, comparison: Mapping[int, Bundle]) -> int:
+    # distinct candidates force distinct worst bundles, so the argmin is unique
+    return min(comparison, key=lambda d: pref.rank_of(comparison[d]))
 
 
 def pessimistic_choice(
@@ -149,9 +165,7 @@ def pessimistic_choice(
     available: Mapping[int, set[int]],
     category: int,
 ) -> int:
-    comparison = pessimistic_comparison(pref, picks, available, category)
-    # distinct candidates force distinct worst bundles, so the argmin is unique
-    return min(comparison, key=lambda d: pref.rank_of(comparison[d]))
+    return _least_worst(pref, pessimistic_comparison(pref, picks, available, category))
 
 
 def _check_behaviors(shape, behaviors: Sequence[Behavior]) -> tuple[Behavior, ...]:
@@ -197,7 +211,7 @@ def run_csam(
             item = optimistic_choice(profile.pref(j), picks[j], available, i)
         elif isinstance(behavior, Pessimistic):
             comparison = pessimistic_comparison(profile.pref(j), picks[j], available, i)
-            item = min(comparison, key=lambda d: profile.pref(j).rank_of(comparison[d]))
+            item = _least_worst(profile.pref(j), comparison)
         else:
             item = behavior.picks[len(picks[j])]
             if item not in available[i]:

@@ -5,7 +5,9 @@ V by phi**kendall_tau(V, W) for a reference ranking W and dispersion
 0 < phi <= 1 (phi = 1 is uniform). Sampling uses repeated insertion: walking
 W from best to worst, the k-th element is inserted r positions above the
 bottom of the partial ranking with probability proportional to phi**r, which
-adds exactly r discordant pairs.
+adds exactly r discordant pairs. The offsets have a closed-form inverse CDF,
+so one vectorised step draws all of them and no weight table is kept; the
+draw inserts bundle indices and maps them to bundles once at the end.
 
 ``run_experiment`` estimates expected utilitarian and egalitarian realized
 ranks for sequential mechanisms under profiles drawn from a shared Mallows
@@ -21,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import DomainShape, Preference, Profile, ValidationError, decode_bundle
+from .domain import DomainShape, Preference, Profile, ValidationError, bundle_table
 from .engine import OPTIMISTIC, PESSIMISTIC, run_csam
 from .orders import balanced_order, serial_dictatorship_order
 
@@ -70,28 +72,30 @@ class MallowsParams:
             raise ValidationError(f"dispersion phi must lie in (0, 1], got {self.phi}")
 
 
-_weight_cache: dict[tuple[float, int], np.ndarray] = {}
-
-
-def _cumulative_weights(phi: float, k: int) -> np.ndarray:
-    key = (phi, k)
-    cw = _weight_cache.get(key)
-    if cw is None:
-        cw = np.cumsum(phi ** np.arange(k))
-        _weight_cache[key] = cw
-    return cw
-
-
 def sample_mallows(params: MallowsParams, rng: np.random.Generator) -> Preference:
-    ref = params.reference.order
-    m = len(ref)
+    """One repeated-insertion draw (Doignon, Pekec & Regenwetter 2004).
+
+    The k-th reference element goes r places above the bottom of the partial
+    ranking, where P(r) is proportional to phi**r on 0..k-1: a truncated
+    geometric offset, drawn from one uniform u by its inverse CDF,
+    r = floor(log(1 - u (1 - phi**k)) / log(phi)), or floor(u k) at phi = 1.
+    ``expm1`` forms ``phi**k - 1`` without a power per element."""
+    shape = params.reference.shape
+    m = shape.bundle_count
     u = rng.random(m)
-    out: list = []
-    for k in range(1, m + 1):
-        cw = _cumulative_weights(params.phi, k)
-        r = int(np.searchsorted(cw, u[k - 1] * cw[-1], side="right"))
-        out.insert(k - 1 - r, ref[k - 1])
-    return Preference(params.reference.shape, out)
+    k = np.arange(1, m + 1)
+    if params.phi == 1:
+        r = np.floor(u * k)
+    else:
+        log_phi = math.log(params.phi)
+        r = np.floor(np.log1p(u * np.expm1(k * log_phi)) / log_phi)
+    # r reaches k only by rounding, when u lies within an ulp or so of 1
+    slots = (k - 1 - np.minimum(r, k - 1)).astype(np.intp).tolist()
+    out: list[int] = []
+    for index, slot in zip(params.reference.indices, slots):
+        out.insert(slot, index)
+    table = bundle_table(shape)
+    return Preference(shape, [table[i] for i in out])
 
 
 def mallows_pmf(params: MallowsParams, ranking: Preference) -> float:
@@ -103,8 +107,9 @@ def mallows_pmf(params: MallowsParams, ranking: Preference) -> float:
 
 
 def uniform_preference(shape: DomainShape, rng: np.random.Generator) -> Preference:
-    perm = rng.permutation(shape.bundle_count)
-    return Preference(shape, [decode_bundle(shape, int(i)) for i in perm])
+    table = bundle_table(shape)
+    perm = rng.permutation(shape.bundle_count).tolist()
+    return Preference(shape, [table[i] for i in perm])
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,17 @@ class TestSearch:
         with pytest.raises(cd.CapacityError):
             cd.search_orders(3, 3, [cd.OPTIMISTIC] * 3, budget=100)
 
+    def test_refusal_never_forms_the_factorial(self):
+        # (1 * 3000)! has over 9000 digits, more than int formatting allows
+        with pytest.raises(cd.CapacityError, match="more than 200000 orders"):
+            cd.search_orders(1, 3000, [cd.OPTIMISTIC])
+
+    def test_budget_threshold_is_the_order_count(self):
+        # 2x2 has 4! = 24 orders: a budget of 24 runs, 23 refuses
+        assert cd.search_orders(2, 2, [cd.OPTIMISTIC] * 2, budget=24).evaluated > 0
+        with pytest.raises(cd.CapacityError, match="more than 23 orders"):
+            cd.search_orders(2, 2, [cd.OPTIMISTIC] * 2, budget=23)
+
     def test_random_mode_seeded(self):
         behaviors = [cd.OPTIMISTIC] * 3
         a = cd.search_orders(3, 2, behaviors, mode="random", seed=11, budget=300)

@@ -145,6 +145,14 @@ class TestSearch:
         )
         assert code == 2
 
+    def test_oversized_exhaustive_search_refused(self, capsys):
+        # formatting (n*p)! here used to escape as a ValueError traceback
+        code = main(["search", "--n", "1", "--p", "3000", "--behaviors", "opt"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("refused: ") and err.count("\n") == 1
+        assert "more than 200000 orders" in err
+
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_random_mode_empty_budget_exit_code(self, capsys, budget):
         code = main(

@@ -1,6 +1,8 @@
 import itertools
 import json
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -32,6 +34,12 @@ class TestDomainShape:
         with pytest.raises(cd.CapacityError):
             cd.DomainShape(10, 7)  # 10**7 > CAPACITY_LIMIT
         assert 10 ** 7 > CAPACITY_LIMIT
+
+    def test_capacity_guard_runs_before_the_power(self):
+        # 10**6 ** 10**6 has six million digits; the guard stops after two factors
+        with pytest.raises(cd.CapacityError):
+            cd.DomainShape(10**6, 10**6)
+        assert cd.DomainShape(1, 10**6).bundle_count == 1
 
     def test_validate_bundle(self):
         SHAPE_2X2.validate_bundle((2, 1))
@@ -87,6 +95,33 @@ class TestPreference:
     def test_rejects_foreign_bundle(self):
         with pytest.raises(cd.ValidationError):
             cd.Preference(SHAPE_2X2, [(1, 1), (1, 2), (2, 1), (2, 3)])
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            # equal and hash-equal to the canonical (1, 1), still not int items
+            ((1.0, 1), "bundle (1.0, 1) holds item 1.0 outside 1..2"),
+            ((np.int64(1), 1), "bundle (np.int64(1), 1) holds item np.int64(1) outside 1..2"),
+            (([1], 1), "bundle ([1], 1) holds item [1] outside 1..2"),
+            ((1, 1, 1), "bundle (1, 1, 1) has 3 components, expected 2"),
+        ],
+    )
+    def test_rejects_non_int_items(self, bad, message):
+        with pytest.raises(cd.ValidationError, match=re.escape(message)):
+            cd.Preference(SHAPE_2X2, [bad, (1, 2), (2, 1), (2, 2)])
+
+    def test_indices_follow_the_order(self):
+        pref = pref_of(SHAPE_2X2, ["21", "11", "22", "12"])
+        assert pref.indices == (2, 0, 3, 1)
+        assert [cd.decode_bundle(SHAPE_2X2, i) for i in pref.indices] == list(pref.order)
+
+    def test_position_masks(self):
+        pref = pref_of(SHAPE_3X2, ["12", "21", "32", "33", "31", "22", "23", "13", "11"])
+        for c in range(2):
+            for d in range(1, 4):
+                bits = pref.position_masks[c][d - 1]
+                want = {r for r, b in enumerate(pref.order) if b[c] == d}
+                assert {r for r in range(9) if bits >> r & 1} == want
 
     def test_equality_and_hash(self):
         a = pref_of(SHAPE_2X2, ["21", "11", "22", "12"])

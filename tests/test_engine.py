@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,9 +9,14 @@ import catdom as cd
 from conftest import MIXED_BEHAVIORS_3X2, pref_of
 
 
-def reference_run(order, profile, kinds):
+def reference_run(order, profile, kinds, comparisons=None):
     """Protocol re-implementation used as an oracle: tracks full availability
-    and recomputes each pick by scanning the preference list directly."""
+    and recomputes each pick by scanning the preference list directly.
+
+    ``kinds`` holds per agent "opt", "pess", a tuple of scripted picks, or a
+    ``random.Random`` that picks uniformly among the available items. When
+    ``comparisons`` is a list, every round appends its pessimistic comparison
+    (None for other agents)."""
     shape = order.shape
     avail = {i: set(shape.agents()) for i in shape.categories()}
     picks = {j: {} for j in shape.agents()}
@@ -26,15 +32,18 @@ def reference_run(order, profile, kinds):
 
     for (j, c) in order.rounds:
         pref = profile.pref(j)
-        if kinds[j - 1] == "opt":
+        kind = kinds[j - 1]
+        comparison = None
+        if kind == "opt":
             item = None
             for rank in range(1, shape.bundle_count + 1):
                 bundle = pref.bundle_at(rank)
                 if feasible(j, bundle):
                     item = bundle[c - 1]
                     break
-        else:
+        elif kind == "pess":
             item, item_rank = None, None
+            comparison = {}
             for d in sorted(avail[c]):
                 worst = None
                 for rank in range(shape.bundle_count, 0, -1):
@@ -42,13 +51,56 @@ def reference_run(order, profile, kinds):
                     if bundle[c - 1] == d and feasible(j, bundle):
                         worst = rank
                         break
+                comparison[d] = pref.bundle_at(worst)
                 if item_rank is None or worst < item_rank:
                     item, item_rank = d, worst
+        elif isinstance(kind, tuple):
+            item = kind[len(picks[j])]
+        else:
+            item = kind.choice(sorted(avail[c]))
+        if comparisons is not None:
+            comparisons.append(comparison)
         picks[j][c] = item
         avail[c].remove(item)
     return cd.Allocation(
         {j: tuple(picks[j][i] for i in shape.categories()) for j in shape.agents()}
     )
+
+
+def consistent(bundle, picks, available):
+    """A bundle agrees with the agent's own picks and uses only available
+    items in her open categories."""
+    for i, comp in enumerate(bundle, 1):
+        own = picks.get(i)
+        if own is not None:
+            if own != comp:
+                return False
+        elif comp not in available[i]:
+            return False
+    return True
+
+
+def scan_optimistic(pref, picks, available, category):
+    """Optimistic pick by a top-down scan of the ranking."""
+    for bundle in pref.order:
+        if consistent(bundle, picks, available):
+            return bundle[category - 1]
+    raise cd.ValidationError("no consistent available bundle")
+
+
+def scan_pessimistic(pref, picks, available, category):
+    """Pessimistic comparison by a bottom-up scan per candidate; the
+    candidate overrides any own pick in ``category``."""
+    out = {}
+    for d in sorted(available[category]):
+        base = {**picks, category: d}
+        for bundle in reversed(pref.order):
+            if consistent(bundle, base, available):
+                out[d] = bundle
+                break
+    if not out:
+        raise cd.ValidationError(f"category {category} has no available items")
+    return out
 
 
 @st.composite
@@ -122,6 +174,84 @@ class TestChoiceOracles:
         assert comparison == {2: (2,), 3: (3,)}
         choice = cd.pessimistic_choice(pref, picks={}, available={1: {2, 3}}, category=1)
         assert choice == 3
+
+
+LARGER_SHAPES = [(4, 3), (3, 4), (4, 4), (2, 6)]
+
+
+def seeded_instance(n, p, seed):
+    """Random profile and order with opt, pess and scripted agents. Scripts
+    replay the picks of agents that chose uniformly among available items."""
+    rng = random.Random(seed)
+    shape = cd.DomainShape(n, p)
+    bundles = list(shape.bundles())
+    prefs = []
+    for _ in shape.agents():
+        rng.shuffle(bundles)
+        prefs.append(cd.Preference(shape, bundles))
+    profile = cd.Profile(shape, prefs)
+    pairs = [(j, i) for j in shape.agents() for i in shape.categories()]
+    rng.shuffle(pairs)
+    order = cd.PickingOrder(shape, pairs)
+    kinds = [("opt", "pess", "script")[(j + seed) % 3] for j in range(n)]
+    chosen = reference_run(
+        order, profile, [rng if k == "script" else k for k in kinds]
+    )
+    for j, kind in enumerate(kinds, 1):
+        if kind == "script":
+            kinds[j - 1] = tuple(chosen[j][i - 1] for a, i in order.rounds if a == j)
+    return order, profile, kinds
+
+
+class TestLargerShapes:
+    @pytest.mark.parametrize("n,p", LARGER_SHAPES)
+    def test_run_matches_reference(self, n, p):
+        for seed in range(10):
+            order, profile, kinds = seeded_instance(n, p, seed)
+            behaviors = [
+                cd.Scripted(k) if isinstance(k, tuple) else as_behaviors([k])[0]
+                for k in kinds
+            ]
+            alloc, trace = cd.run_csam(order, profile, behaviors)
+            comparisons = []
+            expected = reference_run(order, profile, kinds, comparisons)
+            assert dict(alloc.bundles) == dict(expected.bundles), (n, p, seed)
+            assert [r.comparison for r in trace.rounds] == comparisons, (n, p, seed)
+
+    @pytest.mark.parametrize("n,p", LARGER_SHAPES + [(3, 2), (1, 3)])
+    def test_choices_match_scans_on_partial_states(self, n, p):
+        rng = random.Random(100 * n + p)
+        shape = cd.DomainShape(n, p)
+        bundles = list(shape.bundles())
+        for _ in range(80):
+            rng.shuffle(bundles)
+            pref = cd.Preference(shape, bundles)
+            category = rng.randint(1, p)
+            picks = {i: rng.randint(1, n) for i in shape.categories() if rng.random() < 0.4}
+            if rng.random() < 0.5:
+                # the target category already picked: the candidate overrides it
+                picks[category] = rng.randint(1, n)
+            # now and then an empty category, so both choices must refuse
+            available = {
+                i: set(rng.sample(range(1, n + 1), rng.randint(rng.random() > 0.05, n)))
+                for i in shape.categories()
+            }
+            state = (dict(picks), {i: set(s) for i, s in available.items()})
+            for choose, scan in (
+                (cd.optimistic_choice, scan_optimistic),
+                (cd.pessimistic_comparison, scan_pessimistic),
+            ):
+                try:
+                    want = scan(pref, picks, available, category)
+                except cd.ValidationError:
+                    with pytest.raises(cd.ValidationError):
+                        choose(pref, picks, available, category)
+                    continue
+                assert choose(pref, picks, available, category) == want
+                if scan is scan_pessimistic:
+                    least = min(want, key=lambda d: pref.rank_of(want[d]))
+                    assert cd.pessimistic_choice(pref, picks, available, category) == least
+            assert (picks, available) == state
 
 
 class TestScripted:

@@ -25,6 +25,24 @@ def pref_from_items(shape, items):
     return cd.Preference(shape, [(d,) for d in items])
 
 
+def rim_oracle(params, rng):
+    """Repeated insertion with a searched weight table: per element, the
+    cumulative weights phi**0 + ... + phi**r are searched for one scaled
+    uniform and the element goes r places above the bottom. The weights of
+    element k are the first k entries of one running sum (an accumulate adds
+    in order, so each prefix equals its own cumsum bit for bit)."""
+    ref = params.reference.order
+    m = len(ref)
+    u = rng.random(m)
+    weights = np.cumsum(params.phi ** np.arange(m))
+    out = []
+    for k in range(1, m + 1):
+        cw = weights[:k]
+        r = int(np.searchsorted(cw, u[k - 1] * cw[-1], side="right"))
+        out.insert(k - 1 - r, ref[k - 1])
+    return cd.Preference(params.reference.shape, out)
+
+
 def brute_tau(first, second):
     """Count discordant pairs directly."""
     bundles = list(first.shape.bundles())
@@ -152,6 +170,55 @@ class TestSampler:
             got = counts.get(ranking, 0) / m
             se = math.sqrt(want * (1 - want) / m)
             assert abs(got - want) < 4 * se
+
+    ORACLE_PHIS = (0.1, 0.5, 0.9, 0.99, 1.0)
+
+    @pytest.mark.parametrize("n,p", [(2, 2), (3, 2), (8, 2), (3, 4), (4, 4), (2, 6)])
+    def test_matches_rim_oracle(self, n, p):
+        shape = cd.DomainShape(n, p)
+        for seed in range(200):
+            ref = cd.uniform_preference(shape, np.random.default_rng([seed, 1]))
+            for phi in self.ORACLE_PHIS:
+                params = cd.MallowsParams(ref, phi)
+                rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert cd.sample_mallows(params, rng) == rim_oracle(params, oracle_rng), (
+                    seed,
+                    phi,
+                )
+                assert rng.random() == oracle_rng.random()
+
+    def test_matches_rim_oracle_4x6(self):
+        shape = cd.DomainShape(4, 6)
+        for seed in range(20):
+            ref = cd.uniform_preference(shape, np.random.default_rng([seed, 1]))
+            params = cd.MallowsParams(ref, self.ORACLE_PHIS[seed % len(self.ORACLE_PHIS)])
+            draw = cd.sample_mallows(params, np.random.default_rng(seed))
+            assert draw == rim_oracle(params, np.random.default_rng(seed)), seed
+
+    @pytest.mark.parametrize("phi", [0.5, 0.99, 1.0])
+    def test_extreme_uniforms(self, phi):
+        # u = 0 leaves every element at the bottom; u just below 1 sends every
+        # element to the top, also where rounding puts the offset at k (at
+        # phi = 0.99 it does for k = 9, 18, 26, ...)
+        class Constant:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self, size):
+                return np.full(size, self.u)
+
+        shape = cd.DomainShape(2, 5)
+        ref = cd.uniform_preference(shape, np.random.default_rng(5))
+        params = cd.MallowsParams(ref, phi)
+        assert cd.sample_mallows(params, Constant(0.0)) == ref
+        top = cd.sample_mallows(params, Constant(np.nextafter(1.0, 0.0)))
+        assert top.order == ref.order[::-1]
+
+    def test_oracle_prefix_weights_equal_per_element_cumsum(self):
+        for phi in self.ORACLE_PHIS:
+            weights = np.cumsum(phi ** np.arange(300))
+            for k in (1, 2, 17, 150, 300):
+                assert np.array_equal(weights[:k], np.cumsum(phi ** np.arange(k)))
 
     def test_uniform_preference_seeded(self):
         shape = cd.DomainShape(3, 2)
