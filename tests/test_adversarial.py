@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -86,6 +89,31 @@ class TestWitnessProperty:
         ranks = sorted(profile.pref(j).rank_of(near[j]) for j in order.shape.agents())
         assert ranks[-1] <= 2
         assert ranks[: n - 1] == [1] * (n - 1)
+
+
+class TestGoldenWitness:
+    """Witness profiles pinned by digest of their JSON document; a change
+    to any digest is a change to the construction and is recorded in
+    CHANGES.md."""
+
+    CASES = {
+        "balanced-4x4": (
+            lambda: cd.balanced_order([1, 2, 3, 4], 4),
+            (cd.OPTIMISTIC, cd.PESSIMISTIC, cd.OPTIMISTIC, cd.PESSIMISTIC),
+            "46cbe0901a0af1c9eaf85b99aea7aa137d3c54ad3aef669285ed7b219981e4df",
+        ),
+        "interrupter-3x4": (
+            lambda: cd.interrupter_order(3, 4),
+            (cd.OPTIMISTIC, cd.OPTIMISTIC, cd.PESSIMISTIC),
+            "08cb4d13754e775e565c53caac87e61b93af3777eb0cc759c846a53af7915a9f",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_profile_pinned(self, name):
+        make, behaviors, digest = self.CASES[name]
+        doc = cd.profile_to_json(cd.worst_case_profile(make(), behaviors))
+        assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
 
 
 class TestNearOptimalValidation:

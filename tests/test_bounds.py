@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -176,6 +178,55 @@ class TestSearch:
     def test_random_mode_needs_a_draw(self, budget):
         with pytest.raises(cd.ValidationError):
             cd.search_orders(2, 2, [cd.OPTIMISTIC] * 2, mode="random", budget=budget)
+
+
+def _digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+class TestGoldenSearch:
+    """Search results (best rounds, score, ``evaluated``) pinned by digest.
+
+    A change to any digest here is a change to the enumeration order, the
+    tie-break, the random order stream or the scoring, and is recorded in
+    CHANGES.md."""
+
+    EXHAUSTIVE = {
+        (2, 2, "opt", "utilitarian"): (5, 12, "ab226e00cc7a72eb5706205563a2430bfb37e6fd33a8e8e06b6224cef79b3bb6"),
+        (2, 2, "opt", "egalitarian"): (4, 12, "dcef4b25035d124211435f2b85b2eae3673b977e4a0da4f7315b14be0b7333a5"),
+        (2, 2, "pess", "utilitarian"): (6, 12, "8e20ea3a8e610a38985e2d9d551a73061c9b54925786eb89a0d8bfcded8f52f3"),
+        (2, 2, "pess", "egalitarian"): (3, 12, "912bea139cabdf5414274e4d0d1aafea3e211e68895f5fb846093644dd074cc0"),
+        (2, 3, "opt", "utilitarian"): (9, 360, "c370eb853acba3bb030aa00a10cef5a4c8fb680c9f6aa38c9e81ce3f04486d2f"),
+        (2, 3, "opt", "egalitarian"): (8, 360, "2a5d4fab2206df2b0ef8cd71eccb73bfb01b9ba5022bb8b411d0f83bdaadf3c6"),
+        (2, 3, "pess", "utilitarian"): (13, 360, "1475f74acdb0bb0245e80d206f47444ea30ac8799a479329e35f9bd61147b458"),
+        (2, 3, "pess", "egalitarian"): (7, 360, "13b0e34b0df032dd41560025c150bf8bdb988d23c72bcc339a39eb62622e3bfa"),
+    }
+    RANDOM_3X3 = {
+        0: "3e3f2bc216b628791ffc8cc7340a29e89fbfdf561624a8b0e99cdf26c34d03b1",
+        1: "4877bfb8b2d751705eb443388c5f4c8bfbec15a96b6002a6a472a48cc9e70b86",
+        2: "c6c5180657d44a1b2a6a4c2bc1fcd1091c8207fc470b75362638d1ab621bae96",
+        3: "c2c15a6c0c1c462e2777886145485c4481b7a11131e78a60e9cb2ec088904d8c",
+    }
+
+    @staticmethod
+    def _doc(result):
+        return [[list(r) for r in result.order.rounds], result.score, result.evaluated]
+
+    @pytest.mark.parametrize("case", sorted(EXHAUSTIVE))
+    def test_exhaustive_pinned(self, case):
+        n, p, behavior, objective = case
+        score, evaluated, digest = self.EXHAUSTIVE[case]
+        behaviors = [cd.OPTIMISTIC if behavior == "opt" else cd.PESSIMISTIC] * n
+        result = cd.search_orders(n, p, behaviors, objective=objective)
+        assert (result.score, result.evaluated) == (score, evaluated)
+        assert _digest(self._doc(result)) == digest
+
+    @pytest.mark.parametrize("seed", sorted(RANDOM_3X3))
+    def test_random_pinned(self, seed):
+        behaviors = [cd.OPTIMISTIC, cd.OPTIMISTIC, cd.PESSIMISTIC]
+        result = cd.search_orders(3, 3, behaviors, mode="random", seed=seed, budget=300)
+        assert (result.score, result.evaluated) == (25, 300)
+        assert _digest(self._doc(result)) == self.RANDOM_3X3[seed]
 
 
 class TestInterrupterAudit:

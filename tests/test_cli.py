@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -111,6 +112,39 @@ class TestAnalyzeOrder:
         assert agent1["slacks"] == {"1": 3, "2": 1}
         assert agent1["uninterrupted_index"] == 2
         assert doc["message_count"] == 21
+
+    PINNED = {
+        "sd-3x4": (
+            lambda: cd.serial_dictatorship_order([1, 2, 3], 4),
+            "af181ac0dbb7eccb3d1b6b2835793e2e2a5e7820879cde5e85c733cec704cdd2",
+        ),
+        "sd-4x4": (
+            lambda: cd.serial_dictatorship_order([1, 2, 3, 4], 4),
+            "1f26f02e90c70abef58b76de233cfab1e8431fccfdfb1ad0eb7ba2014f710419",
+        ),
+        "balanced-3x4": (
+            lambda: cd.balanced_order([1, 2, 3], 4),
+            "d67056bb30f7eedf39408f43f9e817a656157e1cf0c0738a00ebe237ced74a8c",
+        ),
+        "balanced-4x4": (
+            lambda: cd.balanced_order([1, 2, 3, 4], 4),
+            "485f5004bc06ebd7da2a4923d453c458f5c05dc62a83269b0f094113669aba6d",
+        ),
+        "interrupter-4x2": (
+            lambda: cd.interrupter_order(4, 2),
+            "a80c5dfa4e8682d9307ef990b2a4122c07e81ba39fcb0327208ebd637384aa02",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_doc_pinned(self, capsys, tmp_path, name):
+        # stdout bytes pinned by digest; a change is recorded in CHANGES.md
+        make, digest = self.PINNED[name]
+        path = tmp_path / "order.json"
+        path.write_text(json.dumps(cd.order_to_json(make())))
+        code, out = run_cli(capsys, ["analyze-order", "--order", str(path)])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestBounds:
