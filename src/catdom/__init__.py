@@ -99,7 +99,6 @@ from .mallows import (
 from .orders import (
     OrderAnalytics,
     PickingOrder,
-    RemainingItemSets,
     analyze_order,
     balanced_order,
     interrupter_order,
@@ -107,7 +106,6 @@ from .orders import (
     order_to_json,
     pickers_in_category,
     predecessor_in_category,
-    remaining_item_sets,
     serial_dictatorship_order,
 )
 from .spne import solve_spne, state_space_size

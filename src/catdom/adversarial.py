@@ -77,6 +77,13 @@ def _death_round(order: PickingOrder, agent: int, pin: Bundle) -> int:
     raise AssertionError("pin equals the agent's own bundle")
 
 
+def _remaining(order: PickingOrder, category: int, round_: int) -> tuple[int, ...]:
+    """Agents, ascending, whose pick in ``category`` comes at ``round_`` or
+    later: under the identity replay, the items of ``category`` still
+    available entering ``round_``."""
+    return tuple(q for q in order.shape.agents() if order.round_of(q, category) >= round_)
+
+
 def _best_cover(order: PickingOrder, agent: int, after_round: int) -> Bundle:
     """Almost-j pin alive past ``after_round`` that can never misdirect.
 
@@ -106,7 +113,6 @@ def _best_cover(order: PickingOrder, agent: int, after_round: int) -> Bundle:
 def _optimistic_ranking(order: PickingOrder, agent: int) -> list[Bundle]:
     shape = order.shape
     analytics = order.analytics
-    rem = order.remaining
     j1, i1 = order.rounds[0]
     sub = analytics.suborder(agent)
     big_k = analytics.uninterrupted_index(agent)
@@ -129,7 +135,7 @@ def _optimistic_ranking(order: PickingOrder, agent: int) -> list[Bundle]:
         if l < big_k:
             per_category[cat] = (agent,)
         else:
-            per_category[cat] = tuple(sorted(rem.at(cat, t_at[l])))
+            per_category[cat] = _remaining(order, cat, t_at[l])
     block = set(
         itertools.product(*(per_category[i] for i in shape.categories()))
     )
@@ -164,7 +170,6 @@ def _optimistic_ranking(order: PickingOrder, agent: int) -> list[Bundle]:
 def _pessimistic_ranking(order: PickingOrder, agent: int) -> list[Bundle]:
     shape = order.shape
     analytics = order.analytics
-    rem = order.remaining
     j1, i1 = order.rounds[0]
     sub = analytics.suborder(agent)
     own = (agent,) * shape.p
@@ -176,11 +181,7 @@ def _pessimistic_ranking(order: PickingOrder, agent: int) -> list[Bundle]:
     # still obtainable at the agent's own round there
     tiers: dict[int, list[Bundle]] = {}
     for l, cat in enumerate(sub, 1):
-        tiers[l] = [
-            _almost(own, cat, d)
-            for d in sorted(rem.at(cat, t_at[l]))
-            if d != agent
-        ]
+        tiers[l] = [_almost(own, cat, d) for d in _remaining(order, cat, t_at[l]) if d != agent]
 
     def stacked(skip: Bundle | None = None) -> list[Bundle]:
         out = [own]

@@ -123,11 +123,6 @@ class SearchResult:
     evaluated: int
 
 
-def _score(order: PickingOrder, behaviors: Sequence[Behavior], objective: str) -> int:
-    report = worst_case_report(order, behaviors)
-    return report.utilitarian if objective == "utilitarian" else report.egalitarian
-
-
 def _canonical_under_relabeling(rounds, class_of) -> bool:
     # keep only orders whose agents, within each behavior class, first appear
     # in ascending label order; that representative is lex-minimal in its orbit
@@ -171,9 +166,6 @@ def search_orders(
         raise ValidationError(f"{len(behaviors)} behaviors given, expected {n}")
     pairs = [(j, i) for j in shape.agents() for i in shape.categories()]
 
-    best: tuple[int, tuple] | None = None
-    evaluated = 0
-
     if mode == "exhaustive":
         if _exceeds(budget, range(2, len(pairs) + 1)):
             raise CapacityError(
@@ -181,14 +173,11 @@ def search_orders(
                 "the budget; raise the budget or use random mode"
             )
         class_of = {j: repr(behaviors[j - 1]) for j in shape.agents()}
-        for perm in itertools.permutations(pairs):
-            if not _canonical_under_relabeling(perm, class_of):
-                continue
-            order = PickingOrder(shape, perm)
-            score = _score(order, behaviors, objective)
-            evaluated += 1
-            if best is None or score < best[0] or (score == best[0] and perm < best[1]):
-                best = (score, perm)
+        candidates = (
+            perm
+            for perm in itertools.permutations(pairs)
+            if _canonical_under_relabeling(perm, class_of)
+        )
     elif mode == "random":
         if budget < 1:
             raise ValidationError(
@@ -196,16 +185,18 @@ def search_orders(
             )
         rng = np.random.default_rng(seed)
         arr = list(range(len(pairs)))
-        for _ in range(budget):
-            idx = rng.permutation(arr)
-            perm = tuple(pairs[i] for i in idx)
-            order = PickingOrder(shape, perm)
-            score = _score(order, behaviors, objective)
-            evaluated += 1
-            if best is None or score < best[0] or (score == best[0] and perm < best[1]):
-                best = (score, perm)
+        candidates = (tuple(pairs[i] for i in rng.permutation(arr)) for _ in range(budget))
     else:
         raise ValidationError(f"unknown search mode {mode!r}")
+
+    best: tuple[int, tuple] | None = None
+    evaluated = 0
+    for perm in candidates:
+        report = worst_case_report(PickingOrder(shape, perm), behaviors)
+        score = report.utilitarian if objective == "utilitarian" else report.egalitarian
+        evaluated += 1
+        if best is None or (score, perm) < best:
+            best = (score, perm)
 
     return SearchResult(PickingOrder(shape, best[1]), best[0], evaluated)
 

@@ -77,7 +77,7 @@ def _parse_behaviors(text: str, n: int):
             picks = _load_json(tok.split(":", 1)[1])
             if not isinstance(picks, list):
                 raise ValidationError(f"script file for {tok!r} must hold a JSON list of items")
-            out.append(Scripted(tuple(int(x) for x in picks)))
+            out.append(Scripted(tuple(picks)))
         else:
             raise ValidationError(f"unknown behavior {tok!r} (use opt, pess, or script:FILE)")
     return out

@@ -64,7 +64,7 @@ class DomainShape:
     p: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and isinstance(self.p, int)):
+        if not (type(self.n) is int and type(self.p) is int):
             raise ValidationError(f"shape dimensions must be integers, got {self.n!r}, {self.p!r}")
         if self.n < 1 or self.p < 1:
             raise ValidationError(f"shape ({self.n}, {self.p}) invalid: need n >= 1 and p >= 1")
@@ -93,7 +93,7 @@ class DomainShape:
         if len(b) != self.p:
             raise ValidationError(f"bundle {b} has {len(b)} components, expected {self.p}")
         for item in b:
-            if not (isinstance(item, int) and 1 <= item <= self.n):
+            if not (type(item) is int and 1 <= item <= self.n):
                 raise ValidationError(f"bundle {b} holds item {item!r} outside 1..{self.n}")
         return b
 
@@ -141,7 +141,10 @@ class Preference:
     __slots__ = ("shape", "order", "indices", "_rank", "_masks")
 
     def __init__(self, shape: DomainShape, order: Iterable[Sequence[int]]):
-        seq = tuple(map(tuple, order))
+        try:
+            seq = tuple(map(tuple, order))
+        except TypeError as exc:
+            raise ValidationError(f"preference must list bundles of items: {exc}") from None
         count = shape.bundle_count
         if len(seq) != count:
             raise ValidationError(

@@ -174,6 +174,8 @@ def _check_behaviors(shape, behaviors: Sequence[Behavior]) -> tuple[Behavior, ..
         raise ValidationError(f"{len(bs)} behaviors given, expected one per agent ({shape.n})")
     for j, b in enumerate(bs, 1):
         if isinstance(b, Scripted):
+            if not all(type(x) is int for x in b.picks):
+                raise ValidationError(f"agent {j} script picks {b.picks!r} are not all integers")
             if len(b.picks) != shape.p:
                 raise ValidationError(
                     f"agent {j} script lists {len(b.picks)} picks, expected {shape.p}"

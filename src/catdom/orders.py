@@ -10,8 +10,10 @@ alone:
   category, i.e. how many items are still on the table including hers),
 * the uninterrupted index ``K``: the earliest position in her suborder after
   which no other agent's pick can invalidate availability reasoning between
-  her own rounds (see ``analyze_order``),
-* the remaining-picker sets per (category, round).
+  her own rounds (see ``analyze_order``).
+
+``analyze_order`` reads the suborders, the slacks and each pick's in-category
+predecessor off one pass over the rounds.
 """
 
 from __future__ import annotations
@@ -32,9 +34,16 @@ class PickingOrder:
     __slots__ = ("shape", "rounds", "_round_of", "__dict__")
 
     def __init__(self, shape: DomainShape, rounds: Iterable[Sequence[int]]):
-        seq = tuple((int(a), int(c)) for a, c in rounds)
+        try:
+            seq = tuple((a, c) for a, c in rounds)
+        except (TypeError, ValueError):
+            raise ValidationError(f"order rounds must be pairs, got {rounds!r}") from None
         expected = {(j, i) for j in shape.agents() for i in shape.categories()}
-        if len(seq) != len(expected) or set(seq) != expected:
+        if (
+            not all(type(a) is int and type(c) is int for a, c in seq)
+            or len(seq) != len(expected)
+            or set(seq) != expected
+        ):
             raise ValidationError(
                 f"order must list every (agent, category) pair of a {shape.n}x{shape.p} "
                 f"domain exactly once, got {seq}"
@@ -56,10 +65,6 @@ class PickingOrder:
     @cached_property
     def analytics(self) -> "OrderAnalytics":
         return analyze_order(self)
-
-    @cached_property
-    def remaining(self) -> "RemainingItemSets":
-        return remaining_item_sets(self)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -161,26 +166,19 @@ def analyze_order(order: PickingOrder) -> OrderAnalytics:
 
     suborders: dict[int, tuple[int, ...]] = {j: () for j in shape.agents()}
     own_round: dict[int, list[int]] = {j: [] for j in shape.agents()}
-    for t, (j, i) in enumerate(order.rounds, 1):
-        suborders[j] += (i,)
-        own_round[j].append(t)
-
-    # slack = 1 + number of later picks in the same category
     slacks: dict[tuple[int, int], int] = {}
-    for i in shape.categories():
-        seq = pickers_in_category(order, i)
-        for pos, j in enumerate(seq):
-            slacks[(j, i)] = n - pos
-
     # pred_round[(j, i)]: round of the pick in category i immediately before
     # agent j's own, or 0 when j is that category's first picker.
     pred_round: dict[tuple[int, int], int] = {}
-    for i in shape.categories():
-        seq = pickers_in_category(order, i)
-        prev = 0
-        for j in seq:
-            pred_round[(j, i)] = prev
-            prev = order.round_of(j, i)
+    picked = [0] * (p + 1)
+    latest = [0] * (p + 1)
+    for t, (j, i) in enumerate(order.rounds, 1):
+        suborders[j] += (i,)
+        own_round[j].append(t)
+        slacks[(j, i)] = n - picked[i]
+        pred_round[(j, i)] = latest[i]
+        picked[i] += 1
+        latest[i] = t
 
     uninterrupted: dict[int, int] = {}
     for j in shape.agents():
@@ -201,41 +199,6 @@ def analyze_order(order: PickingOrder) -> OrderAnalytics:
         uninterrupted[j] = k_value
 
     return OrderAnalytics(shape, suborders, slacks, uninterrupted)
-
-
-class RemainingItemSets:
-    """For each category ``i`` and round ``t``, the set of agents whose pick in
-    category ``i`` happens at round ``t`` or later.
-
-    Under the identity replay used by the witness constructions, agent ``q``
-    picks item ``q`` in every category, so these sets double as the items
-    still available in category ``i`` entering round ``t``.
-    """
-
-    __slots__ = ("shape", "_sets")
-
-    def __init__(self, shape: DomainShape, sets: Mapping[tuple[int, int], frozenset[int]]):
-        self.shape = shape
-        self._sets = dict(sets)
-
-    def at(self, category: int, round_: int) -> frozenset[int]:
-        try:
-            return self._sets[(category, round_)]
-        except KeyError:
-            raise ValidationError(
-                f"no remaining set for category {category} at round {round_}"
-            ) from None
-
-
-def remaining_item_sets(order: PickingOrder) -> RemainingItemSets:
-    shape = order.shape
-    total = shape.n * shape.p
-    sets: dict[tuple[int, int], frozenset[int]] = {}
-    for i in shape.categories():
-        rounds_by_agent = {j: order.round_of(j, i) for j in shape.agents()}
-        for t in range(1, total + 2):
-            sets[(i, t)] = frozenset(j for j, r in rounds_by_agent.items() if r >= t)
-    return RemainingItemSets(shape, sets)
 
 
 def order_to_json(order: PickingOrder) -> dict:

@@ -7,7 +7,12 @@ give the chooser different final bundles (they differ in that category), so
 argmax ties cannot occur.
 
 States are canonical: the per-agent partial pick matrix determines the round
-number and all availability, so memoization keys on it alone.
+number and all availability, so memoization keys on it alone. The solver
+visits every reachable state, and ``state_space_size`` counts them in closed
+form: entering a round, the agents who have picked in a category hold
+distinct items there, every such assignment is reachable, and categories are
+independent, so a category's (k+1)-th pick multiplies the number of states by
+``n - k``. The state cap is checked against that count before solving.
 """
 
 from __future__ import annotations
@@ -36,6 +41,17 @@ def _available(state: State, shape, category: int) -> list[int]:
     return [d for d in range(1, shape.n + 1) if d not in gone]
 
 
+def _level_sizes(order: PickingOrder):
+    """Number of reachable decision states entering each round, in order."""
+    n = order.shape.n
+    picked = [0] * (order.shape.p + 1)
+    level = 1
+    for _, category in order.rounds:
+        yield level
+        level *= n - picked[category]
+        picked[category] += 1
+
+
 def solve_spne(
     order: PickingOrder,
     profile: Profile,
@@ -44,12 +60,20 @@ def solve_spne(
 ) -> tuple[Allocation, tuple[SpneRound, ...] | None]:
     """Equilibrium allocation (and optionally the equilibrium path).
 
-    Refuses with CapacityError when the memo table would exceed ``state_cap``
-    distinct states; the result is exact, never truncated.
+    Refuses with CapacityError, before solving, when the memo table would
+    exceed ``state_cap`` distinct states; the result is exact, never
+    truncated.
     """
     shape = order.shape
     if profile.shape != shape:
         raise ValidationError("profile shape does not match order shape")
+    states = 0
+    for level in _level_sizes(order):
+        states += level
+        if states > state_cap:
+            raise CapacityError(
+                f"equilibrium solving exceeded the state cap of {state_cap} states"
+            )
     rounds = order.rounds
     total = len(rounds)
     prefs = [profile.pref(j) for j in shape.agents()]
@@ -76,47 +100,25 @@ def solve_spne(
                 best_outcome = outcome
         if best_outcome is None:
             raise AssertionError(f"round {t}: category {category} has no available item")
-        if len(memo) >= state_cap:
-            raise CapacityError(
-                f"equilibrium solving exceeded the state cap of {state_cap} states"
-            )
         memo[state] = best_outcome
         return best_outcome
 
-    root: State = tuple((0,) * shape.p for _ in shape.agents())
-    final = solve(1, root)
+    if shape.n == 1:
+        # the lone agent gets the lone bundle; the walk would recurse p deep
+        final = ((1,) * shape.p,)
+    else:
+        final = solve(1, tuple((0,) * shape.p for _ in shape.agents()))
     allocation = Allocation({j: final[j - 1] for j in shape.agents()})
 
     trace = None
     if collect_trace:
-        path = []
-        state = root
-        for t, (agent, category) in enumerate(rounds, 1):
-            item = final[agent - 1][category - 1]
-            path.append(SpneRound(t, agent, category, item))
-            row = list(state[agent - 1])
-            row[category - 1] = item
-            state = state[: agent - 1] + (tuple(row),) + state[agent:]
-        trace = tuple(path)
+        trace = tuple(
+            SpneRound(t, agent, category, final[agent - 1][category - 1])
+            for t, (agent, category) in enumerate(rounds, 1)
+        )
     return allocation, trace
 
 
 def state_space_size(order: PickingOrder) -> int:
     """Number of distinct reachable decision states plus one terminal class."""
-    shape = order.shape
-    rounds = order.rounds
-    total = len(rounds)
-    root: State = tuple((0,) * shape.p for _ in shape.agents())
-    frontier = [root]
-    count = 0
-    for t in range(1, total + 1):
-        count += len(frontier)
-        agent, category = rounds[t - 1]
-        nxt = set()
-        for state in frontier:
-            for d in _available(state, shape, category):
-                row = list(state[agent - 1])
-                row[category - 1] = d
-                nxt.add(state[: agent - 1] + (tuple(row),) + state[agent:])
-        frontier = list(nxt)
-    return count + 1
+    return 1 + sum(_level_sizes(order))

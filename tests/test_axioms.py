@@ -184,6 +184,19 @@ class TestExhaustiveVerdicts:
 
 
 class TestSampledVerdicts:
+    def test_sampled_pareto_guard_runs_before_any_audit(self):
+        # (10!)**1 allocations exceed the enumeration cap; no audit may start
+        applied = []
+
+        def counting(profile):
+            applied.append(profile)
+            return sd_direct(list(profile.shape.agents())).fn(profile)
+
+        mechanism = cd.DirectMechanism("counting", counting)
+        with pytest.raises(cd.CapacityError, match="more than 1000000 allocations"):
+            check_all(mechanism, cd.DomainShape(10, 1), Sampled(count=5, seed=0))
+        assert applied == []
+
     def test_bossy_fixture_bosses_at_three_agents(self):
         verdict = check_non_bossiness(
             bossy_conditional_sd(), SHAPE_3X2, Sampled(count=2000, seed=0)

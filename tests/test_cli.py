@@ -101,6 +101,57 @@ class TestRun:
         assert code == 1
 
 
+def assert_rejected(capsys, argv):
+    """Exit 1, nothing on stdout, one ``error:`` line on stderr."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": True, "p": 1, "rounds": [[1, 1]]},
+            {"n": 2, "p": 1, "rounds": [[1.7, 1], [2, 1.2]]},
+            {"n": 2, "p": 1, "rounds": [[1], [2, 1]]},
+            {"n": 2, "p": 1, "rounds": [["a", 1], [2, 1]]},
+        ],
+    )
+    def test_order_rejected(self, capsys, tmp_path, doc):
+        path = tmp_path / "order.json"
+        path.write_text(json.dumps(doc))
+        assert_rejected(capsys, ["analyze-order", "--order", str(path)])
+
+    @pytest.mark.parametrize("row", [[[True, 1], [1, 2], [2, 1], [2, 2]], [1, 2, 3, 4]])
+    def test_profile_row_rejected(self, capsys, tmp_path, game_order_2x2, game_profile_2x2, row):
+        doc = cd.profile_to_json(game_profile_2x2)
+        doc["preferences"][0] = row
+        order_path = tmp_path / "order.json"
+        order_path.write_text(json.dumps(cd.order_to_json(game_order_2x2)))
+        profile_path = tmp_path / "profile.json"
+        profile_path.write_text(json.dumps(doc))
+        assert_rejected(
+            capsys,
+            ["run", "--order", str(order_path), "--profile", str(profile_path),
+             "--behaviors", "opt,opt"],
+        )
+
+    @pytest.mark.parametrize("picks", [[1.7, 1], [True, 1]])
+    def test_script_picks_rejected(self, capsys, tmp_path, order_file, profile_file, picks):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(picks))
+        err = assert_rejected(
+            capsys,
+            ["run", "--order", order_file, "--profile", profile_file,
+             "--behaviors", f"script:{script},opt,opt"],
+        )
+        assert "not all integers" in err
+
+
 class TestAnalyzeOrder:
     def test_analytics_doc(self, capsys, order_file):
         code, out = run_cli(capsys, ["analyze-order", "--order", order_file])
@@ -243,6 +294,21 @@ class TestSpne:
         doc = last_json(out)
         assert doc["allocation"]["bundles"] == {"1": [1, 1], "2": [2, 2]}
         assert doc["state_space_size"] > 0
+
+    def test_one_agent_deep_game(self, capsys, tmp_path):
+        p = 1500
+        order_path = tmp_path / "order.json"
+        order_path.write_text(json.dumps(cd.order_to_json(cd.serial_dictatorship_order([1], p))))
+        profile_path = tmp_path / "profile.json"
+        profile_path.write_text(json.dumps({"n": 1, "p": p, "preferences": [[[1] * p]]}))
+        code = main(["spne", "--order", str(order_path), "--profile", str(profile_path),
+                     "--states"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["allocation"]["bundles"] == {"1": [1] * p}
+        assert doc["ranks"] == {"1": 1}
+        assert doc["state_space_size"] == p + 1
 
     def test_state_cap_exit_code(self, capsys, tmp_path, game_order_2x2, game_profile_2x2):
         order_path = tmp_path / "order.json"

@@ -30,6 +30,11 @@ class TestDomainShape:
         with pytest.raises(cd.ValidationError):
             cd.DomainShape(n, p)
 
+    @pytest.mark.parametrize("n,p", [(True, 2), (2, True), (2.0, 2)])
+    def test_rejects_non_int_dimensions(self, n, p):
+        with pytest.raises(cd.ValidationError, match="shape dimensions must be integers"):
+            cd.DomainShape(n, p)
+
     def test_rejects_huge_bundle_space(self):
         with pytest.raises(cd.CapacityError):
             cd.DomainShape(10, 7)  # 10**7 > CAPACITY_LIMIT
@@ -104,11 +109,16 @@ class TestPreference:
             ((np.int64(1), 1), "bundle (np.int64(1), 1) holds item np.int64(1) outside 1..2"),
             (([1], 1), "bundle ([1], 1) holds item [1] outside 1..2"),
             ((1, 1, 1), "bundle (1, 1, 1) has 3 components, expected 2"),
+            ((True, 1), "bundle (True, 1) holds item True outside 1..2"),
         ],
     )
     def test_rejects_non_int_items(self, bad, message):
         with pytest.raises(cd.ValidationError, match=re.escape(message)):
             cd.Preference(SHAPE_2X2, [bad, (1, 2), (2, 1), (2, 2)])
+
+    def test_rejects_items_in_place_of_bundles(self):
+        with pytest.raises(cd.ValidationError, match="preference must list bundles"):
+            cd.Preference(SHAPE_2X2, [1, 2, 3, 4])
 
     def test_indices_follow_the_order(self):
         pref = pref_of(SHAPE_2X2, ["21", "11", "22", "12"])

@@ -274,6 +274,12 @@ class TestScripted:
         with pytest.raises(cd.ExecutionError, match="round 2"):
             cd.run_csam(order, profile, behaviors)
 
+    @pytest.mark.parametrize("picks", [(1.7, 1), (True, 1)])
+    def test_script_items_must_be_ints(self, mixed_order_3x2, profile_3x2, picks):
+        behaviors = [cd.Scripted(picks), cd.OPTIMISTIC, cd.OPTIMISTIC]
+        with pytest.raises(cd.ValidationError, match="not all integers"):
+            cd.run_csam(mixed_order_3x2, profile_3x2, behaviors)
+
     def test_script_length_checked(self, mixed_order_3x2, profile_3x2):
         behaviors = [cd.Scripted([1]), cd.OPTIMISTIC, cd.OPTIMISTIC]
         with pytest.raises(cd.ValidationError):

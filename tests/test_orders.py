@@ -1,10 +1,12 @@
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import catdom as cd
+from catdom.adversarial import _remaining
 
 from conftest import MIXED_ORDER_3X2_ROUNDS, SHAPE_3X2
 
@@ -40,6 +42,58 @@ def brute_uninterrupted(order, agent):
     raise AssertionError("m = p is always admissible")
 
 
+def reference_analyze_order(order):
+    """Per-category analytics: slacks and predecessor rounds from a scan of
+    each category's pickers, the uninterrupted index from those."""
+    shape = order.shape
+    n, p = shape.n, shape.p
+
+    suborders = {j: () for j in shape.agents()}
+    own_round = {j: [] for j in shape.agents()}
+    for t, (j, i) in enumerate(order.rounds, 1):
+        suborders[j] += (i,)
+        own_round[j].append(t)
+
+    slacks = {}
+    for i in shape.categories():
+        seq = cd.pickers_in_category(order, i)
+        for pos, j in enumerate(seq):
+            slacks[(j, i)] = n - pos
+
+    pred_round = {}
+    for i in shape.categories():
+        seq = cd.pickers_in_category(order, i)
+        prev = 0
+        for j in seq:
+            pred_round[(j, i)] = prev
+            prev = order.round_of(j, i)
+
+    uninterrupted = {}
+    for j in shape.agents():
+        sub = suborders[j]
+        rounds_j = own_round[j]
+        k_value = p
+        for m in range(1, p + 1):
+            ok = True
+            for l in range(m + 1, p + 1):
+                if pred_round[(j, sub[l - 1])] > rounds_j[m - 1]:
+                    ok = False
+                    break
+            if ok:
+                k_value = m
+                break
+        uninterrupted[j] = k_value
+
+    return cd.OrderAnalytics(shape, suborders, slacks, uninterrupted)
+
+
+def seeded_order(n, p, seed):
+    rng = random.Random(seed)
+    pairs = [(j, i) for j in range(1, n + 1) for i in range(1, p + 1)]
+    rng.shuffle(pairs)
+    return cd.PickingOrder(cd.DomainShape(n, p), pairs)
+
+
 @st.composite
 def order_strategy(draw, max_n=3, max_p=3):
     n = draw(st.integers(1, max_n))
@@ -60,6 +114,20 @@ class TestPickingOrder:
         rounds = ((1, 1), (1, 1), (2, 2), (2, 1), (1, 2), (3, 1))
         with pytest.raises(cd.ValidationError):
             cd.PickingOrder(SHAPE_3X2, rounds)
+
+    @pytest.mark.parametrize(
+        "rounds",
+        [
+            [[1.7, 1], [2, 1.2]],  # int() would truncate these to a valid order
+            [[True, 1], [2, 1]],
+            [[1], [2, 1]],
+            [["a", 1], [2, 1]],
+            [1, 2],
+        ],
+    )
+    def test_rejects_non_int_pairs(self, rounds):
+        with pytest.raises(cd.ValidationError):
+            cd.PickingOrder(cd.DomainShape(2, 1), rounds)
 
     def test_rejects_missing_pair(self):
         rounds = MIXED_ORDER_3X2_ROUNDS[:-1]
@@ -153,6 +221,17 @@ class TestAnalytics:
         for j in order.shape.agents():
             assert an.uninterrupted_index(j) == brute_uninterrupted(order, j)
 
+    @settings(max_examples=200)
+    @given(order_strategy(max_n=4, max_p=4))
+    def test_matches_reference(self, order):
+        assert cd.analyze_order(order) == reference_analyze_order(order)
+
+    @pytest.mark.parametrize("n, p", [(2, 6), (5, 3)])
+    def test_matches_reference_seeded(self, n, p):
+        for seed in range(40):
+            order = seeded_order(n, p, seed)
+            assert cd.analyze_order(order) == reference_analyze_order(order)
+
     @settings(max_examples=60)
     @given(order_strategy())
     def test_slack_total_is_fixed(self, order):
@@ -168,18 +247,12 @@ class TestAnalytics:
 
 class TestRemainingSets:
     def test_mixed_order_category_one(self, mixed_order_3x2):
-        sets = cd.remaining_item_sets(mixed_order_3x2)
         # category 1 picks happen at rounds 1 (agent 1), 3 (agent 3), 5 (agent 2)
-        assert sets.at(1, 1) == frozenset({1, 2, 3})
-        assert sets.at(1, 2) == frozenset({2, 3})
-        assert sets.at(1, 4) == frozenset({2})
-        assert sets.at(1, 6) == frozenset()
-        assert sets.at(2, 3) == frozenset({1, 3})
-
-    def test_unknown_round_rejected(self, mixed_order_3x2):
-        sets = cd.remaining_item_sets(mixed_order_3x2)
-        with pytest.raises(cd.ValidationError):
-            sets.at(1, 9)
+        assert _remaining(mixed_order_3x2, 1, 1) == (1, 2, 3)
+        assert _remaining(mixed_order_3x2, 1, 2) == (2, 3)
+        assert _remaining(mixed_order_3x2, 1, 4) == (2,)
+        assert _remaining(mixed_order_3x2, 1, 6) == ()
+        assert _remaining(mixed_order_3x2, 2, 3) == (1, 3)
 
 
 class TestPredecessors:

@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -113,6 +115,28 @@ class TestAgainstBruteForce:
                 assert alloc[1] == perm1[0]
 
 
+class TestOneAgent:
+    def test_deep_game(self):
+        # 1500 rounds: a recursive walk would pass Python's recursion limit
+        shape = cd.DomainShape(1, 1500)
+        order = cd.serial_dictatorship_order([1], 1500)
+        profile = cd.Profile(shape, [cd.Preference(shape, [(1,) * 1500])])
+        alloc, trace = cd.solve_spne(order, profile, collect_trace=True)
+        assert alloc[1] == (1,) * 1500
+        assert [(r.t, r.category, r.item) for r in trace] == [
+            (t, t, 1) for t in range(1, 1501)
+        ]
+        assert cd.state_space_size(order) == 1501
+
+    def test_cap_still_applies(self):
+        shape = cd.DomainShape(1, 3)
+        order = cd.serial_dictatorship_order([1], 3)
+        profile = cd.Profile(shape, [cd.Preference(shape, [(1, 1, 1)])])
+        assert cd.solve_spne(order, profile, state_cap=3)[0][1] == (1, 1, 1)
+        with pytest.raises(cd.CapacityError):
+            cd.solve_spne(order, profile, state_cap=2)
+
+
 class TestStateSpace:
     def test_pinned_sizes(self):
         one = cd.PickingOrder(cd.DomainShape(1, 1), ((1, 1),))
@@ -125,6 +149,35 @@ class TestStateSpace:
     def test_matches_brute_enumeration(self, instance):
         order, _ = instance
         assert cd.state_space_size(order) == brute_state_count(order)
+
+    @pytest.mark.parametrize("n, p", [(3, 3), (4, 2), (2, 4), (3, 4), (4, 3)])
+    def test_matches_brute_enumeration_seeded(self, n, p):
+        pairs = [(j, i) for j in range(1, n + 1) for i in range(1, p + 1)]
+        for seed in range(3):
+            random.Random(seed).shuffle(pairs)
+            order = cd.PickingOrder(cd.DomainShape(n, p), pairs)
+            assert cd.state_space_size(order) == brute_state_count(order)
+
+    def test_cap_threshold_is_the_state_count(self):
+        # the solver memoizes every non-terminal state: 2590 of them here
+        order = cd.balanced_order([1, 2, 3], 4)
+        assert cd.state_space_size(order) - 1 == 2590
+        profile = cd.Profile(
+            order.shape,
+            [cd.uniform_preference(order.shape, np.random.default_rng(k)) for k in range(3)],
+        )
+        expected, _ = cd.solve_spne(order, profile)
+        assert cd.solve_spne(order, profile, state_cap=2590)[0] == expected
+        with pytest.raises(cd.CapacityError, match="state cap of 2589 states"):
+            cd.solve_spne(order, profile, state_cap=2589)
+
+    def test_refusal_before_solving(self, monkeypatch, game_order_2x2, game_profile_2x2):
+        def fail(self, bundle):
+            raise AssertionError("rank_of called before the state cap was checked")
+
+        monkeypatch.setattr(cd.Preference, "rank_of", fail)
+        with pytest.raises(cd.CapacityError):
+            cd.solve_spne(game_order_2x2, game_profile_2x2, state_cap=2)
 
     def test_capacity_refusal(self, game_order_2x2, game_profile_2x2):
         with pytest.raises(cd.CapacityError):
