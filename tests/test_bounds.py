@@ -192,14 +192,30 @@ class TestGoldenSearch:
     CHANGES.md."""
 
     EXHAUSTIVE = {
-        (2, 2, "opt", "utilitarian"): (5, 12, "ab226e00cc7a72eb5706205563a2430bfb37e6fd33a8e8e06b6224cef79b3bb6"),
-        (2, 2, "opt", "egalitarian"): (4, 12, "dcef4b25035d124211435f2b85b2eae3673b977e4a0da4f7315b14be0b7333a5"),
-        (2, 2, "pess", "utilitarian"): (6, 12, "8e20ea3a8e610a38985e2d9d551a73061c9b54925786eb89a0d8bfcded8f52f3"),
-        (2, 2, "pess", "egalitarian"): (3, 12, "912bea139cabdf5414274e4d0d1aafea3e211e68895f5fb846093644dd074cc0"),
-        (2, 3, "opt", "utilitarian"): (9, 360, "c370eb853acba3bb030aa00a10cef5a4c8fb680c9f6aa38c9e81ce3f04486d2f"),
-        (2, 3, "opt", "egalitarian"): (8, 360, "2a5d4fab2206df2b0ef8cd71eccb73bfb01b9ba5022bb8b411d0f83bdaadf3c6"),
-        (2, 3, "pess", "utilitarian"): (13, 360, "1475f74acdb0bb0245e80d206f47444ea30ac8799a479329e35f9bd61147b458"),
-        (2, 3, "pess", "egalitarian"): (7, 360, "13b0e34b0df032dd41560025c150bf8bdb988d23c72bcc339a39eb62622e3bfa"),
+        (2, 2, "opt", "utilitarian"): (
+            5, 12, "ab226e00cc7a72eb5706205563a2430bfb37e6fd33a8e8e06b6224cef79b3bb6",
+        ),
+        (2, 2, "opt", "egalitarian"): (
+            4, 12, "dcef4b25035d124211435f2b85b2eae3673b977e4a0da4f7315b14be0b7333a5",
+        ),
+        (2, 2, "pess", "utilitarian"): (
+            6, 12, "8e20ea3a8e610a38985e2d9d551a73061c9b54925786eb89a0d8bfcded8f52f3",
+        ),
+        (2, 2, "pess", "egalitarian"): (
+            3, 12, "912bea139cabdf5414274e4d0d1aafea3e211e68895f5fb846093644dd074cc0",
+        ),
+        (2, 3, "opt", "utilitarian"): (
+            9, 360, "c370eb853acba3bb030aa00a10cef5a4c8fb680c9f6aa38c9e81ce3f04486d2f",
+        ),
+        (2, 3, "opt", "egalitarian"): (
+            8, 360, "2a5d4fab2206df2b0ef8cd71eccb73bfb01b9ba5022bb8b411d0f83bdaadf3c6",
+        ),
+        (2, 3, "pess", "utilitarian"): (
+            13, 360, "1475f74acdb0bb0245e80d206f47444ea30ac8799a479329e35f9bd61147b458",
+        ),
+        (2, 3, "pess", "egalitarian"): (
+            7, 360, "13b0e34b0df032dd41560025c150bf8bdb988d23c72bcc339a39eb62622e3bfa",
+        ),
     }
     RANDOM_3X3 = {
         0: "3e3f2bc216b628791ffc8cc7340a29e89fbfdf561624a8b0e99cdf26c34d03b1",

@@ -1,11 +1,12 @@
 import itertools
-import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import catdom as cd
+
+from test_orders import seeded_order
 
 
 def brute_spne(order, profile):
@@ -152,10 +153,8 @@ class TestStateSpace:
 
     @pytest.mark.parametrize("n, p", [(3, 3), (4, 2), (2, 4), (3, 4), (4, 3)])
     def test_matches_brute_enumeration_seeded(self, n, p):
-        pairs = [(j, i) for j in range(1, n + 1) for i in range(1, p + 1)]
         for seed in range(3):
-            random.Random(seed).shuffle(pairs)
-            order = cd.PickingOrder(cd.DomainShape(n, p), pairs)
+            order = seeded_order(n, p, seed)
             assert cd.state_space_size(order) == brute_state_count(order)
 
     def test_cap_threshold_is_the_state_count(self):
@@ -171,15 +170,12 @@ class TestStateSpace:
         with pytest.raises(cd.CapacityError, match="state cap of 2589 states"):
             cd.solve_spne(order, profile, state_cap=2589)
 
-    def test_refusal_before_solving(self, monkeypatch, game_order_2x2, game_profile_2x2):
+    def test_capacity_refusal(self, monkeypatch, game_order_2x2, game_profile_2x2):
+        # the cap is checked before solving: no ranking is consulted
         def fail(self, bundle):
             raise AssertionError("rank_of called before the state cap was checked")
 
         monkeypatch.setattr(cd.Preference, "rank_of", fail)
-        with pytest.raises(cd.CapacityError):
-            cd.solve_spne(game_order_2x2, game_profile_2x2, state_cap=2)
-
-    def test_capacity_refusal(self, game_order_2x2, game_profile_2x2):
         with pytest.raises(cd.CapacityError):
             cd.solve_spne(game_order_2x2, game_profile_2x2, state_cap=2)
 
