@@ -46,6 +46,7 @@ from .domain import (
     Preference,
     Profile,
     ValidationError,
+    _check_seed,
     _exceeds,
     validate_allocation,
 )
@@ -75,6 +76,11 @@ class Exhaustive:
 class Sampled:
     count: int
     seed: int
+
+    def __post_init__(self) -> None:
+        if not (type(self.count) is int and self.count >= 1):
+            raise ValidationError(f"sampled mode needs a count of at least 1, got {self.count!r}")
+        _check_seed(self.seed)
 
 
 Mode = Exhaustive | Sampled

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .domain import CapacityError, DomainShape, ValidationError, _exceeds
+from .domain import CapacityError, DomainShape, ValidationError, _check_seed, _exceeds
 from .engine import Behavior, Optimistic, Pessimistic, Scripted
 from .orders import OrderAnalytics, PickingOrder, analyze_order, interrupter_order
 
@@ -183,6 +183,8 @@ def search_orders(
             raise ValidationError(
                 f"random search needs a budget of at least 1 order, got {budget}"
             )
+        if seed is not None:
+            _check_seed(seed)
         rng = np.random.default_rng(seed)
         arr = list(range(len(pairs)))
         candidates = (tuple(pairs[i] for i in rng.permutation(arr)) for _ in range(budget))

@@ -56,6 +56,12 @@ def _exceeds(limit: int, factors: Iterable[int]) -> bool:
     return total > limit
 
 
+def _check_seed(seed) -> None:
+    """Reject a seed ``np.random.default_rng`` would refuse, and bools."""
+    if not (type(seed) is int and seed >= 0):
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class DomainShape:
     """Domain dimensions: ``n`` agents (and items per category), ``p`` categories."""

@@ -18,19 +18,16 @@ profile fed to every mechanism configuration).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .domain import DomainShape, Preference, Profile, ValidationError, bundle_table
+from .bounds import worst_case_report
+from .domain import DomainShape, Preference, Profile, ValidationError, _check_seed, bundle_table
 from .engine import OPTIMISTIC, PESSIMISTIC, run_csam
 from .orders import balanced_order, serial_dictatorship_order
-
-CSV_HEADER = (
-    "mechanism,behavior,n,p,phi,samples,seed,"
-    "mean_utilitarian,ci_utilitarian,mean_egalitarian,ci_egalitarian"
-)
 
 
 def kendall_tau(first: Preference, second: Preference) -> int:
@@ -150,6 +147,9 @@ class ExperimentConfig:
         for phi in self.phis:
             if not (0 < phi <= 1):
                 raise ValidationError(f"dispersion phi must lie in (0, 1], got {phi}")
+        _check_seed(self.seed)
+        for n in self.n_values:  # every shape's capacity guard, before any draw
+            DomainShape(n, self.p)
 
 
 @dataclass(frozen=True)
@@ -167,14 +167,11 @@ class ExperimentResult:
     ci_egalitarian: float
 
 
-def _order_for(family: str, n: int, p: int):
-    agents = list(range(1, n + 1))
-    if family == "sd":
-        return serial_dictatorship_order(agents, p)
-    return balanced_order(agents, p)
+_COLUMNS = tuple(f.name for f in fields(ExperimentResult))
+CSV_HEADER = ",".join(_COLUMNS)
 
 
-def _mean_ci(values: list[int]) -> tuple[float, float]:
+def _mean_ci(values: Sequence[int]) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
     if arr.size < 2:
@@ -188,85 +185,52 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentResult]:
 
     Replicate streams are np.random.default_rng([seed, index]) with a global
     replicate index enumerating the (n, phi, replicate) grid, so any cell can
-    be reproduced in isolation.
+    be reproduced in isolation. Cells are keyed by grid position, so a
+    repeated n or phi value gets its own rows.
     """
-    results: list[ExperimentResult] = []
-    per_cell: dict[tuple[int, int, int], tuple[list[int], list[int]]] = {}
-
-    global_index = 0
-    for n in config.n_values:
+    cells: dict[tuple[int, int, int], list[tuple[int, int]]] = defaultdict(list)
+    index = 0
+    for n_idx, n in enumerate(config.n_values):
         shape = DomainShape(n, config.p)
-        orders = {}
-        behaviors = {}
-        reports = {}
-        for c_idx, cfg in enumerate(config.mechanisms):
-            order = _order_for(cfg.order_family, n, config.p)
-            orders[c_idx] = order
-            behaviors[c_idx] = tuple(
-                OPTIMISTIC if cfg.behavior == "opt" else PESSIMISTIC for _ in range(n)
-            )
-            if config.check_bounds:
-                from .bounds import worst_case_report
-
-                reports[c_idx] = worst_case_report(order, behaviors[c_idx])
+        plays = []
+        for cfg in config.mechanisms:
+            build = serial_dictatorship_order if cfg.order_family == "sd" else balanced_order
+            order = build(list(shape.agents()), config.p)
+            behaviors = (OPTIMISTIC if cfg.behavior == "opt" else PESSIMISTIC,) * n
+            report = worst_case_report(order, behaviors) if config.check_bounds else None
+            plays.append((order, behaviors, report))
         for phi_idx, phi in enumerate(config.phis):
-            for c_idx in range(len(config.mechanisms)):
-                per_cell[(c_idx, n, phi_idx)] = ([], [])
             for _ in range(config.samples):
-                rng = np.random.default_rng([config.seed, global_index])
-                global_index += 1
-                reference = uniform_preference(shape, rng)
-                params = MallowsParams(reference, phi)
-                profile = Profile(
-                    shape, [sample_mallows(params, rng) for _ in range(n)]
-                )
-                for c_idx in range(len(config.mechanisms)):
-                    allocation, _ = run_csam(orders[c_idx], profile, behaviors[c_idx])
-                    ranks = [
-                        profile.pref(j).rank_of(allocation[j]) for j in shape.agents()
-                    ]
-                    if config.check_bounds:
-                        report = reports[c_idx]
+                rng = np.random.default_rng([config.seed, index])
+                index += 1
+                params = MallowsParams(uniform_preference(shape, rng), phi)
+                profile = Profile(shape, [sample_mallows(params, rng) for _ in range(n)])
+                for c_idx, (order, behaviors, report) in enumerate(plays):
+                    allocation, _ = run_csam(order, profile, behaviors)
+                    ranks = [profile.pref(j).rank_of(allocation[j]) for j in shape.agents()]
+                    if report is not None:
                         for j, rank in enumerate(ranks, 1):
                             if rank > report.bound(j):
                                 raise AssertionError(
                                     f"realized rank {rank} exceeds the bound "
                                     f"{report.bound(j)} for agent {j}"
                                 )
-                    ut, eg = sum(ranks), max(ranks)
-                    cell = per_cell[(c_idx, n, phi_idx)]
-                    cell[0].append(ut)
-                    cell[1].append(eg)
+                    cells[c_idx, n_idx, phi_idx].append((sum(ranks), max(ranks)))
 
+    results = []
     for c_idx, cfg in enumerate(config.mechanisms):
-        for n in config.n_values:
+        for n_idx, n in enumerate(config.n_values):
             for phi_idx, phi in enumerate(config.phis):
-                ut, eg = per_cell[(c_idx, n, phi_idx)]
-                mean_ut, ci_ut = _mean_ci(ut)
-                mean_eg, ci_eg = _mean_ci(eg)
+                ut, eg = zip(*cells[c_idx, n_idx, phi_idx])
                 results.append(
                     ExperimentResult(
-                        cfg.order_family,
-                        cfg.behavior,
-                        n,
-                        config.p,
-                        phi,
-                        config.samples,
-                        config.seed,
-                        mean_ut,
-                        ci_ut,
-                        mean_eg,
-                        ci_eg,
+                        cfg.order_family, cfg.behavior, n, config.p, phi,
+                        config.samples, config.seed, *_mean_ci(ut), *_mean_ci(eg),
                     )
                 )
     return results
 
 
 def results_to_csv(results: Sequence[ExperimentResult]) -> str:
-    lines = [CSV_HEADER]
-    for r in results:
-        lines.append(
-            f"{r.mechanism},{r.behavior},{r.n},{r.p},{r.phi},{r.samples},{r.seed},"
-            f"{r.mean_utilitarian},{r.ci_utilitarian},{r.mean_egalitarian},{r.ci_egalitarian}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = (",".join(str(getattr(r, name)) for name in _COLUMNS) for r in results)
+    return "\n".join([CSV_HEADER, *rows]) + "\n"

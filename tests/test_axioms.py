@@ -184,6 +184,17 @@ class TestExhaustiveVerdicts:
 
 
 class TestSampledVerdicts:
+    @pytest.mark.parametrize("count", [0, -1, 2.5, True])
+    def test_sampled_mode_needs_a_count(self, count):
+        # a count of 0 used to pass every axiom after zero checks
+        with pytest.raises(cd.ValidationError, match="count of at least 1"):
+            Sampled(count=count, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_sampled_mode_rejects_bad_seed(self, seed):
+        with pytest.raises(cd.ValidationError, match="seed must be a non-negative integer"):
+            Sampled(count=5, seed=seed)
+
     def test_sampled_pareto_guard_runs_before_any_audit(self):
         # (10!)**1 allocations exceed the enumeration cap; no audit may start
         applied = []

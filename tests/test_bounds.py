@@ -179,6 +179,11 @@ class TestSearch:
         with pytest.raises(cd.ValidationError):
             cd.search_orders(2, 2, [cd.OPTIMISTIC] * 2, mode="random", budget=budget)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+    def test_random_mode_rejects_bad_seed(self, seed):
+        with pytest.raises(cd.ValidationError, match="seed must be a non-negative integer"):
+            cd.search_orders(2, 2, [cd.OPTIMISTIC] * 2, mode="random", seed=seed, budget=5)
+
 
 def _digest(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import catdom as cd
 from catdom.cli import main
@@ -150,6 +153,82 @@ class TestMalformedInput:
              "--behaviors", f"script:{script},opt,opt"],
         )
         assert "not all integers" in err
+
+
+SAMPLED_SD = ["check-axioms", "--mechanism", "sd", "--n", "2", "--p", "2", "--mode", "sampled"]
+RANDOM_SEARCH = ["search", "--n", "2", "--p", "2", "--behaviors", "opt,opt", "--mode", "random"]
+EXPERIMENT = ["experiment", "--n", "2", "--phi", "0.5", "--samples", "2"]
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (SAMPLED_SD + ["--count", "0"], "count of at least 1, got 0"),
+            (SAMPLED_SD + ["--count", "-1"], "count of at least 1, got -1"),
+            (SAMPLED_SD + ["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+            (RANDOM_SEARCH + ["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+            (EXPERIMENT + ["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        ],
+    )
+    def test_seed_and_count_rejected(self, capsys, argv, needle):
+        assert needle in assert_rejected(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "flag, value, token",
+        [("--phi", "0.5,,", "''"), ("--n", "2,x", "'x'"), ("--n", "1..x", "'x'")],
+    )
+    def test_experiment_list_token_named(self, capsys, flag, value, token):
+        argv = ["experiment", "--n", "2", "--phi", "0.5", flag, value]
+        assert f"{flag} has a malformed entry {token}" in assert_rejected(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["search", "--n", "x", "--p", "2", "--behaviors", "opt"], [], ["no-such-command"]],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv):
+        # argparse used to print a usage block and exit 2, the refusal code
+        assert_rejected(capsys, argv)
+
+    def test_help_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: catdom search")
+
+
+# Malformed flag values: negative, empty, non-numeric (no digits, no "inf"
+# or "nan"), or a ``..`` range with junk on one side.
+_JUNK = st.text(alphabet="abxyz.,:", min_size=1)
+_MALFORMED = st.one_of(
+    st.integers(max_value=-1).map(str),
+    st.just(""),
+    _JUNK,
+    st.builds("{}..{}".format, st.sampled_from(["", "1", "-1", "x"]), _JUNK),
+    st.builds("{}..{}".format, _JUNK, st.sampled_from(["", "3", "x"])),
+)
+# Each base run is short and valid; the fuzz overrides some of its flags.
+_FUZZ = {
+    "search": (RANDOM_SEARCH + ["--budget", "5"], ("--seed", "--n")),
+    "check-axioms": (SAMPLED_SD + ["--count", "5"], ("--seed", "--count", "--n")),
+    "experiment": (EXPERIMENT, ("--seed", "--n", "--phi", "--samples")),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_malformed_numbers_fuzz(data):
+    base, flags = _FUZZ[data.draw(st.sampled_from(sorted(_FUZZ)))]
+    chosen = data.draw(st.lists(st.sampled_from(flags), min_size=1, unique=True))
+    argv = list(base)
+    for flag in chosen:
+        argv += [flag, data.draw(_MALFORMED)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (1, 2)
+    assert out.getvalue() == ""
+    assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
 class TestAnalyzeOrder:
@@ -377,6 +456,17 @@ class TestExperiment:
         lines = out.strip().split("\n")
         assert len(lines) == 1 + 1 * 2
         assert lines[1].split(",")[0] == "sd"
+
+    def test_capacity_refused_before_any_draw(self, capsys, monkeypatch):
+        def fail(params, rng):
+            raise AssertionError("sample_mallows called before the capacity guard")
+
+        monkeypatch.setattr("catdom.mallows.sample_mallows", fail)
+        code = main(["experiment", "--n", "3,1001", "--phi", "0.5", "--samples", "4"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("refused: ") and captured.err.count("\n") == 1
 
     def test_bad_phi_exit_code(self, capsys):
         code, _ = run_cli(

@@ -243,6 +243,35 @@ class TestExperiment:
         with pytest.raises(cd.ValidationError):
             ExperimentConfig(p=2, n_values=(2,), phis=(1.2,), samples=10, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_config_rejects_bad_seed(self, seed):
+        with pytest.raises(cd.ValidationError, match="seed must be a non-negative integer"):
+            ExperimentConfig(p=2, n_values=(2,), phis=(0.5,), samples=3, seed=seed)
+
+    def test_config_checks_every_shape(self):
+        # 1001**2 bundles: refused when the config is built, before any draw
+        with pytest.raises(cd.CapacityError):
+            ExperimentConfig(p=2, n_values=(3, 1001), phis=(0.5,), samples=4, seed=0)
+
+    def test_repeated_n_values_get_their_own_rows(self):
+        # cells are keyed by grid position: the first n=2 block is the n=(2,)
+        # run, the second continues the replicate index as after n=3
+        def rows(n_values):
+            config = ExperimentConfig(
+                p=2, n_values=n_values, phis=(0.5, 1.0), samples=6, seed=1
+            )
+            return run_experiment(config)
+
+        alone, repeated, after_three = rows((2,)), rows((2, 2)), rows((3, 2))
+        k = 2  # phis per n position
+        assert len(repeated) == 2 * len(alone)
+        for m in range(len(DEFAULT_GRID)):
+            block = repeated[2 * k * m : 2 * k * (m + 1)]
+            assert block[:k] == alone[k * m : k * (m + 1)]
+            assert block[k:] == after_three[2 * k * m + k : 2 * k * (m + 1)]
+            assert all(r.n == 2 for r in block)
+            assert block[:k] != block[k:]
+
     def test_reproducible_and_complete(self):
         config = ExperimentConfig(
             p=2, n_values=(2, 3), phis=(0.5, 1.0), samples=30, seed=42
