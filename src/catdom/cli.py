@@ -91,9 +91,14 @@ def _number(token: str, convert, flag: str):
         raise ValidationError(f"{flag} has a malformed entry {token!r}") from None
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _parse_int_list(text: str, p: int) -> tuple[int, ...]:
     if ".." in text:
         lo, hi = (_number(x, int, "--n") for x in text.split("..", 1))
+        if lo <= hi:
+            # every n in between is a valid shape when both ends are: check
+            # them before the range is built
+            DomainShape(lo, p)
+            DomainShape(hi, p)
         return tuple(range(lo, hi + 1))
     return tuple(_number(x, int, "--n") for x in text.split(","))
 
@@ -253,7 +258,7 @@ def _cmd_experiment(args) -> int:
         mechanisms = tuple(parsed)
     config = ExperimentConfig(
         p=args.p,
-        n_values=_parse_int_list(args.n),
+        n_values=_parse_int_list(args.n, args.p),
         phis=tuple(_number(x, float, "--phi") for x in args.phi.split(",")),
         samples=args.samples,
         seed=args.seed,

@@ -136,50 +136,85 @@ def decode_bundle(shape: DomainShape, index: int) -> Bundle:
     return tuple(reversed(comps))
 
 
+def _bundle_index(
+    shape: DomainShape, lookup: Mapping[Bundle, int], table: Sequence[Bundle], bundle
+) -> int:
+    """Index of ``bundle`` through the shape's lookup dict. A miss, an
+    unhashable bundle, or a hit that is neither the canonical tuple nor all
+    plain ints (``1.0``, ``True`` and ``np.int64(1)`` hash like ``1``) goes
+    through ``encode_bundle``, which accepts it or names the problem."""
+    try:
+        idx = lookup.get(bundle)
+    except TypeError:
+        idx = None
+    if idx is None or (bundle is not table[idx] and not all(type(x) is int for x in bundle)):
+        idx = encode_bundle(shape, bundle)
+    return idx
+
+
 class Preference:
     """A strict total order over the full bundle space of a shape.
 
-    ``order[0]`` is the most preferred bundle and ``indices[0]`` its bundle
-    index. Construction validates that the sequence is a permutation of the
-    whole bundle space and precomputes the rank table.
+    ``indices[0]`` is the bundle index of the most preferred bundle and
+    ``order[0]`` that bundle, one of the shape's canonical tuples
+    (``bundle_table``). Construction validates that the sequence is a
+    permutation of the whole bundle space and precomputes the rank table.
     """
 
-    __slots__ = ("shape", "order", "indices", "_rank", "_masks")
+    __slots__ = ("shape", "indices", "_order", "_rank", "_masks", "_lookup", "_table")
 
     def __init__(self, shape: DomainShape, order: Iterable[Sequence[int]]):
         try:
             seq = tuple(map(tuple, order))
         except TypeError as exc:
             raise ValidationError(f"preference must list bundles of items: {exc}") from None
-        count = shape.bundle_count
-        if len(seq) != count:
+        if len(seq) != shape.bundle_count:
             raise ValidationError(
-                f"preference lists {len(seq)} bundles, expected all {count}"
+                f"preference lists {len(seq)} bundles, expected all {shape.bundle_count}"
             )
+        lookup, table = _bundle_lookup(shape), bundle_table(shape)
+        # lazily, so a bundle's own error and a repeat are met in list order
+        self._build(shape, (_bundle_index(shape, lookup, table, b) for b in seq))
+
+    @classmethod
+    def from_indices(cls, shape: DomainShape, indices: Iterable[int]) -> Preference:
+        """The preference listing bundle ``indices`` (``encode_bundle``), most
+        preferred first; they must name each of ``0..n**p - 1`` once."""
+        pref = cls.__new__(cls)
+        pref._build(shape, indices)
+        return pref
+
+    def _build(self, shape: DomainShape, indices: Iterable[int]) -> None:
+        """The one build path: checks that ``indices`` is a permutation of
+        the bundle indices while it fills the rank table."""
+        count = shape.bundle_count
         table = bundle_table(shape)
-        lookup = _bundle_lookup(shape)
         rank = [0] * count
-        indices = []
-        for pos, bundle in enumerate(seq, 1):
-            try:
-                idx = lookup.get(bundle)
-            except TypeError:  # an unhashable item; encode_bundle names it
-                idx = None
-            # a hit equal to a canonical bundle may still hold 1.0 or True:
-            # anything but the canonical tuple or plain ints is re-checked
-            if idx is None or (
-                bundle is not table[idx] and not all(type(x) is int for x in bundle)
-            ):
-                idx = encode_bundle(shape, bundle)
+        listed = []
+        for pos, idx in enumerate(indices, 1):
+            if not (type(idx) is int and 0 <= idx < count):
+                raise ValidationError(f"bundle index {idx!r} outside 0..{count - 1}")
             if rank[idx]:
-                raise ValidationError(f"bundle {bundle} appears twice in preference")
+                raise ValidationError(f"bundle {table[idx]} appears twice in preference")
             rank[idx] = pos
-            indices.append(idx)
+            listed.append(idx)
+        if len(listed) != count:
+            raise ValidationError(f"preference lists {len(listed)} bundles, expected all {count}")
         self.shape = shape
-        self.order = seq
-        self.indices = tuple(indices)
+        self.indices = tuple(listed)
+        self._order = None
         self._rank = rank
         self._masks = None
+        self._lookup = _bundle_lookup(shape)
+        self._table = table
+
+    @property
+    def order(self) -> tuple[Bundle, ...]:
+        """The ranking as bundles, most preferred first. Built on first use:
+        touching every bundle tuple is most of a large preference's build."""
+        if self._order is None:
+            self._order = tuple(map(self._table.__getitem__, self.indices))
+        return self._order
 
     @property
     def position_masks(self) -> tuple[tuple[int, ...], ...]:
@@ -201,7 +236,7 @@ class Preference:
         return self._masks
 
     def rank_of(self, bundle: Sequence[int]) -> int:
-        return self._rank[encode_bundle(self.shape, bundle)]
+        return self._rank[_bundle_index(self.shape, self._lookup, self._table, bundle)]
 
     def bundle_at(self, rank: int) -> Bundle:
         if not (1 <= rank <= len(self.order)):
@@ -215,11 +250,11 @@ class Preference:
         return (
             isinstance(other, Preference)
             and self.shape == other.shape
-            and self.order == other.order
+            and self.indices == other.indices
         )
 
     def __hash__(self) -> int:
-        return hash((self.shape, self.order))
+        return hash((self.shape, self.indices))
 
     def __repr__(self) -> str:
         head = " > ".join("".join(map(str, b)) for b in self.order[:3])

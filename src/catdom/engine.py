@@ -12,11 +12,17 @@ with per-agent behaviors:
 * scripted agents follow a fixed item list (one item per category, in the
   order their categories come up).
 
-Picks read a per-round consistency mask over the agent's ranking positions,
-a Python-int bitset: the AND over categories of the positions of each
-category's allowed items (``Preference.position_masks``). The optimistic pick
-is the lowest set bit; the pessimistic comparison takes the highest set bit
-per candidate item.
+An agent's consistency state is a Python-int bitset over her ranking
+positions: bit ``r`` is set while ``order[r]`` agrees with her own picks and
+uses only items still available in her open categories. ``run_csam`` keeps
+one per agent, all bits set at the start. When agent j takes item d of
+category c, j keeps only the positions holding d
+(``Preference.position_masks``) and every other agent loses them. One pick
+kernel reads the state: the optimistic pick is the lowest set bit; the
+pessimistic comparison takes the highest set bit per candidate item, and the
+candidate whose worst bit is lowest wins. After the last round each bitset
+has one bit left, the agent's bundle. The public choice functions build the
+bitset from scratch (``_consistency_mask``) and call the same kernel.
 
 The returned trace records, per round, the available item set of the round's
 category and (for pessimistic rounds) the candidate-to-worst-bundle
@@ -28,7 +34,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .domain import (
     Allocation,
@@ -36,6 +42,7 @@ from .domain import (
     Preference,
     Profile,
     ValidationError,
+    bundle_table,
     validate_allocation,
 )
 from .orders import PickingOrder
@@ -108,10 +115,10 @@ def _consistency_mask(
     available: Mapping[int, set[int]],
     open_category: int | None = None,
 ) -> int:
-    """Bitset over ranking positions: bit ``r`` is set when ``pref.order[r]``
-    agrees with the agent's own picks and uses only available items in her
-    open categories. ``open_category`` is held to its available items even
-    when picked."""
+    """Bitset over ranking positions, built from scratch: bit ``r`` is set
+    when ``pref.order[r]`` agrees with the agent's own picks and uses only
+    available items in her open categories. ``open_category`` is held to its
+    available items even when picked."""
     mask = (1 << pref.shape.bundle_count) - 1
     for i, by_item in enumerate(pref.position_masks, 1):
         items = (picks[i],) if i != open_category and i in picks else available[i]
@@ -119,6 +126,34 @@ def _consistency_mask(
         if len(allowed) < len(by_item):
             mask &= functools.reduce(operator.or_, allowed, 0)
     return mask
+
+
+def _pick(
+    pref: Preference, table: Sequence[Bundle], cons: int, category: int, pessimistic: bool
+) -> tuple[int, dict[int, Bundle] | None]:
+    """The pick kernel: the item taken in ``category`` and, for a pessimistic
+    agent, the comparison behind it. ``cons`` is the agent's consistency
+    bitset with ``category`` held to its available items; ``table`` is the
+    shape's ``bundle_table``."""
+    indices = pref.indices
+    if not pessimistic:
+        if not cons:
+            raise ValidationError("no consistent available bundle; available sets exhausted")
+        # the lowest set bit is the best consistent bundle
+        return table[indices[(cons & -cons).bit_length() - 1]][category - 1], None
+    comparison: dict[int, Bundle] = {}
+    item = least = 0
+    for d, bits in enumerate(pref.position_masks[category - 1], 1):
+        # the highest set bit is the candidate's worst consistent bundle
+        worst = (cons & bits).bit_length()
+        if worst:
+            comparison[d] = table[indices[worst - 1]]
+            # distinct candidates have distinct worst bundles: a unique argmin
+            if not least or worst < least:
+                item, least = d, worst
+    if not comparison:
+        raise ValidationError(f"category {category} has no available items")
+    return item, comparison
 
 
 def optimistic_choice(
@@ -129,10 +164,7 @@ def optimistic_choice(
 ) -> int:
     """Component of the best consistent available bundle in ``category``."""
     mask = _consistency_mask(pref, picks, available)
-    if not mask:
-        raise ValidationError("no consistent available bundle; available sets exhausted")
-    # the lowest set bit is the best consistent bundle
-    return pref.order[(mask & -mask).bit_length() - 1][category - 1]
+    return _pick(pref, bundle_table(pref.shape), mask, category, False)[0]
 
 
 def pessimistic_comparison(
@@ -143,20 +175,7 @@ def pessimistic_comparison(
 ) -> dict[int, Bundle]:
     """Worst consistent available bundle per candidate item of ``category``."""
     mask = _consistency_mask(pref, picks, available, category)
-    out: dict[int, Bundle] = {}
-    for d, bits in enumerate(pref.position_masks[category - 1], 1):
-        hits = mask & bits
-        if hits:
-            # the highest set bit is the candidate's worst consistent bundle
-            out[d] = pref.order[hits.bit_length() - 1]
-    if not out:
-        raise ValidationError(f"category {category} has no available items")
-    return out
-
-
-def _least_worst(pref: Preference, comparison: Mapping[int, Bundle]) -> int:
-    # distinct candidates force distinct worst bundles, so the argmin is unique
-    return min(comparison, key=lambda d: pref.rank_of(comparison[d]))
+    return _pick(pref, bundle_table(pref.shape), mask, category, True)[1]
 
 
 def pessimistic_choice(
@@ -165,7 +184,9 @@ def pessimistic_choice(
     available: Mapping[int, set[int]],
     category: int,
 ) -> int:
-    return _least_worst(pref, pessimistic_comparison(pref, picks, available, category))
+    """The candidate of ``category`` whose worst consistent bundle is best."""
+    mask = _consistency_mask(pref, picks, available, category)
+    return _pick(pref, bundle_table(pref.shape), mask, category, True)[0]
 
 
 def _check_behaviors(shape, behaviors: Sequence[Behavior]) -> tuple[Behavior, ...]:
@@ -185,6 +206,43 @@ def _check_behaviors(shape, behaviors: Sequence[Behavior]) -> tuple[Behavior, ..
     return bs
 
 
+def _play(
+    order: PickingOrder, profile: Profile, behaviors: tuple[Behavior, ...]
+) -> Iterator[tuple[RoundRecord, list[int]]]:
+    """Play checked inputs round by round. Yields each round's record and the
+    running consistency bitsets after it, ``cons[j - 1]`` for agent ``j``
+    (one list, updated in place)."""
+    shape = order.shape
+    table, prefs = bundle_table(shape), profile.preferences
+    masks = [pref.position_masks for pref in prefs]
+    cons = [(1 << shape.bundle_count) - 1] * shape.n
+    # each category's remaining items, kept sorted
+    available = [list(shape.agents()) for _ in shape.categories()]
+    made = [0] * shape.n
+    for t, (j, i) in enumerate(order.rounds, 1):
+        a, c = j - 1, i - 1
+        behavior = behaviors[a]
+        avail_here = tuple(available[c])
+        comparison = None
+        if isinstance(behavior, Scripted):
+            item = behavior.picks[made[a]]
+            if item not in avail_here:
+                raise ExecutionError(
+                    f"round {t}: scripted item {item} of category {i} is not available "
+                    f"(remaining {available[c]})"
+                )
+        else:
+            pessimistic = isinstance(behavior, Pessimistic)
+            item, comparison = _pick(prefs[a], table, cons[a], i, pessimistic)
+        available[c].remove(item)
+        made[a] += 1
+        # the taker keeps only bundles with the item, everyone else loses them
+        for b, by_agent in enumerate(masks):
+            bits = by_agent[c][item - 1]
+            cons[b] = cons[b] & bits if b == a else cons[b] & ~bits
+        yield RoundRecord(t, j, i, item, avail_here, comparison), cons
+
+
 def run_csam(
     order: PickingOrder,
     profile: Profile,
@@ -199,34 +257,13 @@ def run_csam(
     shape = order.shape
     if profile.shape != shape:
         raise ValidationError(f"profile shape {profile.shape} does not match order shape {shape}")
-    behaviors = _check_behaviors(shape, behaviors)
-
-    available: dict[int, set[int]] = {i: set(shape.agents()) for i in shape.categories()}
-    picks: dict[int, dict[int, int]] = {j: {} for j in shape.agents()}
     records: list[RoundRecord] = []
-
-    for t, (j, i) in enumerate(order.rounds, 1):
-        behavior = behaviors[j - 1]
-        avail_here = tuple(sorted(available[i]))
-        comparison = None
-        if isinstance(behavior, Optimistic):
-            item = optimistic_choice(profile.pref(j), picks[j], available, i)
-        elif isinstance(behavior, Pessimistic):
-            comparison = pessimistic_comparison(profile.pref(j), picks[j], available, i)
-            item = _least_worst(profile.pref(j), comparison)
-        else:
-            item = behavior.picks[len(picks[j])]
-            if item not in available[i]:
-                raise ExecutionError(
-                    f"round {t}: scripted item {item} of category {i} is not available "
-                    f"(remaining {sorted(available[i])})"
-                )
-        records.append(RoundRecord(t, j, i, item, avail_here, comparison))
-        available[i].remove(item)
-        picks[j][i] = item
-
+    for record, cons in _play(order, profile, _check_behaviors(shape, behaviors)):
+        records.append(record)
+    # every agent has picked in every category: one consistent bundle is left
+    table, prefs = bundle_table(shape), profile.preferences
     allocation = Allocation(
-        {j: tuple(picks[j][i] for i in shape.categories()) for j in shape.agents()}
+        {j: table[prefs[j - 1].indices[cons[j - 1].bit_length() - 1]] for j in shape.agents()}
     )
     check = validate_allocation(shape, allocation)
     if not check.ok:

@@ -7,7 +7,8 @@ W from best to worst, the k-th element is inserted r positions above the
 bottom of the partial ranking with probability proportional to phi**r, which
 adds exactly r discordant pairs. The offsets have a closed-form inverse CDF,
 so one vectorised step draws all of them and no weight table is kept; the
-draw inserts bundle indices and maps them to bundles once at the end.
+draw inserts bundle indices and builds the ranking from them
+(``Preference.from_indices``).
 
 ``run_experiment`` estimates expected utilitarian and egalitarian realized
 ranks for sequential mechanisms under profiles drawn from a shared Mallows
@@ -18,6 +19,7 @@ profile fed to every mechanism configuration).
 from __future__ import annotations
 
 import math
+import numbers
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -25,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import worst_case_report
-from .domain import DomainShape, Preference, Profile, ValidationError, _check_seed, bundle_table
+from .domain import DomainShape, Preference, Profile, ValidationError, _check_seed
 from .engine import OPTIMISTIC, PESSIMISTIC, run_csam
 from .orders import balanced_order, serial_dictatorship_order
 
@@ -91,8 +93,7 @@ def sample_mallows(params: MallowsParams, rng: np.random.Generator) -> Preferenc
     out: list[int] = []
     for index, slot in zip(params.reference.indices, slots):
         out.insert(slot, index)
-    table = bundle_table(shape)
-    return Preference(shape, [table[i] for i in out])
+    return Preference.from_indices(shape, out)
 
 
 def mallows_pmf(params: MallowsParams, ranking: Preference) -> float:
@@ -104,9 +105,7 @@ def mallows_pmf(params: MallowsParams, ranking: Preference) -> float:
 
 
 def uniform_preference(shape: DomainShape, rng: np.random.Generator) -> Preference:
-    table = bundle_table(shape)
-    perm = rng.permutation(shape.bundle_count).tolist()
-    return Preference(shape, [table[i] for i in perm])
+    return Preference.from_indices(shape, rng.permutation(shape.bundle_count).tolist())
 
 
 @dataclass(frozen=True)
@@ -140,11 +139,16 @@ class ExperimentConfig:
     check_bounds: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("p", "samples"):
+            if type(getattr(self, name)) is not int:
+                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.samples < 1:
             raise ValidationError("need at least one sample per cell")
         if not self.n_values or not self.phis:
             raise ValidationError("experiment grid is empty")
         for phi in self.phis:
+            if not isinstance(phi, numbers.Real) or isinstance(phi, bool):
+                raise ValidationError(f"dispersion phi must be a real number, got {phi!r}")
             if not (0 < phi <= 1):
                 raise ValidationError(f"dispersion phi must lie in (0, 1], got {phi}")
         _check_seed(self.seed)

@@ -3,8 +3,10 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -73,6 +75,35 @@ class TestRun:
         assert first["t"] == 1
         assert first["agent"] == 1
         assert first["item"] == 1
+
+    def test_trace_golden_3x4(self, capsys, tmp_path):
+        # stdout bytes pinned by digest: a scripted, an optimistic and a
+        # pessimistic agent on the balanced 3x4 order; a change is recorded
+        # in CHANGES.md
+        shape = cd.DomainShape(3, 4)
+        rng = random.Random(2015)
+        bundles = list(shape.bundles())
+        rows = []
+        for _ in shape.agents():
+            rng.shuffle(bundles)
+            rows.append([list(b) for b in bundles])
+        (tmp_path / "profile.json").write_text(
+            json.dumps({"n": 3, "p": 4, "preferences": rows})
+        )
+        order = cd.balanced_order([1, 2, 3], 4)
+        (tmp_path / "order.json").write_text(json.dumps(cd.order_to_json(order)))
+        (tmp_path / "script.json").write_text(json.dumps([2, 3, 2, 3]))
+        code, out = run_cli(
+            capsys,
+            ["run", "--order", str(tmp_path / "order.json"),
+             "--profile", str(tmp_path / "profile.json"),
+             "--behaviors", f"script:{tmp_path / 'script.json'},opt,pess", "--trace"],
+        )
+        assert code == 0
+        assert out.count("\n") > 12
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7a828d868b489ab14fab0fcf64d09c66646d8770aec11b4bcc3cb2aad2317e9f"
+        )
 
     def test_scripted_behaviors(self, capsys, tmp_path, order_file, profile_file):
         for j, picks in ((1, [1, 1]), (2, [2, 2]), (3, [3, 3])):
@@ -467,6 +498,20 @@ class TestExperiment:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("refused: ") and captured.err.count("\n") == 1
+
+    def test_oversized_range_refused_before_it_is_built(self, capsys):
+        # the 3,000,000-entry range took 144 MB before the first shape check
+        tracemalloc.start()
+        try:
+            code = main(["experiment", "--n", "1..3000000", "--phi", "0.5", "--samples", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("refused: ") and captured.err.count("\n") == 1
+        assert peak < 5 * 2**20
 
     def test_bad_phi_exit_code(self, capsys):
         code, _ = run_cli(

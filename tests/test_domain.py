@@ -116,6 +116,57 @@ class TestPreference:
         with pytest.raises(cd.ValidationError, match=re.escape(message)):
             cd.Preference(SHAPE_2X2, [bad, (1, 2), (2, 1), (2, 2)])
 
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ((1.0, 1), "bundle (1.0, 1) holds item 1.0 outside 1..2"),
+            ((True, 1), "bundle (True, 1) holds item True outside 1..2"),
+            ((np.int64(1), 1), "bundle (np.int64(1), 1) holds item np.int64(1) outside 1..2"),
+            ((1, 1, 1), "bundle (1, 1, 1) has 3 components, expected 2"),
+            ((1, 3), "bundle (1, 3) holds item 3 outside 1..2"),
+        ],
+    )
+    def test_rank_of_rejects(self, bad, message):
+        pref = pref_of(SHAPE_2X2, ["21", "11", "22", "12"])
+        with pytest.raises(cd.ValidationError, match=re.escape(message)):
+            pref.rank_of(bad)
+
+    def test_rank_of_accepts_any_int_sequence(self):
+        pref = pref_of(SHAPE_2X2, ["21", "11", "22", "12"])
+        assert pref.rank_of([1, 2]) == 4
+        assert pref.rank_of((1, 2)) == 4
+
+    def test_from_indices(self):
+        pref = cd.Preference.from_indices(SHAPE_2X2, [2, 0, 3, 1])
+        assert pref == pref_of(SHAPE_2X2, ["21", "11", "22", "12"])
+        assert pref.order == ((2, 1), (1, 1), (2, 2), (1, 2))
+        assert pref.rank_of((2, 2)) == 3
+
+    @pytest.mark.parametrize(
+        "indices,message",
+        [
+            ([2, 0, 2, 1], "bundle (2, 1) appears twice in preference"),
+            ([2, 0, 3], "preference lists 3 bundles, expected all 4"),
+            ([2, 0, 3, 1, 0], "bundle (1, 1) appears twice in preference"),
+            ([2, -4, 3, 1], "bundle index -4 outside 0..3"),
+            ([2, 0, 3, -1], "bundle index -1 outside 0..3"),
+            ([2, 0, 4, 1], "bundle index 4 outside 0..3"),
+            ([2, True, 3, 0], "bundle index True outside 0..3"),
+            ([2, 0, 3, 1.0], "bundle index 1.0 outside 0..3"),
+            ([2, 0, 3, np.int64(1)], "bundle index np.int64(1) outside 0..3"),
+        ],
+    )
+    def test_from_indices_rejects_non_permutations(self, indices, message):
+        with pytest.raises(cd.ValidationError, match=re.escape(message)):
+            cd.Preference.from_indices(SHAPE_2X2, indices)
+
+    def test_first_problem_in_list_order_is_named(self):
+        # a repeat before a foreign bundle is reported as the repeat
+        with pytest.raises(cd.ValidationError, match=re.escape("bundle (1, 1) appears twice")):
+            cd.Preference(SHAPE_2X2, [(1, 1), (1, 1), (2, 3), (2, 2)])
+        with pytest.raises(cd.ValidationError, match=re.escape("holds item 3 outside")):
+            cd.Preference(SHAPE_2X2, [(1, 1), (2, 3), (1, 1), (2, 2)])
+
     def test_rejects_items_in_place_of_bundles(self):
         with pytest.raises(cd.ValidationError, match="preference must list bundles"):
             cd.Preference(SHAPE_2X2, [1, 2, 3, 4])

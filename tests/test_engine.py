@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import catdom as cd
+from catdom import engine
 
 from conftest import MIXED_BEHAVIORS_3X2, pref_of
 
@@ -179,6 +180,16 @@ class TestChoiceOracles:
 LARGER_SHAPES = [(4, 3), (3, 4), (4, 4), (2, 6)]
 
 
+def script_kinds(order, profile, kinds, rng):
+    """Replace each "script" kind with the picks of an agent that chose
+    uniformly among the available items, in the order she picked."""
+    chosen = reference_run(order, profile, [rng if k == "script" else k for k in kinds])
+    return [
+        tuple(chosen[j][i - 1] for a, i in order.rounds if a == j) if k == "script" else k
+        for j, k in enumerate(kinds, 1)
+    ]
+
+
 def seeded_instance(n, p, seed):
     """Random profile and order with opt, pess and scripted agents. Scripts
     replay the picks of agents that chose uniformly among available items."""
@@ -194,13 +205,11 @@ def seeded_instance(n, p, seed):
     rng.shuffle(pairs)
     order = cd.PickingOrder(shape, pairs)
     kinds = [("opt", "pess", "script")[(j + seed) % 3] for j in range(n)]
-    chosen = reference_run(
-        order, profile, [rng if k == "script" else k for k in kinds]
-    )
-    for j, kind in enumerate(kinds, 1):
-        if kind == "script":
-            kinds[j - 1] = tuple(chosen[j][i - 1] for a, i in order.rounds if a == j)
-    return order, profile, kinds
+    return order, profile, script_kinds(order, profile, kinds, rng)
+
+
+def kind_behaviors(kinds):
+    return [cd.Scripted(k) if isinstance(k, tuple) else as_behaviors([k])[0] for k in kinds]
 
 
 class TestLargerShapes:
@@ -208,11 +217,7 @@ class TestLargerShapes:
     def test_run_matches_reference(self, n, p):
         for seed in range(10):
             order, profile, kinds = seeded_instance(n, p, seed)
-            behaviors = [
-                cd.Scripted(k) if isinstance(k, tuple) else as_behaviors([k])[0]
-                for k in kinds
-            ]
-            alloc, trace = cd.run_csam(order, profile, behaviors)
+            alloc, trace = cd.run_csam(order, profile, kind_behaviors(kinds))
             comparisons = []
             expected = reference_run(order, profile, kinds, comparisons)
             assert dict(alloc.bundles) == dict(expected.bundles), (n, p, seed)
@@ -252,6 +257,52 @@ class TestLargerShapes:
                     least = min(want, key=lambda d: pref.rank_of(want[d]))
                     assert cd.pessimistic_choice(pref, picks, available, category) == least
             assert (picks, available) == state
+
+
+def check_running_state(order, profile, kinds):
+    """Play through ``engine._play``, asserting after every round that each
+    agent's running bitset equals the from-scratch rebuild
+    ``_consistency_mask``; then that the allocation and the comparisons equal
+    ``reference_run``'s."""
+    shape = order.shape
+    picks = {j: {} for j in shape.agents()}
+    available = {i: set(shape.agents()) for i in shape.categories()}
+    records = []
+    for record, cons in engine._play(order, profile, tuple(kind_behaviors(kinds))):
+        records.append(record)
+        picks[record.agent][record.category] = record.item
+        available[record.category].remove(record.item)
+        for j in shape.agents():
+            want = engine._consistency_mask(profile.pref(j), picks[j], available)
+            assert cons[j - 1] == want, (record.t, j)
+    # one bit per agent is left: her bundle
+    assert all(c & (c - 1) == 0 for c in cons)
+    comparisons = []
+    expected = reference_run(order, profile, kinds, comparisons)
+    assert [r.comparison for r in records] == comparisons
+    alloc, trace = cd.run_csam(order, profile, kind_behaviors(kinds))
+    assert dict(alloc.bundles) == dict(expected.bundles)
+    assert trace.rounds == tuple(records)
+
+
+@st.composite
+def mixed_instance_strategy(draw, max_n=4, max_p=4):
+    """Up to 4x4, each agent optimistic, pessimistic or scripted."""
+    order, profile, _ = draw(instance_strategy(max_n, max_p))
+    kinds = [draw(st.sampled_from(["opt", "pess", "script"])) for _ in order.shape.agents()]
+    return order, profile, script_kinds(order, profile, kinds, draw(st.randoms()))
+
+
+class TestRunningState:
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_instance_strategy())
+    def test_matches_rebuild_every_round(self, instance):
+        check_running_state(*instance)
+
+    @pytest.mark.parametrize("n,p,seeds", [(4, 6, range(3)), (12, 2, range(4))])
+    def test_larger_games(self, n, p, seeds):
+        for seed in seeds:
+            check_running_state(*seeded_instance(n, p, seed))
 
 
 class TestScripted:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -247,6 +248,31 @@ class TestExperiment:
     def test_config_rejects_bad_seed(self, seed):
         with pytest.raises(cd.ValidationError, match="seed must be a non-negative integer"):
             ExperimentConfig(p=2, n_values=(2,), phis=(0.5,), samples=3, seed=seed)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("samples", 2.5, "samples must be an integer, got 2.5"),
+            ("samples", True, "samples must be an integer, got True"),
+            ("p", 2.0, "p must be an integer, got 2.0"),
+            ("p", True, "p must be an integer, got True"),
+            ("phis", (True,), "dispersion phi must be a real number, got True"),
+            ("phis", ("0.5",), "dispersion phi must be a real number, got '0.5'"),
+            ("phis", (0.5j,), "dispersion phi must be a real number, got 0.5j"),
+            ("phis", (None,), "dispersion phi must be a real number, got None"),
+        ],
+    )
+    def test_config_rejects_bad_types(self, field, value, message):
+        args = dict(p=2, n_values=(2,), phis=(0.5,), samples=2, seed=0)
+        args[field] = value
+        with pytest.raises(cd.ValidationError, match=re.escape(message)):
+            ExperimentConfig(**args)
+
+    def test_config_accepts_real_phis(self):
+        config = ExperimentConfig(
+            p=2, n_values=(2,), phis=(np.float64(0.5), 1), samples=2, seed=0
+        )
+        assert len(cd.run_experiment(config)) == 4 * 2
 
     def test_config_checks_every_shape(self):
         # 1001**2 bundles: refused when the config is built, before any draw
