@@ -13,9 +13,11 @@ construction so rank lookups are O(1) everywhere else; this is what the
 ``CAPACITY_LIMIT`` guard protects.
 
 Internally a bundle is also known by its mixed-radix index (``encode_bundle``):
-each shape has one canonical bundle table (``bundle_table``), and a
-``Preference`` keeps its order as indices too, so the samplers work on
-integers and the engine on bitsets over ranking positions.
+each shape has one canonical bundle table (``bundle_table``) and one lookup
+from bundle to index. Every ``Preference`` is built from bundle indices
+(``Preference.from_indices``; the public constructor maps bundles to indices
+first), so the samplers work on integers and the engine on bitsets over
+ranking positions.
 """
 
 from __future__ import annotations
@@ -147,7 +149,12 @@ def _bundle_index(
         idx = lookup.get(bundle)
     except TypeError:
         idx = None
-    if idx is None or (bundle is not table[idx] and not all(type(x) is int for x in bundle)):
+    if idx is not None and bundle is not table[idx]:
+        for item in bundle:
+            if type(item) is not int:
+                idx = None
+                break
+    if idx is None:
         idx = encode_bundle(shape, bundle)
     return idx
 
