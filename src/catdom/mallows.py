@@ -139,9 +139,9 @@ class ExperimentConfig:
     check_bounds: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("p", "samples"):
-            if type(getattr(self, name)) is not int:
-                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name, value in (("p", self.p), ("samples", self.samples)):
+            if type(value) is not int:
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.samples < 1:
             raise ValidationError("need at least one sample per cell")
         if not self.n_values or not self.phis:
