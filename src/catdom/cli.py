@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Sequence
 
 from .adversarial import (
     ConstructionError,
@@ -91,15 +92,12 @@ def _number(token: str, convert, flag: str):
         raise ValidationError(f"{flag} has a malformed entry {token!r}") from None
 
 
-def _parse_int_list(text: str, p: int) -> tuple[int, ...]:
+def _parse_int_list(text: str) -> Sequence[int]:
     if ".." in text:
         lo, hi = (_number(x, int, "--n") for x in text.split("..", 1))
-        if lo <= hi:
-            # every n in between is a valid shape when both ends are: check
-            # them before the range is built
-            DomainShape(lo, p)
-            DomainShape(hi, p)
-        return tuple(range(lo, hi + 1))
+        # a lazy range: ExperimentConfig refuses the first oversized n
+        # without building the rest
+        return range(lo, hi + 1)
     return tuple(_number(x, int, "--n") for x in text.split(","))
 
 
@@ -258,7 +256,7 @@ def _cmd_experiment(args) -> int:
         mechanisms = tuple(parsed)
     config = ExperimentConfig(
         p=args.p,
-        n_values=_parse_int_list(args.n, args.p),
+        n_values=_parse_int_list(args.n),
         phis=tuple(_number(x, float, "--phi") for x in args.phi.split(",")),
         samples=args.samples,
         seed=args.seed,

@@ -131,7 +131,7 @@ DEFAULT_GRID = (
 @dataclass(frozen=True)
 class ExperimentConfig:
     p: int
-    n_values: tuple[int, ...]
+    n_values: Sequence[int]
     phis: tuple[float, ...]
     samples: int
     seed: int
@@ -139,9 +139,8 @@ class ExperimentConfig:
     check_bounds: bool = False
 
     def __post_init__(self) -> None:
-        for name, value in (("p", self.p), ("samples", self.samples)):
-            if type(value) is not int:
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if type(self.samples) is not int:
+            raise ValidationError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 1:
             raise ValidationError("need at least one sample per cell")
         if not self.n_values or not self.phis:

@@ -500,7 +500,8 @@ class TestExperiment:
         assert captured.err.startswith("refused: ") and captured.err.count("\n") == 1
 
     def test_oversized_range_refused_before_it_is_built(self, capsys):
-        # the 3,000,000-entry range took 144 MB before the first shape check
+        # the 3,000,000-entry range took 144 MB before the first shape check;
+        # kept lazy, it is refused at n=1001 without being built
         tracemalloc.start()
         try:
             code = main(["experiment", "--n", "1..3000000", "--phi", "0.5", "--samples", "1"])
@@ -511,6 +512,7 @@ class TestExperiment:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("refused: ") and captured.err.count("\n") == 1
+        assert "1001" in captured.err
         assert peak < 5 * 2**20
 
     def test_bad_phi_exit_code(self, capsys):

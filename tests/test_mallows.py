@@ -254,8 +254,8 @@ class TestExperiment:
         [
             ("samples", 2.5, "samples must be an integer, got 2.5"),
             ("samples", True, "samples must be an integer, got True"),
-            ("p", 2.0, "p must be an integer, got 2.0"),
-            ("p", True, "p must be an integer, got True"),
+            ("p", 2.0, "shape dimensions must be integers, got 2, 2.0"),
+            ("p", True, "shape dimensions must be integers, got 2, True"),
             ("phis", (True,), "dispersion phi must be a real number, got True"),
             ("phis", ("0.5",), "dispersion phi must be a real number, got '0.5'"),
             ("phis", (0.5j,), "dispersion phi must be a real number, got 0.5j"),

@@ -1,15 +1,15 @@
 """Record one benchmark baseline as a BENCH_<topic>.json file.
 
-Usage, from the root of a git checkout:
+Usage:
 
-    python3 tools/bench_record.py --out BENCH_baseline.json
+    python3 tools/bench_record.py --out BENCH_<topic>.json [--root CHECKOUT]
 
-Runs ``bench/run.py`` on every workload, once with ``--trace 0`` (the
-end-to-end metrics) and once with ``--trace 1`` (the per-layer metrics), one
-run at a time, and writes what each run printed (metrics, provenance, set-up
-info and notes) with the machine, Python, numpy and commit. Pass ``--root``
-to record another checkout. Each run takes about ``--seconds`` plus a few
-seconds of set-up.
+Runs ``bench/run.py`` of the checkout at ``--root`` (default: this one) on
+every workload with seed 1 for 30 s, once with ``--trace 0`` (the end-to-end
+metrics) and once with ``--trace 1`` (the per-layer metrics), one run at a
+time, and writes what each run printed (metrics, provenance, set-up info and
+notes) with the machine, Python, numpy and that checkout's commit. Each run
+takes about 30 s plus a few seconds of set-up.
 """
 
 from __future__ import annotations
@@ -21,14 +21,16 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("mallows-study", "mallows-wide", "exact-analysis")
+SEED = 1
+SECONDS = 30
 
 
-def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run(root: Path, workload: str, trace: int) -> dict:
     cmd = [
         sys.executable, "bench/run.py",
         "--workload", workload,
-        "--seed", str(seed),
-        "--seconds", str(seconds),
+        "--seed", str(SEED),
+        "--seconds", str(SECONDS),
         "--trace", str(trace),
     ]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
@@ -58,12 +60,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="record a catdom benchmark baseline")
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--root", default=str(Path(__file__).resolve().parent.parent))
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30)
     args = parser.parse_args(argv)
     root = Path(args.root).resolve()
     runs = {
-        w: {f"trace{t}": run(root, w, args.seed, args.seconds, t) for t in (0, 1)}
+        w: {f"trace{t}": run(root, w, t) for t in (0, 1)}
         for w in WORKLOADS
     }
     first = runs[WORKLOADS[0]]["trace0"]["provenance"]
