@@ -2,16 +2,17 @@
 
 A direct mechanism maps a full preference profile to an allocation. Four
 axioms are audited: strategy-proofness, non-bossiness, category-wise
-neutrality and Pareto optimality. Each ``check_*`` function is a predicate
-over a stream of cases; one driver, ``_verdict``, counts the cases, stops at
-the first one the predicate turns into a counterexample, and reports it in a
-replayable form.
+neutrality and Pareto optimality. Each axiom is a predicate over a stream
+of cases; one driver, ``_audit``, runs one or more predicates over a single
+pass of a stream, counts each predicate's cases up to the first one it turns
+into a counterexample, and reports that case in a replayable form.
 
 The streams:
 
 * ``_deviations`` yields ``(profile, agent, deviation, baseline,
   alternative)``: the outcomes before and after one agent misreports.
-  Strategy-proofness and non-bossiness are predicates over it.
+  Strategy-proofness and non-bossiness are predicates over it, and
+  ``check_all`` audits both in one shared walk.
 * ``_relabelings`` yields ``(profile, category, permutation, outcome)`` for
   category-wise neutrality.
 * Pareto optimality pairs each profile's outcome with the feasible
@@ -217,22 +218,6 @@ def _permute_bundle(bundle: Bundle, category: int, perm: tuple[int, ...]) -> Bun
     return bundle[: category - 1] + (perm[item - 1],) + bundle[category:]
 
 
-class _MechanismCache:
-    def __init__(self, mechanism: DirectMechanism, shape: DomainShape):
-        self.mechanism = mechanism
-        self.rankings = all_rankings(shape)
-        self.shape = shape
-        self._memo: dict[tuple[int, ...], Allocation] = {}
-
-    def apply(self, idx: tuple[int, ...]) -> Allocation:
-        result = self._memo.get(idx)
-        if result is None:
-            profile = Profile(self.shape, [self.rankings[i] for i in idx])
-            result = self.mechanism.apply(profile)
-            self._memo[idx] = result
-        return result
-
-
 def _profiles(
     shape: DomainShape, mode: Mode, rng: np.random.Generator | None
 ) -> Iterator[Profile]:
@@ -271,15 +256,19 @@ def _deviations(
             )
             yield profile, j, deviation, mechanism.apply(profile), mechanism.apply(misreport)
         return
-    cache = _MechanismCache(mechanism, shape)
-    rankings = cache.rankings
+    rankings = all_rankings(shape)
+
+    @lru_cache(maxsize=None)
+    def outcome(idx: tuple[int, ...]) -> Allocation:
+        return mechanism.apply(Profile(shape, [rankings[i] for i in idx]))
+
     for idx in itertools.product(range(len(rankings)), repeat=shape.n):
         profile = Profile(shape, [rankings[i] for i in idx])
-        base = cache.apply(idx)
+        base = outcome(idx)
         for j in shape.agents():
             for dev, deviation in enumerate(rankings):
                 if dev != idx[j - 1]:
-                    alt = cache.apply(idx[: j - 1] + (dev,) + idx[j:])
+                    alt = outcome(idx[: j - 1] + (dev,) + idx[j:])
                     yield profile, j, deviation, base, alt
 
 
@@ -310,18 +299,20 @@ def _relabelings(
                     yield profile, category, perm, outcome
 
 
-def _verdict(
-    axiom: str,
+def _audit(
+    axioms: Sequence[tuple[str, Callable[..., Counterexample | None]]],
     mechanism: DirectMechanism,
     shape: DomainShape,
     mode: Mode,
     per_profile: Iterable[int],
     cases: Iterable[tuple],
-    violation: Callable[..., Counterexample | None],
-) -> AxiomVerdict:
-    """Count ``cases`` until ``violation`` returns a counterexample for one.
+) -> list[AxiomVerdict]:
+    """One verdict per ``(axiom, violation)`` pair from one pass over ``cases``.
 
-    An exhaustive audit is refused before its first case when the number of
+    Each axiom counts cases until its ``violation`` returns a counterexample
+    for one, and then checks no further case; the pass ends when every axiom
+    has a counterexample or the stream ends. An exhaustive audit is refused,
+    naming the first axiom, before its first case when the number of
     profiles times the product of ``per_profile`` (the cases per profile)
     is over the budget.
     """
@@ -329,38 +320,56 @@ def _verdict(
         profiles = _factorial_factors(shape.bundle_count, shape.n)
         if _exceeds(mode.budget, itertools.chain(per_profile, profiles)):
             raise CapacityError(
-                f"exhaustive {axiom} over shape {shape.n}x{shape.p} needs more than "
+                f"exhaustive {axioms[0][0]} over shape {shape.n}x{shape.p} needs more than "
                 f"{mode.budget} checks, the budget"
             )
-    checked = 0
-    for checked, case in enumerate(cases, 1):
-        counterexample = violation(*case)
-        if counterexample is not None:
-            return AxiomVerdict(
-                axiom, mechanism.name, False, _coverage(mode), checked, counterexample
-            )
-    return AxiomVerdict(axiom, mechanism.name, True, _coverage(mode), checked)
+    checked = [0] * len(axioms)
+    found: list[Counterexample | None] = [None] * len(axioms)
+    for case in cases:
+        for k, (_, violation) in enumerate(axioms):
+            if found[k] is None:
+                checked[k] += 1
+                found[k] = violation(*case)
+        if all(found):
+            break
+    return [
+        AxiomVerdict(axiom, mechanism.name, cx is None, _coverage(mode), count, cx)
+        for (axiom, _), count, cx in zip(axioms, checked, found)
+    ]
 
 
-def _deviation_cost(shape: DomainShape) -> Iterator[int]:
+def _manipulation(profile, j, deviation, base, alt) -> Counterexample | None:
+    """The misreport strictly improves the deviator's own bundle."""
+    truth = profile.pref(j)
+    if alt[j] != base[j] and truth.rank_of(alt[j]) < truth.rank_of(base[j]):
+        return Counterexample("strategy-proofness", profile, base, alt, agent=j, deviation=deviation)
+    return None
+
+
+def _bossing(profile, j, deviation, base, alt) -> Counterexample | None:
+    """The misreport keeps the deviator's bundle but changes the allocation."""
+    if alt[j] == base[j] and alt.bundles != base.bundles:
+        return Counterexample("non-bossiness", profile, base, alt, agent=j, deviation=deviation)
+    return None
+
+
+_STRATEGY_PROOFNESS = ("strategy-proofness", _manipulation)
+_NON_BOSSINESS = ("non-bossiness", _bossing)
+
+
+def _deviation_audit(
+    mechanism: DirectMechanism, shape: DomainShape, mode: Mode, *axioms
+) -> list[AxiomVerdict]:
     # n agents times (n**p)! rankings each, the truthful one included
-    return itertools.chain((shape.n,), _factorial_factors(shape.bundle_count))
+    cost = itertools.chain((shape.n,), _factorial_factors(shape.bundle_count))
+    return _audit(axioms, mechanism, shape, mode, cost, _deviations(mechanism, shape, mode))
 
 
 def check_strategy_proofness(
     mechanism: DirectMechanism, shape: DomainShape, mode: Mode = Exhaustive()
 ) -> AxiomVerdict:
     """No agent can strictly improve her own bundle by misreporting."""
-    axiom = "strategy-proofness"
-
-    def violation(profile, j, deviation, base, alt):
-        truth = profile.pref(j)
-        if alt[j] != base[j] and truth.rank_of(alt[j]) < truth.rank_of(base[j]):
-            return Counterexample(axiom, profile, base, alt, agent=j, deviation=deviation)
-        return None
-
-    cases = _deviations(mechanism, shape, mode)
-    return _verdict(axiom, mechanism, shape, mode, _deviation_cost(shape), cases, violation)
+    return _deviation_audit(mechanism, shape, mode, _STRATEGY_PROOFNESS)[0]
 
 
 def check_non_bossiness(
@@ -368,15 +377,7 @@ def check_non_bossiness(
 ) -> AxiomVerdict:
     """A misreport that leaves the deviator's bundle unchanged must leave the
     whole allocation unchanged."""
-    axiom = "non-bossiness"
-
-    def violation(profile, j, deviation, base, alt):
-        if alt[j] == base[j] and alt.bundles != base.bundles:
-            return Counterexample(axiom, profile, base, alt, agent=j, deviation=deviation)
-        return None
-
-    cases = _deviations(mechanism, shape, mode)
-    return _verdict(axiom, mechanism, shape, mode, _deviation_cost(shape), cases, violation)
+    return _deviation_audit(mechanism, shape, mode, _NON_BOSSINESS)[0]
 
 
 def check_category_wise_neutrality(
@@ -397,7 +398,7 @@ def check_category_wise_neutrality(
     # p categories times n! permutations, the identity included
     cost = itertools.chain((shape.p,), _factorial_factors(shape.n))
     cases = _relabelings(mechanism, shape, mode)
-    return _verdict(axiom, mechanism, shape, mode, cost, cases, violation)
+    return _audit([(axiom, violation)], mechanism, shape, mode, cost, cases)[0]
 
 
 def _dominates(profile: Profile, alt: Allocation, base: Allocation) -> bool:
@@ -437,7 +438,8 @@ def check_pareto_optimality(
             for group in groups:
                 yield profile, base, group
 
-    return _verdict(axiom, mechanism, shape, mode, (len(allocations),), cases(), violation)
+    cost = (len(allocations),)
+    return _audit([(axiom, violation)], mechanism, shape, mode, cost, cases())[0]
 
 
 def check_all(mechanism: DirectMechanism, shape: DomainShape, mode: Mode) -> list[AxiomVerdict]:
@@ -445,8 +447,7 @@ def check_all(mechanism: DirectMechanism, shape: DomainShape, mode: Mode) -> lis
         # the sampled Pareto audit still needs every allocation: refuse up front
         all_allocations(shape)
     return [
-        check_strategy_proofness(mechanism, shape, mode),
-        check_non_bossiness(mechanism, shape, mode),
+        *_deviation_audit(mechanism, shape, mode, _STRATEGY_PROOFNESS, _NON_BOSSINESS),
         check_category_wise_neutrality(mechanism, shape, mode),
         check_pareto_optimality(mechanism, shape, mode),
     ]

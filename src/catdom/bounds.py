@@ -126,6 +126,7 @@ class SearchResult:
 def _canonical_under_relabeling(rounds, class_of) -> bool:
     # keep only orders whose agents, within each behavior class, first appear
     # in ascending label order; that representative is lex-minimal in its orbit
+    # (the orders are complete, so every label of each class does appear)
     seen: dict[int, list[int]] = {}
     for j, _ in rounds:
         cls = class_of[j]
@@ -134,10 +135,6 @@ def _canonical_under_relabeling(rounds, class_of) -> bool:
             if bucket and bucket[-1] > j:
                 return False
             bucket.append(j)
-    for cls, labels in seen.items():
-        expected = sorted(l for l, c in class_of.items() if c == cls)[: len(labels)]
-        if labels != expected:
-            return False
     return True
 
 
@@ -164,6 +161,8 @@ def search_orders(
         raise ValidationError(f"unknown objective {objective!r}")
     if len(behaviors) != n:
         raise ValidationError(f"{len(behaviors)} behaviors given, expected {n}")
+    if seed is not None:
+        _check_seed(seed)
     pairs = [(j, i) for j in shape.agents() for i in shape.categories()]
 
     if mode == "exhaustive":
@@ -183,8 +182,6 @@ def search_orders(
             raise ValidationError(
                 f"random search needs a budget of at least 1 order, got {budget}"
             )
-        if seed is not None:
-            _check_seed(seed)
         rng = np.random.default_rng(seed)
         arr = list(range(len(pairs)))
         candidates = (tuple(pairs[i] for i in rng.permutation(arr)) for _ in range(budget))

@@ -235,12 +235,11 @@ _MECHANISMS = {
 
 
 def _cmd_check_axioms(args) -> int:
-    mechanism = _MECHANISMS[args.mechanism](args.n)
     shape = DomainShape(args.n, args.p)
-    if args.mode == "exhaustive":
-        mode = Exhaustive(budget=args.budget)
-    else:
-        mode = Sampled(count=args.count, seed=args.seed)
+    mechanism = _MECHANISMS[args.mechanism](args.n)
+    # checks --count and --seed in exhaustive mode too, which reads neither
+    sampled = Sampled(count=args.count, seed=args.seed)
+    mode = Exhaustive(budget=args.budget) if args.mode == "exhaustive" else sampled
     verdicts = check_all(mechanism, shape, mode)
     _print({"mechanism": mechanism.name, "verdicts": [v.to_json() for v in verdicts]})
     return 0

@@ -76,7 +76,10 @@ class DomainShape:
             raise ValidationError(f"shape dimensions must be integers, got {self.n!r}, {self.p!r}")
         if self.n < 1 or self.p < 1:
             raise ValidationError(f"shape ({self.n}, {self.p}) invalid: need n >= 1 and p >= 1")
-        # n == 1 spans one bundle for any p; otherwise at most ~20 factors run
+        # each category costs a round and a bundle component even when n == 1
+        # spans one bundle; past this check, n >= 2 runs at most ~20 factors
+        if self.p > CAPACITY_LIMIT:
+            raise CapacityError(f"{self.p} categories exceed the capacity limit {CAPACITY_LIMIT}")
         if self.n > 1 and _exceeds(CAPACITY_LIMIT, itertools.repeat(self.n, self.p)):
             raise CapacityError(
                 f"bundle space {self.n}**{self.p} exceeds the capacity limit {CAPACITY_LIMIT}"

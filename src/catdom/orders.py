@@ -18,7 +18,6 @@ predecessor off one pass over the rounds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -218,8 +217,3 @@ def order_from_json(data: Mapping) -> PickingOrder:
     if not isinstance(rounds, list):
         raise ValidationError("order 'rounds' must be a list of [agent, category] pairs")
     return PickingOrder(shape, rounds)
-
-
-def load_order(path: str) -> PickingOrder:
-    with open(path) as fh:
-        return order_from_json(json.load(fh))

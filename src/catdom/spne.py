@@ -7,12 +7,14 @@ give the chooser different final bundles (they differ in that category), so
 argmax ties cannot occur.
 
 States are canonical: the per-agent partial pick matrix determines the round
-number and all availability, so memoization keys on it alone. The solver
-visits every reachable state, and ``state_space_size`` counts them in closed
-form: entering a round, the agents who have picked in a category hold
-distinct items there, every such assignment is reachable, and categories are
-independent, so a category's (k+1)-th pick multiplies the number of states by
-``n - k``. The state cap is checked against that count before solving.
+number and all availability. The rounds are fixed, so each round fills one
+known (agent, category) cell and a state is reached along one path only;
+nothing is memoized. The solver visits every reachable state once, and
+``state_space_size`` counts them in closed form: entering a round, the agents
+who have picked in a category hold distinct items there, every such
+assignment is reachable, and categories are independent, so a category's
+(k+1)-th pick multiplies the number of states by ``n - k``. The state cap is
+checked against that count before solving.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ def solve_spne(
 ) -> tuple[Allocation, tuple[SpneRound, ...] | None]:
     """Equilibrium allocation (and optionally the equilibrium path).
 
-    Refuses with CapacityError, before solving, when the memo table would
-    exceed ``state_cap`` distinct states; the result is exact, never
+    Refuses with CapacityError, before solving, when the walk would visit
+    more than ``state_cap`` decision states; the result is exact, never
     truncated.
     """
     shape = order.shape
@@ -78,14 +80,9 @@ def solve_spne(
     total = len(rounds)
     prefs = [profile.pref(j) for j in shape.agents()]
 
-    memo: dict[State, tuple[Bundle, ...]] = {}
-
     def solve(t: int, state: State) -> tuple[Bundle, ...]:
         if t > total:
             return state
-        cached = memo.get(state)
-        if cached is not None:
-            return cached
         agent, category = rounds[t - 1]
         best_outcome = None
         best_rank = None
@@ -100,7 +97,6 @@ def solve_spne(
                 best_outcome = outcome
         if best_outcome is None:
             raise AssertionError(f"round {t}: category {category} has no available item")
-        memo[state] = best_outcome
         return best_outcome
 
     if shape.n == 1:

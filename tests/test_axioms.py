@@ -182,6 +182,20 @@ class TestExhaustiveVerdicts:
         with pytest.raises(cd.CapacityError):
             check_strategy_proofness(sd_direct([1, 2]), SHAPE_2X2, Exhaustive(budget=10))
 
+    def test_check_all_applies_the_mechanism_once_per_profile_and_walk(self):
+        applied = []
+
+        def counting(profile):
+            applied.append(profile)
+            return sd_direct([1, 2]).fn(profile)
+
+        verdicts = check_all(cd.DirectMechanism("counting", counting), SHAPE_2X2, Exhaustive())
+        assert all(v.passed for v in verdicts)
+        # 576 profiles: one application each in the shared deviation walk and
+        # in the Pareto audit, three in the neutrality audit (the profile and
+        # its one relabeling in each of two categories)
+        assert len(applied) == 576 + 3 * 576 + 576 == 2880
+
 
 class TestSampledVerdicts:
     @pytest.mark.parametrize("count", [0, -1, 2.5, True])
@@ -343,6 +357,18 @@ class TestGoldenVerdicts:
         assert [d["passed"] for d in docs] == passed
         assert [d["checked"] for d in docs] == checked
         assert _digest(docs) == digest
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_shared_walk_matches_single_axiom_checks(self, name):
+        # check_all audits the first two axioms in one walk; each check run
+        # on its own is the reference
+        make, shape, mode = self.CASES[name][:3]
+        shared = [v.to_json() for v in check_all(make(), shape, mode)[:2]]
+        alone = [
+            check(make(), shape, mode).to_json()
+            for check in (check_strategy_proofness, check_non_bossiness)
+        ]
+        assert shared == alone
 
     def test_cli_default_pinned(self, capsys):
         assert main(["check-axioms", "--mechanism", "sd", "--n", "2", "--p", "2"]) == 0

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -186,8 +187,10 @@ class TestMalformedInput:
         assert "not all integers" in err
 
 
-SAMPLED_SD = ["check-axioms", "--mechanism", "sd", "--n", "2", "--p", "2", "--mode", "sampled"]
-RANDOM_SEARCH = ["search", "--n", "2", "--p", "2", "--behaviors", "opt,opt", "--mode", "random"]
+EXHAUSTIVE_SD = ["check-axioms", "--mechanism", "sd", "--n", "2", "--p", "2"]
+SAMPLED_SD = EXHAUSTIVE_SD + ["--mode", "sampled"]
+EXHAUSTIVE_SEARCH = ["search", "--n", "2", "--p", "2", "--behaviors", "opt,opt"]
+RANDOM_SEARCH = EXHAUSTIVE_SEARCH + ["--mode", "random"]
 EXPERIMENT = ["experiment", "--n", "2", "--phi", "0.5", "--samples", "2"]
 
 
@@ -239,11 +242,28 @@ _MALFORMED = st.one_of(
     st.builds("{}..{}".format, _JUNK, st.sampled_from(["", "3", "x"])),
 )
 # Each base run is short and valid; the fuzz overrides some of its flags.
+# Exhaustive mode reads neither --seed nor --count but still checks both.
 _FUZZ = {
     "search": (RANDOM_SEARCH + ["--budget", "5"], ("--seed", "--n")),
+    "search-exhaustive": (EXHAUSTIVE_SEARCH, ("--seed", "--n")),
     "check-axioms": (SAMPLED_SD + ["--count", "5"], ("--seed", "--count", "--n")),
+    "check-axioms-exhaustive": (EXHAUSTIVE_SD, ("--seed", "--count", "--n")),
     "experiment": (EXPERIMENT, ("--seed", "--n", "--phi", "--samples")),
 }
+
+
+def run_quietly(argv):
+    """``(exit code, stdout, stderr)`` of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_line_failure(code, out, err):
+    assert code in (1, 2)
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 @settings(max_examples=200, deadline=None)
@@ -254,12 +274,128 @@ def test_malformed_numbers_fuzz(data):
     argv = list(base)
     for flag in chosen:
         argv += [flag, data.draw(_MALFORMED)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (1, 2)
-    assert out.getvalue() == ""
-    assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    assert_one_line_failure(*run_quietly(argv))
+
+
+# Values of the wrong kind for any place in a JSON document: null, a float,
+# true, a string, an object, nested lists, and integers past 2**63.
+_WRONG_VALUES = (None, 1.5, True, "1", {}, [[1, [2]]], 2**63, 2**70 + 1)
+
+
+def _locations(doc, path=()):
+    """The path of every value in a JSON document, the root's included."""
+    yield path
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from _locations(value, path + (key,))
+
+
+def _malformed(doc, rng):
+    """A copy of ``doc`` with one to three values dropped or replaced."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 3)):
+        path = rng.choice(list(_locations(doc)))
+        value = copy.deepcopy(rng.choice(_WRONG_VALUES))
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if rng.random() < 0.25:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+def test_malformed_documents_fuzz(tmp_path, game_order_2x2, game_profile_2x2):
+    # every run exits 0, or fails with one line; an integer of 2**63 or more
+    # as a dimension used to escape as an OverflowError traceback
+    valid = {
+        "order": cd.order_to_json(game_order_2x2),
+        "profile": cd.profile_to_json(game_profile_2x2),
+        "script": [1, 1],
+    }
+    path = {name: str(tmp_path / f"{name}.json") for name in valid}
+    runs = [
+        ["run", "--order", path["order"], "--profile", path["profile"],
+         "--behaviors", f"script:{path['script']},opt"],
+        ["bounds", "--order", path["order"], "--behaviors", "opt,pess"],
+        ["worst-case", "--order", path["order"], "--behaviors", "opt,pess"],
+        ["spne", "--order", path["order"], "--profile", path["profile"]],
+        ["analyze-order", "--order", path["order"]],
+    ]
+    for name, doc in valid.items():
+        Path(path[name]).write_text(json.dumps(doc))
+    assert [run_quietly(argv)[0] for argv in runs] == [0] * len(runs)
+    rng = random.Random(2015)
+    for _ in range(150):
+        target = rng.choice(sorted(valid))
+        for name, doc in valid.items():
+            Path(path[name]).write_text(json.dumps(_malformed(doc, rng) if name == target else doc))
+        for argv in runs:
+            if path[target] in " ".join(argv):
+                code, out, err = run_quietly(argv)
+                if code != 0:
+                    assert_one_line_failure(code, out, err)
+
+
+def assert_refused(capsys, argv):
+    """Exit 2, nothing on stdout, one ``refused:`` line on stderr."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("refused: ") and captured.err.count("\n") == 1
+
+
+HUGE = str(2**70)
+
+
+class TestOversizedShapes:
+    """2**70 categories overflowed a C integer inside the capacity guard, and
+    check-axioms built its mechanism for 2**70 agents before the shape."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--n", "2", "--p", HUGE, "--behaviors", "opt,opt"],
+            ["check-axioms", "--mechanism", "sd", "--n", "2", "--p", HUGE],
+            ["check-axioms", "--mechanism", "sd", "--n", HUGE, "--p", "2"],
+            ["check-axioms", "--mechanism", "worst-pick-sd", "--n", HUGE, "--p", "2"],
+            ["experiment", "--n", "2", "--p", HUGE, "--phi", "0.5"],
+        ],
+    )
+    def test_flag_refused(self, capsys, argv):
+        assert_refused(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "command, oversized",
+        [(c, "order") for c in ("run", "bounds", "worst-case", "spne", "analyze-order")]
+        + [("run", "profile"), ("spne", "profile")],
+    )
+    def test_document_refused(
+        self, capsys, tmp_path, game_order_2x2, game_profile_2x2, command, oversized
+    ):
+        docs = {
+            "order": cd.order_to_json(game_order_2x2),
+            "profile": cd.profile_to_json(game_profile_2x2),
+        }
+        docs[oversized]["p"] = 2**70
+        for name, doc in docs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        argv = [command, "--order", str(tmp_path / "order.json")]
+        if command in ("run", "spne"):
+            argv += ["--profile", str(tmp_path / "profile.json")]
+        if command in ("run", "bounds", "worst-case"):
+            argv += ["--behaviors", "opt,opt"]
+        assert_refused(capsys, argv)
 
 
 class TestAnalyzeOrder:

@@ -46,6 +46,13 @@ class TestDomainShape:
             cd.DomainShape(10**6, 10**6)
         assert cd.DomainShape(1, 10**6).bundle_count == 1
 
+    @pytest.mark.parametrize("n, p", [(2, 2**70), (1, CAPACITY_LIMIT + 1)])
+    def test_rejects_too_many_categories(self, n, p):
+        # 2**70 overflowed itertools.repeat in the guard, and with n == 1 any
+        # p passed: a later build of p rounds or components ran out of memory
+        with pytest.raises(cd.CapacityError, match="categories exceed the capacity limit"):
+            cd.DomainShape(n, p)
+
     def test_validate_bundle(self):
         SHAPE_2X2.validate_bundle((2, 1))
         with pytest.raises(cd.ValidationError):

@@ -81,7 +81,7 @@ class TestGameRegression:
 
 @st.composite
 def spne_instance(draw):
-    n, p = draw(st.sampled_from([(2, 1), (2, 2), (3, 1)]))
+    n, p = draw(st.sampled_from([(2, 1), (2, 2), (3, 1), (2, 3), (3, 2)]))
     shape = cd.DomainShape(n, p)
     bundles = list(shape.bundles())
     prefs = [
@@ -101,6 +101,16 @@ class TestAgainstBruteForce:
         alloc, _ = cd.solve_spne(order, profile)
         expected = brute_spne(order, profile)
         assert dict(alloc.bundles) == expected
+
+    @pytest.mark.parametrize("n, p", [(3, 3), (4, 2), (2, 4)])
+    def test_matches_unmemoized_recursion_seeded(self, n, p):
+        shape = cd.DomainShape(n, p)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            profile = cd.Profile(shape, [cd.uniform_preference(shape, rng) for _ in range(n)])
+            order = seeded_order(n, p, seed)
+            alloc, _ = cd.solve_spne(order, profile)
+            assert dict(alloc.bundles) == brute_spne(order, profile)
 
     def test_exhaustive_two_by_one(self):
         shape = cd.DomainShape(2, 1)
@@ -158,7 +168,7 @@ class TestStateSpace:
             assert cd.state_space_size(order) == brute_state_count(order)
 
     def test_cap_threshold_is_the_state_count(self):
-        # the solver memoizes every non-terminal state: 2590 of them here
+        # the cap counts the decision states the solver visits: 2590 here
         order = cd.balanced_order([1, 2, 3], 4)
         assert cd.state_space_size(order) - 1 == 2590
         profile = cd.Profile(
