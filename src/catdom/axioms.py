@@ -72,6 +72,12 @@ class DirectMechanism:
 class Exhaustive:
     budget: int = 10_000_000
 
+    def __post_init__(self) -> None:
+        if not (type(self.budget) is int and self.budget >= 1):
+            raise ValidationError(
+                f"exhaustive mode needs a budget of at least 1 check, got {self.budget!r}"
+            )
+
 
 @dataclass(frozen=True)
 class Sampled:

@@ -165,6 +165,11 @@ def search_orders(
         _check_seed(seed)
     pairs = [(j, i) for j in shape.agents() for i in shape.categories()]
 
+    if mode not in ("exhaustive", "random"):
+        raise ValidationError(f"unknown search mode {mode!r}")
+    if not (type(budget) is int and budget >= 1):
+        raise ValidationError(f"{mode} search needs a budget of at least 1 order, got {budget!r}")
+
     if mode == "exhaustive":
         if _exceeds(budget, range(2, len(pairs) + 1)):
             raise CapacityError(
@@ -177,16 +182,10 @@ def search_orders(
             for perm in itertools.permutations(pairs)
             if _canonical_under_relabeling(perm, class_of)
         )
-    elif mode == "random":
-        if budget < 1:
-            raise ValidationError(
-                f"random search needs a budget of at least 1 order, got {budget}"
-            )
+    else:
         rng = np.random.default_rng(seed)
         arr = list(range(len(pairs)))
         candidates = (tuple(pairs[i] for i in rng.permutation(arr)) for _ in range(budget))
-    else:
-        raise ValidationError(f"unknown search mode {mode!r}")
 
     best: tuple[int, tuple] | None = None
     evaluated = 0

@@ -231,19 +231,9 @@ class Preference:
     def position_masks(self) -> tuple[tuple[int, ...], ...]:
         """Where each item sits in the ranking, as bitsets: bit ``r`` of
         ``position_masks[c][d - 1]`` is set when ``order[r]`` holds item ``d``
-        in category ``c + 1``. Built on first use from the bundle indices."""
+        in category ``c + 1``. Built on first use (``build_position_masks``)."""
         if self._masks is None:
-            n = self.shape.n
-            index = np.array(self.indices)
-            items = np.arange(n)[:, None]
-            by_category = []
-            for _ in range(self.shape.p):
-                # the last category is the lowest mixed-radix digit
-                packed = np.packbits(index % n == items, axis=1, bitorder="little")
-                index //= n
-                masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
-                by_category.append(tuple(masks))
-            self._masks = tuple(reversed(by_category))
+            build_position_masks([self])
         return self._masks
 
     def rank_of(self, bundle: Sequence[int]) -> int:
@@ -270,6 +260,54 @@ class Preference:
     def __repr__(self) -> str:
         head = " > ".join("".join(map(str, b)) for b in self.order[:3])
         return f"Preference({self.shape.n}x{self.shape.p}: {head} > ...)"
+
+
+# Largest one-hot block ``build_position_masks`` forms at once, in elements.
+_MASK_BLOCK = 1 << 22
+
+
+@lru_cache(maxsize=8)
+def _digit_matrix(shape: DomainShape) -> np.ndarray:
+    """Row ``c`` holds category ``c + 1``'s item of every bundle index,
+    0-based (the mixed-radix digits), in the narrowest unsigned type."""
+    index = np.arange(shape.bundle_count)
+    digits = np.empty((shape.p, shape.bundle_count), np.min_scalar_type(shape.n - 1))
+    for c, row in enumerate(digits):
+        row[:] = index // shape.n ** (shape.p - 1 - c) % shape.n
+    return digits
+
+
+def build_position_masks(prefs: Sequence[Preference]) -> None:
+    """Fill ``position_masks`` of every preference in ``prefs`` (all of one
+    shape) that lacks them: one numpy pass per category over all of those
+    preferences, in blocks of preferences when their one-hot rows would
+    pass ``_MASK_BLOCK`` elements."""
+    todo = [pref for pref in prefs if pref._masks is None]
+    if not todo:
+        return
+    shape = todo[0].shape
+    n = shape.n
+    digits = _digit_matrix(shape)
+    items = np.arange(n, dtype=digits.dtype)[:, None]
+    step = max(1, _MASK_BLOCK // (n * shape.bundle_count))
+    for lo in range(0, len(todo), step):
+        block = todo[lo : lo + step]
+        flat = itertools.chain.from_iterable(pref.indices for pref in block)
+        index = np.fromiter(flat, np.intp, len(block) * shape.bundle_count).reshape(len(block), -1)
+        by_pref: list[list[tuple[int, ...]]] = [[] for _ in block]
+        for row in digits:
+            # one-hot rows per (preference, item), packed to bytes, bit r first
+            packed = np.packbits(row[index][:, None, :] == items, axis=2, bitorder="little")
+            width = packed.shape[2]
+            data = packed.tobytes()
+            masks = [
+                int.from_bytes(data[s : s + width], "little")
+                for s in range(0, len(data), width)
+            ]
+            for a, out in enumerate(by_pref):
+                out.append(tuple(masks[a * n : (a + 1) * n]))
+        for pref, out in zip(block, by_pref):
+            pref._masks = tuple(out)
 
 
 class Profile:

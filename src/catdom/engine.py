@@ -14,19 +14,23 @@ with per-agent behaviors:
 
 An agent's consistency state is a Python-int bitset over her ranking
 positions: bit ``r`` is set while ``order[r]`` agrees with her own picks and
-uses only items still available in her open categories. ``run_csam`` keeps
-one per agent, all bits set at the start. When agent j takes item d of
-category c, j keeps only the positions holding d
-(``Preference.position_masks``) and every other agent loses them. One pick
-kernel reads the state: the optimistic pick is the lowest set bit; the
-pessimistic comparison takes the highest set bit per candidate item, and the
+uses only items still available in her open categories. One play
+(``_play``) keeps one per agent, all bits set at the start, and builds every
+agent's position masks in one call (``build_position_masks``). When agent j
+takes item d of category c, j keeps only the positions holding d and every
+other agent loses them. One pick kernel reads the state and returns raw
+data: the optimistic pick is the lowest set bit; the pessimistic pick takes
+the highest set bit per candidate item, its worst bit length, and the
 candidate whose worst bit is lowest wins. After the last round each bitset
-has one bit left, the agent's bundle. The public choice functions build the
-bitset from scratch (``_consistency_mask``) and call the same kernel.
+has one bit left, the agent's bundle, and its bit length is her rank. The
+public choice functions build the bitset from scratch
+(``_consistency_mask``) and call the same kernel.
 
-The returned trace records, per round, the available item set of the round's
-category and (for pessimistic rounds) the candidate-to-worst-bundle
-comparison that justified the pick.
+``run_csam`` turns the play into a trace: per round, the available item set
+of the round's category and (for pessimistic rounds) the
+candidate-to-worst-bundle comparison that justified the pick.
+``_realized_ranks`` plays without a trace and returns the ranks only, for
+the Mallows study.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .domain import (
     Preference,
     Profile,
     ValidationError,
+    build_position_masks,
     bundle_table,
     validate_allocation,
 )
@@ -130,30 +135,37 @@ def _consistency_mask(
 
 def _pick(
     pref: Preference, table: Sequence[Bundle], cons: int, category: int, pessimistic: bool
-) -> tuple[int, dict[int, Bundle] | None]:
+) -> tuple[int, dict[int, int] | None]:
     """The pick kernel: the item taken in ``category`` and, for a pessimistic
-    agent, the comparison behind it. ``cons`` is the agent's consistency
-    bitset with ``category`` held to its available items; ``table`` is the
-    shape's ``bundle_table``."""
-    indices = pref.indices
+    agent, each candidate's worst bit length (the 1-based ranking position of
+    its worst consistent bundle). ``cons`` is the agent's consistency bitset
+    with ``category`` held to its available items; ``table`` is the shape's
+    ``bundle_table``."""
     if not pessimistic:
         if not cons:
             raise ValidationError("no consistent available bundle; available sets exhausted")
         # the lowest set bit is the best consistent bundle
-        return table[indices[(cons & -cons).bit_length() - 1]][category - 1], None
-    comparison: dict[int, Bundle] = {}
+        return table[pref.indices[(cons & -cons).bit_length() - 1]][category - 1], None
+    worst: dict[int, int] = {}
     item = least = 0
     for d, bits in enumerate(pref.position_masks[category - 1], 1):
         # the highest set bit is the candidate's worst consistent bundle
-        worst = (cons & bits).bit_length()
-        if worst:
-            comparison[d] = table[indices[worst - 1]]
+        length = (cons & bits).bit_length()
+        if length:
+            worst[d] = length
             # distinct candidates have distinct worst bundles: a unique argmin
-            if not least or worst < least:
-                item, least = d, worst
-    if not comparison:
+            if not least or length < least:
+                item, least = d, length
+    if not worst:
         raise ValidationError(f"category {category} has no available items")
-    return item, comparison
+    return item, worst
+
+
+def _comparison(
+    pref: Preference, table: Sequence[Bundle], worst: Mapping[int, int]
+) -> dict[int, Bundle]:
+    """The kernel's worst bit lengths as candidate-to-worst-bundle pairs."""
+    return {d: table[pref.indices[length - 1]] for d, length in worst.items()}
 
 
 def optimistic_choice(
@@ -175,7 +187,8 @@ def pessimistic_comparison(
 ) -> dict[int, Bundle]:
     """Worst consistent available bundle per candidate item of ``category``."""
     mask = _consistency_mask(pref, picks, available, category)
-    return _pick(pref, bundle_table(pref.shape), mask, category, True)[1]
+    table = bundle_table(pref.shape)
+    return _comparison(pref, table, _pick(pref, table, mask, category, True)[1])
 
 
 def pessimistic_choice(
@@ -208,39 +221,56 @@ def _check_behaviors(shape, behaviors: Sequence[Behavior]) -> tuple[Behavior, ..
 
 def _play(
     order: PickingOrder, profile: Profile, behaviors: tuple[Behavior, ...]
-) -> Iterator[tuple[RoundRecord, list[int]]]:
-    """Play checked inputs round by round. Yields each round's record and the
-    running consistency bitsets after it, ``cons[j - 1]`` for agent ``j``
-    (one list, updated in place)."""
+) -> Iterator[tuple[int, dict[int, int] | None, list[int]]]:
+    """Play checked inputs round by round. Yields, per round, the item taken,
+    the kernel's worst bit lengths for a pessimistic pick (None otherwise),
+    and the running consistency bitsets after the round, ``cons[j - 1]`` for
+    agent ``j`` (one list, updated in place). Builds every agent's position
+    masks in one call first."""
     shape = order.shape
     table, prefs = bundle_table(shape), profile.preferences
-    masks = [pref.position_masks for pref in prefs]
+    build_position_masks(prefs)
+    # by_category[c][a]: agent a + 1's masks of the items of category c + 1
+    by_category = list(zip(*(pref.position_masks for pref in prefs)))
+    scripts = [b.picks if isinstance(b, Scripted) else None for b in behaviors]
+    pessimistic = [isinstance(b, Pessimistic) for b in behaviors]
     cons = [(1 << shape.bundle_count) - 1] * shape.n
     # each category's remaining items, kept sorted
     available = [list(shape.agents()) for _ in shape.categories()]
     made = [0] * shape.n
     for t, (j, i) in enumerate(order.rounds, 1):
         a, c = j - 1, i - 1
-        behavior = behaviors[a]
-        avail_here = tuple(available[c])
-        comparison = None
-        if isinstance(behavior, Scripted):
-            item = behavior.picks[made[a]]
-            if item not in avail_here:
+        script = scripts[a]
+        worst = None
+        if script is not None:
+            item = script[made[a]]
+            if item not in available[c]:
                 raise ExecutionError(
                     f"round {t}: scripted item {item} of category {i} is not available "
                     f"(remaining {available[c]})"
                 )
         else:
-            pessimistic = isinstance(behavior, Pessimistic)
-            item, comparison = _pick(prefs[a], table, cons[a], i, pessimistic)
+            item, worst = _pick(prefs[a], table, cons[a], i, pessimistic[a])
         available[c].remove(item)
         made[a] += 1
         # the taker keeps only bundles with the item, everyone else loses them
-        for b, by_agent in enumerate(masks):
-            bits = by_agent[c][item - 1]
-            cons[b] = cons[b] & bits if b == a else cons[b] & ~bits
-        yield RoundRecord(t, j, i, item, avail_here, comparison), cons
+        d, row = item - 1, by_category[c]
+        keep = cons[a] & row[a][d]
+        cons[:] = [x & ~m[d] for x, m in zip(cons, row)]
+        cons[a] = keep
+        yield item, worst, cons
+
+
+def _bundles(shape, prefs: Sequence[Preference], cons: Sequence[int]) -> list[Bundle]:
+    """The one bundle left in each agent's final bitset, agent 1 first,
+    checked to partition every category."""
+    table = bundle_table(shape)
+    bundles = [table[pref.indices[bits.bit_length() - 1]] for pref, bits in zip(prefs, cons)]
+    # table bundles are well formed, so distinct items per category is validity
+    if any(len(set(items)) < shape.n for items in zip(*bundles)):
+        check = validate_allocation(shape, Allocation(dict(enumerate(bundles, 1))))
+        raise AssertionError(f"engine produced an invalid allocation: {check.detail}")
+    return bundles
 
 
 def run_csam(
@@ -257,19 +287,29 @@ def run_csam(
     shape = order.shape
     if profile.shape != shape:
         raise ValidationError(f"profile shape {profile.shape} does not match order shape {shape}")
-    records: list[RoundRecord] = []
-    for record, cons in _play(order, profile, _check_behaviors(shape, behaviors)):
-        records.append(record)
-    # every agent has picked in every category: one consistent bundle is left
     table, prefs = bundle_table(shape), profile.preferences
-    allocation = Allocation(
-        {j: table[prefs[j - 1].indices[cons[j - 1].bit_length() - 1]] for j in shape.agents()}
-    )
-    check = validate_allocation(shape, allocation)
-    if not check.ok:
-        raise AssertionError(f"engine produced an invalid allocation: {check.detail}")
+    left = [list(shape.agents()) for _ in shape.categories()]
+    records: list[RoundRecord] = []
+    play = _play(order, profile, _check_behaviors(shape, behaviors))
+    for t, ((j, i), (item, worst, cons)) in enumerate(zip(order.rounds, play), 1):
+        comparison = None if worst is None else _comparison(prefs[j - 1], table, worst)
+        records.append(RoundRecord(t, j, i, item, tuple(left[i - 1]), comparison))
+        left[i - 1].remove(item)
+    # every agent has picked in every category: one consistent bundle is left
+    allocation = Allocation(dict(enumerate(_bundles(shape, prefs, cons), 1)))
     trace = ExecutionTrace(tuple(records), (1 + shape.n * shape.p) * shape.n)
     return allocation, trace
+
+
+def _realized_ranks(
+    order: PickingOrder, profile: Profile, behaviors: tuple[Behavior, ...]
+) -> list[int]:
+    """``run_csam`` on checked inputs without a trace: each agent's rank of
+    her bundle, the bit length of her final bitset."""
+    for _, _, cons in _play(order, profile, behaviors):
+        pass
+    _bundles(order.shape, profile.preferences, cons)
+    return [bits.bit_length() for bits in cons]
 
 
 def _serial_picks(

@@ -6,14 +6,16 @@ V by phi**kendall_tau(V, W) for a reference ranking W and dispersion
 W from best to worst, the k-th element is inserted r positions above the
 bottom of the partial ranking with probability proportional to phi**r, which
 adds exactly r discordant pairs. The offsets have a closed-form inverse CDF,
-so one vectorised step draws all of them and no weight table is kept; the
-draw inserts bundle indices and builds the ranking from them
+so one vectorised step draws all of them, for as many draws as are asked
+for at once (``_draw``), and no weight table is kept; each draw inserts
+bundle indices and builds the ranking from them
 (``Preference.from_indices``).
 
 ``run_experiment`` estimates expected utilitarian and egalitarian realized
 ranks for sequential mechanisms under profiles drawn from a shared Mallows
-population (one uniform reference per replicate, one draw per agent, the same
-profile fed to every mechanism configuration).
+population (one uniform reference per replicate, one batched draw for all
+agents, the same profile fed to every mechanism configuration, each played
+without a trace).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .bounds import worst_case_report
 from .domain import DomainShape, Preference, Profile, ValidationError, _check_seed
-from .engine import OPTIMISTIC, PESSIMISTIC, run_csam
+from .engine import OPTIMISTIC, PESSIMISTIC, _realized_ranks
 from .orders import balanced_order, serial_dictatorship_order
 
 
@@ -72,7 +74,14 @@ class MallowsParams:
 
 
 def sample_mallows(params: MallowsParams, rng: np.random.Generator) -> Preference:
-    """One repeated-insertion draw (Doignon, Pekec & Regenwetter 2004).
+    """One repeated-insertion draw (Doignon, Pekec & Regenwetter 2004)."""
+    return _draw(params, 1, rng)[0]
+
+
+def _draw(params: MallowsParams, count: int, rng: np.random.Generator) -> list[Preference]:
+    """``count`` independent repeated-insertion draws from one
+    ``rng.random((count, m))``, row by row the same numbers as ``count``
+    calls of ``rng.random(m)``.
 
     The k-th reference element goes r places above the bottom of the partial
     ranking, where P(r) is proportional to phi**r on 0..k-1: a truncated
@@ -80,20 +89,27 @@ def sample_mallows(params: MallowsParams, rng: np.random.Generator) -> Preferenc
     r = floor(log(1 - u (1 - phi**k)) / log(phi)), or floor(u k) at phi = 1.
     ``expm1`` forms ``phi**k - 1`` without a power per element."""
     shape = params.reference.shape
-    m = shape.bundle_count
-    u = rng.random(m)
-    k = np.arange(1, m + 1)
+    below = np.arange(shape.bundle_count, dtype=float)  # k - 1
+    # r, then the slot k - 1 - r, computed in place in the uniforms' array
+    x = rng.random((count, shape.bundle_count))
     if params.phi == 1:
-        r = np.floor(u * k)
+        np.multiply(x, below + 1, out=x)
     else:
         log_phi = math.log(params.phi)
-        r = np.floor(np.log1p(u * np.expm1(k * log_phi)) / log_phi)
+        np.multiply(x, np.expm1((below + 1) * log_phi), out=x)
+        np.log1p(x, out=x)
+        np.divide(x, log_phi, out=x)
+    np.floor(x, out=x)
+    np.subtract(below, x, out=x)
     # r reaches k only by rounding, when u lies within an ulp or so of 1
-    slots = (k - 1 - np.minimum(r, k - 1)).astype(np.intp).tolist()
-    out: list[int] = []
-    for index, slot in zip(params.reference.indices, slots):
-        out.insert(slot, index)
-    return Preference.from_indices(shape, out)
+    slots = np.maximum(x, 0, out=x).astype(np.intp)
+    draws = []
+    for row in slots:  # one row of Python ints at a time
+        out: list[int] = []
+        for index, slot in zip(params.reference.indices, row.tolist()):
+            out.insert(slot, index)
+        draws.append(Preference.from_indices(shape, out))
+    return draws
 
 
 def mallows_pmf(params: MallowsParams, ranking: Preference) -> float:
@@ -207,10 +223,9 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentResult]:
                 rng = np.random.default_rng([config.seed, index])
                 index += 1
                 params = MallowsParams(uniform_preference(shape, rng), phi)
-                profile = Profile(shape, [sample_mallows(params, rng) for _ in range(n)])
+                profile = Profile(shape, _draw(params, n, rng))
                 for c_idx, (order, behaviors, report) in enumerate(plays):
-                    allocation, _ = run_csam(order, profile, behaviors)
-                    ranks = [profile.pref(j).rank_of(allocation[j]) for j in shape.agents()]
+                    ranks = _realized_ranks(order, profile, behaviors)
                     if report is not None:
                         for j, rank in enumerate(ranks, 1):
                             if rank > report.bound(j):

@@ -69,6 +69,8 @@ def solve_spne(
     shape = order.shape
     if profile.shape != shape:
         raise ValidationError("profile shape does not match order shape")
+    if not (type(state_cap) is int and state_cap >= 1):
+        raise ValidationError(f"state cap must be at least 1 state, got {state_cap!r}")
     states = 0
     for level in _level_sizes(order):
         states += level

@@ -182,6 +182,11 @@ class TestExhaustiveVerdicts:
         with pytest.raises(cd.CapacityError):
             check_strategy_proofness(sd_direct([1, 2]), SHAPE_2X2, Exhaustive(budget=10))
 
+    @pytest.mark.parametrize("budget", [0, -1, 2.5, True])
+    def test_budget_below_one_is_bad_input(self, budget):
+        with pytest.raises(cd.ValidationError, match="budget of at least 1 check"):
+            Exhaustive(budget=budget)
+
     def test_check_all_applies_the_mechanism_once_per_profile_and_walk(self):
         applied = []
 

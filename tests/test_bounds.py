@@ -179,6 +179,11 @@ class TestSearch:
         with pytest.raises(cd.ValidationError):
             cd.search_orders(2, 2, [cd.OPTIMISTIC] * 2, mode="random", budget=budget)
 
+    @pytest.mark.parametrize("budget", [0, -1, 24.0])
+    def test_exhaustive_budget_below_one_is_bad_input(self, budget):
+        with pytest.raises(cd.ValidationError, match="budget of at least 1 order"):
+            cd.search_orders(2, 2, [cd.OPTIMISTIC] * 2, budget=budget)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
     def test_random_mode_rejects_bad_seed(self, seed):
         with pytest.raises(cd.ValidationError, match="seed must be a non-negative integer"):

@@ -476,6 +476,15 @@ class TestSearch:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_exhaustive_budget_below_one_exit_code(self, budget):
+        code, out, err = run_quietly(
+            ["search", "--n", "2", "--p", "2", "--behaviors", "opt,opt", "--budget", budget]
+        )
+        assert code == 1
+        assert_one_line_failure(code, out, err)
+        assert err.startswith("error: exhaustive search needs a budget of at least 1 order")
+
     def test_oversized_exhaustive_search_refused(self, capsys):
         # formatting (n*p)! here used to escape as a ValueError traceback
         code = main(["search", "--n", "1", "--p", "3000", "--behaviors", "opt"])
@@ -568,6 +577,20 @@ class TestSpne:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_state_cap_below_one_exit_code(self, tmp_path, game_order_2x2, game_profile_2x2, cap):
+        order_path = tmp_path / "order.json"
+        order_path.write_text(json.dumps(cd.order_to_json(game_order_2x2)))
+        profile_path = tmp_path / "profile.json"
+        profile_path.write_text(json.dumps(cd.profile_to_json(game_profile_2x2)))
+        code, out, err = run_quietly(
+            ["spne", "--order", str(order_path), "--profile", str(profile_path),
+             "--state-cap", cap]
+        )
+        assert code == 1
+        assert_one_line_failure(code, out, err)
+        assert err.startswith("error: state cap must be at least 1 state")
+
 
 class TestCheckAxioms:
     def test_sd_exhaustive(self, capsys):
@@ -578,6 +601,15 @@ class TestCheckAxioms:
         doc = json.loads(out)
         assert doc["mechanism"] == "sd[1, 2]"
         assert all(v["passed"] for v in doc["verdicts"])
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_exhaustive_budget_below_one_exit_code(self, budget):
+        code, out, err = run_quietly(
+            ["check-axioms", "--mechanism", "sd", "--n", "2", "--p", "2", "--budget", budget]
+        )
+        assert code == 1
+        assert_one_line_failure(code, out, err)
+        assert err.startswith("error: exhaustive mode needs a budget of at least 1 check")
 
     def test_bossy_sampled(self, capsys):
         code, out = run_cli(
@@ -625,10 +657,11 @@ class TestExperiment:
         assert lines[1].split(",")[0] == "sd"
 
     def test_capacity_refused_before_any_draw(self, capsys, monkeypatch):
-        def fail(params, rng):
-            raise AssertionError("sample_mallows called before the capacity guard")
+        def fail(*args):
+            raise AssertionError("Mallows draw made before the capacity guard")
 
         monkeypatch.setattr("catdom.mallows.sample_mallows", fail)
+        monkeypatch.setattr("catdom.mallows._draw", fail)
         code = main(["experiment", "--n", "3,1001", "--phi", "0.5", "--samples", "4"])
         captured = capsys.readouterr()
         assert code == 2

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import catdom as cd
-from catdom.domain import CAPACITY_LIMIT
+from catdom import domain
+from catdom.domain import CAPACITY_LIMIT, build_position_masks
 
 from conftest import SHAPE_2X2, SHAPE_3X2, pref_of
 
@@ -197,6 +198,71 @@ class TestPreference:
         c = pref_of(SHAPE_2X2, ["11", "21", "22", "12"])
         assert a == b and hash(a) == hash(b)
         assert a != c
+
+
+def position_masks_oracle(pref):
+    """Per-preference numpy build of ``position_masks``: the item digits
+    peeled off the bundle indices one category at a time, last category
+    first, each item's one-hot row packed to bytes, bit r first."""
+    n = pref.shape.n
+    index = np.array(pref.indices)
+    items = np.arange(n)[:, None]
+    by_category = []
+    for _ in range(pref.shape.p):
+        packed = np.packbits(index % n == items, axis=1, bitorder="little")
+        index //= n
+        by_category.append(tuple(int.from_bytes(row.tobytes(), "little") for row in packed))
+    return tuple(reversed(by_category))
+
+
+MASK_SHAPES = [(1, 3), (4, 2), (3, 4), (4, 6), (2, 12), (12, 2)]
+
+
+def uniform_prefs(shape, count, seed):
+    rng = np.random.default_rng([seed, shape.n, shape.p])
+    return [cd.uniform_preference(shape, rng) for _ in range(count)]
+
+
+class TestPositionMasks:
+    @pytest.mark.parametrize("n,p", MASK_SHAPES)
+    def test_batched_build_matches_oracle(self, n, p):
+        shape = cd.DomainShape(n, p)
+        for seed in range(3):
+            prefs = uniform_prefs(shape, n, seed)
+            build_position_masks(prefs)
+            for pref in prefs:
+                assert pref.position_masks == position_masks_oracle(pref), (n, p, seed)
+
+    @pytest.mark.parametrize("n,p", MASK_SHAPES)
+    def test_single_preference_matches_oracle(self, n, p):
+        # the property builds through the same function, for [self]
+        for pref in uniform_prefs(cd.DomainShape(n, p), 2, 7):
+            assert pref.position_masks == position_masks_oracle(pref)
+
+    @pytest.mark.parametrize("n,p", [(4, 2), (3, 4), (12, 2)])
+    def test_profiles_with_masks_already_built(self, n, p):
+        # as in a deviation profile: one agent's preference replaced, the
+        # others built by an earlier run, one preference listed twice
+        shape = cd.DomainShape(n, p)
+        base = uniform_prefs(shape, n, 1)
+        build_position_masks(base)
+        built = [pref.position_masks for pref in base]
+        fresh = uniform_prefs(shape, 2, 2)
+        deviation = [fresh[0], *base[1:-1], fresh[1], fresh[1]]
+        build_position_masks(deviation)
+        for pref, masks in zip(base, built):
+            assert pref.position_masks is masks
+        for pref in fresh:
+            assert pref.position_masks == position_masks_oracle(pref)
+
+    @pytest.mark.parametrize("block", [1, 3 * 3 * 81])
+    def test_blocks_of_preferences(self, monkeypatch, block):
+        # one preference per block, then three (3 items x 81 bundles each)
+        monkeypatch.setattr(domain, "_MASK_BLOCK", block)
+        prefs = uniform_prefs(cd.DomainShape(3, 4), 7, 3)
+        build_position_masks(prefs)
+        for pref in prefs:
+            assert pref.position_masks == position_masks_oracle(pref)
 
 
 class TestAllocation:

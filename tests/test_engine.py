@@ -262,27 +262,37 @@ class TestLargerShapes:
 def check_running_state(order, profile, kinds):
     """Play through ``engine._play``, asserting after every round that each
     agent's running bitset equals the from-scratch rebuild
-    ``_consistency_mask``; then that the allocation and the comparisons equal
-    ``reference_run``'s."""
+    ``_consistency_mask``; then that the picks, the comparisons and the
+    allocation equal ``reference_run``'s and ``run_csam``'s."""
     shape = order.shape
     picks = {j: {} for j in shape.agents()}
     available = {i: set(shape.agents()) for i in shape.categories()}
-    records = []
-    for record, cons in engine._play(order, profile, tuple(kind_behaviors(kinds))):
-        records.append(record)
-        picks[record.agent][record.category] = record.item
-        available[record.category].remove(record.item)
-        for j in shape.agents():
-            want = engine._consistency_mask(profile.pref(j), picks[j], available)
-            assert cons[j - 1] == want, (record.t, j)
+    rounds = []
+    play = engine._play(order, profile, tuple(kind_behaviors(kinds)))
+    for (j, i), (item, worst, cons) in zip(order.rounds, play):
+        rounds.append((j, i, item, tuple(sorted(available[i])), worst))
+        picks[j][i] = item
+        available[i].remove(item)
+        for a in shape.agents():
+            want = engine._consistency_mask(profile.pref(a), picks[a], available)
+            assert cons[a - 1] == want, (len(rounds), a)
     # one bit per agent is left: her bundle
     assert all(c & (c - 1) == 0 for c in cons)
     comparisons = []
     expected = reference_run(order, profile, kinds, comparisons)
-    assert [r.comparison for r in records] == comparisons
     alloc, trace = cd.run_csam(order, profile, kind_behaviors(kinds))
     assert dict(alloc.bundles) == dict(expected.bundles)
-    assert trace.rounds == tuple(records)
+    assert [r.comparison for r in trace.rounds] == comparisons
+    assert [(r.agent, r.category, r.item, r.available) for r in trace.rounds] == [
+        r[:4] for r in rounds
+    ]
+    for (j, _, _, _, worst), comparison in zip(rounds, comparisons):
+        if comparison is None:
+            assert worst is None
+        else:
+            # each candidate's worst bit length is its worst bundle's rank
+            pref = profile.pref(j)
+            assert worst == {d: pref.rank_of(b) for d, b in comparison.items()}
 
 
 @st.composite
@@ -303,6 +313,27 @@ class TestRunningState:
     def test_larger_games(self, n, p, seeds):
         for seed in seeds:
             check_running_state(*seeded_instance(n, p, seed))
+
+
+def check_realized_ranks(order, profile, kinds):
+    """``engine._realized_ranks`` equals ``rank_of`` on ``run_csam``'s
+    allocation, agent by agent."""
+    behaviors = tuple(kind_behaviors(kinds))
+    alloc, _ = cd.run_csam(order, profile, behaviors)
+    ranks = [profile.pref(j).rank_of(alloc[j]) for j in order.shape.agents()]
+    assert engine._realized_ranks(order, profile, behaviors) == ranks
+
+
+class TestRealizedRanks:
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_instance_strategy())
+    def test_bit_lengths_are_ranks(self, instance):
+        check_realized_ranks(*instance)
+
+    @pytest.mark.parametrize("n,p,seeds", [(4, 6, range(3)), (12, 2, range(4))])
+    def test_larger_games(self, n, p, seeds):
+        for seed in seeds:
+            check_realized_ranks(*seeded_instance(n, p, seed))
 
 
 class TestScripted:

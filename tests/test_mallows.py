@@ -13,6 +13,7 @@ from catdom.mallows import (
     DEFAULT_GRID,
     ExperimentConfig,
     MechanismConfig,
+    _draw,
     results_to_csv,
     run_experiment,
 )
@@ -214,6 +215,55 @@ class TestSampler:
         assert cd.sample_mallows(params, Constant(0.0)) == ref
         top = cd.sample_mallows(params, Constant(np.nextafter(1.0, 0.0)))
         assert top.order == ref.order[::-1]
+
+    DRAW_PHIS = (0.1, 0.5, 0.99, 1.0)
+
+    @pytest.mark.parametrize("n,p", [(1, 3), (2, 2), (3, 2), (8, 2), (3, 4), (2, 6), (4, 4)])
+    def test_batched_draw_matches_successive_draws(self, n, p):
+        shape = cd.DomainShape(n, p)
+        for seed in range(25):
+            ref = cd.uniform_preference(shape, np.random.default_rng([seed, 2]))
+            for phi in self.DRAW_PHIS:
+                params = cd.MallowsParams(ref, phi)
+                count = 1 + seed % 5
+                batch_rng, single_rng, oracle_rng = (np.random.default_rng(seed) for _ in range(3))
+                batch = _draw(params, count, batch_rng)
+                assert batch == [cd.sample_mallows(params, single_rng) for _ in range(count)]
+                assert batch == [rim_oracle(params, oracle_rng) for _ in range(count)]
+                state = batch_rng.bit_generator.state
+                assert state == single_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_batched_draw_matches_successive_draws_4x6(self):
+        shape = cd.DomainShape(4, 6)
+        for seed in range(4):
+            ref = cd.uniform_preference(shape, np.random.default_rng([seed, 2]))
+            params = cd.MallowsParams(ref, self.DRAW_PHIS[seed])
+            batch_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            batch = _draw(params, 4, batch_rng)
+            assert batch == [rim_oracle(params, oracle_rng) for _ in range(4)], seed
+            assert batch_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("phi", [0.5, 0.99, 1.0])
+    def test_batched_draw_rows_with_extreme_uniforms(self, phi):
+        # rows of 0, of just below 1 (where rounding puts offsets at k) and of
+        # one half, drawn together and one at a time
+        class Rows:
+            def __init__(self, rows):
+                self.rows = rows
+
+            def random(self, size):
+                assert size == self.rows.shape
+                return self.rows.copy()
+
+        shape = cd.DomainShape(2, 5)
+        ref = cd.uniform_preference(shape, np.random.default_rng(5))
+        params = cd.MallowsParams(ref, phi)
+        levels = (0.0, np.nextafter(1.0, 0.0), 0.5, np.nextafter(1.0, 0.0))
+        rows = np.array([np.full(shape.bundle_count, u) for u in levels])
+        batch = _draw(params, len(levels), Rows(rows))
+        assert batch == [cd.sample_mallows(params, Rows(rows[i : i + 1])) for i in range(4)]
+        assert batch[0] == ref
+        assert batch[1].order == batch[3].order == ref.order[::-1]
 
     def test_oracle_prefix_weights_equal_per_element_cumsum(self):
         for phi in self.ORACLE_PHIS:

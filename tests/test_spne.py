@@ -189,6 +189,11 @@ class TestStateSpace:
         with pytest.raises(cd.CapacityError):
             cd.solve_spne(game_order_2x2, game_profile_2x2, state_cap=2)
 
+    @pytest.mark.parametrize("cap", [0, -1, 1e9])
+    def test_state_cap_below_one_is_bad_input(self, game_order_2x2, game_profile_2x2, cap):
+        with pytest.raises(cd.ValidationError, match="state cap must be at least 1 state"):
+            cd.solve_spne(game_order_2x2, game_profile_2x2, state_cap=cap)
+
     def test_shape_mismatch(self, game_order_2x2, profile_3x2):
         with pytest.raises(cd.ValidationError):
             cd.solve_spne(game_order_2x2, profile_3x2)
