@@ -415,6 +415,21 @@ class TestGoldenStreams:
             "6028f9df805e7b95c124f15994a4e211e844eef177e401e42f6e887d10836fdb"
         )
 
+    def test_experiment_one_sample(self):
+        config = ExperimentConfig(
+            p=4, n_values=(2, 3, 4), phis=(0.2, 0.7, 1.0), samples=1, seed=5
+        )
+        assert _sha256(results_to_csv(run_experiment(config))) == (
+            "aaca88301fa98f5041d62ae2dfa3fddced716f3a0ed9b6c8039297a66c5fb008"
+        )
+
+    def test_experiment_200_samples(self):
+        # cells past numpy's 128-element pairwise-summation block
+        config = ExperimentConfig(p=2, n_values=(2, 4), phis=(0.3, 1.0), samples=200, seed=11)
+        assert _sha256(results_to_csv(run_experiment(config))) == (
+            "7b681079534b853f2f348d2b9f8498b4c96c0ba861d98f85ae08a40ced9e1830"
+        )
+
     def test_sampler_orders_3x4(self):
         shape = cd.DomainShape(3, 4)
         lines = []
