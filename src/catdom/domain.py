@@ -8,9 +8,10 @@ gives every agent one bundle such that every category's items are exactly
 partitioned among the ``n`` agents.
 
 Ranks are 1-based: rank 1 is an agent's most preferred bundle, rank ``n**p``
-her least preferred. Rank tables are materialized once at ``Preference``
-construction so rank lookups are O(1) everywhere else; this is what the
-``CAPACITY_LIMIT`` guard protects.
+her least preferred. A ``Preference`` holds its ranking as a tuple of bundle
+indices and builds its bundle order, rank table and position masks on first
+use, each one entry (or bit) per bundle; the ``CAPACITY_LIMIT`` guard bounds
+their size.
 
 Internally a bundle is also known by its mixed-radix index (``encode_bundle``):
 each shape has one canonical bundle table (``bundle_table``) and one lookup
@@ -25,13 +26,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
 Bundle = tuple[int, ...]
 
-# Largest bundle space the library will materialize rank tables for.
+# Largest bundle space a shape may have: every ranking, bundle table and rank
+# table holds one entry per bundle, and a bundle index stays below 2**32.
 CAPACITY_LIMIT = 10**6
 
 
@@ -162,13 +164,30 @@ def _bundle_index(
     return idx
 
 
+def _reject_indices(shape: DomainShape, seq: Sequence) -> NoReturn:
+    """Name the first problem of ``seq``, which is not a permutation of the
+    bundle indices: an entry that is not an index, then a repeat, in list
+    order, and otherwise its length."""
+    count = shape.bundle_count
+    table = bundle_table(shape)
+    seen = bytearray(count)
+    for idx in seq:
+        if not (type(idx) is int and 0 <= idx < count):
+            raise ValidationError(f"bundle index {idx!r} outside 0..{count - 1}")
+        if seen[idx]:
+            raise ValidationError(f"bundle {table[idx]} appears twice in preference")
+        seen[idx] = 1
+    raise ValidationError(f"preference lists {len(seq)} bundles, expected all {count}")
+
+
 class Preference:
     """A strict total order over the full bundle space of a shape.
 
     ``indices[0]`` is the bundle index of the most preferred bundle and
     ``order[0]`` that bundle, one of the shape's canonical tuples
-    (``bundle_table``). Construction validates that the sequence is a
-    permutation of the whole bundle space and precomputes the rank table.
+    (``bundle_table``). Construction validates that the ranking is a
+    permutation of the whole bundle space; the bundle order, the rank table
+    and the position masks are built on first use.
     """
 
     __slots__ = ("shape", "indices", "_order", "_rank", "_masks", "_lookup", "_table")
@@ -183,40 +202,49 @@ class Preference:
                 f"preference lists {len(seq)} bundles, expected all {shape.bundle_count}"
             )
         lookup, table = _bundle_lookup(shape), bundle_table(shape)
-        # lazily, so a bundle's own error and a repeat are met in list order
-        self._build(shape, (_bundle_index(shape, lookup, table, b) for b in seq))
+        # repeats are caught in the mapping loop, so a bundle's own error and a
+        # repeat are met in list order
+        seen = bytearray(shape.bundle_count)
+        listed = []
+        for b in seq:
+            idx = _bundle_index(shape, lookup, table, b)
+            if seen[idx]:
+                raise ValidationError(f"bundle {table[idx]} appears twice in preference")
+            seen[idx] = 1
+            listed.append(idx)
+        self._build(shape, tuple(listed))
 
     @classmethod
     def from_indices(cls, shape: DomainShape, indices: Iterable[int]) -> Preference:
         """The preference listing bundle ``indices`` (``encode_bundle``), most
-        preferred first; they must name each of ``0..n**p - 1`` once."""
+        preferred first; they must name each of ``0..n**p - 1`` once.
+
+        The whole sequence is checked at once (its length, that every entry
+        is a plain ``int``, and that the entries cover every index); only
+        when that fails does a loop look for the first offender to name."""
+        seq = tuple(indices)
+        count = shape.bundle_count
+        # with count plain ints covering range(count), each index appears once
+        if not (
+            len(seq) == count
+            and set(map(type, seq)) == {int}
+            and set(seq).issuperset(range(count))
+        ):
+            _reject_indices(shape, seq)
         pref = cls.__new__(cls)
-        pref._build(shape, indices)
+        pref._build(shape, seq)
         return pref
 
-    def _build(self, shape: DomainShape, indices: Iterable[int]) -> None:
-        """The one build path: checks that ``indices`` is a permutation of
-        the bundle indices while it fills the rank table."""
-        count = shape.bundle_count
-        table = bundle_table(shape)
-        rank = [0] * count
-        listed = []
-        for pos, idx in enumerate(indices, 1):
-            if not (type(idx) is int and 0 <= idx < count):
-                raise ValidationError(f"bundle index {idx!r} outside 0..{count - 1}")
-            if rank[idx]:
-                raise ValidationError(f"bundle {table[idx]} appears twice in preference")
-            rank[idx] = pos
-            listed.append(idx)
-        if len(listed) != count:
-            raise ValidationError(f"preference lists {len(listed)} bundles, expected all {count}")
+    def _build(self, shape: DomainShape, indices: tuple[int, ...]) -> None:
+        """The one build path, from a checked permutation of the bundle
+        indices; everything derived from it is built on first use."""
         self.shape = shape
-        self.indices = tuple(listed)
+        self.indices = indices
         self._order = None
-        self._rank = rank
+        self._rank = None
         self._masks = None
         self._lookup = _bundle_lookup(shape)
-        self._table = table
+        self._table = bundle_table(shape)
 
     @property
     def order(self) -> tuple[Bundle, ...]:
@@ -237,6 +265,13 @@ class Preference:
         return self._masks
 
     def rank_of(self, bundle: Sequence[int]) -> int:
+        """Rank of ``bundle``, 1-based. The rank table is built on first use:
+        the engine and the Mallows study read positions, not ranks."""
+        if self._rank is None:
+            rank = [0] * len(self.indices)
+            for pos, idx in enumerate(self.indices, 1):
+                rank[idx] = pos
+            self._rank = rank
         return self._rank[_bundle_index(self.shape, self._lookup, self._table, bundle)]
 
     def bundle_at(self, rank: int) -> Bundle:

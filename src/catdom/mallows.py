@@ -20,8 +20,10 @@ without a trace).
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -105,10 +107,13 @@ def _draw(params: MallowsParams, count: int, rng: np.random.Generator) -> list[P
     slots = np.maximum(x, 0, out=x).astype(np.intp)
     draws = []
     for row in slots:  # one row of Python ints at a time
-        out: list[int] = []
+        # array.insert shifts the tail with one memmove, list.insert one
+        # element at a time; bundle indices stay below CAPACITY_LIMIT
+        out = array("I")
+        insert = out.insert
         for index, slot in zip(params.reference.indices, row.tolist()):
-            out.insert(slot, index)
-        draws.append(Preference.from_indices(shape, out))
+            insert(slot, index)
+        draws.append(Preference.from_indices(shape, out.tolist()))
     return draws
 
 
@@ -190,13 +195,18 @@ _COLUMNS = tuple(f.name for f in fields(ExperimentResult))
 CSV_HEADER = ",".join(_COLUMNS)
 
 
-def _mean_ci(values: Sequence[int]) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    if arr.size < 2:
-        return mean, 0.0
-    ci = 1.96 * float(arr.std(ddof=1)) / math.sqrt(arr.size)
-    return mean, ci
+def _cell_stats(rows: Sequence[Sequence[int]], size: int) -> tuple[list[float], list[float]]:
+    """Mean and 95% normal CI half-width (1.96 s / sqrt(k), 0.0 for k = 1)
+    of each row of k = ``size`` values. One row-wise numpy reduction per
+    statistic sums each contiguous row in the same pairwise order as a 1-D
+    reduction, so the figures are those of per-row ``mean`` and
+    ``std(ddof=1)``, bit for bit."""
+    arr = np.array(rows, dtype=float).reshape(len(rows), size)  # also with no rows
+    means = arr.mean(axis=1).tolist()
+    if size < 2:
+        return means, [0.0] * len(means)
+    root = math.sqrt(size)
+    return means, [1.96 * sd / root for sd in arr.std(axis=1, ddof=1).tolist()]
 
 
 def run_experiment(config: ExperimentConfig) -> list[ExperimentResult]:
@@ -235,17 +245,23 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentResult]:
                                 )
                     cells[c_idx, n_idx, phi_idx].append((sum(ranks), max(ranks)))
 
+    keys = list(
+        itertools.product(
+            range(len(config.mechanisms)), range(len(config.n_values)), range(len(config.phis))
+        )
+    )
+    ut_mean, ut_ci = _cell_stats([[ut for ut, _ in cells[key]] for key in keys], config.samples)
+    eg_mean, eg_ci = _cell_stats([[eg for _, eg in cells[key]] for key in keys], config.samples)
     results = []
-    for c_idx, cfg in enumerate(config.mechanisms):
-        for n_idx, n in enumerate(config.n_values):
-            for phi_idx, phi in enumerate(config.phis):
-                ut, eg = zip(*cells[c_idx, n_idx, phi_idx])
-                results.append(
-                    ExperimentResult(
-                        cfg.order_family, cfg.behavior, n, config.p, phi,
-                        config.samples, config.seed, *_mean_ci(ut), *_mean_ci(eg),
-                    )
-                )
+    for row, (c_idx, n_idx, phi_idx) in enumerate(keys):
+        cfg = config.mechanisms[c_idx]
+        results.append(
+            ExperimentResult(
+                cfg.order_family, cfg.behavior, config.n_values[n_idx], config.p,
+                config.phis[phi_idx], config.samples, config.seed,
+                ut_mean[row], ut_ci[row], eg_mean[row], eg_ci[row],
+            )
+        )
     return results
 
 

@@ -4,11 +4,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import catdom as cd
 from catdom import domain
 from catdom.domain import CAPACITY_LIMIT, build_position_masks
+from catdom.mallows import _draw
 
 from conftest import SHAPE_2X2, SHAPE_3X2, pref_of
 
@@ -86,6 +87,26 @@ class TestEncoding:
             cd.decode_bundle(SHAPE_2X2, 4)
         with pytest.raises(cd.ValidationError):
             cd.decode_bundle(SHAPE_2X2, -1)
+
+
+def element_loop_build(shape, indices):
+    """Check a ranking of bundle indices one element at a time, naming the
+    first entry that is not an index or repeats one, then a wrong length."""
+    count = shape.bundle_count
+    seen = [False] * count
+    listed = []
+    for idx in indices:
+        if not (type(idx) is int and 0 <= idx < count):
+            raise cd.ValidationError(f"bundle index {idx!r} outside 0..{count - 1}")
+        if seen[idx]:
+            raise cd.ValidationError(
+                f"bundle {cd.decode_bundle(shape, idx)} appears twice in preference"
+            )
+        seen[idx] = True
+        listed.append(idx)
+    if len(listed) != count:
+        raise cd.ValidationError(f"preference lists {len(listed)} bundles, expected all {count}")
+    return tuple(listed)
 
 
 class TestPreference:
@@ -167,6 +188,71 @@ class TestPreference:
     def test_from_indices_rejects_non_permutations(self, indices, message):
         with pytest.raises(cd.ValidationError, match=re.escape(message)):
             cd.Preference.from_indices(SHAPE_2X2, indices)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([(1, 3), (2, 2), (3, 2)]), st.data())
+    def test_from_indices_names_what_the_element_loop_names(self, shape_dims, data):
+        shape = cd.DomainShape(*shape_dims)
+        count = shape.bundle_count
+        entry = st.one_of(
+            st.integers(-2, count + 1), st.sampled_from([True, False, 1.0, np.int64(0)])
+        )
+        indices = data.draw(
+            st.one_of(
+                st.permutations(range(count)).map(list),
+                st.lists(entry, min_size=count - 1, max_size=count + 1),
+            )
+        )
+        try:
+            want = element_loop_build(shape, indices)
+        except cd.ValidationError as exc:
+            with pytest.raises(cd.ValidationError, match=re.escape(str(exc))):
+                cd.Preference.from_indices(shape, indices)
+        else:
+            assert cd.Preference.from_indices(shape, indices).indices == want
+
+    @staticmethod
+    def corruptions_4x6():
+        """Non-permutations of the 4096 bundle indices, each with the
+        message naming its first problem."""
+        shape = cd.DomainShape(4, 6)
+        table = domain.bundle_table(shape)
+        base = np.random.default_rng(6).permutation(shape.bundle_count).tolist()
+        one = base.index(1)
+
+        def put(pos, value):
+            seq = list(base)
+            seq[pos] = value
+            return seq
+
+        return [
+            (put(4095, base[17]), f"bundle {table[base[17]]} appears twice in preference"),
+            (put(4095, 4096), "bundle index 4096 outside 0..4095"),
+            (put(4095, -1), "bundle index -1 outside 0..4095"),
+            (put(one, True), "bundle index True outside 0..4095"),
+            (put(one, np.int64(1)), "bundle index np.int64(1) outside 0..4095"),
+            (put(one, 1.0), "bundle index 1.0 outside 0..4095"),
+            (base[:-1], "preference lists 4095 bundles, expected all 4096"),
+            (base + [base[0]], f"bundle {table[base[0]]} appears twice in preference"),
+            (put(2000, True)[:-1], "bundle index True outside 0..4095"),
+        ]
+
+    def test_from_indices_rejects_non_permutations_4x6(self):
+        shape = cd.DomainShape(4, 6)
+        for indices, message in self.corruptions_4x6():
+            with pytest.raises(cd.ValidationError, match=re.escape(message)):
+                cd.Preference.from_indices(shape, indices)
+
+    @pytest.mark.parametrize("n,p", [(3, 4), (4, 6)])
+    def test_rank_of_sampled_preferences(self, n, p):
+        shape = cd.DomainShape(n, p)
+        table = domain.bundle_table(shape)
+        ref = cd.uniform_preference(shape, np.random.default_rng(n))
+        prefs = [ref, *_draw(cd.MallowsParams(ref, 0.5), 3, np.random.default_rng(p))]
+        for pref in prefs:
+            assert [pref.rank_of(table[idx]) for idx in pref.indices] == list(
+                range(1, shape.bundle_count + 1)
+            )
 
     def test_first_problem_in_list_order_is_named(self):
         # a repeat before a foreign bundle is reported as the repeat

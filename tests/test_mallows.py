@@ -13,6 +13,7 @@ from catdom.mallows import (
     DEFAULT_GRID,
     ExperimentConfig,
     MechanismConfig,
+    _cell_stats,
     _draw,
     results_to_csv,
     run_experiment,
@@ -43,6 +44,37 @@ def rim_oracle(params, rng):
         r = int(np.searchsorted(cw, u[k - 1] * cw[-1], side="right"))
         out.insert(k - 1 - r, ref[k - 1])
     return cd.Preference(params.reference.shape, out)
+
+
+def list_insert_draw(params, count, rng):
+    """The sampler's insertion step with ``list.insert``: the same slots as
+    ``_draw`` from one ``rng.random((count, m))``, each row's bundle indices
+    inserted into a list, one list of indices per draw."""
+    below = np.arange(params.reference.shape.bundle_count, dtype=float)
+    x = rng.random((count, len(below)))
+    if params.phi == 1:
+        r = np.floor(x * (below + 1))
+    else:
+        log_phi = math.log(params.phi)
+        r = np.floor(np.log1p(x * np.expm1((below + 1) * log_phi)) / log_phi)
+    slots = np.maximum(below - r, 0).astype(np.intp)
+    draws = []
+    for row in slots:
+        out = []
+        for index, slot in zip(params.reference.indices, row.tolist()):
+            out.insert(slot, index)
+        draws.append(out)
+    return draws
+
+
+def mean_ci_oracle(values):
+    """One cell's mean and 95% CI half-width from 1-D numpy reductions."""
+    arr = np.asarray(values, dtype=float)
+    mean = float(arr.mean())
+    if arr.size < 2:
+        return mean, 0.0
+    ci = 1.96 * float(arr.std(ddof=1)) / math.sqrt(arr.size)
+    return mean, ci
 
 
 def brute_tau(first, second):
@@ -265,6 +297,37 @@ class TestSampler:
         assert batch[0] == ref
         assert batch[1].order == batch[3].order == ref.order[::-1]
 
+    DRAW_ORACLE_PHIS = (1e-6, 0.3, 0.5, 1.0)
+
+    def check_draw_against_list_insert(self, params, count, seed):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = _draw(params, count, rng)
+        assert [d.indices for d in draws] == [
+            tuple(out) for out in list_insert_draw(params, count, oracle_rng)
+        ]
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.sampled_from(DRAW_ORACLE_PHIS),
+        st.sampled_from((1, 4)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_draw_matches_list_insert(self, n, p, phi, count, seed):
+        shape = cd.DomainShape(n, p)
+        ref = cd.uniform_preference(shape, np.random.default_rng([seed, 3]))
+        self.check_draw_against_list_insert(cd.MallowsParams(ref, phi), count, seed)
+
+    @pytest.mark.parametrize("n,p", [(4, 6), (2, 12)])
+    def test_draw_matches_list_insert_4096_bundles(self, n, p):
+        shape = cd.DomainShape(n, p)
+        for seed, phi in enumerate(self.DRAW_ORACLE_PHIS):
+            ref = cd.uniform_preference(shape, np.random.default_rng([seed, 3]))
+            for count in (1, 4):
+                self.check_draw_against_list_insert(cd.MallowsParams(ref, phi), count, seed)
+
     def test_oracle_prefix_weights_equal_per_element_cumsum(self):
         for phi in self.ORACLE_PHIS:
             weights = np.cumsum(phi ** np.arange(300))
@@ -370,11 +433,25 @@ class TestExperiment:
         )
         run_experiment(config)
 
+    def test_empty_mechanism_grid_gives_no_rows(self):
+        config = ExperimentConfig(
+            p=2, n_values=(2,), phis=(0.5,), samples=3, seed=1, mechanisms=()
+        )
+        assert run_experiment(config) == []
+
     def test_single_sample_has_zero_ci(self):
         config = ExperimentConfig(p=2, n_values=(2,), phis=(1.0,), samples=1, seed=3)
         for row in run_experiment(config):
             assert row.ci_utilitarian == 0.0
             assert row.ci_egalitarian == 0.0
+
+    @pytest.mark.parametrize("size", [*range(1, 40), 64, 100, 128, 129, 200, 257, 1000])
+    def test_cell_stats_match_per_cell_reductions(self, size):
+        rng = np.random.default_rng(size)
+        for high in (3, 70, 5000):
+            rows = rng.integers(1, high, size=(9, size)).tolist()
+            means, cis = _cell_stats(rows, size)
+            assert list(zip(means, cis)) == [mean_ci_oracle(row) for row in rows]
 
     def test_csv_layout(self):
         config = ExperimentConfig(p=2, n_values=(2,), phis=(0.5,), samples=5, seed=2)
