@@ -211,10 +211,7 @@ class TestPreference:
         else:
             assert cd.Preference.from_indices(shape, indices).indices == want
 
-    @staticmethod
-    def corruptions_4x6():
-        """Non-permutations of the 4096 bundle indices, each with the
-        message naming its first problem."""
+    def test_from_indices_rejects_non_permutations_4x6(self):
         shape = cd.DomainShape(4, 6)
         table = domain.bundle_table(shape)
         base = np.random.default_rng(6).permutation(shape.bundle_count).tolist()
@@ -225,7 +222,7 @@ class TestPreference:
             seq[pos] = value
             return seq
 
-        return [
+        for indices, message in [
             (put(4095, base[17]), f"bundle {table[base[17]]} appears twice in preference"),
             (put(4095, 4096), "bundle index 4096 outside 0..4095"),
             (put(4095, -1), "bundle index -1 outside 0..4095"),
@@ -235,11 +232,7 @@ class TestPreference:
             (base[:-1], "preference lists 4095 bundles, expected all 4096"),
             (base + [base[0]], f"bundle {table[base[0]]} appears twice in preference"),
             (put(2000, True)[:-1], "bundle index True outside 0..4095"),
-        ]
-
-    def test_from_indices_rejects_non_permutations_4x6(self):
-        shape = cd.DomainShape(4, 6)
-        for indices, message in self.corruptions_4x6():
+        ]:
             with pytest.raises(cd.ValidationError, match=re.escape(message)):
                 cd.Preference.from_indices(shape, indices)
 
