@@ -233,6 +233,32 @@ class TestGoldenSearch:
         2: "c6c5180657d44a1b2a6a4c2bc1fcd1091c8207fc470b75362638d1ab621bae96",
         3: "c2c15a6c0c1c462e2777886145485c4481b7a11131e78a60e9cb2ec088904d8c",
     }
+    # mixed behavior classes: the relabeling filter keeps whole classes apart
+    EXHAUSTIVE_MIXED = {
+        (2, 3, "opt,pess", "utilitarian"): (
+            9, 720, "f5849aa8d994c375ec3fb048f8aa577b9078b13e6d7914f544c51e411db14060",
+        ),
+        (2, 3, "opt,pess", "egalitarian"): (
+            7, 720, "3cd8259bef6877a520d08f732387870cb826c7722d6f52e57cdc6b5b7c8a4d61",
+        ),
+        (3, 2, "opt,opt,pess", "utilitarian"): (
+            16, 360, "1c33a65f69b9c1e1954403dc742bc3dadb84787c3e526f5d5cb51465435b663c",
+        ),
+        (3, 2, "opt,opt,pess", "egalitarian"): (
+            8, 360, "d907cf979e41654cfed007716b4c036e0a47ea7a8e09e57fc890f4daf88e8549",
+        ),
+    }
+    # random 3x3 opt,opt,pess at a budget of 1000 orders
+    RANDOM_MIXED = {
+        ("utilitarian", 0): (48, "b88d96acb6f4165d21eeeb6d1538d262bdefa07bba33459d809d3089d52901cd"),
+        ("utilitarian", 1): (48, "96e240a60a33b7bc183321c68b741afa5a63f47c6b308625c3b7f5e4bda411fb"),
+        ("utilitarian", 2): (48, "aa5a3c7235b33d5e8c730764463c852f844745bfb4e577b5c28f7ed34c99b5fd"),
+        ("utilitarian", 3): (48, "17aaf4e1faece5e39926ab5a2baef0abbe0bd382010d6d8947b2a81ef55bae79"),
+        ("egalitarian", 0): (25, "f8ac5767637031b1c4929beaf94e5be516c099b463f725dc895f437de3cd872f"),
+        ("egalitarian", 1): (25, "f970b70258e40ef6eaaf8e9a38b5a3460ec97737dee73967848d8a70d4d1b320"),
+        ("egalitarian", 2): (25, "2a5e0533a9092a15c97dfe26017b3e3d7fe157ff30c4dcc097fdc96511da037d"),
+        ("egalitarian", 3): (25, "d00741ac45e4da7f172d4cc8ae830295617303e2a748816a6b195aa72cb73b2a"),
+    }
 
     @staticmethod
     def _doc(result):
@@ -253,6 +279,26 @@ class TestGoldenSearch:
         result = cd.search_orders(3, 3, behaviors, mode="random", seed=seed, budget=300)
         assert (result.score, result.evaluated) == (25, 300)
         assert _digest(self._doc(result)) == self.RANDOM_3X3[seed]
+
+    @pytest.mark.parametrize("case", sorted(EXHAUSTIVE_MIXED))
+    def test_exhaustive_mixed_pinned(self, case):
+        n, p, mix, objective = case
+        score, evaluated, digest = self.EXHAUSTIVE_MIXED[case]
+        behaviors = [cd.OPTIMISTIC if b == "opt" else cd.PESSIMISTIC for b in mix.split(",")]
+        result = cd.search_orders(n, p, behaviors, objective=objective)
+        assert (result.score, result.evaluated) == (score, evaluated)
+        assert _digest(self._doc(result)) == digest
+
+    @pytest.mark.parametrize("case", sorted(RANDOM_MIXED))
+    def test_random_mixed_pinned(self, case):
+        objective, seed = case
+        score, digest = self.RANDOM_MIXED[case]
+        behaviors = [cd.OPTIMISTIC, cd.OPTIMISTIC, cd.PESSIMISTIC]
+        result = cd.search_orders(
+            3, 3, behaviors, objective=objective, mode="random", seed=seed, budget=1000
+        )
+        assert (result.score, result.evaluated) == (score, 1000)
+        assert _digest(self._doc(result)) == digest
 
 
 class TestInterrupterAudit:

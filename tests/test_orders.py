@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -243,6 +244,48 @@ class TestAnalytics:
             for i in order.shape.categories()
         )
         assert total == p * n * (n + 1) // 2
+
+
+def _digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+class TestGoldenAnalytics:
+    """Analytics and mixed-behavior reports of 50 seeded random orders per
+    shape, pinned by digest; the CLI pins cover structured orders only."""
+
+    ANALYTICS = {
+        (3, 4): "99ab807b6c421d73bd343b87d2b4e6c6b145c4d1a5944610936d00b844e5b9d0",
+        (4, 3): "3912865b2797b0bab817bfbea22849b19f8b990fdb9d83108fa436798c671ad3",
+    }
+    # agents alternate opt, pess, opt, ...
+    REPORTS = {
+        (3, 4): "9d39a62fd27e8f8d95d399285e8732957cd5d1c9898a16f31f45de2967dcbd36",
+        (4, 3): "500b103f5e0b14abbe4ecce421a489237a6fb33de129c995c613c16a314fccd6",
+    }
+
+    @pytest.mark.parametrize("shape", sorted(ANALYTICS))
+    def test_analytics_pinned(self, shape):
+        docs = []
+        for seed in range(50):
+            order = seeded_order(*shape, seed)
+            an = cd.analyze_order(order)
+            docs.append([
+                [list(an.suborder(j)), [an.slack(j, i) for i in an.suborder(j)],
+                 an.uninterrupted_index(j)]
+                for j in order.shape.agents()
+            ])
+        assert _digest(docs) == self.ANALYTICS[shape]
+
+    @pytest.mark.parametrize("shape", sorted(REPORTS))
+    def test_reports_pinned(self, shape):
+        n = shape[0]
+        mix = [cd.OPTIMISTIC if j % 2 else cd.PESSIMISTIC for j in range(1, n + 1)]
+        docs = [
+            cd.worst_case_report(seeded_order(*shape, seed), mix).to_json()
+            for seed in range(50)
+        ]
+        assert _digest(docs) == self.REPORTS[shape]
 
 
 class TestRemainingSets:
