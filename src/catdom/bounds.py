@@ -12,6 +12,12 @@ uninterrupted index ``K`` (see ``orders.analyze_order``):
 
 All three are tight: the adversarial module constructs profiles realizing
 them exactly. ``search_orders`` optimizes these guarantees over orders.
+
+The optimistic and pessimistic bounds of a whole order are read off one
+``orders._order_pass`` (plus the O(p) uninterrupted-index scan for each
+optimistic agent); ``worst_case_report`` and ``search_orders`` both score
+that way, ``search_orders`` without building a ``PickingOrder``, analytics
+or report per candidate.
 """
 
 from __future__ import annotations
@@ -23,27 +29,69 @@ from typing import Sequence
 
 from .domain import CapacityError, DomainShape, ValidationError, _check_seed, _exceeds
 from .engine import Behavior, Optimistic, Pessimistic, Scripted
-from .orders import OrderAnalytics, PickingOrder, analyze_order, interrupter_order
+from .orders import (
+    OrderAnalytics,
+    PickingOrder,
+    _order_pass,
+    _uninterrupted_index,
+    interrupter_order,
+)
+
+
+def _optimistic(slacks: Sequence[int], start: int, top: int) -> int:
+    """Optimistic bound from the slacks in suborder and the uninterrupted
+    index; ``top`` is ``n**p``."""
+    return top + 1 - math.prod(slacks[start - 1 :])
+
+
+def _pessimistic(slacks: Sequence[int], top: int) -> int:
+    return top + len(slacks) - sum(slacks)
 
 
 def optimistic_bound(analytics: OrderAnalytics, agent: int) -> int:
-    shape = analytics.shape
-    sub = analytics.suborder(agent)
+    slacks = [analytics.slack(agent, i) for i in analytics.suborder(agent)]
     start = analytics.uninterrupted_index(agent)
-    tail = math.prod(analytics.slack(agent, sub[l - 1]) for l in range(start, shape.p + 1))
-    return shape.bundle_count + 1 - tail
+    return _optimistic(slacks, start, analytics.shape.bundle_count)
 
 
 def pessimistic_bound(analytics: OrderAnalytics, agent: int) -> int:
-    shape = analytics.shape
-    lost = sum(analytics.slack(agent, i) - 1 for i in shape.categories())
-    return shape.bundle_count - lost
+    slacks = [analytics.slack(agent, i) for i in analytics.shape.categories()]
+    return _pessimistic(slacks, analytics.shape.bundle_count)
 
 
 def strategic_bound(analytics: OrderAnalytics, agent: int) -> int:
     shape = analytics.shape
     full = math.prod(analytics.slack(agent, i) for i in shape.categories())
     return shape.bundle_count + 1 - full
+
+
+def _optimists(behaviors: Sequence[Behavior]) -> list[bool]:
+    """Whether each agent is optimistic (else pessimistic); the only two
+    behaviors with an order-level guarantee."""
+    optimists = []
+    for j, b in enumerate(behaviors, 1):
+        if isinstance(b, Optimistic):
+            optimists.append(True)
+        elif isinstance(b, Pessimistic):
+            optimists.append(False)
+        elif isinstance(b, Scripted):
+            raise ValidationError("scripted agents have no order-level worst-case guarantee")
+        else:
+            raise ValidationError(f"agent {j} has unknown behavior {b!r}")
+    return optimists
+
+
+def _order_bounds(shape: DomainShape, rounds, optimists: Sequence[bool]) -> list[int]:
+    """Each agent's tight worst-case rank, read off one ``_order_pass``."""
+    top = shape.bundle_count
+    bounds = []
+    for own, optimist in zip(_order_pass(shape.n, shape.p, rounds), optimists):
+        slacks = [slack for _, _, slack, _ in own]
+        if optimist:
+            bounds.append(_optimistic(slacks, _uninterrupted_index(own), top))
+        else:
+            bounds.append(_pessimistic(slacks, top))
+    return bounds
 
 
 @dataclass(frozen=True)
@@ -81,19 +129,13 @@ def worst_case_report(order: PickingOrder, behaviors: Sequence[Behavior]) -> Ran
     shape = order.shape
     if len(behaviors) != shape.n:
         raise ValidationError(f"{len(behaviors)} behaviors given, expected {shape.n}")
-    analytics = order.analytics
-    entries = []
-    for j, b in enumerate(behaviors, 1):
-        if isinstance(b, Optimistic):
-            entries.append(AgentBound(j, "opt", optimistic_bound(analytics, j)))
-        elif isinstance(b, Pessimistic):
-            entries.append(AgentBound(j, "pess", pessimistic_bound(analytics, j)))
-        elif isinstance(b, Scripted):
-            raise ValidationError("scripted agents have no order-level worst-case guarantee")
-        else:
-            raise ValidationError(f"agent {j} has unknown behavior {b!r}")
-    bounds = [e.bound for e in entries]
-    return RankBoundReport(shape, tuple(entries), sum(bounds), max(bounds))
+    optimists = _optimists(behaviors)
+    bounds = _order_bounds(shape, order.rounds, optimists)
+    entries = tuple(
+        AgentBound(j, "opt" if optimist else "pess", bound)
+        for j, (optimist, bound) in enumerate(zip(optimists, bounds), 1)
+    )
+    return RankBoundReport(shape, entries, sum(bounds), max(bounds))
 
 
 def sd_optimistic_utilitarian(n: int, p: int) -> int:
@@ -153,6 +195,13 @@ def search_orders(
     the budget), pruned by agent relabeling within equal-behavior classes;
     ties go to the lexicographically smallest round sequence. Random mode
     draws ``budget`` orders from the seeded generator.
+
+    Each candidate is scored straight from one ``_order_pass`` over its
+    rounds (an O(n*p) walk plus an O(p) scan per optimistic agent), with no
+    ``PickingOrder``, analytics or report built for it: the candidates are
+    permutations of the full (agent, category) pair list, so the order
+    check could never fail on them. Only the best order is built, and so
+    checked, as a ``PickingOrder``.
     """
     import numpy as np
 
@@ -184,17 +233,20 @@ def search_orders(
         )
     else:
         rng = np.random.default_rng(seed)
-        arr = list(range(len(pairs)))
-        candidates = (tuple(pairs[i] for i in rng.permutation(arr)) for _ in range(budget))
+        pick = pairs.__getitem__
+        candidates = (
+            tuple(map(pick, rng.permutation(len(pairs)).tolist())) for _ in range(budget)
+        )
 
+    optimists = _optimists(behaviors)
+    score = sum if objective == "utilitarian" else max
     best: tuple[int, tuple] | None = None
     evaluated = 0
     for perm in candidates:
-        report = worst_case_report(PickingOrder(shape, perm), behaviors)
-        score = report.utilitarian if objective == "utilitarian" else report.egalitarian
+        value = score(_order_bounds(shape, perm, optimists))
         evaluated += 1
-        if best is None or (score, perm) < best:
-            best = (score, perm)
+        if best is None or (value, perm) < best:
+            best = (value, perm)
 
     return SearchResult(PickingOrder(shape, best[1]), best[0], evaluated)
 

@@ -25,8 +25,8 @@ import math
 import numbers
 from array import array
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
@@ -65,14 +65,21 @@ def _count_inversions(seq: list[int]) -> int:
     return count
 
 
+def _check_phi(phi) -> None:
+    """Reject a dispersion that is not a real number in (0, 1], and bools."""
+    if not isinstance(phi, numbers.Real) or isinstance(phi, bool):
+        raise ValidationError(f"dispersion phi must be a real number, got {phi!r}")
+    if not (0 < phi <= 1):
+        raise ValidationError(f"dispersion phi must lie in (0, 1], got {phi}")
+
+
 @dataclass(frozen=True)
 class MallowsParams:
     reference: Preference
     phi: float
 
     def __post_init__(self) -> None:
-        if not (0 < self.phi <= 1):
-            raise ValidationError(f"dispersion phi must lie in (0, 1], got {self.phi}")
+        _check_phi(self.phi)
 
 
 def sample_mallows(params: MallowsParams, rng: np.random.Generator) -> Preference:
@@ -164,13 +171,19 @@ class ExperimentConfig:
             raise ValidationError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 1:
             raise ValidationError("need at least one sample per cell")
-        if not self.n_values or not self.phis:
+        for name in ("n_values", "phis", "mechanisms"):
+            axis = getattr(self, name)
+            if not isinstance(axis, Sequence) or isinstance(axis, str):
+                raise ValidationError(f"{name} must be a sequence, got {axis!r}")
+        if not self.n_values or not self.phis or not self.mechanisms:
             raise ValidationError("experiment grid is empty")
         for phi in self.phis:
-            if not isinstance(phi, numbers.Real) or isinstance(phi, bool):
-                raise ValidationError(f"dispersion phi must be a real number, got {phi!r}")
-            if not (0 < phi <= 1):
-                raise ValidationError(f"dispersion phi must lie in (0, 1], got {phi}")
+            _check_phi(phi)
+        for cfg in self.mechanisms:
+            if not isinstance(cfg, MechanismConfig):
+                raise ValidationError(f"mechanisms must be MechanismConfig entries, got {cfg!r}")
+        if type(self.check_bounds) is not bool:
+            raise ValidationError(f"check_bounds must be a bool, got {self.check_bounds!r}")
         _check_seed(self.seed)
         for n in self.n_values:  # every shape's capacity guard, before any draw
             DomainShape(n, self.p)
@@ -201,7 +214,7 @@ def _cell_stats(rows: Sequence[Sequence[int]], size: int) -> tuple[list[float], 
     statistic sums each contiguous row in the same pairwise order as a 1-D
     reduction, so the figures are those of per-row ``mean`` and
     ``std(ddof=1)``, bit for bit."""
-    arr = np.array(rows, dtype=float).reshape(len(rows), size)  # also with no rows
+    arr = np.array(rows, dtype=float)
     means = arr.mean(axis=1).tolist()
     if size < 2:
         return means, [0.0] * len(means)

@@ -12,8 +12,12 @@ alone:
   which no other agent's pick can invalidate availability reasoning between
   her own rounds (see ``analyze_order``).
 
-``analyze_order`` reads the suborders, the slacks and each pick's in-category
-predecessor off one pass over the rounds.
+One private pass over the rounds (``_order_pass``) is the only analytics
+path: it lists each agent's picks in suborder with their slacks and the round
+of each pick's in-category predecessor, and one backward suffix-max scan over
+those picks (``_uninterrupted_index``) gives the uninterrupted index in O(p)
+per agent. ``analyze_order`` builds ``OrderAnalytics`` from it, and
+``bounds`` scores orders straight from it.
 """
 
 from __future__ import annotations
@@ -159,44 +163,57 @@ def predecessor_in_category(order: PickingOrder, category: int, agent: int) -> i
     return seq[seq.index(agent) - 1]
 
 
+Pick = tuple[int, int, int, int]
+
+
+def _order_pass(n: int, p: int, rounds: Iterable[Round]) -> list[list[Pick]]:
+    """One walk over the rounds of an ``n`` x ``p`` order.
+
+    Returns each agent's picks (agent ``j`` at index ``j - 1``) in her
+    suborder, each as ``(round, category, slack, pred)``: ``slack`` is the
+    number of items of the category still on the table, hers included, and
+    ``pred`` the round of the category's previous pick (0 for its first
+    picker). The rounds are not checked: pass those of a ``PickingOrder`` or
+    a permutation of its pairs."""
+    picks: list[list[Pick]] = [[] for _ in range(n)]
+    left = [n] * (p + 1)
+    latest = [0] * (p + 1)
+    for t, (j, i) in enumerate(rounds, 1):
+        picks[j - 1].append((t, i, left[i], latest[i]))
+        left[i] -= 1
+        latest[i] = t
+    return picks
+
+
+def _uninterrupted_index(picks: Sequence[Pick]) -> int:
+    """The uninterrupted index of one agent's picks from ``_order_pass``: the
+    smallest suborder position m such that no later position's category is
+    picked by anyone between her m-th round and that position's own round,
+    i.e. every later ``pred`` is before her m-th round.
+
+    One backward scan keeps the latest ``pred`` of the positions after m
+    (a suffix maximum), so the index costs O(p), not O(p**2)."""
+    index = len(picks)
+    reach = 0
+    for m in range(len(picks) - 1, -1, -1):
+        t, _, _, pred = picks[m]
+        if reach < t:
+            index = m + 1
+        if pred > reach:
+            reach = pred
+    return index
+
+
 def analyze_order(order: PickingOrder) -> OrderAnalytics:
     shape = order.shape
-    n, p = shape.n, shape.p
-
-    suborders: dict[int, tuple[int, ...]] = {j: () for j in shape.agents()}
-    own_round: dict[int, list[int]] = {j: [] for j in shape.agents()}
+    suborders: dict[int, tuple[int, ...]] = {}
     slacks: dict[tuple[int, int], int] = {}
-    # pred_round[(j, i)]: round of the pick in category i immediately before
-    # agent j's own, or 0 when j is that category's first picker.
-    pred_round: dict[tuple[int, int], int] = {}
-    picked = [0] * (p + 1)
-    latest = [0] * (p + 1)
-    for t, (j, i) in enumerate(order.rounds, 1):
-        suborders[j] += (i,)
-        own_round[j].append(t)
-        slacks[(j, i)] = n - picked[i]
-        pred_round[(j, i)] = latest[i]
-        picked[i] += 1
-        latest[i] = t
-
     uninterrupted: dict[int, int] = {}
-    for j in shape.agents():
-        sub = suborders[j]
-        rounds_j = own_round[j]
-        k_value = p
-        for m in range(1, p + 1):
-            # position m works when, for every later position l, nobody picks
-            # from category sub[l] strictly between the agent's rounds m and l
-            ok = True
-            for l in range(m + 1, p + 1):
-                if pred_round[(j, sub[l - 1])] > rounds_j[m - 1]:
-                    ok = False
-                    break
-            if ok:
-                k_value = m
-                break
-        uninterrupted[j] = k_value
-
+    for j, own in enumerate(_order_pass(shape.n, shape.p, order.rounds), 1):
+        suborders[j] = tuple(i for _, i, _, _ in own)
+        for _, i, slack, _ in own:
+            slacks[(j, i)] = slack
+        uninterrupted[j] = _uninterrupted_index(own)
     return OrderAnalytics(shape, suborders, slacks, uninterrupted)
 
 

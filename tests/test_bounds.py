@@ -1,13 +1,20 @@
 import hashlib
 import itertools
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import catdom as cd
 
-from test_orders import order_strategy
+from test_orders import (
+    SHAPES_UP_TO_12,
+    order_strategy,
+    reference_analyze_order,
+    seeded_order,
+)
 
 
 def _slack_products_by_recursion(order: cd.PickingOrder) -> dict[int, int]:
@@ -109,18 +116,126 @@ class TestClosedForms:
         assert cd.optimistic_bound(an, j) == order.shape.bundle_count
 
 
-def exhaustive_best_order(n, p, behaviors, objective):
-    """Unpruned reference: score every permutation of the rounds."""
+def oracle_bounds(order, behaviors):
+    """Per-agent worst-case ranks by the closed forms over
+    ``reference_analyze_order``: per-order scoring as ``worst_case_report``
+    and ``search_orders`` did it before they read one order pass."""
+    an = reference_analyze_order(order)
+    shape = order.shape
+    top = shape.bundle_count
+    bounds = []
+    for j, b in enumerate(behaviors, 1):
+        if isinstance(b, cd.Optimistic):
+            sub = an.suborder(j)
+            start = an.uninterrupted_index(j)
+            tail = math.prod(an.slack(j, sub[l - 1]) for l in range(start, shape.p + 1))
+            bounds.append(top + 1 - tail)
+        else:
+            bounds.append(top - sum(an.slack(j, i) - 1 for i in shape.categories()))
+    return bounds
+
+
+def oracle_table(n, p):
+    """Every order of an n x p shape, in lexicographic order, with each
+    agent's optimistic and pessimistic oracle bound."""
     shape = cd.DomainShape(n, p)
     pairs = [(j, i) for j in shape.agents() for i in shape.categories()]
-    best = None
+    table = []
     for rounds in itertools.permutations(pairs):
         order = cd.PickingOrder(shape, rounds)
-        report = cd.worst_case_report(order, behaviors)
-        score = report.utilitarian if objective == "utilitarian" else report.egalitarian
-        if best is None or score < best[0] or (score == best[0] and rounds < best[1]):
-            best = (score, rounds)
+        table.append((rounds, oracle_bounds(order, [cd.OPTIMISTIC] * n),
+                      oracle_bounds(order, [cd.PESSIMISTIC] * n)))
+    return table
+
+
+def _objective(bounds, objective):
+    return sum(bounds) if objective == "utilitarian" else max(bounds)
+
+
+def best_in_table(table, behaviors, objective):
+    """Lowest (score, rounds) over every order of an ``oracle_table``."""
+    optimists = [isinstance(b, cd.Optimistic) for b in behaviors]
+    best = None
+    for rounds, opt, pess in table:
+        bounds = [o if flag else q for flag, o, q in zip(optimists, opt, pess)]
+        candidate = (_objective(bounds, objective), rounds)
+        if best is None or candidate < best:
+            best = candidate
     return best
+
+
+def exhaustive_best_order(n, p, behaviors, objective):
+    """Unpruned reference: score every permutation of the rounds."""
+    return best_in_table(oracle_table(n, p), behaviors, objective)
+
+
+def random_search_oracle(n, p, behaviors, objective, seed, budget):
+    """Random search scoring one ``PickingOrder`` per draw by the oracle,
+    drawing each permutation of a list argument, as it did before."""
+    shape = cd.DomainShape(n, p)
+    pairs = [(j, i) for j in shape.agents() for i in shape.categories()]
+    rng = np.random.default_rng(seed)
+    arr = list(range(len(pairs)))
+    best = None
+    for _ in range(budget):
+        rounds = tuple(pairs[i] for i in rng.permutation(arr))
+        order = cd.PickingOrder(shape, rounds)
+        candidate = (_objective(oracle_bounds(order, behaviors), objective), rounds)
+        if best is None or candidate < best:
+            best = candidate
+    return best
+
+
+def _mixes(n):
+    return [list(mix) for mix in itertools.product([cd.OPTIMISTIC, cd.PESSIMISTIC], repeat=n)]
+
+
+class TestKernelOracle:
+    """The one order pass against the dict-based analytics, the O(p**2)
+    uninterrupted-index loop and the per-order scoring it replaced."""
+
+    @pytest.mark.parametrize("n, p", SHAPES_UP_TO_12)
+    def test_report_matches_oracle(self, n, p):
+        for seed in range(5):
+            order = seeded_order(n, p, seed)
+            an = cd.analyze_order(order)
+            opt = oracle_bounds(order, [cd.OPTIMISTIC] * n)
+            pess = oracle_bounds(order, [cd.PESSIMISTIC] * n)
+            assert [cd.optimistic_bound(an, j) for j in order.shape.agents()] == opt
+            assert [cd.pessimistic_bound(an, j) for j in order.shape.agents()] == pess
+            for mix in _mixes(n):
+                report = cd.worst_case_report(order, mix)
+                want = [o if b is cd.OPTIMISTIC else q for b, o, q in zip(mix, opt, pess)]
+                assert [e.bound for e in report.entries] == want
+                assert [e.agent for e in report.entries] == list(order.shape.agents())
+                assert [e.behavior for e in report.entries] == [
+                    "opt" if b is cd.OPTIMISTIC else "pess" for b in mix
+                ]
+                assert (report.utilitarian, report.egalitarian) == (sum(want), max(want))
+
+    @pytest.mark.parametrize("n, p", [(n, p) for n in range(1, 7) for p in range(1, 6 // n + 1)])
+    def test_exhaustive_matches_unpruned_oracle(self, n, p):
+        table = oracle_table(n, p)
+        for mix in _mixes(n):
+            # relabeling within a behavior class acts freely on orders
+            classes = math.prod(math.factorial(mix.count(b)) for b in set(mix))
+            for objective in ("utilitarian", "egalitarian"):
+                result = cd.search_orders(n, p, mix, objective=objective)
+                assert (result.score, result.order.rounds) == best_in_table(table, mix, objective)
+                assert result.evaluated == math.factorial(n * p) // classes
+
+    @pytest.mark.parametrize("n, p", [(1, 4), (2, 3), (3, 2), (3, 3), (4, 1), (4, 3)])
+    def test_random_matches_oracle(self, n, p):
+        alternating = [cd.OPTIMISTIC if j % 2 else cd.PESSIMISTIC for j in range(1, n + 1)]
+        for mix in ([cd.OPTIMISTIC] * n, [cd.PESSIMISTIC] * n, alternating):
+            for objective in ("utilitarian", "egalitarian"):
+                for seed in range(3):
+                    result = cd.search_orders(
+                        n, p, mix, objective=objective, mode="random", seed=seed, budget=150
+                    )
+                    want = random_search_oracle(n, p, mix, objective, seed, 150)
+                    assert (result.score, result.order.rounds) == want
+                    assert result.evaluated == 150
 
 
 class TestSearch:
@@ -188,6 +303,44 @@ class TestSearch:
     def test_random_mode_rejects_bad_seed(self, seed):
         with pytest.raises(cd.ValidationError, match="seed must be a non-negative integer"):
             cd.search_orders(2, 2, [cd.OPTIMISTIC] * 2, mode="random", seed=seed, budget=5)
+
+    @pytest.mark.parametrize(
+        "kwargs, error, message",
+        [
+            ({}, cd.ValidationError, "scripted agents have no order-level worst-case guarantee"),
+            ({"mode": "random", "seed": 1, "budget": 3}, cd.ValidationError, "scripted agents"),
+            ({"objective": "fair"}, cd.ValidationError, "unknown objective 'fair'"),
+            ({"mode": "annealing"}, cd.ValidationError, "unknown search mode 'annealing'"),
+            ({"budget": 0}, cd.ValidationError, "exhaustive search needs a budget"),
+            ({"budget": 23}, cd.CapacityError, "more than 23 orders"),
+            ({"mode": "random", "seed": -1}, cd.ValidationError, "seed must be"),
+        ],
+    )
+    def test_behaviors_checked_last(self, kwargs, error, message):
+        # every other check comes first, as when the first candidate's
+        # report rejected the behaviors
+        behaviors = [cd.Scripted((1, 1)), cd.OPTIMISTIC]
+        with pytest.raises(error, match=message):
+            cd.search_orders(2, 2, behaviors, **kwargs)
+
+    @pytest.mark.parametrize(
+        "behaviors, message",
+        [
+            ([object(), cd.Scripted((1, 1))], "agent 1 has unknown behavior"),
+            ([cd.OPTIMISTIC, "opt"], "agent 2 has unknown behavior 'opt'"),
+            ([cd.PESSIMISTIC, cd.Scripted((1, 1))], "scripted agents"),
+            ([cd.Scripted((1, 1))], "1 behaviors given, expected 2"),
+        ],
+    )
+    def test_first_bad_behavior_named(self, behaviors, message):
+        order = cd.serial_dictatorship_order([1, 2], 2)
+        for call in (
+            lambda: cd.search_orders(2, 2, behaviors),
+            lambda: cd.search_orders(2, 2, behaviors, mode="random", seed=0, budget=2),
+            lambda: cd.worst_case_report(order, behaviors),
+        ):
+            with pytest.raises(cd.ValidationError, match=message):
+                call()
 
 
 def _digest(doc) -> str:

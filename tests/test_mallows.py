@@ -159,6 +159,18 @@ class TestPmf:
         with pytest.raises(cd.ValidationError):
             cd.MallowsParams(ref, 1.5)
 
+    @pytest.mark.parametrize("phi", ["0.5", True, None, 0.5j, [0.5]])
+    def test_phi_must_be_real(self, phi):
+        # the same check as ExperimentConfig's phis
+        ref = pref_from_items(line_shape(2), [1, 2])
+        with pytest.raises(cd.ValidationError, match="dispersion phi must be a real number"):
+            cd.MallowsParams(ref, phi)
+
+    @pytest.mark.parametrize("phi", [np.float64(0.5), 1, 0.25])
+    def test_real_phis_accepted(self, phi):
+        ref = pref_from_items(line_shape(2), [1, 2])
+        assert cd.MallowsParams(ref, phi).phi == phi
+
 
 class TestSampler:
     def test_seeded_reproducibility(self):
@@ -373,6 +385,12 @@ class TestExperiment:
             ("phis", ("0.5",), "dispersion phi must be a real number, got '0.5'"),
             ("phis", (0.5j,), "dispersion phi must be a real number, got 0.5j"),
             ("phis", (None,), "dispersion phi must be a real number, got None"),
+            ("mechanisms", ("sd",), "mechanisms must be MechanismConfig entries, got 'sd'"),
+            ("n_values", 3, "n_values must be a sequence, got 3"),
+            ("check_bounds", "no", "check_bounds must be a bool, got 'no'"),
+            ("phis", 0.5, "phis must be a sequence, got 0.5"),
+            ("n_values", "23", "n_values must be a sequence, got '23'"),
+            ("mechanisms", DEFAULT_GRID[0], "mechanisms must be a sequence, got MechanismConfig"),
         ],
     )
     def test_config_rejects_bad_types(self, field, value, message):
@@ -433,11 +451,10 @@ class TestExperiment:
         )
         run_experiment(config)
 
-    def test_empty_mechanism_grid_gives_no_rows(self):
-        config = ExperimentConfig(
-            p=2, n_values=(2,), phis=(0.5,), samples=3, seed=1, mechanisms=()
-        )
-        assert run_experiment(config) == []
+    def test_empty_mechanism_grid_rejected(self):
+        # refused when the config is built, before any profile is drawn
+        with pytest.raises(cd.ValidationError, match="experiment grid is empty"):
+            ExperimentConfig(p=2, n_values=(2,), phis=(0.5,), samples=3, seed=1, mechanisms=())
 
     def test_single_sample_has_zero_ci(self):
         config = ExperimentConfig(p=2, n_values=(2,), phis=(1.0,), samples=1, seed=3)

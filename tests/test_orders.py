@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import catdom as cd
 from catdom.adversarial import _remaining
+from catdom.orders import _order_pass, _uninterrupted_index
 
 from conftest import MIXED_ORDER_3X2_ROUNDS, SHAPE_3X2
 
@@ -45,7 +46,10 @@ def brute_uninterrupted(order, agent):
 
 def reference_analyze_order(order):
     """Per-category analytics: slacks and predecessor rounds from a scan of
-    each category's pickers, the uninterrupted index from those."""
+    each category's pickers, the uninterrupted index from those by the
+    O(p**2) loop ``analyze_order`` ran before its backward suffix-max scan:
+    position m works when, for every later position l, nobody picks from
+    category sub[l] strictly between the agent's rounds m and l."""
     shape = order.shape
     n, p = shape.n, shape.p
 
@@ -86,6 +90,10 @@ def reference_analyze_order(order):
         uninterrupted[j] = k_value
 
     return cd.OrderAnalytics(shape, suborders, slacks, uninterrupted)
+
+
+# every shape with n * p <= 12, one agent and one category included
+SHAPES_UP_TO_12 = [(n, p) for n in range(1, 13) for p in range(1, 12 // n + 1)]
 
 
 def seeded_order(n, p, seed):
@@ -232,6 +240,26 @@ class TestAnalytics:
         for seed in range(40):
             order = seeded_order(n, p, seed)
             assert cd.analyze_order(order) == reference_analyze_order(order)
+
+    @pytest.mark.parametrize("n, p", SHAPES_UP_TO_12 + [(2, 12), (3, 8), (4, 6), (6, 4), (12, 2)])
+    def test_matches_reference_every_small_shape(self, n, p):
+        for seed in range(20):
+            order = seeded_order(n, p, seed)
+            assert cd.analyze_order(order) == reference_analyze_order(order)
+
+    @settings(max_examples=200)
+    @given(order_strategy(max_n=4, max_p=4))
+    def test_pass_matches_brute_force(self, order):
+        shape = order.shape
+        picks = _order_pass(shape.n, shape.p, order.rounds)
+        assert len(picks) == shape.n
+        for j, own in enumerate(picks, 1):
+            assert [(t, i) for t, i, _, _ in own] == order.rounds_of_agent(j)
+            for t, i, slack, pred in own:
+                assert slack == brute_slack(order, j, i)
+                earlier = [s for s, (_, c) in enumerate(order.rounds[: t - 1], 1) if c == i]
+                assert pred == (earlier[-1] if earlier else 0)
+            assert _uninterrupted_index(own) == brute_uninterrupted(order, j)
 
     @settings(max_examples=60)
     @given(order_strategy())
