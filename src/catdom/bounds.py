@@ -81,7 +81,9 @@ def _optimists(behaviors: Sequence[Behavior]) -> list[bool]:
     return optimists
 
 
-def _order_bounds(shape: DomainShape, rounds, optimists: Sequence[bool]) -> list[int]:
+def _order_bounds(
+    shape: DomainShape, rounds: Sequence[tuple[int, int]], optimists: Sequence[bool]
+) -> list[int]:
     """Each agent's tight worst-case rank, read off one ``_order_pass``."""
     top = shape.bundle_count
     bounds = []

@@ -235,15 +235,11 @@ class TestAnalytics:
     def test_matches_reference(self, order):
         assert cd.analyze_order(order) == reference_analyze_order(order)
 
-    @pytest.mark.parametrize("n, p", [(2, 6), (5, 3)])
+    @pytest.mark.parametrize(
+        "n, p", sorted({*SHAPES_UP_TO_12, (5, 3), (2, 12), (3, 8), (4, 6), (6, 4), (12, 2)})
+    )
     def test_matches_reference_seeded(self, n, p):
         for seed in range(40):
-            order = seeded_order(n, p, seed)
-            assert cd.analyze_order(order) == reference_analyze_order(order)
-
-    @pytest.mark.parametrize("n, p", SHAPES_UP_TO_12 + [(2, 12), (3, 8), (4, 6), (6, 4), (12, 2)])
-    def test_matches_reference_every_small_shape(self, n, p):
-        for seed in range(20):
             order = seeded_order(n, p, seed)
             assert cd.analyze_order(order) == reference_analyze_order(order)
 
