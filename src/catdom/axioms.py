@@ -18,6 +18,16 @@ The streams:
 * Pareto optimality pairs each profile's outcome with the feasible
   allocations.
 
+The streams work on bundle indices. A sampled profile is one
+``rng.permuted`` call over rows of bundle indices (``mallows._uniform_draws``).
+The serial dictatorships below run the engine's one index scan
+(``engine._serial_picks``). A relabeled ranking maps its bundle indices
+through one cached index map per (shape, category, permutation)
+(``_relabel_map``). The Pareto audit takes, per agent, the prefix of her
+ranking down to her own bundle and intersects cached bitsets over the
+feasible allocations (``_allocation_masks``); the first dominating
+allocation is the lowest bit left (``_first_dominating``).
+
 In ``Exhaustive`` mode a stream walks every profile of a small shape in
 ranking-index order, after the early-exit guard ``domain._exceeds`` has refused
 any audit whose case count is over the budget; the same guard caps
@@ -32,9 +42,10 @@ misreport that keeps her own bundle fixed.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -47,12 +58,15 @@ from .domain import (
     Preference,
     Profile,
     ValidationError,
+    _bundle_index,
+    _bundle_lookup,
     _check_seed,
     _exceeds,
+    bundle_table,
     validate_allocation,
 )
 from .engine import _serial_picks, direct_serial_dictatorship
-from .mallows import uniform_preference
+from .mallows import _uniform_draws, uniform_preference
 
 
 @dataclass(frozen=True)
@@ -188,40 +202,57 @@ def all_allocations(shape: DomainShape) -> tuple[Allocation, ...]:
 def apply_category_permutation(obj, category: int, permutation: Sequence[int]):
     """Relabel the items of one category (item d becomes permutation[d-1]).
 
-    Accepts a Bundle (with a shape needed for validation elsewhere),
-    Preference, Profile, or Allocation and returns the same kind.
+    Accepts a Bundle, Preference, Profile, or Allocation and returns the same
+    kind. A bare bundle takes p from its length and n from the
+    permutation's; an allocation takes p from its shortest bundle and n from
+    its agent count.
     """
     perm = tuple(permutation)
-    if isinstance(obj, Preference):
+    if isinstance(obj, (Preference, Profile)):
         shape = obj.shape
-        _check_perm(shape, category, perm)
-        return Preference(
-            shape, [_permute_bundle(b, category, perm) for b in obj.order]
-        )
-    if isinstance(obj, Profile):
+        _check_perm(shape.n, shape.p, category, perm)
+        relabel = _relabel_map(shape, category, perm).__getitem__
+        if isinstance(obj, Preference):
+            return Preference.from_indices(shape, map(relabel, obj.indices))
         return Profile(
-            obj.shape,
-            [apply_category_permutation(p, category, perm) for p in obj.preferences],
+            shape, [Preference.from_indices(shape, map(relabel, p.indices)) for p in obj.preferences]
         )
     if isinstance(obj, Allocation):
-        return Allocation(
-            {j: _permute_bundle(b, category, perm) for j, b in obj.bundles.items()}
-        )
+        bundles = obj.bundles
+        _check_perm(len(bundles), min(map(len, bundles.values()), default=0), category, perm)
+        return Allocation({j: _permute_bundle(b, category, perm) for j, b in bundles.items()})
     if isinstance(obj, tuple):
+        _check_perm(len(perm), len(obj), category, perm)
         return _permute_bundle(obj, category, perm)
     raise ValidationError(f"cannot permute object of type {type(obj).__name__}")
 
 
-def _check_perm(shape: DomainShape, category: int, perm: tuple[int, ...]) -> None:
-    if category not in shape.categories():
-        raise ValidationError(f"category {category} outside 1..{shape.p}")
-    if sorted(perm) != list(shape.agents()):
-        raise ValidationError(f"{perm} is not a permutation of 1..{shape.n}")
+def _check_perm(n: int, p: int, category, perm: tuple) -> None:
+    if not (type(category) is int and 1 <= category <= p):
+        raise ValidationError(f"category {category} outside 1..{p}")
+    if not all(type(x) is int for x in perm) or sorted(perm) != list(range(1, n + 1)):
+        raise ValidationError(f"{perm} is not a permutation of 1..{n}")
 
 
 def _permute_bundle(bundle: Bundle, category: int, perm: tuple[int, ...]) -> Bundle:
+    """``bundle`` with its ``category`` item relabeled by ``perm``, a checked
+    permutation of 1..len(perm)."""
     item = bundle[category - 1]
+    if not 1 <= item <= len(perm):
+        raise ValidationError(f"bundle {bundle} holds item {item!r} outside 1..{len(perm)}")
     return bundle[: category - 1] + (perm[item - 1],) + bundle[category:]
+
+
+@lru_cache(maxsize=256)
+def _relabel_map(shape: DomainShape, category: int, perm: tuple[int, ...]) -> tuple[int, ...]:
+    """``map[idx]``: the bundle index that bundle index ``idx`` becomes when
+    the items of ``category`` are relabeled by ``perm`` (its mixed-radix
+    digit of weight ``n**(p - category)`` is replaced)."""
+    n, weight = shape.n, shape.n ** (shape.p - category)
+    return tuple(
+        idx + (perm[idx // weight % n] - 1 - idx // weight % n) * weight
+        for idx in range(shape.bundle_count)
+    )
 
 
 def _profiles(
@@ -235,7 +266,7 @@ def _profiles(
     """
     if isinstance(mode, Sampled):
         for _ in range(mode.count):
-            yield Profile(shape, [uniform_preference(shape, rng) for _ in shape.agents()])
+            yield Profile(shape, _uniform_draws(shape, shape.n, rng))
         return
     for prefs in itertools.product(all_rankings(shape), repeat=shape.n):
         yield Profile(shape, prefs)
@@ -407,16 +438,45 @@ def check_category_wise_neutrality(
     return _audit([(axiom, violation)], mechanism, shape, mode, cost, cases)[0]
 
 
-def _dominates(profile: Profile, alt: Allocation, base: Allocation) -> bool:
-    strict = False
-    for j in profile.shape.agents():
-        ra = profile.pref(j).rank_of(alt[j])
-        rb = profile.pref(j).rank_of(base[j])
-        if ra > rb:
-            return False
-        if ra < rb:
-            strict = True
-    return strict
+@lru_cache(maxsize=8)
+def _allocation_masks(shape: DomainShape) -> tuple[tuple[int, ...], ...]:
+    """``masks[j - 1][idx]``: a bitset over ``all_allocations(shape)``, bit
+    ``k`` set when allocation ``k`` gives agent ``j`` the bundle of index
+    ``idx``."""
+    lookup = _bundle_lookup(shape)
+    rows = np.array(
+        [[lookup[allocation[j]] for j in shape.agents()] for allocation in all_allocations(shape)]
+    )
+    return tuple(
+        tuple(
+            int.from_bytes(np.packbits(column == idx, bitorder="little").tobytes(), "little")
+            for idx in range(shape.bundle_count)
+        )
+        for column in rows.T
+    )
+
+
+def _first_dominating(profile: Profile, base: Allocation) -> int | None:
+    """Position in ``all_allocations`` of the first allocation that Pareto
+    dominates ``base``, or None.
+
+    Agent ``j`` weakly prefers exactly the bundles of her ranking down to her
+    own in ``base``, so the allocations that make nobody worse off are the
+    intersection over agents of the union of ``masks[j - 1]`` over that
+    prefix. Since rankings are strict, the one such allocation that makes
+    nobody better off is ``base`` itself."""
+    shape = profile.shape
+    lookup, table = _bundle_lookup(shape), bundle_table(shape)
+    weak = own = -1
+    for j, (pref, masks) in enumerate(zip(profile.preferences, _allocation_masks(shape)), 1):
+        idx = _bundle_index(shape, lookup, table, base[j])
+        ranking = pref.indices
+        weak &= reduce(
+            operator.or_, map(masks.__getitem__, ranking[: ranking.index(idx) + 1])
+        )
+        own &= masks[idx]
+    better = weak & ~own
+    return (better & -better).bit_length() - 1 if better else None
 
 
 def check_pareto_optimality(
@@ -427,22 +487,24 @@ def check_pareto_optimality(
     axiom = "pareto-optimality"
     allocations = all_allocations(shape)
 
-    def violation(profile, base, candidates):
-        for alt in candidates:
-            if _dominates(profile, alt, base):
-                return Counterexample(axiom, profile, base, alt)
-        return None
+    def violation(profile, base, first):
+        if first is None:
+            return None
+        return Counterexample(axiom, profile, base, allocations[first])
 
     sampled = isinstance(mode, Sampled)
     rng = np.random.default_rng(mode.seed) if sampled else None
-    # an exhaustive audit counts (profile, allocation) pairs, a sampled one profiles
-    groups = [allocations] if sampled else [(alt,) for alt in allocations]
 
     def cases():
         for profile in _profiles(shape, mode, rng):
             base = mechanism.apply(profile)
-            for group in groups:
-                yield profile, base, group
+            first = _first_dominating(profile, base)
+            if sampled:
+                yield profile, base, first
+                continue
+            # an exhaustive audit counts (profile, allocation) pairs
+            for k in range(len(allocations)):
+                yield profile, base, first if k == first else None
 
     cost = (len(allocations),)
     return _audit([(axiom, violation)], mechanism, shape, mode, cost, cases())[0]

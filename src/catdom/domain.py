@@ -248,9 +248,7 @@ class Preference:
 
     @property
     def order(self) -> tuple[Bundle, ...]:
-        """The ranking as bundles, most preferred first. Built on first use:
-        touching every bundle tuple was about half of a sampled 4096-bundle
-        preference's build, and the engine reads bundle indices instead."""
+        """The ranking as bundles, most preferred first, built on first use."""
         if self._order is None:
             self._order = tuple(map(self._table.__getitem__, self.indices))
         return self._order
@@ -275,12 +273,12 @@ class Preference:
         return self._rank[_bundle_index(self.shape, self._lookup, self._table, bundle)]
 
     def bundle_at(self, rank: int) -> Bundle:
-        if not (1 <= rank <= len(self.order)):
-            raise ValidationError(f"rank {rank} outside 1..{len(self.order)}")
-        return self.order[rank - 1]
+        if not (1 <= rank <= len(self.indices)):
+            raise ValidationError(f"rank {rank} outside 1..{len(self.indices)}")
+        return self._table[self.indices[rank - 1]]
 
     def top(self) -> Bundle:
-        return self.order[0]
+        return self._table[self.indices[0]]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -355,7 +353,7 @@ class Profile:
         if len(prefs) != shape.n:
             raise ValidationError(f"profile holds {len(prefs)} preferences, expected {shape.n}")
         for j, pref in enumerate(prefs, 1):
-            if pref.shape != shape:
+            if pref.shape is not shape and pref.shape != shape:
                 raise ValidationError(f"agent {j} preference shaped {pref.shape}, expected {shape}")
         self.shape = shape
         self.preferences = prefs
@@ -397,23 +395,29 @@ class AllocationCheck:
     item: int | None = None
 
 
+_VALID = AllocationCheck(True)
+
+
 def validate_allocation(shape: DomainShape, allocation: Allocation) -> AllocationCheck:
     """Check that every category's items are exactly partitioned among agents.
 
     Returns a report rather than raising, so callers can surface the first
     offending (category, item) pair.
     """
-    agents = set(allocation.bundles.keys())
-    if agents != set(shape.agents()):
-        return AllocationCheck(False, f"agents {sorted(agents)} do not match 1..{shape.n}")
-    for j in shape.agents():
-        b = allocation.bundles[j]
-        if len(b) != shape.p or any(not (1 <= x <= shape.n) for x in b):
+    bundles = allocation.bundles
+    if bundles.keys() != set(shape.agents()):
+        return AllocationCheck(False, f"agents {sorted(bundles)} do not match 1..{shape.n}")
+    n = shape.n
+    rows = list(map(bundles.__getitem__, shape.agents()))
+    for j, b in enumerate(rows, 1):
+        if len(b) != shape.p or not all(1 <= x <= n for x in b):
             return AllocationCheck(False, f"agent {j} holds malformed bundle {b}")
-    for i in shape.categories():
+    for i, items in enumerate(zip(*rows), 1):
+        if len(set(items)) == n:
+            continue
+        # a repeat: name the first agent to hold an item already seen
         seen: dict[int, int] = {}
-        for j in shape.agents():
-            item = allocation.bundles[j][i - 1]
+        for j, item in enumerate(items, 1):
             if item in seen:
                 return AllocationCheck(
                     False,
@@ -422,7 +426,7 @@ def validate_allocation(shape: DomainShape, allocation: Allocation) -> Allocatio
                     item=item,
                 )
             seen[item] = j
-    return AllocationCheck(True)
+    return _VALID
 
 
 def _require_valid(profile: Profile, allocation: Allocation) -> None:

@@ -31,6 +31,11 @@ of the round's category and (for pessimistic rounds) the
 candidate-to-worst-bundle comparison that justified the pick.
 ``_realized_ranks`` plays without a trace and returns the ranks only, for
 the Mallows study.
+
+Whole-bundle serial dictatorship has one scan, ``_serial_picks``, behind
+``direct_serial_dictatorship`` and every serial dictatorship of ``axioms``:
+each agent walks her bundle indices and takes the first bundle whose item
+bits (``_item_bits``, one int per bundle) miss the bits already taken.
 """
 
 from __future__ import annotations
@@ -312,21 +317,33 @@ def _realized_ranks(
     return [bits.bit_length() for bits in cons]
 
 
+@functools.lru_cache(maxsize=8)
+def _item_bits(shape) -> tuple[int, ...]:
+    """One int per bundle index: bit ``c * n + d - 1`` is set when the bundle
+    holds item ``d`` of category ``c + 1``, so two bundles share an item
+    exactly when their bits meet."""
+    n = shape.n
+    return tuple(
+        sum(1 << (c * n + d - 1) for c, d in enumerate(bundle)) for bundle in bundle_table(shape)
+    )
+
+
 def _serial_picks(
     agent_order: Sequence[int], profile: Profile, worst_first: bool = False
 ) -> Allocation:
     """Each agent, in order, takes the first bundle of her ranking (read from
-    the bottom when ``worst_first``) that shares no item with the bundles
-    already taken."""
-    taken: dict[int, set[int]] = {i: set() for i in profile.shape.categories()}
+    the bottom when ``worst_first``) whose item bits miss those of the
+    bundles already taken."""
+    shape = profile.shape
+    table, bits = bundle_table(shape), _item_bits(shape)
+    taken = 0
     bundles: dict[int, Bundle] = {}
     for j in agent_order:
-        ranking = profile.pref(j).order
-        for bundle in reversed(ranking) if worst_first else ranking:
-            if all(comp not in taken[i] for i, comp in enumerate(bundle, 1)):
-                bundles[j] = bundle
-                for i, comp in enumerate(bundle, 1):
-                    taken[i].add(comp)
+        indices = profile.pref(j).indices
+        for idx in reversed(indices) if worst_first else indices:
+            if not bits[idx] & taken:
+                taken |= bits[idx]
+                bundles[j] = table[idx]
                 break
         else:
             raise AssertionError("no compatible bundle left; inputs must be inconsistent")

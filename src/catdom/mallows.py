@@ -79,6 +79,8 @@ class MallowsParams:
     phi: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.reference, Preference):
+            raise ValidationError(f"Mallows reference must be a Preference, got {self.reference!r}")
         _check_phi(self.phi)
 
 
@@ -114,8 +116,7 @@ def _draw(params: MallowsParams, count: int, rng: np.random.Generator) -> list[P
     slots = np.maximum(x, 0, out=x).astype(np.intp)
     draws = []
     for row in slots:  # one row of Python ints at a time
-        # array.insert shifts the tail with one memmove, list.insert one
-        # element at a time; bundle indices stay below CAPACITY_LIMIT
+        # bundle indices stay below CAPACITY_LIMIT, so fit an unsigned int
         out = array("I")
         insert = out.insert
         for index, slot in zip(params.reference.indices, row.tolist()):
@@ -133,7 +134,16 @@ def mallows_pmf(params: MallowsParams, ranking: Preference) -> float:
 
 
 def uniform_preference(shape: DomainShape, rng: np.random.Generator) -> Preference:
-    return Preference.from_indices(shape, rng.permutation(shape.bundle_count).tolist())
+    """One uniformly random ranking of the bundle space."""
+    return _uniform_draws(shape, 1, rng)[0]
+
+
+def _uniform_draws(shape: DomainShape, count: int, rng: np.random.Generator) -> list[Preference]:
+    """``count`` uniform rankings from one ``rng.permuted`` call over rows of
+    bundle indices, row by row the same as ``count`` calls of
+    ``rng.permutation(n**p)``."""
+    rows = np.arange(shape.bundle_count)[None].repeat(count, axis=0)
+    return [Preference.from_indices(shape, row) for row in rng.permuted(rows, axis=1).tolist()]
 
 
 @dataclass(frozen=True)

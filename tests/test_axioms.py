@@ -2,12 +2,16 @@ import hashlib
 import itertools
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import catdom as cd
+from catdom import axioms, engine
 from catdom.axioms import (
     Exhaustive,
     Sampled,
+    _first_dominating,
     all_allocations,
     all_rankings,
     apply_category_permutation,
@@ -24,11 +28,170 @@ from catdom.axioms import (
     worst_pick_sd,
 )
 from catdom.cli import main
+from catdom.engine import _serial_picks
 
-from conftest import SHAPE_2X2, pref_of
+from conftest import SHAPE_2X2, permutation_draws, pref_of
 
 
 SHAPE_3X2 = cd.DomainShape(3, 2)
+
+
+# The tuple-bundle paths the index paths replaced, kept as their oracles.
+
+
+def tuple_serial_picks(agent_order, profile, worst_first=False):
+    """Each agent, in order, takes the first bundle of her ranking (read from
+    the bottom when ``worst_first``) that shares no item with the bundles
+    already taken."""
+    taken = {i: set() for i in profile.shape.categories()}
+    bundles = {}
+    for j in agent_order:
+        ranking = profile.pref(j).order
+        for bundle in reversed(ranking) if worst_first else ranking:
+            if all(comp not in taken[i] for i, comp in enumerate(bundle, 1)):
+                bundles[j] = bundle
+                for i, comp in enumerate(bundle, 1):
+                    taken[i].add(comp)
+                break
+        else:
+            raise AssertionError("no compatible bundle left; inputs must be inconsistent")
+    return cd.Allocation(bundles)
+
+
+def tuple_permute_bundle(bundle, category, perm):
+    item = bundle[category - 1]
+    return bundle[: category - 1] + (perm[item - 1],) + bundle[category:]
+
+
+def tuple_relabel(obj, category, perm):
+    """``apply_category_permutation`` on preferences, profiles and
+    allocations, one bundle tuple at a time."""
+    if isinstance(obj, cd.Preference):
+        return cd.Preference(obj.shape, [tuple_permute_bundle(b, category, perm) for b in obj.order])
+    if isinstance(obj, cd.Profile):
+        return cd.Profile(obj.shape, [tuple_relabel(p, category, perm) for p in obj.preferences])
+    return cd.Allocation({j: tuple_permute_bundle(b, category, perm) for j, b in obj.items()})
+
+
+def dominates(profile, alt, base):
+    strict = False
+    for j in profile.shape.agents():
+        ra = profile.pref(j).rank_of(alt[j])
+        rb = profile.pref(j).rank_of(base[j])
+        if ra > rb:
+            return False
+        if ra < rb:
+            strict = True
+    return strict
+
+
+def first_dominating(profile, base):
+    """Position of the first allocation that dominates ``base``, or None."""
+    allocations = all_allocations(profile.shape)
+    return next((k for k, alt in enumerate(allocations) if dominates(profile, alt, base)), None)
+
+
+@st.composite
+def profiles(draw, max_n=3, max_p=2):
+    shape = cd.DomainShape(draw(st.integers(1, max_n)), draw(st.integers(1, max_p)))
+    bundles = list(shape.bundles())
+    return cd.Profile(
+        shape, [cd.Preference(shape, draw(st.permutations(bundles))) for _ in shape.agents()]
+    )
+
+
+def seeded_profile(n, p, seed):
+    shape = cd.DomainShape(n, p)
+    rng = np.random.default_rng(seed)
+    return cd.Profile(shape, [cd.uniform_preference(shape, rng) for _ in shape.agents()])
+
+
+LARGER_SHAPES = [(4, 2), (3, 3), (2, 4)]
+
+
+def check_serial_scan(profile, agent_order):
+    for worst_first in (False, True):
+        got = _serial_picks(agent_order, profile, worst_first)
+        want = tuple_serial_picks(agent_order, profile, worst_first)
+        assert list(got.items()) == list(want.items())
+
+
+def check_relabel(profile):
+    shape = profile.shape
+    for category in shape.categories():
+        for perm in itertools.permutations(shape.agents()):
+            for pref in profile.preferences:
+                got = apply_category_permutation(pref, category, perm)
+                assert got.indices == tuple_relabel(pref, category, perm).indices
+
+
+def check_first_dominating(profile, bases):
+    for base in bases:
+        assert _first_dominating(profile, base) == first_dominating(profile, base)
+
+
+class TestIndexPathOracles:
+    """The index paths of the audits against the tuple paths they replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(profiles(), st.data())
+    def test_serial_scan(self, profile, data):
+        agents = list(profile.shape.agents())
+        check_serial_scan(profile, agents)
+        check_serial_scan(profile, data.draw(st.permutations(agents)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(profiles())
+    def test_relabel(self, profile):
+        check_relabel(profile)
+
+    @settings(max_examples=60, deadline=None)
+    @given(profiles())
+    def test_first_dominating(self, profile):
+        # every feasible allocation as the outcome, dominated or not
+        check_first_dominating(profile, all_allocations(profile.shape))
+
+    @pytest.mark.parametrize("n, p", LARGER_SHAPES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_larger_shapes(self, n, p, seed):
+        profile = seeded_profile(n, p, seed)
+        agents = list(profile.shape.agents())
+        check_serial_scan(profile, agents)
+        check_serial_scan(profile, agents[::-1])
+        check_relabel(profile)
+        allocations = all_allocations(profile.shape)
+        picks = np.random.default_rng(seed).choice(len(allocations), 8, replace=False)
+        bases = [
+            tuple_serial_picks(agents, profile),
+            tuple_serial_picks(agents[::-1], profile, worst_first=True),
+            *(allocations[k] for k in picks.tolist()),
+        ]
+        check_first_dominating(profile, bases)
+
+    CHECK_ALL_CASES = {
+        "worst-pick-4x2": (lambda: worst_pick_sd([1, 2, 3, 4]), cd.DomainShape(4, 2), 300),
+        "bossy-3x2": (bossy_conditional_sd, SHAPE_3X2, 300),
+        "nonneutral-3x2": (non_neutral_conditional_sd, SHAPE_3X2, 300),
+        "sd-2x4": (lambda: sd_direct([2, 1]), cd.DomainShape(2, 4), 100),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CHECK_ALL_CASES))
+    def test_check_all_matches_tuple_paths(self, name, monkeypatch):
+        make, shape, count = self.CHECK_ALL_CASES[name]
+        mode = Sampled(count=count, seed=11)
+        got = [v.to_json() for v in check_all(make(), shape, mode)]
+        for module in (axioms, engine):
+            monkeypatch.setattr(module, "_serial_picks", tuple_serial_picks)
+        monkeypatch.setattr(axioms, "_first_dominating", first_dominating)
+        monkeypatch.setattr(axioms, "apply_category_permutation", tuple_relabel)
+        monkeypatch.setattr(axioms, "_uniform_draws", permutation_draws)
+        monkeypatch.setattr(
+            axioms, "uniform_preference", lambda shape, rng: permutation_draws(shape, 1, rng)[0]
+        )
+        want = [v.to_json() for v in check_all(make(), shape, mode)]
+        assert got == want
+        if name == "worst-pick-4x2":
+            assert [d["passed"] for d in got][3] is False
 
 
 class TestEnumeration:
@@ -96,6 +259,38 @@ class TestCategoryPermutation:
         with pytest.raises(cd.ValidationError):
             apply_category_permutation(pref, 1, (1, 1))
 
+    @pytest.mark.parametrize(
+        "obj, category, perm, message",
+        [
+            # each of these used to return a wrong relabeling or end in IndexError
+            ((1, 2), 0, (2, 1), "category 0 outside 1..2"),
+            ((1, 2), 3, (2, 1), "category 3 outside 1..2"),
+            ((1, 2), 1, (1, 1), r"\(1, 1\) is not a permutation of 1..2"),
+            (cd.Allocation({1: (1, 2), 2: (2, 1)}), 1, (3, 1), r"\(3, 1\) is not a permutation of 1..2"),
+            (cd.Allocation({1: (1, 2), 2: (2, 1)}), 3, (2, 1), "category 3 outside 1..2"),
+            ((1, 2), 1, (True, 2), r"\(True, 2\) is not a permutation of 1..2"),
+            ((1, 2), True, (2, 1), "category True outside 1..2"),
+            ((3, 1), 1, (2, 1), r"bundle \(3, 1\) holds item 3 outside 1..2"),
+            ((0, 1), 1, (2, 1), r"bundle \(0, 1\) holds item 0 outside 1..2"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, obj, category, perm, message):
+        with pytest.raises(cd.ValidationError, match=message):
+            apply_category_permutation(obj, category, perm)
+
+    @pytest.mark.parametrize("category, perm", [(0, (2, 1)), (3, (2, 1)), (1, (1, 1)), (1, (3, 1))])
+    def test_preference_arguments_use_the_same_wording(self, category, perm):
+        pref = pref_of(SHAPE_2X2, ["21", "11", "22", "12"])
+        with pytest.raises(cd.ValidationError) as preference_error:
+            apply_category_permutation(pref, category, perm)
+        with pytest.raises(cd.ValidationError) as bundle_error:
+            apply_category_permutation((2, 1), category, perm)
+        assert str(preference_error.value) == str(bundle_error.value)
+
+    def test_bundle_relabeling(self):
+        assert apply_category_permutation((1, 2, 3), 3, (3, 1, 2)) == (1, 2, 2)
+        assert apply_category_permutation((1, 2), 1, (2, 1)) == (2, 2)
+
 
 class TestMechanisms:
     def test_sd_direct_matches_engine(self, profile_3x2):
@@ -138,6 +333,73 @@ class TestMechanisms:
         prefs = [pref_of(SHAPE_2X2, ["11", "12", "21", "22"])] * 2
         with pytest.raises(AssertionError):
             bad.apply(cd.Profile(SHAPE_2X2, prefs))
+
+    @pytest.mark.parametrize(
+        "bundles, detail",
+        [
+            ({1: [1, 2], 2: (True, 1)}, "item True of category 1 assigned to agents 1 and 2"),
+            ({1: (1, 2), 2: (2, 2)}, "item 2 of category 2 assigned to agents 1 and 2"),
+            ({1: (1, 2), 2: (2, 3)}, r"agent 2 holds malformed bundle \(2, 3\)"),
+            ({1: (1, 2)}, r"agents \[1\] do not match 1..2"),
+        ],
+    )
+    def test_infeasible_outcome_message(self, bundles, detail, welfare_profile_2x2):
+        mech = constant_mechanism(cd.Allocation(bundles))
+        with pytest.raises(AssertionError, match=f"mechanism constant broke feasibility: {detail}"):
+            check_all(mech, SHAPE_2X2, Sampled(count=5, seed=0))
+        with pytest.raises(AssertionError, match=f"mechanism constant broke feasibility: {detail}"):
+            mech.apply(welfare_profile_2x2)
+
+
+class TestNonCanonicalOutcomes:
+    """A mechanism may return bundles that ``validate_allocation`` accepts but
+    that are not the shape's bundle tuples: lists, or items such as ``True``.
+    The audits read them through the same bundle lookup as ``rank_of``, so
+    their verdicts, and their errors, are the ones the tuple paths gave."""
+
+    LIST = cd.Allocation({1: [1, 2], 2: (2, 1)})
+    TRUE = cd.Allocation({1: (True, 2), 2: (2, 1)})
+    MODES = {"exhaustive": Exhaustive(), "sampled": Sampled(count=50, seed=3)}
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("allocation", [LIST, TRUE], ids=["list", "true"])
+    @pytest.mark.parametrize("check", [check_strategy_proofness, check_non_bossiness])
+    def test_deviation_audits_pass(self, check, allocation, mode):
+        verdict = check(constant_mechanism(allocation), SHAPE_2X2, self.MODES[mode])
+        assert verdict.passed
+        assert verdict.checked == (26496 if mode == "exhaustive" else 50)
+
+    @pytest.mark.parametrize(
+        "mode, checked, alternative",
+        [
+            ("exhaustive", 5, {"1": [1, 1], "2": [2, 2]}),
+            ("sampled", 1, {"1": [2, 1], "2": [1, 2]}),
+        ],
+    )
+    def test_pareto_reads_list_bundles(self, mode, checked, alternative):
+        mech = constant_mechanism(self.LIST)
+        verdict = check_pareto_optimality(mech, SHAPE_2X2, self.MODES[mode])
+        assert not verdict.passed
+        assert verdict.checked == checked
+        assert verdict.to_json()["counterexample"]["alternative"]["bundles"] == alternative
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_pareto_rejects_true_items(self, mode):
+        mech = constant_mechanism(self.TRUE)
+        with pytest.raises(cd.ValidationError, match=r"bundle \(True, 2\) holds item True outside 1..2"):
+            check_pareto_optimality(mech, SHAPE_2X2, self.MODES[mode])
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_neutrality_with_true_items(self, mode):
+        verdict = check_category_wise_neutrality(
+            constant_mechanism(self.TRUE), SHAPE_2X2, self.MODES[mode]
+        )
+        assert not verdict.passed
+        assert verdict.checked == 1
+        assert verdict.to_json()["counterexample"]["alternative"]["bundles"] == {
+            "1": [2, 2],
+            "2": [1, 1],
+        }
 
 
 class TestExhaustiveVerdicts:

@@ -1,0 +1,61 @@
+"""Checks on the source tree itself."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "catdom"
+
+
+def private_definitions(tree):
+    """Module-level functions and classes whose names start with one
+    underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_") and not node.name.startswith("__"):
+                yield node
+
+
+def uses(tree, skip=None):
+    """Names read in ``tree`` as a bare name or an attribute, outside the
+    subtree ``skip``."""
+    inside = set() if skip is None else {id(node) for node in ast.walk(skip)}
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def unreferenced_private_names(trees):
+    """``module:name`` of every private definition that nothing in ``trees``
+    reads outside the definition's own body (importing it is not a use)."""
+    found = []
+    for module, tree in trees.items():
+        for node in private_definitions(tree):
+            used = any(
+                node.name in uses(other, node if other is tree else None)
+                for other in trees.values()
+            )
+            if not used:
+                found.append(f"{module}:{node.name}")
+    return found
+
+
+def test_every_private_definition_is_used_in_src():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert trees, f"no modules under {SRC}"
+    assert unreferenced_private_names(trees) == []
+
+
+def test_detects_an_unused_private_function():
+    trees = {
+        "a.py": ast.parse(
+            "def _used():\n    pass\n\n"
+            "def _recursive(k):\n    return _recursive(k - 1)\n\n"
+            "class _Unused:\n    pass\n"
+        ),
+        "b.py": ast.parse("from .a import _recursive\nimport a\n\na._used()\n"),
+    }
+    assert unreferenced_private_names(trees) == ["a.py:_recursive", "a.py:_Unused"]
