@@ -18,15 +18,14 @@ The streams:
 * Pareto optimality pairs each profile's outcome with the feasible
   allocations.
 
-The streams work on bundle indices. A sampled profile is one
-``rng.permuted`` call over rows of bundle indices (``mallows._uniform_draws``).
-The serial dictatorships below run the engine's one index scan
-(``engine._serial_picks``). A relabeled ranking maps its bundle indices
-through one cached index map per (shape, category, permutation)
-(``_relabel_map``). The Pareto audit takes, per agent, the prefix of her
-ranking down to her own bundle and intersects cached bitsets over the
-feasible allocations (``_allocation_masks``); the first dominating
-allocation is the lowest bit left (``_first_dominating``).
+The streams work on bundle indices. The serial dictatorships below run the
+engine's one index scan (``engine._serial_picks``). A relabeled ranking maps
+its bundle indices through an index map computed per call
+(``_relabel_map``). The Pareto audit holds the feasible allocations as cached
+rows of bundle indices (``_allocation_rows``), takes per agent the set of
+bundles her ranking puts at or above her own, and scans the rows for the
+first one inside every agent's set other than the outcome's own
+(``_first_dominating``).
 
 In ``Exhaustive`` mode a stream walks every profile of a small shape in
 ranking-index order, after the early-exit guard ``domain._exceeds`` has refused
@@ -45,7 +44,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -66,7 +65,7 @@ from .domain import (
     validate_allocation,
 )
 from .engine import _serial_picks, direct_serial_dictatorship
-from .mallows import _uniform_draws, uniform_preference
+from .mallows import uniform_preference
 
 
 @dataclass(frozen=True)
@@ -243,16 +242,14 @@ def _permute_bundle(bundle: Bundle, category: int, perm: tuple[int, ...]) -> Bun
     return bundle[: category - 1] + (perm[item - 1],) + bundle[category:]
 
 
-@lru_cache(maxsize=256)
-def _relabel_map(shape: DomainShape, category: int, perm: tuple[int, ...]) -> tuple[int, ...]:
+def _relabel_map(shape: DomainShape, category: int, perm: tuple[int, ...]) -> list[int]:
     """``map[idx]``: the bundle index that bundle index ``idx`` becomes when
-    the items of ``category`` are relabeled by ``perm`` (its mixed-radix
-    digit of weight ``n**(p - category)`` is replaced)."""
+    the items of ``category`` are relabeled by ``perm``. The indices are
+    mixed-radix, so in ``range(n**p)`` shaped ``(-1, n, weight)`` the middle
+    axis is the digit of ``category``, of weight ``n**(p - category)``."""
     n, weight = shape.n, shape.n ** (shape.p - category)
-    return tuple(
-        idx + (perm[idx // weight % n] - 1 - idx // weight % n) * weight
-        for idx in range(shape.bundle_count)
-    )
+    blocks = np.arange(shape.bundle_count).reshape(-1, n, weight)
+    return blocks[:, np.array(perm) - 1].ravel().tolist()
 
 
 def _profiles(
@@ -266,7 +263,7 @@ def _profiles(
     """
     if isinstance(mode, Sampled):
         for _ in range(mode.count):
-            yield Profile(shape, _uniform_draws(shape, shape.n, rng))
+            yield Profile(shape, [uniform_preference(shape, rng) for _ in shape.agents()])
         return
     for prefs in itertools.product(all_rankings(shape), repeat=shape.n):
         yield Profile(shape, prefs)
@@ -439,20 +436,12 @@ def check_category_wise_neutrality(
 
 
 @lru_cache(maxsize=8)
-def _allocation_masks(shape: DomainShape) -> tuple[tuple[int, ...], ...]:
-    """``masks[j - 1][idx]``: a bitset over ``all_allocations(shape)``, bit
-    ``k`` set when allocation ``k`` gives agent ``j`` the bundle of index
-    ``idx``."""
+def _allocation_rows(shape: DomainShape) -> tuple[tuple[int, ...], ...]:
+    """``rows[k][j - 1]``: the bundle index that allocation ``k`` of
+    ``all_allocations(shape)`` gives agent ``j``."""
     lookup = _bundle_lookup(shape)
-    rows = np.array(
-        [[lookup[allocation[j]] for j in shape.agents()] for allocation in all_allocations(shape)]
-    )
     return tuple(
-        tuple(
-            int.from_bytes(np.packbits(column == idx, bitorder="little").tobytes(), "little")
-            for idx in range(shape.bundle_count)
-        )
-        for column in rows.T
+        tuple(lookup[allocation[j]] for j in shape.agents()) for allocation in all_allocations(shape)
     )
 
 
@@ -461,22 +450,20 @@ def _first_dominating(profile: Profile, base: Allocation) -> int | None:
     dominates ``base``, or None.
 
     Agent ``j`` weakly prefers exactly the bundles of her ranking down to her
-    own in ``base``, so the allocations that make nobody worse off are the
-    intersection over agents of the union of ``masks[j - 1]`` over that
-    prefix. Since rankings are strict, the one such allocation that makes
-    nobody better off is ``base`` itself."""
+    own in ``base``. Since rankings are strict, the allocations that make
+    nobody worse off and somebody better off are the rows inside every
+    agent's set other than ``base``'s own."""
     shape = profile.shape
     lookup, table = _bundle_lookup(shape), bundle_table(shape)
-    weak = own = -1
-    for j, (pref, masks) in enumerate(zip(profile.preferences, _allocation_masks(shape)), 1):
-        idx = _bundle_index(shape, lookup, table, base[j])
+    own = tuple(_bundle_index(shape, lookup, table, base[j]) for j in shape.agents())
+    weak = []
+    for pref, idx in zip(profile.preferences, own):
         ranking = pref.indices
-        weak &= reduce(
-            operator.or_, map(masks.__getitem__, ranking[: ranking.index(idx) + 1])
-        )
-        own &= masks[idx]
-    better = weak & ~own
-    return (better & -better).bit_length() - 1 if better else None
+        weak.append(set(ranking[: ranking.index(idx) + 1]))
+    for k, row in enumerate(_allocation_rows(shape)):
+        if all(map(operator.contains, weak, row)) and row != own:
+            return k
+    return None
 
 
 def check_pareto_optimality(

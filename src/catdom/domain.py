@@ -395,9 +395,6 @@ class AllocationCheck:
     item: int | None = None
 
 
-_VALID = AllocationCheck(True)
-
-
 def validate_allocation(shape: DomainShape, allocation: Allocation) -> AllocationCheck:
     """Check that every category's items are exactly partitioned among agents.
 
@@ -426,7 +423,7 @@ def validate_allocation(shape: DomainShape, allocation: Allocation) -> Allocatio
                     item=item,
                 )
             seen[item] = j
-    return _VALID
+    return AllocationCheck(True)
 
 
 def _require_valid(profile: Profile, allocation: Allocation) -> None:

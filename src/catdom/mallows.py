@@ -135,15 +135,7 @@ def mallows_pmf(params: MallowsParams, ranking: Preference) -> float:
 
 def uniform_preference(shape: DomainShape, rng: np.random.Generator) -> Preference:
     """One uniformly random ranking of the bundle space."""
-    return _uniform_draws(shape, 1, rng)[0]
-
-
-def _uniform_draws(shape: DomainShape, count: int, rng: np.random.Generator) -> list[Preference]:
-    """``count`` uniform rankings from one ``rng.permuted`` call over rows of
-    bundle indices, row by row the same as ``count`` calls of
-    ``rng.permutation(n**p)``."""
-    rows = np.arange(shape.bundle_count)[None].repeat(count, axis=0)
-    return [Preference.from_indices(shape, row) for row in rng.permuted(rows, axis=1).tolist()]
+    return Preference.from_indices(shape, rng.permutation(shape.bundle_count).tolist())
 
 
 @dataclass(frozen=True)

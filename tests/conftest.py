@@ -16,15 +16,6 @@ def pref_of(shape, rows):
     return cd.Preference(shape, [tuple(int(ch) for ch in row) for row in rows])
 
 
-def permutation_draws(shape, count, rng):
-    """The uniform draw made before the batched one, kept as its oracle:
-    one ``rng.permutation`` of the bundle indices per ranking."""
-    return [
-        cd.Preference.from_indices(shape, rng.permutation(shape.bundle_count).tolist())
-        for _ in range(count)
-    ]
-
-
 def profile_of(shape, rows_by_agent):
     prefs = [pref_of(shape, rows_by_agent[j]) for j in shape.agents()]
     return cd.Profile(shape, prefs)

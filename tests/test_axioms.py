@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from catdom.axioms import (
 from catdom.cli import main
 from catdom.engine import _serial_picks
 
-from conftest import SHAPE_2X2, permutation_draws, pref_of
+from conftest import SHAPE_2X2, pref_of
 
 
 SHAPE_3X2 = cd.DomainShape(3, 2)
@@ -184,10 +185,6 @@ class TestIndexPathOracles:
             monkeypatch.setattr(module, "_serial_picks", tuple_serial_picks)
         monkeypatch.setattr(axioms, "_first_dominating", first_dominating)
         monkeypatch.setattr(axioms, "apply_category_permutation", tuple_relabel)
-        monkeypatch.setattr(axioms, "_uniform_draws", permutation_draws)
-        monkeypatch.setattr(
-            axioms, "uniform_preference", lambda shape, rng: permutation_draws(shape, 1, rng)[0]
-        )
         want = [v.to_json() for v in check_all(make(), shape, mode)]
         assert got == want
         if name == "worst-pick-4x2":
@@ -488,6 +485,32 @@ class TestSampledVerdicts:
         with pytest.raises(cd.CapacityError, match="more than 1000000 allocations"):
             check_all(mechanism, cd.DomainShape(10, 1), Sampled(count=5, seed=0))
         assert applied == []
+
+    def test_sampled_pareto_memory_at_2x16(self):
+        # 65,536 bundles and allocations: per-(agent, bundle) bitsets over
+        # the allocations would hold 1 GiB; the row scan holds O(A * n)
+        shape = cd.DomainShape(2, 16)
+        allocations = all_allocations(shape)  # cached by the enumeration, not the audit
+        axioms._allocation_rows.cache_clear()
+        try:
+            for mechanism in (sd_direct([1, 2]), worst_pick_sd([2, 1])):
+                tracemalloc.start()
+                try:
+                    verdict = check_pareto_optimality(mechanism, shape, Sampled(count=1, seed=5))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 64 * 2**20
+                rng = np.random.default_rng(5)
+                prefs = [cd.uniform_preference(shape, rng) for _ in shape.agents()]
+                base = mechanism.apply(cd.Profile(shape, prefs))
+                first = first_dominating(cd.Profile(shape, prefs), base)
+                assert verdict.passed is (first is None)
+                if first is not None:
+                    assert verdict.counterexample.alternative == allocations[first]
+        finally:
+            axioms._allocation_rows.cache_clear()
+            all_allocations.cache_clear()
 
     def test_bossy_fixture_bosses_at_three_agents(self):
         verdict = check_non_bossiness(

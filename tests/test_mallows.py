@@ -15,12 +15,9 @@ from catdom.mallows import (
     MechanismConfig,
     _cell_stats,
     _draw,
-    _uniform_draws,
     results_to_csv,
     run_experiment,
 )
-
-from conftest import permutation_draws
 
 
 def line_shape(m):
@@ -545,34 +542,3 @@ class TestGoldenStreams:
         assert _sha256("\n".join(lines)) == (
             "3d92ce7fb2e561a92caffb65fa8de6453699467787df94681b036130c7657117"
         )
-
-
-class TestBatchedUniformDraw:
-    """``_uniform_draws`` draws ``count`` rankings from one ``rng.permuted``
-    call; it must give the rankings, and leave the generator in the state,
-    of ``count`` successive permutation draws."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.integers(1, 3),
-        p=st.integers(1, 2),
-        count=st.integers(1, 4),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_matches_successive_draws(self, n, p, count, seed):
-        self.check(cd.DomainShape(n, p), count, seed)
-
-    @pytest.mark.parametrize("n, p", [(4, 2), (3, 3), (2, 4), (2, 12)])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_larger_shapes(self, n, p, seed):
-        self.check(cd.DomainShape(n, p), n, seed)
-
-    @staticmethod
-    def check(shape, count, seed):
-        batched, successive = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _uniform_draws(shape, count, batched)
-        want = permutation_draws(shape, count, successive)
-        assert [pref.indices for pref in got] == [pref.indices for pref in want]
-        assert batched.random() == successive.random()
-        again = np.random.default_rng(seed)
-        assert cd.uniform_preference(shape, again) == got[0]
