@@ -236,6 +236,7 @@ def _check_perm(n: int, p: int, category, perm: tuple) -> None:
 def _permute_bundle(bundle: Bundle, category: int, perm: tuple[int, ...]) -> Bundle:
     """``bundle`` with its ``category`` item relabeled by ``perm``, a checked
     permutation of 1..len(perm)."""
+    bundle = tuple(bundle)
     item = bundle[category - 1]
     if not 1 <= item <= len(perm):
         raise ValidationError(f"bundle {bundle} holds item {item!r} outside 1..{len(perm)}")
@@ -423,7 +424,10 @@ def check_category_wise_neutrality(
     def violation(profile, category, perm, outcome):
         lhs = mechanism.apply(apply_category_permutation(profile, category, perm))
         rhs = apply_category_permutation(outcome, category, perm)
-        if lhs.bundles != rhs.bundles:
+        # rhs holds tuples, and a mechanism may return list bundles
+        if lhs.bundles != rhs.bundles and rhs.bundles != {
+            j: tuple(b) for j, b in lhs.bundles.items()
+        }:
             return Counterexample(
                 axiom, profile, lhs, rhs, category=category, permutation=perm
             )

@@ -13,11 +13,11 @@ uninterrupted index ``K`` (see ``orders.analyze_order``):
 All three are tight: the adversarial module constructs profiles realizing
 them exactly. ``search_orders`` optimizes these guarantees over orders.
 
-The optimistic and pessimistic bounds of a whole order are read off one
-``orders._order_pass`` (plus the O(p) uninterrupted-index scan for each
-optimistic agent); ``worst_case_report`` and ``search_orders`` both score
-that way, ``search_orders`` without building a ``PickingOrder``, analytics
-or report per candidate.
+``worst_case_report`` reads the optimistic and pessimistic bounds of one
+order off one ``orders._order_pass`` (plus the O(p) uninterrupted-index scan
+for each optimistic agent). ``search_orders`` scores its candidates in
+blocks of orders instead, with the same closed forms over numpy arrays
+(``_block_bounds``), and builds a ``PickingOrder`` only for the best one.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .domain import CapacityError, DomainShape, ValidationError, _check_seed, _exceeds
 from .engine import Behavior, Optimistic, Pessimistic, Scripted
@@ -167,19 +169,79 @@ class SearchResult:
     evaluated: int
 
 
-def _canonical_under_relabeling(rounds, class_of) -> bool:
-    # keep only orders whose agents, within each behavior class, first appear
-    # in ascending label order; that representative is lex-minimal in its orbit
-    # (the orders are complete, so every label of each class does appear)
-    seen: dict[int, list[int]] = {}
-    for j, _ in rounds:
-        cls = class_of[j]
-        bucket = seen.setdefault(cls, [])
-        if j not in bucket:
-            if bucket and bucket[-1] > j:
-                return False
-            bucket.append(j)
-    return True
+# the cap on one scoring block of ``search_orders``: _BLOCK // (n*p) orders
+_BLOCK = 1 << 16
+
+
+def _block_bounds(n: int, p: int, rows: np.ndarray, optimists: Sequence[bool]) -> np.ndarray:
+    """Each agent's tight worst-case rank under every order of a block.
+
+    Row b of ``rows`` lists order b's rounds as pair indices
+    ``(agent - 1) * p + (category - 1)``. Returns a ``(B, n)`` int64 array;
+    ``DomainShape`` caps ``n**p`` at 10**6, so even a sum of n ranks fits.
+    The cost is one stable sort of each row by category and one by agent."""
+    blocks, size = rows.shape
+    top = n**p
+    at = np.arange(blocks)[:, None]
+    # each category's picks in round order: the k-th (from 0) has slack n - k,
+    # and the round of the pick before it (1-based, 0 for none) as pred
+    by_category = np.argsort(rows % p, axis=1, kind="stable")
+    before = np.zeros((blocks, p, n), dtype=rows.dtype)
+    before[:, :, 1:] = by_category.reshape(blocks, p, n)[:, :, :-1] + 1
+    slack = np.empty_like(rows)
+    pred = np.empty_like(rows)
+    slack[at, by_category] = np.tile(np.arange(n, 0, -1), p)
+    pred[at, by_category] = before.reshape(blocks, size)
+    # each agent's picks in suborder
+    by_agent = np.argsort(rows // p, axis=1, kind="stable")
+    slacks = slack[at, by_agent].reshape(blocks, n, p)
+    preds = pred[at, by_agent].reshape(blocks, n, p)
+    # the uninterrupted index is the first position m whose later preds all
+    # come before her m-th round (0-based by_agent); the last one always does
+    later = np.zeros_like(preds)
+    later[:, :, :-1] = np.maximum.accumulate(preds[:, :, :0:-1], axis=2)[:, :, ::-1]
+    start = np.argmax(later <= by_agent.reshape(blocks, n, p), axis=2)
+    tail = np.where(np.arange(p) >= start[:, :, None], slacks, 1).prod(axis=2)
+    return np.where(optimists, top + 1 - tail, top + p - slacks.sum(axis=2))
+
+
+def _permutation_blocks(size: int, per_block: int) -> Iterator[np.ndarray]:
+    """Every permutation of ``range(size)`` in lexicographic order, in blocks
+    of r! rows, r the largest with r! <= ``per_block`` (at least 1). A block
+    is one prefix of the first size - r entries followed by every ordering
+    of the remaining r, built from one shared table of the orderings of
+    ``range(r)``."""
+    r = 1
+    while r < size and math.factorial(r + 1) <= per_block:
+        r += 1
+    # lex table of range(k + 1): each first entry f, then range(k)'s table
+    # renumbered past f
+    table = np.zeros((1, 0), dtype=np.intp)
+    for k in range(r):
+        first = np.repeat(np.arange(k + 1), len(table))
+        rest = np.tile(table, (k + 1, 1))
+        table = np.column_stack([first, rest + (rest >= first[:, None])])
+    for prefix in itertools.permutations(range(size), size - r):
+        block = np.empty((len(table), size), dtype=np.intp)
+        block[:, : size - r] = prefix
+        block[:, size - r :] = np.setdiff1d(np.arange(size), prefix)[table]
+        yield block
+
+
+def _canonical_rows(rows: np.ndarray, p: int, optimists: Sequence[bool]) -> np.ndarray:
+    """The rows (orders as in ``_block_bounds``) in which, within each
+    behavior class, the agents' first rounds ascend with their labels: the
+    lex-smallest order of each orbit under relabeling agents of a class."""
+    blocks, size = rows.shape
+    rounds = np.empty_like(rows)
+    rounds[np.arange(blocks)[:, None], rows] = np.arange(size)
+    first = rounds.reshape(blocks, len(optimists), p).min(axis=2)
+    # agents grouped by class, by label within it
+    agents = np.argsort(optimists, kind="stable")
+    classes = np.asarray(optimists)[agents]
+    same = classes[1:] == classes[:-1]
+    ascending = np.diff(first[:, agents], axis=1) > 0
+    return rows[(ascending | ~same).all(axis=1)]
 
 
 def search_orders(
@@ -196,17 +258,16 @@ def search_orders(
     Exhaustive mode enumerates all (n*p)! orders (refusing when that exceeds
     the budget), pruned by agent relabeling within equal-behavior classes;
     ties go to the lexicographically smallest round sequence. Random mode
-    draws ``budget`` orders from the seeded generator.
+    draws ``budget`` orders from the seeded generator: a block at a time
+    through ``rng.permuted``, which draws the same rows as one
+    ``rng.permutation(n*p)`` per order.
 
-    Each candidate is scored straight from one ``_order_pass`` over its
-    rounds (an O(n*p) walk plus an O(p) scan per optimistic agent), with no
-    ``PickingOrder``, analytics or report built for it: the candidates are
-    permutations of the full (agent, category) pair list, so the order
-    check could never fail on them. Only the best order is built, and so
-    checked, as a ``PickingOrder``.
+    Candidates are scored in blocks of at most ``_BLOCK // (n*p)`` orders by
+    ``_block_bounds``, with no ``PickingOrder``, analytics or report built
+    for them: they are permutations of the full (agent, category) pair list,
+    so the order check could never fail on them. Only the best order is
+    built, and so checked, as a ``PickingOrder``.
     """
-    import numpy as np
-
     shape = DomainShape(n, p)
     if objective not in ("utilitarian", "egalitarian"):
         raise ValidationError(f"unknown objective {objective!r}")
@@ -215,42 +276,49 @@ def search_orders(
     if seed is not None:
         _check_seed(seed)
     pairs = [(j, i) for j in shape.agents() for i in shape.categories()]
+    size = len(pairs)
+    per_block = max(1, _BLOCK // size)
 
     if mode not in ("exhaustive", "random"):
         raise ValidationError(f"unknown search mode {mode!r}")
     if not (type(budget) is int and budget >= 1):
         raise ValidationError(f"{mode} search needs a budget of at least 1 order, got {budget!r}")
+    optimists = _optimists(behaviors)
 
     if mode == "exhaustive":
-        if _exceeds(budget, range(2, len(pairs) + 1)):
+        if _exceeds(budget, range(2, size + 1)):
             raise CapacityError(
                 f"exhaustive search over shape {n}x{p} needs more than {budget} orders, "
                 "the budget; raise the budget or use random mode"
             )
-        class_of = {j: repr(behaviors[j - 1]) for j in shape.agents()}
-        candidates = (
-            perm
-            for perm in itertools.permutations(pairs)
-            if _canonical_under_relabeling(perm, class_of)
+        blocks = (
+            _canonical_rows(rows, p, optimists)
+            for rows in _permutation_blocks(size, per_block)
         )
     else:
         rng = np.random.default_rng(seed)
-        pick = pairs.__getitem__
-        candidates = (
-            tuple(map(pick, rng.permutation(len(pairs)).tolist())) for _ in range(budget)
+        blocks = (
+            rng.permuted(np.tile(np.arange(size), (min(per_block, budget - done), 1)), axis=1)
+            for done in range(0, budget, per_block)
         )
 
-    optimists = _optimists(behaviors)
-    score = sum if objective == "utilitarian" else max
-    best: tuple[int, tuple] | None = None
+    best: tuple[int, tuple[int, ...]] | None = None
     evaluated = 0
-    for perm in candidates:
-        value = score(_order_bounds(shape, perm, optimists))
-        evaluated += 1
-        if best is None or (value, perm) < best:
-            best = (value, perm)
+    for rows in blocks:
+        if not len(rows):
+            continue
+        bounds = _block_bounds(n, p, rows, optimists)
+        values = bounds.sum(axis=1) if objective == "utilitarian" else bounds.max(axis=1)
+        low = values.min()
+        ties = rows[values == low]
+        row = ties[np.lexsort(ties.T[::-1])[0]]
+        evaluated += len(rows)
+        # pair indices order like the (agent, category) pairs they stand for
+        candidate = (int(low), tuple(row.tolist()))
+        if best is None or candidate < best:
+            best = candidate
 
-    return SearchResult(PickingOrder(shape, best[1]), best[0], evaluated)
+    return SearchResult(PickingOrder(shape, map(pairs.__getitem__, best[1])), best[0], evaluated)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from numbers import Integral
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
@@ -407,7 +408,9 @@ def validate_allocation(shape: DomainShape, allocation: Allocation) -> Allocatio
     n = shape.n
     rows = list(map(bundles.__getitem__, shape.agents()))
     for j, b in enumerate(rows, 1):
-        if len(b) != shape.p or not all(1 <= x <= n for x in b):
+        if len(b) != shape.p or not all(
+            (type(x) is int or isinstance(x, Integral)) and 1 <= x <= n for x in b
+        ):
             return AllocationCheck(False, f"agent {j} holds malformed bundle {b}")
     for i, items in enumerate(zip(*rows), 1):
         if len(set(items)) == n:

@@ -17,7 +17,7 @@ path: it lists each agent's picks in suborder with their slacks and the round
 of each pick's in-category predecessor, and one backward suffix-max scan over
 those picks (``_uninterrupted_index``) gives the uninterrupted index in O(p)
 per agent. ``analyze_order`` builds ``OrderAnalytics`` from it, and
-``bounds`` scores orders straight from it.
+``bounds.worst_case_report`` scores an order straight from it.
 """
 
 from __future__ import annotations

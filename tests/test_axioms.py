@@ -337,6 +337,7 @@ class TestMechanisms:
             ({1: [1, 2], 2: (True, 1)}, "item True of category 1 assigned to agents 1 and 2"),
             ({1: (1, 2), 2: (2, 2)}, "item 2 of category 2 assigned to agents 1 and 2"),
             ({1: (1, 2), 2: (2, 3)}, r"agent 2 holds malformed bundle \(2, 3\)"),
+            ({1: (1.5, 1), 2: (2, 2)}, r"agent 1 holds malformed bundle \(1.5, 1\)"),
             ({1: (1, 2)}, r"agents \[1\] do not match 1..2"),
         ],
     )
@@ -385,6 +386,31 @@ class TestNonCanonicalOutcomes:
         mech = constant_mechanism(self.TRUE)
         with pytest.raises(cd.ValidationError, match=r"bundle \(True, 2\) holds item True outside 1..2"):
             check_pareto_optimality(mech, SHAPE_2X2, self.MODES[mode])
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_neutrality_reads_list_bundles(self, mode):
+        as_list, as_tuple = (
+            check_category_wise_neutrality(
+                constant_mechanism(allocation), SHAPE_2X2, self.MODES[mode]
+            ).to_json()
+            for allocation in (self.LIST, cd.Allocation({1: (1, 2), 2: (2, 1)}))
+        )
+        assert not as_list["passed"]
+        assert as_list["checked"] == 1
+        assert as_list == as_tuple
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_neutral_mechanism_with_list_bundles_passes(self, mode):
+        sd = sd_direct([1, 2])
+        listed = cd.DirectMechanism(
+            sd.name,
+            lambda profile: cd.Allocation(
+                {j: list(b) for j, b in sd.apply(profile).bundles.items()}
+            ),
+        )
+        verdict = check_category_wise_neutrality(listed, SHAPE_2X2, self.MODES[mode])
+        assert verdict.passed
+        assert verdict == check_category_wise_neutrality(sd, SHAPE_2X2, self.MODES[mode])
 
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_neutrality_with_true_items(self, mode):

@@ -2,12 +2,14 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import catdom as cd
+from catdom.bounds import _block_bounds, _canonical_rows, _order_bounds
 
 from test_orders import (
     SHAPES_UP_TO_12,
@@ -120,8 +122,11 @@ def oracle_bounds(order, behaviors):
     """Per-agent worst-case ranks by the closed forms over
     ``reference_analyze_order``: per-order scoring as ``worst_case_report``
     and ``search_orders`` did it before they read one order pass."""
-    an = reference_analyze_order(order)
-    shape = order.shape
+    return _closed_forms(reference_analyze_order(order), behaviors)
+
+
+def _closed_forms(an, behaviors):
+    shape = an.shape
     top = shape.bundle_count
     bounds = []
     for j, b in enumerate(behaviors, 1):
@@ -142,9 +147,9 @@ def oracle_table(n, p):
     pairs = [(j, i) for j in shape.agents() for i in shape.categories()]
     table = []
     for rounds in itertools.permutations(pairs):
-        order = cd.PickingOrder(shape, rounds)
-        table.append((rounds, oracle_bounds(order, [cd.OPTIMISTIC] * n),
-                      oracle_bounds(order, [cd.PESSIMISTIC] * n)))
+        an = reference_analyze_order(cd.PickingOrder(shape, rounds))
+        table.append((rounds, _closed_forms(an, [cd.OPTIMISTIC] * n),
+                      _closed_forms(an, [cd.PESSIMISTIC] * n)))
     return table
 
 
@@ -186,8 +191,30 @@ def random_search_oracle(n, p, behaviors, objective, seed, budget):
     return best
 
 
+def _canonical_under_relabeling(rounds, class_of) -> bool:
+    """Whether the agents of each behavior class first appear in ascending
+    label order: the per-order filter exhaustive search ran before
+    ``bounds._canonical_rows``. That representative is lex-minimal in its
+    orbit (the orders are complete, so every label of each class appears)."""
+    seen: dict[int, list[int]] = {}
+    for j, _ in rounds:
+        cls = class_of[j]
+        bucket = seen.setdefault(cls, [])
+        if j not in bucket:
+            if bucket and bucket[-1] > j:
+                return False
+            bucket.append(j)
+    return True
+
+
 def _mixes(n):
     return [list(mix) for mix in itertools.product([cd.OPTIMISTIC, cd.PESSIMISTIC], repeat=n)]
+
+
+def _named_mixes(n):
+    """All optimistic, all pessimistic, and alternating from an optimist."""
+    alternating = [cd.OPTIMISTIC if j % 2 else cd.PESSIMISTIC for j in range(1, n + 1)]
+    return [[cd.OPTIMISTIC] * n, [cd.PESSIMISTIC] * n, alternating]
 
 
 class TestKernelOracle:
@@ -213,10 +240,12 @@ class TestKernelOracle:
                 ]
                 assert (report.utilitarian, report.egalitarian) == (sum(want), max(want))
 
-    @pytest.mark.parametrize("n, p", [(n, p) for n in range(1, 7) for p in range(1, 6 // n + 1)])
+    @pytest.mark.parametrize(
+        "n, p", [(n, p) for n in range(1, 7) for p in range(1, 6 // n + 1)] + [(4, 2), (2, 4)]
+    )
     def test_exhaustive_matches_unpruned_oracle(self, n, p):
         table = oracle_table(n, p)
-        for mix in _mixes(n):
+        for mix in _mixes(n) if n * p <= 6 else _named_mixes(n):
             # relabeling within a behavior class acts freely on orders
             classes = math.prod(math.factorial(mix.count(b)) for b in set(mix))
             for objective in ("utilitarian", "egalitarian"):
@@ -226,8 +255,7 @@ class TestKernelOracle:
 
     @pytest.mark.parametrize("n, p", [(1, 4), (2, 3), (3, 2), (3, 3), (4, 1), (4, 3)])
     def test_random_matches_oracle(self, n, p):
-        alternating = [cd.OPTIMISTIC if j % 2 else cd.PESSIMISTIC for j in range(1, n + 1)]
-        for mix in ([cd.OPTIMISTIC] * n, [cd.PESSIMISTIC] * n, alternating):
+        for mix in _named_mixes(n):
             for objective in ("utilitarian", "egalitarian"):
                 for seed in range(3):
                     result = cd.search_orders(
@@ -236,6 +264,73 @@ class TestKernelOracle:
                     want = random_search_oracle(n, p, mix, objective, seed, 150)
                     assert (result.score, result.order.rounds) == want
                     assert result.evaluated == 150
+
+
+def _rows(orders):
+    """Orders as ``bounds._block_bounds`` rows of pair indices."""
+    return np.array(
+        [[(j - 1) * order.shape.p + i - 1 for j, i in order.rounds] for order in orders]
+    )
+
+
+class TestBlockScorer:
+    """The block kernel, the vectorised relabeling filter and the block loop
+    against the per-order pass, the per-order filter and the per-draw
+    oracle search."""
+
+    @pytest.mark.parametrize("n, p", SHAPES_UP_TO_12 + [(2, 16), (12, 1), (1, 40)])
+    def test_block_bounds_match_order_pass(self, n, p):
+        shape = cd.DomainShape(n, p)
+        orders = [seeded_order(n, p, seed) for seed in range(5)]
+        for mix in _named_mixes(n):
+            optimists = [b is cd.OPTIMISTIC for b in mix]
+            got = _block_bounds(n, p, _rows(orders), optimists)
+            want = [_order_bounds(shape, order.rounds, optimists) for order in orders]
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize("n, p", [(n, p) for n in range(1, 8) for p in range(1, 7 // n + 1)])
+    def test_canonical_rows_match_per_order_filter(self, n, p):
+        shape = cd.DomainShape(n, p)
+        pairs = [(j, i) for j in shape.agents() for i in shape.categories()]
+        rows = np.array(list(itertools.permutations(range(n * p))))
+        for mix in _mixes(n) if n < 5 else _named_mixes(n):
+            optimists = [b is cd.OPTIMISTIC for b in mix]
+            class_of = dict(enumerate(optimists, 1))
+            want = [
+                list(row) for row in rows
+                if _canonical_under_relabeling([pairs[k] for k in row], class_of)
+            ]
+            assert _canonical_rows(rows, p, optimists).tolist() == want
+
+    @pytest.mark.parametrize("n, p", [(2, 3), (3, 2), (3, 3), (1, 5)])
+    def test_small_blocks_match_oracle(self, monkeypatch, n, p):
+        # 5 to 9 orders a block: budgets span several blocks and end in a
+        # ragged one, and exhaustive ties cross block edges
+        monkeypatch.setattr("catdom.bounds._BLOCK", 45)
+        table = oracle_table(n, p) if n * p <= 6 else None
+        for mix in _named_mixes(n):
+            for objective in ("utilitarian", "egalitarian"):
+                for seed, budget in ((0, 23), (1, 1), (2, 31)):
+                    result = cd.search_orders(
+                        n, p, mix, objective=objective, mode="random", seed=seed, budget=budget
+                    )
+                    want = random_search_oracle(n, p, mix, objective, seed, budget)
+                    assert (result.score, result.order.rounds, result.evaluated) == (*want, budget)
+                if table is not None:
+                    result = cd.search_orders(n, p, mix, objective=objective)
+                    assert (result.score, result.order.rounds) == best_in_table(table, mix, objective)
+
+    @pytest.mark.parametrize("n, p, budget", [(1, 3000, 50), (3, 3, 200_000)])
+    def test_search_memory_is_bounded(self, n, p, budget):
+        # a (B, n*p, p) one-hot at 1x3000, or one block of a 200,000-order
+        # budget at 3x3, would be well over 100 MiB; the blocks peak near 10
+        tracemalloc.start()
+        try:
+            cd.search_orders(n, p, [cd.OPTIMISTIC] * n, mode="random", seed=0, budget=budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestSearch:
@@ -312,13 +407,14 @@ class TestSearch:
             ({"objective": "fair"}, cd.ValidationError, "unknown objective 'fair'"),
             ({"mode": "annealing"}, cd.ValidationError, "unknown search mode 'annealing'"),
             ({"budget": 0}, cd.ValidationError, "exhaustive search needs a budget"),
-            ({"budget": 23}, cd.CapacityError, "more than 23 orders"),
+            ({"budget": 23}, cd.ValidationError, "scripted agents"),
             ({"mode": "random", "seed": -1}, cd.ValidationError, "seed must be"),
         ],
     )
     def test_behaviors_checked_last(self, kwargs, error, message):
-        # every other check comes first, as when the first candidate's
-        # report rejected the behaviors
+        # every other input check comes first, as when the first candidate's
+        # report rejected the behaviors; the capacity refusal comes after, so
+        # bad input is bad input at every shape
         behaviors = [cd.Scripted((1, 1)), cd.OPTIMISTIC]
         with pytest.raises(error, match=message):
             cd.search_orders(2, 2, behaviors, **kwargs)

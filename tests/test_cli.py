@@ -476,6 +476,17 @@ class TestSearch:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_scripted_search_is_bad_input_at_every_shape(self, capsys, tmp_path, n):
+        # at 3x3, (n*p)! is over the default budget: bad input still wins
+        script = tmp_path / "s.json"
+        script.write_text(json.dumps([1] * n))
+        behaviors = ",".join(["opt"] * (n - 1) + [f"script:{script}"])
+        err = assert_rejected(
+            capsys, ["search", "--n", str(n), "--p", str(n), "--behaviors", behaviors]
+        )
+        assert "scripted agents have no order-level worst-case guarantee" in err
+
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_exhaustive_budget_below_one_exit_code(self, budget):
         code, out, err = run_quietly(
