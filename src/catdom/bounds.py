@@ -169,7 +169,8 @@ class SearchResult:
     evaluated: int
 
 
-# the cap on one scoring block of ``search_orders``: _BLOCK // (n*p) orders
+# pair indices per scoring block of ``search_orders`` (_BLOCK // (n*p)
+# orders, at least one): each of a block's arrays stays near half a MiB
 _BLOCK = 1 << 16
 
 
@@ -197,7 +198,7 @@ def _block_bounds(n: int, p: int, rows: np.ndarray, optimists: Sequence[bool]) -
     slacks = slack[at, by_agent].reshape(blocks, n, p)
     preds = pred[at, by_agent].reshape(blocks, n, p)
     # the uninterrupted index is the first position m whose later preds all
-    # come before her m-th round (0-based by_agent); the last one always does
+    # come before her m-th round, by_agent + 1; the last position always does
     later = np.zeros_like(preds)
     later[:, :, :-1] = np.maximum.accumulate(preds[:, :, :0:-1], axis=2)[:, :, ::-1]
     start = np.argmax(later <= by_agent.reshape(blocks, n, p), axis=2)

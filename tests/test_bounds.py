@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import catdom as cd
-from catdom.bounds import _block_bounds, _canonical_rows, _order_bounds
+from catdom.bounds import _block_bounds, _canonical_rows, _order_bounds, _permutation_blocks
 
 from test_orders import (
     SHAPES_UP_TO_12,
@@ -287,6 +287,14 @@ class TestBlockScorer:
             got = _block_bounds(n, p, _rows(orders), optimists)
             want = [_order_bounds(shape, order.rounds, optimists) for order in orders]
             assert got.tolist() == want
+
+    @pytest.mark.parametrize("size", range(1, 8))
+    def test_permutation_blocks_are_every_permutation_in_order(self, size):
+        want = list(itertools.permutations(range(size)))
+        for per_block in (1, 2, 5, 6, 24, 10**6):
+            blocks = list(_permutation_blocks(size, per_block))
+            assert all(len(block) <= per_block for block in blocks)
+            assert [tuple(row) for block in blocks for row in block.tolist()] == want
 
     @pytest.mark.parametrize("n, p", [(n, p) for n in range(1, 8) for p in range(1, 7 // n + 1)])
     def test_canonical_rows_match_per_order_filter(self, n, p):
