@@ -337,8 +337,8 @@ class TestMechanisms:
             ({1: [1, 2], 2: (True, 1)}, "item True of category 1 assigned to agents 1 and 2"),
             ({1: (1, 2), 2: (2, 2)}, "item 2 of category 2 assigned to agents 1 and 2"),
             ({1: (1, 2), 2: (2, 3)}, r"agent 2 holds malformed bundle \(2, 3\)"),
-            ({1: (1.5, 1), 2: (2, 2)}, r"agent 1 holds malformed bundle \(1.5, 1\)"),
             ({1: (1, 2)}, r"agents \[1\] do not match 1..2"),
+            ({1: (1.5, 1), 2: (2, 2)}, r"agent 1 holds malformed bundle \(1.5, 1\)"),
         ],
     )
     def test_infeasible_outcome_message(self, bundles, detail, welfare_profile_2x2):
