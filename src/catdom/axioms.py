@@ -234,8 +234,8 @@ def _check_perm(n: int, p: int, category, perm: tuple) -> None:
 
 
 def _permute_bundle(bundle: Bundle, category: int, perm: tuple[int, ...]) -> Bundle:
-    """``bundle`` with its ``category`` item relabeled by ``perm``, a checked
-    permutation of 1..len(perm)."""
+    """``bundle`` (a tuple or a list) as a tuple with its ``category`` item
+    relabeled by ``perm``, a checked permutation of 1..len(perm)."""
     bundle = tuple(bundle)
     item = bundle[category - 1]
     if not 1 <= item <= len(perm):
