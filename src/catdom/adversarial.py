@@ -110,7 +110,7 @@ def _best_cover(order: PickingOrder, agent: int, after_round: int) -> Bundle:
     return best[1]
 
 
-def _optimistic_ranking(order: PickingOrder, agent: int) -> list[Bundle]:
+def _optimist_ranking(order: PickingOrder, agent: int) -> list[Bundle]:
     shape = order.shape
     analytics = order.analytics
     j1, i1 = order.rounds[0]
@@ -167,7 +167,7 @@ def _optimistic_ranking(order: PickingOrder, agent: int) -> list[Bundle]:
     return pins + middle + [own] + block_rest
 
 
-def _pessimistic_ranking(order: PickingOrder, agent: int) -> list[Bundle]:
+def _pessimist_ranking(order: PickingOrder, agent: int) -> list[Bundle]:
     shape = order.shape
     analytics = order.analytics
     j1, i1 = order.rounds[0]
@@ -229,9 +229,9 @@ def worst_case_profile(order: PickingOrder, behaviors: Sequence[Behavior]) -> Pr
     rankings: list[list[Bundle]] = []
     for j, b in enumerate(behaviors, 1):
         if isinstance(b, Optimistic):
-            rankings.append(_optimistic_ranking(order, j))
+            rankings.append(_optimist_ranking(order, j))
         elif isinstance(b, Pessimistic):
-            rankings.append(_pessimistic_ranking(order, j))
+            rankings.append(_pessimist_ranking(order, j))
         else:
             raise ValidationError(
                 f"agent {j}: worst-case profiles exist for optimistic or pessimistic "

@@ -165,7 +165,7 @@ def _factorial_factors(k: int, power: int = 1) -> Iterator[int]:
     return itertools.chain.from_iterable(itertools.repeat(range(2, k + 1), power))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def all_rankings(shape: DomainShape) -> tuple[Preference, ...]:
     """Every strict ranking of the bundle space, in lexicographic order."""
     if _exceeds(1_000_000, _factorial_factors(shape.bundle_count)):
@@ -177,7 +177,7 @@ def all_rankings(shape: DomainShape) -> tuple[Preference, ...]:
     return tuple(Preference(shape, perm) for perm in itertools.permutations(bundles))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def all_allocations(shape: DomainShape) -> tuple[Allocation, ...]:
     """Every feasible allocation: one item permutation per category."""
     if _exceeds(1_000_000, _factorial_factors(shape.n, shape.p)):

@@ -13,10 +13,10 @@ uninterrupted index ``K`` (see ``orders.analyze_order``):
 All three are tight: the adversarial module constructs profiles realizing
 them exactly. ``search_orders`` optimizes these guarantees over orders.
 
-``worst_case_report`` reads the optimistic and pessimistic bounds of one
-order off one ``orders._order_pass`` (plus the O(p) uninterrupted-index scan
-for each optimistic agent). ``search_orders`` scores its candidates in
-blocks of orders instead, with the same closed forms over numpy arrays
+The per-agent suborders, slacks and uninterrupted indices come from one
+kernel, ``orders._order_arrays``. ``worst_case_report`` reads them through
+``PickingOrder.analytics``; ``search_orders`` scores its candidates in blocks
+of orders with the same closed forms over the kernel's arrays
 (``_block_bounds``), and builds a ``PickingOrder`` only for the best one.
 """
 
@@ -31,34 +31,18 @@ import numpy as np
 
 from .domain import CapacityError, DomainShape, ValidationError, _check_seed, _exceeds
 from .engine import Behavior, Optimistic, Pessimistic, Scripted
-from .orders import (
-    OrderAnalytics,
-    PickingOrder,
-    _order_pass,
-    _uninterrupted_index,
-    interrupter_order,
-)
-
-
-def _optimistic(slacks: Sequence[int], start: int, top: int) -> int:
-    """Optimistic bound from the slacks in suborder and the uninterrupted
-    index; ``top`` is ``n**p``."""
-    return top + 1 - math.prod(slacks[start - 1 :])
-
-
-def _pessimistic(slacks: Sequence[int], top: int) -> int:
-    return top + len(slacks) - sum(slacks)
+from .orders import OrderAnalytics, PickingOrder, _order_arrays, interrupter_order
 
 
 def optimistic_bound(analytics: OrderAnalytics, agent: int) -> int:
-    slacks = [analytics.slack(agent, i) for i in analytics.suborder(agent)]
-    start = analytics.uninterrupted_index(agent)
-    return _optimistic(slacks, start, analytics.shape.bundle_count)
+    tail = analytics.suborder(agent)[analytics.uninterrupted_index(agent) - 1 :]
+    return analytics.shape.bundle_count + 1 - math.prod(analytics.slack(agent, i) for i in tail)
 
 
 def pessimistic_bound(analytics: OrderAnalytics, agent: int) -> int:
-    slacks = [analytics.slack(agent, i) for i in analytics.shape.categories()]
-    return _pessimistic(slacks, analytics.shape.bundle_count)
+    shape = analytics.shape
+    total = sum(analytics.slack(agent, i) for i in shape.categories())
+    return shape.bundle_count + shape.p - total
 
 
 def strategic_bound(analytics: OrderAnalytics, agent: int) -> int:
@@ -81,21 +65,6 @@ def _optimists(behaviors: Sequence[Behavior]) -> list[bool]:
         else:
             raise ValidationError(f"agent {j} has unknown behavior {b!r}")
     return optimists
-
-
-def _order_bounds(
-    shape: DomainShape, rounds: Sequence[tuple[int, int]], optimists: Sequence[bool]
-) -> list[int]:
-    """Each agent's tight worst-case rank, read off one ``_order_pass``."""
-    top = shape.bundle_count
-    bounds = []
-    for own, optimist in zip(_order_pass(shape.n, shape.p, rounds), optimists):
-        slacks = [slack for _, _, slack, _ in own]
-        if optimist:
-            bounds.append(_optimistic(slacks, _uninterrupted_index(own), top))
-        else:
-            bounds.append(_pessimistic(slacks, top))
-    return bounds
 
 
 @dataclass(frozen=True)
@@ -133,12 +102,14 @@ def worst_case_report(order: PickingOrder, behaviors: Sequence[Behavior]) -> Ran
     shape = order.shape
     if len(behaviors) != shape.n:
         raise ValidationError(f"{len(behaviors)} behaviors given, expected {shape.n}")
-    optimists = _optimists(behaviors)
-    bounds = _order_bounds(shape, order.rounds, optimists)
+    analytics = order.analytics
     entries = tuple(
-        AgentBound(j, "opt" if optimist else "pess", bound)
-        for j, (optimist, bound) in enumerate(zip(optimists, bounds), 1)
+        AgentBound(j, "opt", optimistic_bound(analytics, j))
+        if optimist
+        else AgentBound(j, "pess", pessimistic_bound(analytics, j))
+        for j, optimist in enumerate(_optimists(behaviors), 1)
     )
+    bounds = [e.bound for e in entries]
     return RankBoundReport(shape, entries, sum(bounds), max(bounds))
 
 
@@ -153,11 +124,9 @@ def all_optimistic_witness(analytics: OrderAnalytics) -> int:
     """Some agent always has slack 1 in every suborder position at or past her
     uninterrupted index, so her optimistic bound degenerates to n**p. Returns
     the smallest such agent."""
-    shape = analytics.shape
-    for j in shape.agents():
-        sub = analytics.suborder(j)
-        start = analytics.uninterrupted_index(j)
-        if all(analytics.slack(j, sub[l - 1]) == 1 for l in range(start, shape.p + 1)):
+    for j in analytics.shape.agents():
+        tail = analytics.suborder(j)[analytics.uninterrupted_index(j) - 1 :]
+        if all(analytics.slack(j, i) == 1 for i in tail):
             return j
     raise AssertionError("no degenerate agent found; analytics must be inconsistent")
 
@@ -175,33 +144,11 @@ _BLOCK = 1 << 16
 
 
 def _block_bounds(n: int, p: int, rows: np.ndarray, optimists: Sequence[bool]) -> np.ndarray:
-    """Each agent's tight worst-case rank under every order of a block.
-
-    Row b of ``rows`` lists order b's rounds as pair indices
-    ``(agent - 1) * p + (category - 1)``. Returns a ``(B, n)`` int64 array;
-    ``DomainShape`` caps ``n**p`` at 10**6, so even a sum of n ranks fits.
-    The cost is one stable sort of each row by category and one by agent."""
-    blocks, size = rows.shape
+    """Each agent's tight worst-case rank under every order of a block of
+    ``orders._order_arrays`` rows. Returns a ``(B, n)`` int64 array;
+    ``DomainShape`` caps ``n**p`` at 10**6, so even a sum of n ranks fits."""
+    _, slacks, start = _order_arrays(n, p, rows)
     top = n**p
-    at = np.arange(blocks)[:, None]
-    # each category's picks in round order: the k-th (from 0) has slack n - k,
-    # and the round of the pick before it (1-based, 0 for none) as pred
-    by_category = np.argsort(rows % p, axis=1, kind="stable")
-    before = np.zeros((blocks, p, n), dtype=rows.dtype)
-    before[:, :, 1:] = by_category.reshape(blocks, p, n)[:, :, :-1] + 1
-    slack = np.empty_like(rows)
-    pred = np.empty_like(rows)
-    slack[at, by_category] = np.tile(np.arange(n, 0, -1), p)
-    pred[at, by_category] = before.reshape(blocks, size)
-    # each agent's picks in suborder
-    by_agent = np.argsort(rows // p, axis=1, kind="stable")
-    slacks = slack[at, by_agent].reshape(blocks, n, p)
-    preds = pred[at, by_agent].reshape(blocks, n, p)
-    # the uninterrupted index is the first position m whose later preds all
-    # come before her m-th round, by_agent + 1; the last position always does
-    later = np.zeros_like(preds)
-    later[:, :, :-1] = np.maximum.accumulate(preds[:, :, :0:-1], axis=2)[:, :, ::-1]
-    start = np.argmax(later <= by_agent.reshape(blocks, n, p), axis=2)
     tail = np.where(np.arange(p) >= start[:, :, None], slacks, 1).prod(axis=2)
     return np.where(optimists, top + 1 - tail, top + p - slacks.sum(axis=2))
 

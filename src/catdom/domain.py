@@ -135,8 +135,8 @@ def _bundle_lookup(shape: DomainShape) -> dict[Bundle, int]:
 
 
 def decode_bundle(shape: DomainShape, index: int) -> Bundle:
-    if not (0 <= index < shape.bundle_count):
-        raise ValidationError(f"bundle index {index} outside 0..{shape.bundle_count - 1}")
+    if not (type(index) is int and 0 <= index < shape.bundle_count):
+        raise ValidationError(f"bundle index {index!r} outside 0..{shape.bundle_count - 1}")
     comps = []
     for _ in range(shape.p):
         comps.append(index % shape.n + 1)

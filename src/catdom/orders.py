@@ -12,12 +12,12 @@ alone:
   which no other agent's pick can invalidate availability reasoning between
   her own rounds (see ``analyze_order``).
 
-One private pass over the rounds (``_order_pass``) is the only analytics
-path: it lists each agent's picks in suborder with their slacks and the round
-of each pick's in-category predecessor, and one backward suffix-max scan over
-those picks (``_uninterrupted_index``) gives the uninterrupted index in O(p)
-per agent. ``analyze_order`` builds ``OrderAnalytics`` from it, and
-``bounds.worst_case_report`` scores an order straight from it.
+One private numpy kernel (``_order_arrays``) computes all three for a block
+of orders given as rows of pair indices: two stable sorts of each row, by
+category and by agent, and one reversed running maximum over each agent's
+predecessor rounds for the uninterrupted index. ``analyze_order`` builds
+``OrderAnalytics`` from a one-row block, and ``bounds.search_orders`` scores
+its candidate blocks from the same arrays.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .domain import DomainShape, ValidationError
+import numpy as np
 
-Round = tuple[int, int]
+from .domain import DomainShape, ValidationError
 
 
 class PickingOrder:
@@ -139,20 +139,28 @@ class OrderAnalytics:
     slacks: Mapping[tuple[int, int], int]
     uninterrupted: Mapping[int, int]
 
+    def _get(self, table: Mapping, key, what: str):
+        try:
+            return table[key]
+        except KeyError:
+            raise ValidationError(
+                f"no {what} {key!r} in a {self.shape.n}x{self.shape.p} order"
+            ) from None
+
     def suborder(self, agent: int) -> tuple[int, ...]:
-        return self.suborders[agent]
+        return self._get(self.suborders, agent, "agent")
 
     def slack(self, agent: int, category: int) -> int:
-        return self.slacks[(agent, category)]
+        return self._get(self.slacks, (agent, category), "(agent, category) pair")
 
     def uninterrupted_index(self, agent: int) -> int:
-        return self.uninterrupted[agent]
+        return self._get(self.uninterrupted, agent, "agent")
 
 
 def pickers_in_category(order: PickingOrder, category: int) -> tuple[int, ...]:
     """Agents picking from one category, in round order."""
-    if category not in order.shape.categories():
-        raise ValidationError(f"category {category} outside 1..{order.shape.p}")
+    if not (type(category) is int and 1 <= category <= order.shape.p):
+        raise ValidationError(f"category {category!r} outside 1..{order.shape.p}")
     return tuple(j for j, i in order.rounds if i == category)
 
 
@@ -160,61 +168,54 @@ def predecessor_in_category(order: PickingOrder, category: int, agent: int) -> i
     """The agent picking from ``category`` immediately before ``agent``; cyclic,
     so the first picker's predecessor is the last picker."""
     seq = pickers_in_category(order, category)
+    if not (type(agent) is int and 1 <= agent <= order.shape.n):
+        raise ValidationError(f"agent {agent!r} outside 1..{order.shape.n}")
     return seq[seq.index(agent) - 1]
 
 
-Pick = tuple[int, int, int, int]
+def _order_arrays(n: int, p: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The analytics of every order of a block of ``n`` x ``p`` orders.
 
-
-def _order_pass(n: int, p: int, rounds: Iterable[Round]) -> list[list[Pick]]:
-    """One walk over the rounds of an ``n`` x ``p`` order.
-
-    Returns each agent's picks (agent ``j`` at index ``j - 1``) in her
-    suborder, each as ``(round, category, slack, pred)``: ``slack`` is the
-    number of items of the category still on the table, hers included, and
-    ``pred`` the round of the category's previous pick (0 for its first
-    picker). The rounds are not checked: pass those of a ``PickingOrder`` or
-    a permutation of its pairs."""
-    picks: list[list[Pick]] = [[] for _ in range(n)]
-    left = [n] * (p + 1)
-    latest = [0] * (p + 1)
-    for t, (j, i) in enumerate(rounds, 1):
-        picks[j - 1].append((t, i, left[i], latest[i]))
-        left[i] -= 1
-        latest[i] = t
-    return picks
-
-
-def _uninterrupted_index(picks: Sequence[Pick]) -> int:
-    """The uninterrupted index of one agent's picks from ``_order_pass``: the
-    smallest suborder position m such that no later position's category is
-    picked by anyone between her m-th round and that position's own round,
-    i.e. every later ``pred`` is before her m-th round.
-
-    One backward scan keeps the latest ``pred`` of the positions after m
-    (a suffix maximum), so the index costs O(p), not O(p**2)."""
-    index = len(picks)
-    reach = 0
-    for m in range(len(picks) - 1, -1, -1):
-        t, _, _, pred = picks[m]
-        if reach < t:
-            index = m + 1
-        if pred > reach:
-            reach = pred
-    return index
+    Row b of ``rows`` lists order b's rounds as pair indices
+    ``(agent - 1) * p + (category - 1)``. Returns ``(categories, slacks,
+    start)``: each agent's picks in suborder as two ``(B, n, p)`` arrays, of
+    1-based categories and of slacks, and the ``(B, n)`` 0-based uninterrupted
+    index. The rows are not checked: pass permutations of ``range(n * p)``.
+    The cost is one stable sort of each row by category and one by agent."""
+    blocks, size = rows.shape
+    at = np.arange(blocks)[:, None]
+    agent, category = np.divmod(rows, p)
+    # each category's picks in round order: the round at place q of it is a
+    # pick from category q // n with slack n - q % n, and the round before it
+    # (place q - 1, 1-based) is its pred, or 0 for the category's first pick
+    by_category = np.argsort(category, axis=1, kind="stable")
+    place = np.empty_like(rows)
+    place[at, by_category] = np.arange(size)
+    # each agent's picks in suborder
+    by_agent = np.argsort(agent, axis=1, kind="stable")
+    place = place[at, by_agent].reshape(blocks, n, p)
+    picked, rank = np.divmod(place, n)
+    pred = np.where(rank > 0, by_category[at[:, :, None], place - 1] + 1, 0)
+    # the uninterrupted index is the first position m whose preds from m on
+    # all come before her m-th round, by_agent + 1 (her own pred always does)
+    later = np.maximum.accumulate(pred[:, :, ::-1], axis=2)[:, :, ::-1]
+    start = np.argmax(later <= by_agent.reshape(blocks, n, p), axis=2)
+    return picked + 1, n - rank, start
 
 
 def analyze_order(order: PickingOrder) -> OrderAnalytics:
     shape = order.shape
-    suborders: dict[int, tuple[int, ...]] = {}
-    slacks: dict[tuple[int, int], int] = {}
-    uninterrupted: dict[int, int] = {}
-    for j, own in enumerate(_order_pass(shape.n, shape.p, order.rounds), 1):
-        suborders[j] = tuple(i for _, i, _, _ in own)
-        for _, i, slack, _ in own:
-            slacks[(j, i)] = slack
-        uninterrupted[j] = _uninterrupted_index(own)
-    return OrderAnalytics(shape, suborders, slacks, uninterrupted)
+    p = shape.p
+    row = np.array([[(j - 1) * p + i - 1 for j, i in order.rounds]])
+    categories, slacks, start = (array[0].tolist() for array in _order_arrays(shape.n, p, row))
+    suborders = {j: tuple(sub) for j, sub in enumerate(categories, 1)}
+    slack_of = {
+        (j, i): k
+        for j, (sub, ks) in enumerate(zip(categories, slacks), 1)
+        for i, k in zip(sub, ks)
+    }
+    uninterrupted = {j: m + 1 for j, m in enumerate(start, 1)}
+    return OrderAnalytics(shape, suborders, slack_of, uninterrupted)
 
 
 def order_to_json(order: PickingOrder) -> dict:

@@ -217,6 +217,12 @@ class TestEnumeration:
         for alloc in allocations:
             assert cd.validate_allocation(SHAPE_2X2, alloc).ok
 
+    @pytest.mark.parametrize("enumeration", [all_rankings, all_allocations])
+    def test_enumeration_cache_is_bounded(self, enumeration):
+        for p in range(1, 10):
+            enumeration(cd.DomainShape(1, p))
+        assert enumeration.cache_info().currsize <= 8
+
 
 class TestCategoryPermutation:
     def test_preference_relabeling(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import catdom as cd
-from catdom.bounds import _block_bounds, _canonical_rows, _order_bounds, _permutation_blocks
+from catdom.bounds import _block_bounds, _canonical_rows, _permutation_blocks
 
 from test_orders import (
     SHAPES_UP_TO_12,
@@ -41,6 +41,13 @@ class TestFormulas:
         assert cd.strategic_bound(an, 1) == 7
         assert cd.strategic_bound(an, 2) == 7
         assert cd.strategic_bound(an, 3) == 6
+
+    @pytest.mark.parametrize("bound", [cd.optimistic_bound, cd.pessimistic_bound,
+                                       cd.strategic_bound])
+    @pytest.mark.parametrize("agent", [0, 4])
+    def test_bounds_reject_bad_agent(self, mixed_order_3x2, bound, agent):
+        with pytest.raises(cd.ValidationError, match=rf"agent.*\b{agent}\b"):
+            bound(mixed_order_3x2.analytics, agent)
 
     def test_serial_dictatorship(self):
         an = cd.serial_dictatorship_order([1, 2, 3], 2).analytics
@@ -218,10 +225,10 @@ def _named_mixes(n):
 
 
 class TestKernelOracle:
-    """The one order pass against the dict-based analytics, the O(p**2)
+    """The order kernel against the dict-based analytics, the O(p**2)
     uninterrupted-index loop and the per-order scoring it replaced."""
 
-    @pytest.mark.parametrize("n, p", SHAPES_UP_TO_12)
+    @pytest.mark.parametrize("n, p", SHAPES_UP_TO_12 + [(2, 16), (1, 40)])
     def test_report_matches_oracle(self, n, p):
         for seed in range(5):
             order = seeded_order(n, p, seed)
@@ -274,19 +281,17 @@ def _rows(orders):
 
 
 class TestBlockScorer:
-    """The block kernel, the vectorised relabeling filter and the block loop
-    against the per-order pass, the per-order filter and the per-draw
-    oracle search."""
+    """The block scorer, the vectorised relabeling filter and the block loop
+    against the oracle bounds, the per-order filter and the per-draw oracle
+    search."""
 
     @pytest.mark.parametrize("n, p", SHAPES_UP_TO_12 + [(2, 16), (12, 1), (1, 40)])
     def test_block_bounds_match_order_pass(self, n, p):
-        shape = cd.DomainShape(n, p)
         orders = [seeded_order(n, p, seed) for seed in range(5)]
         for mix in _named_mixes(n):
             optimists = [b is cd.OPTIMISTIC for b in mix]
             got = _block_bounds(n, p, _rows(orders), optimists)
-            want = [_order_bounds(shape, order.rounds, optimists) for order in orders]
-            assert got.tolist() == want
+            assert got.tolist() == [oracle_bounds(order, mix) for order in orders]
 
     @pytest.mark.parametrize("size", range(1, 8))
     def test_permutation_blocks_are_every_permutation_in_order(self, size):

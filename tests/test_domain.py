@@ -88,6 +88,12 @@ class TestEncoding:
         with pytest.raises(cd.ValidationError):
             cd.decode_bundle(SHAPE_2X2, -1)
 
+    @pytest.mark.parametrize("index", [1.5, True, np.int64(1)])
+    def test_decode_rejects_non_int_index(self, index):
+        message = re.escape(f"bundle index {index!r} outside 0..3")
+        with pytest.raises(cd.ValidationError, match=message):
+            cd.decode_bundle(SHAPE_2X2, index)
+
 
 def element_loop_build(shape, indices):
     """Check a ranking of bundle indices one element at a time, naming the

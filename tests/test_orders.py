@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 import catdom as cd
 from catdom.adversarial import _remaining
-from catdom.orders import _order_pass, _uninterrupted_index
 
 from conftest import MIXED_ORDER_3X2_ROUNDS, SHAPE_3X2
 
@@ -236,7 +235,11 @@ class TestAnalytics:
         assert cd.analyze_order(order) == reference_analyze_order(order)
 
     @pytest.mark.parametrize(
-        "n, p", sorted({*SHAPES_UP_TO_12, (5, 3), (2, 12), (3, 8), (4, 6), (6, 4), (12, 2)})
+        "n, p",
+        sorted({
+            *SHAPES_UP_TO_12, (5, 3), (2, 12), (3, 8), (4, 6), (6, 4), (12, 2),
+            (2, 16), (16, 2), (1, 40), (40, 1),
+        }),
     )
     def test_matches_reference_seeded(self, n, p):
         for seed in range(40):
@@ -246,16 +249,12 @@ class TestAnalytics:
     @settings(max_examples=200)
     @given(order_strategy(max_n=4, max_p=4))
     def test_pass_matches_brute_force(self, order):
-        shape = order.shape
-        picks = _order_pass(shape.n, shape.p, order.rounds)
-        assert len(picks) == shape.n
-        for j, own in enumerate(picks, 1):
-            assert [(t, i) for t, i, _, _ in own] == order.rounds_of_agent(j)
-            for t, i, slack, pred in own:
-                assert slack == brute_slack(order, j, i)
-                earlier = [s for s, (_, c) in enumerate(order.rounds[: t - 1], 1) if c == i]
-                assert pred == (earlier[-1] if earlier else 0)
-            assert _uninterrupted_index(own) == brute_uninterrupted(order, j)
+        an = cd.analyze_order(order)
+        for j in order.shape.agents():
+            assert an.suborder(j) == tuple(i for _, i in order.rounds_of_agent(j))
+            for i in order.shape.categories():
+                assert an.slack(j, i) == brute_slack(order, j, i)
+            assert an.uninterrupted_index(j) == brute_uninterrupted(order, j)
 
     @settings(max_examples=60)
     @given(order_strategy())
@@ -332,6 +331,35 @@ class TestPredecessors:
         assert cd.predecessor_in_category(mixed_order_3x2, 1, 2) == 3
         # the first picker wraps around to the last one
         assert cd.predecessor_in_category(mixed_order_3x2, 1, 1) == 2
+
+    @pytest.mark.parametrize("category", [0, 3, True, 1.0])
+    def test_pickers_reject_bad_category(self, mixed_order_3x2, category):
+        with pytest.raises(cd.ValidationError, match=f"category {category!r} outside 1..2"):
+            cd.pickers_in_category(mixed_order_3x2, category)
+
+    @pytest.mark.parametrize("category, agent, bad", [(1, 7, "agent 7"), (1, True, "agent True"),
+                                                     (3, 1, "category 3")])
+    def test_predecessor_rejects_bad_agent_or_category(self, mixed_order_3x2, category, agent, bad):
+        with pytest.raises(cd.ValidationError, match=f"{bad} outside"):
+            cd.predecessor_in_category(mixed_order_3x2, category, agent)
+
+
+class TestAnalyticsLookups:
+    """Lookups outside the order's agents and categories name the bad key."""
+
+    def test_suborder(self, mixed_order_3x2):
+        with pytest.raises(cd.ValidationError, match="no agent 4 in a 3x2 order"):
+            mixed_order_3x2.analytics.suborder(4)
+
+    def test_slack(self, mixed_order_3x2):
+        with pytest.raises(cd.ValidationError, match=r"no \(agent, category\) pair \(1, 3\)"):
+            mixed_order_3x2.analytics.slack(1, 3)
+        with pytest.raises(cd.ValidationError, match=r"pair \(0, 1\) in a 3x2 order"):
+            mixed_order_3x2.analytics.slack(0, 1)
+
+    def test_uninterrupted_index(self, mixed_order_3x2):
+        with pytest.raises(cd.ValidationError, match="no agent 0 in a 3x2 order"):
+            mixed_order_3x2.analytics.uninterrupted_index(0)
 
 
 class TestOrderJson:
