@@ -9,6 +9,8 @@ Mallows-model expected-rank experiments.
 
 from .adversarial import (
     ConstructionError,
+    InterrupterAudit,
+    audit_interrupter_order,
     near_optimal_allocation,
     strategic_worst_profile,
     worst_case_profile,
@@ -36,11 +38,9 @@ from .axioms import (
 )
 from .bounds import (
     AgentBound,
-    InterrupterAudit,
     RankBoundReport,
     SearchResult,
     all_optimistic_witness,
-    audit_interrupter_order,
     optimistic_bound,
     pessimistic_bound,
     sd_optimistic_utilitarian,

@@ -59,9 +59,12 @@ from .domain import (
     ValidationError,
     _bundle_index,
     _bundle_lookup,
+    _check_permutation,
     _check_seed,
     _exceeds,
+    allocation_to_json,
     bundle_table,
+    profile_to_json,
     validate_allocation,
 )
 from .engine import _serial_picks, direct_serial_dictatorship
@@ -128,8 +131,6 @@ class AxiomVerdict:
     counterexample: Counterexample | None = None
 
     def to_json(self) -> dict:
-        from .domain import allocation_to_json, profile_to_json
-
         doc = {
             "axiom": self.axiom,
             "mechanism": self.mechanism,
@@ -229,8 +230,7 @@ def apply_category_permutation(obj, category: int, permutation: Sequence[int]):
 def _check_perm(n: int, p: int, category, perm: tuple) -> None:
     if not (type(category) is int and 1 <= category <= p):
         raise ValidationError(f"category {category} outside 1..{p}")
-    if not all(type(x) is int for x in perm) or sorted(perm) != list(range(1, n + 1)):
-        raise ValidationError(f"{perm} is not a permutation of 1..{n}")
+    _check_permutation(perm, n)
 
 
 def _permute_bundle(bundle: Bundle, category: int, perm: tuple[int, ...]) -> Bundle:

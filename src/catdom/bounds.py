@@ -11,7 +11,9 @@ uninterrupted index ``K`` (see ``orders.analyze_order``):
   ``n**p + 1 - prod(k[i] for all i)``.
 
 All three are tight: the adversarial module constructs profiles realizing
-them exactly. ``search_orders`` optimizes these guarantees over orders.
+them exactly, reading the bounds from ``worst_case_report`` (this module
+imports nothing from it). ``search_orders`` optimizes these guarantees over
+orders.
 
 The per-agent suborders, slacks and uninterrupted indices come from one
 kernel, ``orders._order_arrays``. ``worst_case_report`` reads them through
@@ -31,7 +33,7 @@ import numpy as np
 
 from .domain import CapacityError, DomainShape, ValidationError, _check_seed, _exceeds
 from .engine import Behavior, Optimistic, Pessimistic, Scripted
-from .orders import OrderAnalytics, PickingOrder, _order_arrays, interrupter_order
+from .orders import OrderAnalytics, PickingOrder, _order_arrays
 
 
 def optimistic_bound(analytics: OrderAnalytics, agent: int) -> int:
@@ -82,6 +84,8 @@ class RankBoundReport:
     egalitarian: int
 
     def bound(self, agent: int) -> int:
+        if not (type(agent) is int and 1 <= agent <= len(self.entries)):
+            raise ValidationError(f"agent {agent!r} outside 1..{len(self.entries)}")
         return self.entries[agent - 1].bound
 
     def to_json(self) -> dict:
@@ -267,83 +271,3 @@ def search_orders(
             best = candidate
 
     return SearchResult(PickingOrder(shape, map(pairs.__getitem__, best[1])), best[0], evaluated)
-
-
-@dataclass(frozen=True)
-class InterrupterAudit:
-    """Comparison of analyzer-derived worst cases for the interrupter order
-    against two candidate closed forms sometimes conjectured for it:
-    ``n**p + 1 - (1 + n*p/2)`` for the non-interrupting agents and
-    ``n**p + 1 - 2**p`` for the interrupter."""
-
-    order: PickingOrder
-    report: RankBoundReport
-    candidate_majority: int
-    candidate_interrupter: int
-    majority_matches: bool
-    interrupter_matches: bool
-    verified: bool
-    witness_checked: bool
-    notes: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "order": [list(r) for r in self.order.rounds],
-            "report": self.report.to_json(),
-            "candidate_majority": self.candidate_majority,
-            "candidate_interrupter": self.candidate_interrupter,
-            "majority_matches": self.majority_matches,
-            "interrupter_matches": self.interrupter_matches,
-            "verified": self.verified,
-            "witness_checked": self.witness_checked,
-            "notes": list(self.notes),
-        }
-
-
-def audit_interrupter_order(n: int, p: int) -> InterrupterAudit:
-    """Audit the mixed-behavior interrupter configuration (agents 1..n-1
-    optimistic, agent n pessimistic).
-
-    The per-agent worst cases reported here come from the order analytics and
-    are confirmed by constructing an adversarial profile and replaying it; the
-    closed-form candidates are evaluated and flagged unverified when they
-    disagree with that ground truth.
-    """
-    from .adversarial import worst_case_profile
-    from .engine import OPTIMISTIC, PESSIMISTIC, run_csam
-
-    order = interrupter_order(n, p)
-    behaviors = [OPTIMISTIC] * (n - 1) + [PESSIMISTIC]
-    report = worst_case_report(order, behaviors)
-
-    cand_majority = n**p + 1 - (1 + n * p // 2)
-    cand_interrupter = n**p + 1 - 2**p
-
-    profile = worst_case_profile(order, behaviors)
-    allocation, _ = run_csam(order, profile, behaviors)
-    realized = [profile.pref(j).rank_of(allocation[j]) for j in order.shape.agents()]
-    witness_checked = all(realized[j - 1] == report.bound(j) for j in order.shape.agents())
-
-    majority_matches = all(report.bound(j) == cand_majority for j in range(1, n))
-    interrupter_matches = report.bound(n) == cand_interrupter
-    verified = majority_matches and interrupter_matches
-
-    notes = []
-    if not verified:
-        notes.append(
-            "closed-form candidates diverge from the analyzer-derived worst cases; "
-            "treating the closed forms as unverified"
-        )
-    if witness_checked:
-        notes.append("analyzer bounds confirmed tight by constructive witness replay")
-    return InterrupterAudit(
-        order,
-        report,
-        cand_majority,
-        cand_interrupter,
-        majority_matches,
-        interrupter_matches,
-        verified,
-        witness_checked,
-        tuple(notes),
-    )

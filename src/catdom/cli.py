@@ -14,11 +14,7 @@ import json
 import sys
 from typing import Sequence
 
-from .adversarial import (
-    ConstructionError,
-    near_optimal_allocation,
-    worst_case_profile,
-)
+from .adversarial import ConstructionError, _witness
 from .axioms import (
     Exhaustive,
     Sampled,
@@ -184,12 +180,10 @@ def _cmd_search(args) -> int:
 def _cmd_worst_case(args) -> int:
     order = order_from_json(_load_json(args.order))
     behaviors = _parse_behaviors(args.behaviors, order.shape.n)
-    profile = worst_case_profile(order, behaviors)
-    allocation, _ = run_csam(order, profile, behaviors)
-    near = near_optimal_allocation(order, profile)
+    profile, allocation, near, report = _witness(order, behaviors)
     doc = {
         "profile": profile_to_json(profile),
-        "bounds": worst_case_report(order, behaviors).to_json(),
+        "bounds": report.to_json(),
         "realized": _ranks_doc(profile, allocation),
         "near_optimal": _ranks_doc(profile, near),
     }

@@ -67,6 +67,12 @@ def _check_seed(seed) -> None:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
+def _check_permutation(seq: Sequence, n: int, what: str = "") -> None:
+    """Reject ``seq`` unless it lists the plain ints 1..n once each."""
+    if not all(type(x) is int for x in seq) or sorted(seq) != list(range(1, n + 1)):
+        raise ValidationError(f"{what}{seq} is not a permutation of 1..{n}")
+
+
 @dataclass(frozen=True)
 class DomainShape:
     """Domain dimensions: ``n`` agents (and items per category), ``p`` categories."""
@@ -274,8 +280,8 @@ class Preference:
         return self._rank[_bundle_index(self.shape, self._lookup, self._table, bundle)]
 
     def bundle_at(self, rank: int) -> Bundle:
-        if not (1 <= rank <= len(self.indices)):
-            raise ValidationError(f"rank {rank} outside 1..{len(self.indices)}")
+        if not (type(rank) is int and 1 <= rank <= len(self.indices)):
+            raise ValidationError(f"rank {rank!r} outside 1..{len(self.indices)}")
         return self._table[self.indices[rank - 1]]
 
     def top(self) -> Bundle:
@@ -360,8 +366,8 @@ class Profile:
         self.preferences = prefs
 
     def pref(self, agent: int) -> Preference:
-        if not (1 <= agent <= self.shape.n):
-            raise ValidationError(f"agent {agent} outside 1..{self.shape.n}")
+        if not (type(agent) is int and 1 <= agent <= self.shape.n):
+            raise ValidationError(f"agent {agent!r} outside 1..{self.shape.n}")
         return self.preferences[agent - 1]
 
     def __eq__(self, other: object) -> bool:

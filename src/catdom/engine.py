@@ -51,6 +51,7 @@ from .domain import (
     Preference,
     Profile,
     ValidationError,
+    _check_permutation,
     build_position_masks,
     bundle_table,
     validate_allocation,
@@ -354,6 +355,5 @@ def direct_serial_dictatorship(agent_order: Sequence[int], profile: Profile) -> 
     """Whole-bundle serial dictatorship: each agent, in order, takes her best
     bundle compatible with the items already gone."""
     shape = profile.shape
-    if sorted(agent_order) != list(shape.agents()):
-        raise ValidationError(f"agent order {agent_order} is not a permutation of 1..{shape.n}")
+    _check_permutation(agent_order, shape.n, "agent order ")
     return _serial_picks(agent_order, profile)

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .domain import DomainShape, ValidationError
+from .domain import DomainShape, ValidationError, _check_permutation
 
 
 class PickingOrder:
@@ -56,13 +56,14 @@ class PickingOrder:
         self._round_of = {pair: t for t, pair in enumerate(seq, 1)}
 
     def round_of(self, agent: int, category: int) -> int:
-        try:
-            return self._round_of[(agent, category)]
-        except KeyError:
-            raise ValidationError(f"no round for agent {agent}, category {category}") from None
+        if type(agent) is int and type(category) is int and (agent, category) in self._round_of:
+            return self._round_of[agent, category]
+        raise ValidationError(f"no round for agent {agent!r}, category {category!r}")
 
     def rounds_of_agent(self, agent: int) -> list[tuple[int, int]]:
         """(round, category) pairs for one agent, in round order."""
+        if not (type(agent) is int and 1 <= agent <= self.shape.n):
+            raise ValidationError(f"agent {agent!r} outside 1..{self.shape.n}")
         return [(t, i) for t, (j, i) in enumerate(self.rounds, 1) if j == agent]
 
     @cached_property
@@ -87,8 +88,7 @@ def serial_dictatorship_order(agent_order: Sequence[int], p: int) -> PickingOrde
     """Each agent, in the given order, picks from categories 1..p back to back."""
     n = len(agent_order)
     shape = DomainShape(n, p)
-    if sorted(agent_order) != list(range(1, n + 1)):
-        raise ValidationError(f"agent order {agent_order} is not a permutation of 1..{n}")
+    _check_permutation(agent_order, n, "agent order ")
     rounds = [(j, i) for j in agent_order for i in shape.categories()]
     return PickingOrder(shape, rounds)
 
@@ -101,8 +101,7 @@ def balanced_order(agent_order: Sequence[int], p: int) -> PickingOrder:
     ``n + 1`` across consecutive phases, which requires an even ``p``.
     """
     n = len(agent_order)
-    if sorted(agent_order) != list(range(1, n + 1)):
-        raise ValidationError(f"agent order {agent_order} is not a permutation of 1..{n}")
+    _check_permutation(agent_order, n, "agent order ")
     if p % 2:
         raise ValidationError(f"balanced orders need an even number of categories, got p={p}")
     shape = DomainShape(n, p)
@@ -121,8 +120,8 @@ def interrupter_order(n: int, p: int) -> PickingOrder:
     final picks are still pending, which is the pattern that rewards giving
     the interrupter a pessimistic stance in mixed-behavior comparisons.
     """
-    if n < 2:
-        raise ValidationError(f"interrupter orders need at least two agents, got n={n}")
+    if type(n) is not int or n < 2:
+        raise ValidationError(f"interrupter orders need at least two agents, got n={n!r}")
     base = balanced_order(list(range(1, n)), p).rounds
     block = [(n, i) for i in range(1, p + 1)]
     cut = len(base) - (n - 1)
@@ -140,12 +139,10 @@ class OrderAnalytics:
     uninterrupted: Mapping[int, int]
 
     def _get(self, table: Mapping, key, what: str):
-        try:
+        # plain ints only: True or 1.0 would find the entry of 1
+        if all(type(k) is int for k in (key if type(key) is tuple else (key,))) and key in table:
             return table[key]
-        except KeyError:
-            raise ValidationError(
-                f"no {what} {key!r} in a {self.shape.n}x{self.shape.p} order"
-            ) from None
+        raise ValidationError(f"no {what} {key!r} in a {self.shape.n}x{self.shape.p} order")
 
     def suborder(self, agent: int) -> tuple[int, ...]:
         return self._get(self.suborders, agent, "agent")

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import catdom as cd
+from catdom.cli import main
 
 from conftest import MIXED_BEHAVIORS_3X2
 
@@ -150,8 +152,46 @@ class TestEdgeShapes:
 
     def test_scripted_rejected(self, mixed_order_3x2):
         behaviors = [cd.Scripted((1, 1)), cd.OPTIMISTIC, cd.OPTIMISTIC]
-        with pytest.raises(cd.ValidationError):
+        with pytest.raises(cd.ValidationError, match="scripted agents have no order-level"):
             cd.worst_case_profile(mixed_order_3x2, behaviors)
+
+
+def counted(monkeypatch, *names):
+    """Count the calls of each named ``catdom`` function, wrapped at every
+    module binding that holds it."""
+    calls = dict.fromkeys(names, 0)
+    modules = [m for k, m in sys.modules.items() if k == "catdom" or k.startswith("catdom.")]
+    for name in names:
+        original = getattr(cd, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapper)
+    return calls
+
+
+class TestOneReplay:
+    """Each witness is built, replayed and checked once per request."""
+
+    def test_worst_case_cli(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "order.json"
+        path.write_text(json.dumps(cd.order_to_json(cd.balanced_order([1, 2, 3, 4], 4))))
+        calls = counted(monkeypatch, "run_csam", "near_optimal_allocation")
+        assert main(["worst-case", "--order", str(path), "--behaviors", "opt,pess,opt,pess"]) == 0
+        assert json.loads(capsys.readouterr().out)["realized"]["ranks"] == {
+            "1": 256, "2": 250, "3": 254, "4": 250,
+        }
+        assert calls == {"run_csam": 1, "near_optimal_allocation": 1}
+
+    def test_interrupter_audit(self, monkeypatch):
+        calls = counted(monkeypatch, "run_csam")
+        assert cd.audit_interrupter_order(3, 4).witness_checked is True
+        assert calls == {"run_csam": 1}
 
 
 class TestStrategicWitness:

@@ -88,6 +88,13 @@ class TestReport:
         assert report.egalitarian == 9
         assert report.bound(3) == 7
 
+    @pytest.mark.parametrize("agent", [0, -1, 4, True, 1.5])
+    def test_bound_takes_plain_agents_only(self, mixed_order_3x2, agent):
+        # 0 and -1 would index the entries from the end
+        report = cd.worst_case_report(mixed_order_3x2, [cd.OPTIMISTIC] * 3)
+        with pytest.raises(cd.ValidationError, match=f"agent {agent!r} outside 1..3"):
+            report.bound(agent)
+
     def test_scripted_rejected(self, mixed_order_3x2):
         behaviors = [cd.Scripted((1, 1)), cd.OPTIMISTIC, cd.OPTIMISTIC]
         with pytest.raises(cd.ValidationError):

@@ -124,6 +124,19 @@ class TestPreference:
         for rank in range(1, 5):
             assert pref.rank_of(pref.bundle_at(rank)) == rank
 
+    @pytest.mark.parametrize("rank", [0, 5, 1.5, True, "1"])
+    def test_bundle_at_takes_plain_ranks_only(self, rank):
+        pref = pref_of(SHAPE_2X2, ["21", "11", "22", "12"])
+        with pytest.raises(cd.ValidationError, match=f"rank {rank!r} outside 1..4"):
+            pref.bundle_at(rank)
+
+    @pytest.mark.parametrize("agent", [0, 3, 1.5, True, None])
+    def test_profile_pref_takes_plain_agents_only(self, agent):
+        pref = pref_of(SHAPE_2X2, ["21", "11", "22", "12"])
+        profile = cd.Profile(SHAPE_2X2, [pref, pref])
+        with pytest.raises(cd.ValidationError, match=f"agent {agent!r} outside 1..2"):
+            profile.pref(agent)
+
     def test_rejects_duplicates(self):
         with pytest.raises(cd.ValidationError):
             pref_of(SHAPE_2X2, ["21", "11", "21", "12"])

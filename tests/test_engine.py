@@ -384,6 +384,12 @@ class TestSerialDictatorship:
         direct = cd.direct_serial_dictatorship([1, 2, 3], profile_3x2)
         assert dict(direct.bundles) == {1: (1, 2), 2: (2, 1), 3: (3, 3)}
 
+    @pytest.mark.parametrize("agent_order", [[True, 2, 3], [1, 2, 3.0], [1, 2], [1, 2, "3"]])
+    def test_rejects_non_permutations(self, profile_3x2, agent_order):
+        # sorted([True, 2, 3]) == [1, 2, 3], so a sort alone would accept True
+        with pytest.raises(cd.ValidationError, match="is not a permutation of 1..3"):
+            cd.direct_serial_dictatorship(agent_order, profile_3x2)
+
 
 class TestBehaviorValidation:
     def test_wrong_behavior_count(self, mixed_order_3x2, profile_3x2):

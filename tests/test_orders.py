@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,6 +143,18 @@ class TestPickingOrder:
         with pytest.raises(cd.ValidationError):
             cd.PickingOrder(SHAPE_3X2, rounds)
 
+    @pytest.mark.parametrize("agent, category", [(True, 1), (1, 1.0), (1.0, True), (4, 1), ([1], 1)])
+    def test_round_of_takes_plain_ints_only(self, mixed_order_3x2, agent, category):
+        # True and 1.0 hash like 1 and would find agent 1's round
+        with pytest.raises(cd.ValidationError, match=f"no round for agent {re.escape(repr(agent))}, category"):
+            mixed_order_3x2.round_of(agent, category)
+
+    @pytest.mark.parametrize("agent", [0, 4, 9, True, 2.0])
+    def test_rounds_of_agent_rejects_unknown_agents(self, mixed_order_3x2, agent):
+        # an unknown agent would otherwise get an empty list
+        with pytest.raises(cd.ValidationError, match=f"agent {agent!r} outside 1..3"):
+            mixed_order_3x2.rounds_of_agent(agent)
+
 
 class TestOrderFamilies:
     def test_serial_dictatorship_rounds(self):
@@ -183,6 +196,18 @@ class TestOrderFamilies:
     def test_interrupter_needs_two_agents(self):
         with pytest.raises(cd.ValidationError):
             cd.interrupter_order(1, 2)
+
+    @pytest.mark.parametrize("n", [2.0, True, "3", None])
+    def test_interrupter_rejects_non_int_n(self, n):
+        with pytest.raises(cd.ValidationError, match=f"got n={n!r}"):
+            cd.interrupter_order(n, 2)
+
+    @pytest.mark.parametrize("family", [cd.serial_dictatorship_order, cd.balanced_order])
+    @pytest.mark.parametrize("agent_order", [[True, 2], [1, 2.0], [1, "2"], [1, 1]])
+    def test_families_reject_non_permutations(self, family, agent_order):
+        # sorted([True, 2]) == [1, 2], so a sort alone would accept True
+        with pytest.raises(cd.ValidationError, match="is not a permutation of 1..2"):
+            family(agent_order, 2)
 
 
 class TestAnalytics:
@@ -360,6 +385,34 @@ class TestAnalyticsLookups:
     def test_uninterrupted_index(self, mixed_order_3x2):
         with pytest.raises(cd.ValidationError, match="no agent 0 in a 3x2 order"):
             mixed_order_3x2.analytics.uninterrupted_index(0)
+
+
+class TestAnalyticsPlainInts:
+    """True and 1.0 hash like 1: every lookup, and the bounds read through
+    them, takes plain ints only."""
+
+    @pytest.mark.parametrize("agent", [True, 1.0, (1,)])
+    def test_suborder(self, mixed_order_3x2, agent):
+        with pytest.raises(cd.ValidationError, match=f"no agent {re.escape(repr(agent))} in"):
+            mixed_order_3x2.analytics.suborder(agent)
+
+    @pytest.mark.parametrize("agent, category", [(True, 1), (1, 1.0), (1.0, 2), ([1], 1)])
+    def test_slack(self, mixed_order_3x2, agent, category):
+        with pytest.raises(cd.ValidationError, match=r"no \(agent, category\) pair"):
+            mixed_order_3x2.analytics.slack(agent, category)
+
+    @pytest.mark.parametrize("agent", [True, 1.0])
+    def test_uninterrupted_index(self, mixed_order_3x2, agent):
+        with pytest.raises(cd.ValidationError, match=f"no agent {agent!r} in"):
+            mixed_order_3x2.analytics.uninterrupted_index(agent)
+
+    @pytest.mark.parametrize(
+        "bound", [cd.optimistic_bound, cd.pessimistic_bound, cd.strategic_bound]
+    )
+    @pytest.mark.parametrize("agent", [True, 1.0])
+    def test_bounds(self, mixed_order_3x2, bound, agent):
+        with pytest.raises(cd.ValidationError):
+            bound(mixed_order_3x2.analytics, agent)
 
 
 class TestOrderJson:

@@ -43,9 +43,14 @@ def unreferenced_private_names(trees):
     return found
 
 
-def test_every_private_definition_is_used_in_src():
+def src_trees():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert trees, f"no modules under {SRC}"
+    return trees
+
+
+def test_every_private_definition_is_used_in_src():
+    trees = src_trees()
     assert unreferenced_private_names(trees) == []
 
 
@@ -59,3 +64,34 @@ def test_detects_an_unused_private_function():
         "b.py": ast.parse("from .a import _recursive\nimport a\n\na._used()\n"),
     }
     assert unreferenced_private_names(trees) == ["a.py:_recursive", "a.py:_Unused"]
+
+
+def function_level_imports(trees):
+    """``module:line`` of every import statement inside a function or method
+    body."""
+    found = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update(
+                    f"{module}:{inner.lineno}"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))
+                )
+    return sorted(found)
+
+
+def test_no_function_level_imports_in_src():
+    assert function_level_imports(src_trees()) == []
+
+
+def test_detects_a_function_level_import():
+    trees = {
+        "a.py": ast.parse(
+            "import os\n\n"
+            "def f():\n    from .b import g\n    return g\n\n"
+            "class C:\n    def m(self):\n        def inner():\n            import sys\n"
+        ),
+        "b.py": ast.parse("from .a import f\n\ndef g():\n    return f\n"),
+    }
+    assert function_level_imports(trees) == ["a.py:10", "a.py:4"]
