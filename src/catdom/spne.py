@@ -4,30 +4,39 @@ Full-information backward induction over the extensive-form game where each
 round's agent chooses any available item of the round's category. Strict
 preferences make the equilibrium outcome unique: two choices at the same node
 give the chooser different final bundles (they differ in that category), so
-argmax ties cannot occur.
+argmin ties cannot occur.
 
-States are canonical: the per-agent partial pick matrix determines the round
-number and all availability. The rounds are fixed, so each round fills one
-known (agent, category) cell and a state is reached along one path only;
-nothing is memoized. The solver visits every reachable state once, and
-``state_space_size`` counts them in closed form: entering a round, the agents
-who have picked in a category hold distinct items there, every such
-assignment is reachable, and categories are independent, so a category's
-(k+1)-th pick multiplies the number of states by ``n - k``. The state cap is
-checked against that count before solving.
+The game is solved one level at a time, from the last round back to the
+first. Round t's choice is a digit: the chosen item's rank among the items
+its category still holds, with radix ``n - k`` once ``k`` of them are gone. A
+state entering round t is the mixed-radix number of the digits chosen before
+it, so level t holds exactly the product of the earlier radices, the count
+``_level_sizes`` yields; ``state_space_size`` sums those counts in closed
+form, and every state is solved once. A category's digits are the Lehmer code
+of the sequence of its items, so the leaf level (each agent's final bundle
+index after every complete play) is a sum of one lexicographic permutation
+table per category, laid onto that category's round axes. Each level back
+keeps, for every state, the child the round's agent ranks best.
+
+The state cap bounds the arrays as well as the work: the last pick of every
+category has radix 1, so the leaf level is no larger than the last decision
+level, and the cap is checked against the state count before any array is
+built. Bundle indices are stored in the narrowest unsigned dtype that holds
+``n**p - 1``.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
-from .domain import Allocation, Bundle, CapacityError, Profile, ValidationError
+import numpy as np
+
+from .domain import Allocation, CapacityError, Profile, ValidationError, bundle_table
 from .orders import PickingOrder
 
 DEFAULT_STATE_CAP = 10_000_000
-
-# picks-state: tuple over agents of tuple over categories, 0 = not picked yet
-State = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -38,20 +47,44 @@ class SpneRound:
     item: int
 
 
-def _available(state: State, shape, category: int) -> list[int]:
-    gone = {row[category - 1] for row in state}
-    return [d for d in range(1, shape.n + 1) if d not in gone]
+def _radices(order: PickingOrder):
+    """Each round's radix: the number of items its category still holds."""
+    left = [order.shape.n] * (order.shape.p + 1)
+    for _, category in order.rounds:
+        yield left[category]
+        left[category] -= 1
 
 
 def _level_sizes(order: PickingOrder):
     """Number of reachable decision states entering each round, in order."""
-    n = order.shape.n
-    picked = [0] * (order.shape.p + 1)
     level = 1
-    for _, category in order.rounds:
+    for radix in _radices(order):
         yield level
-        level *= n - picked[category]
-        picked[category] += 1
+        level *= radix
+
+
+def _solve_levels(order: PickingOrder, profile: Profile) -> np.ndarray:
+    """Each agent's equilibrium bundle index, by backward induction over the
+    levels of the game (``n >= 2``)."""
+    shape, rounds, n = order.shape, order.rounds, order.shape.n
+    width = np.min_scalar_type(shape.bundle_count - 1)
+    # rounds with one item left offer no choice and add no axis
+    axes = [(t, radix) for t, radix in enumerate(_radices(order)) if radix > 1]
+    perms = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    lehmer = np.fromiter(perms, width, math.factorial(n) * n).reshape(-1, n)
+    leaf = np.zeros([radix for _, radix in axes] + [n], width)
+    for category in shape.categories():
+        pickers = [agent for agent, c in rounds if c == category]
+        items = lehmer[:, np.argsort(pickers)] * n ** (shape.p - category)
+        leaf += items.reshape([r if rounds[t][1] == category else 1 for t, r in axes] + [n])
+    ranks = np.argsort([pref.indices for pref in profile.preferences], axis=1).astype(width)
+    level = leaf.reshape(-1, n)
+    for t, radix in reversed(axes):
+        agent = rounds[t][0] - 1
+        children = level.reshape(-1, radix, n)
+        best = ranks[agent][children[:, :, agent]].argmin(axis=1)
+        level = children[np.arange(len(best)), best]
+    return level[0]
 
 
 def solve_spne(
@@ -62,9 +95,8 @@ def solve_spne(
 ) -> tuple[Allocation, tuple[SpneRound, ...] | None]:
     """Equilibrium allocation (and optionally the equilibrium path).
 
-    Refuses with CapacityError, before solving, when the walk would visit
-    more than ``state_cap`` decision states; the result is exact, never
-    truncated.
+    Refuses with CapacityError, before solving, when the game has more than
+    ``state_cap`` decision states; the result is exact, never truncated.
     """
     shape = order.shape
     if profile.shape != shape:
@@ -78,41 +110,20 @@ def solve_spne(
             raise CapacityError(
                 f"equilibrium solving exceeded the state cap of {state_cap} states"
             )
-    rounds = order.rounds
-    total = len(rounds)
-    prefs = [profile.pref(j) for j in shape.agents()]
-
-    def solve(t: int, state: State) -> tuple[Bundle, ...]:
-        if t > total:
-            return state
-        agent, category = rounds[t - 1]
-        best_outcome = None
-        best_rank = None
-        for d in _available(state, shape, category):
-            row = list(state[agent - 1])
-            row[category - 1] = d
-            child = state[: agent - 1] + (tuple(row),) + state[agent:]
-            outcome = solve(t + 1, child)
-            rank = prefs[agent - 1].rank_of(outcome[agent - 1])
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                best_outcome = outcome
-        if best_outcome is None:
-            raise AssertionError(f"round {t}: category {category} has no available item")
-        return best_outcome
 
     if shape.n == 1:
-        # the lone agent gets the lone bundle; the walk would recurse p deep
+        # the lone agent gets the lone bundle, however many categories there are
         final = ((1,) * shape.p,)
     else:
-        final = solve(1, tuple((0,) * shape.p for _ in shape.agents()))
+        table = bundle_table(shape)
+        final = tuple(table[i] for i in _solve_levels(order, profile).tolist())
     allocation = Allocation({j: final[j - 1] for j in shape.agents()})
 
     trace = None
     if collect_trace:
         trace = tuple(
             SpneRound(t, agent, category, final[agent - 1][category - 1])
-            for t, (agent, category) in enumerate(rounds, 1)
+            for t, (agent, category) in enumerate(order.rounds, 1)
         )
     return allocation, trace
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,47 @@ def brute_spne(order, profile):
     avail0 = {i: set(shape.agents()) for i in shape.categories()}
     picks0 = {j: {} for j in shape.agents()}
     return rec(1, avail0, picks0)
+
+
+def _available(state, shape, category):
+    gone = {row[category - 1] for row in state}
+    return [d for d in range(1, shape.n + 1) if d not in gone]
+
+
+def recursive_spne(order, profile):
+    """The state-by-state recursive solver the level solver replaced: a pick
+    state is the per-agent partial pick matrix (0 = not picked yet), and each
+    round's agent keeps the child outcome it ranks best."""
+    shape = order.shape
+    rounds = order.rounds
+    prefs = [profile.pref(j) for j in shape.agents()]
+
+    def solve(t, state):
+        if t > len(rounds):
+            return state
+        agent, category = rounds[t - 1]
+        best_outcome = None
+        best_rank = None
+        for d in _available(state, shape, category):
+            row = list(state[agent - 1])
+            row[category - 1] = d
+            child = state[: agent - 1] + (tuple(row),) + state[agent:]
+            outcome = solve(t + 1, child)
+            rank = prefs[agent - 1].rank_of(outcome[agent - 1])
+            if best_rank is None or rank < best_rank:
+                best_rank = rank
+                best_outcome = outcome
+        if best_outcome is None:
+            raise AssertionError(f"round {t}: category {category} has no available item")
+        return best_outcome
+
+    final = solve(1, tuple((0,) * shape.p for _ in shape.agents()))
+    return {j: final[j - 1] for j in shape.agents()}
+
+
+def uniform_profile(shape, seed):
+    rng = np.random.default_rng(seed)
+    return cd.Profile(shape, [cd.uniform_preference(shape, rng) for _ in shape.agents()])
 
 
 def brute_state_count(order):
@@ -81,7 +123,9 @@ class TestGameRegression:
 
 @st.composite
 def spne_instance(draw):
-    n, p = draw(st.sampled_from([(2, 1), (2, 2), (3, 1), (2, 3), (3, 2)]))
+    n, p = draw(
+        st.sampled_from([(2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (4, 2), (2, 4), (3, 3)])
+    )
     shape = cd.DomainShape(n, p)
     bundles = list(shape.bundles())
     prefs = [
@@ -101,16 +145,36 @@ class TestAgainstBruteForce:
         alloc, _ = cd.solve_spne(order, profile)
         expected = brute_spne(order, profile)
         assert dict(alloc.bundles) == expected
+        assert recursive_spne(order, profile) == expected
 
     @pytest.mark.parametrize("n, p", [(3, 3), (4, 2), (2, 4)])
     def test_matches_unmemoized_recursion_seeded(self, n, p):
         shape = cd.DomainShape(n, p)
         for seed in range(3):
-            rng = np.random.default_rng(seed)
-            profile = cd.Profile(shape, [cd.uniform_preference(shape, rng) for _ in range(n)])
+            profile = uniform_profile(shape, seed)
             order = seeded_order(n, p, seed)
             alloc, _ = cd.solve_spne(order, profile)
             assert dict(alloc.bundles) == brute_spne(order, profile)
+
+    @pytest.mark.parametrize("n, p", [(3, 4), (4, 3)])
+    def test_matches_recursive_oracle_seeded(self, n, p):
+        shape = cd.DomainShape(n, p)
+        for seed in range(3):
+            profile = uniform_profile(shape, seed)
+            order = seeded_order(n, p, seed)
+            alloc, _ = cd.solve_spne(order, profile)
+            assert dict(alloc.bundles) == recursive_spne(order, profile)
+
+    @pytest.mark.parametrize(
+        "order",
+        [cd.balanced_order([1, 2, 3, 4], 4), seeded_order(6, 2, 0)],
+        ids=["balanced-4x4", "seeded-6x2"],
+    )
+    def test_matches_recursive_oracle_large(self, order):
+        # 591,426 and 1,444,538 states: the oracle takes seconds at these sizes
+        profile = uniform_profile(order.shape, 0)
+        alloc, _ = cd.solve_spne(order, profile)
+        assert dict(alloc.bundles) == recursive_spne(order, profile)
 
     def test_exhaustive_two_by_one(self):
         shape = cd.DomainShape(2, 1)
@@ -180,14 +244,33 @@ class TestStateSpace:
         with pytest.raises(cd.CapacityError, match="state cap of 2589 states"):
             cd.solve_spne(order, profile, state_cap=2589)
 
-    def test_capacity_refusal(self, monkeypatch, game_order_2x2, game_profile_2x2):
-        # the cap is checked before solving: no ranking is consulted
-        def fail(self, bundle):
-            raise AssertionError("rank_of called before the state cap was checked")
+    def test_capacity_refusal(self):
+        # the cap is checked before any level array is built: the 6x2 leaf
+        # level alone holds 518,400 x 6 bundle indices, about 3 MB
+        order = cd.balanced_order(list(range(1, 7)), 2)
+        profile = uniform_profile(order.shape, 0)
+        states = cd.state_space_size(order) - 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(cd.CapacityError, match=f"state cap of {states - 1} states"):
+                cd.solve_spne(order, profile, state_cap=states - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
-        monkeypatch.setattr(cd.Preference, "rank_of", fail)
-        with pytest.raises(cd.CapacityError):
-            cd.solve_spne(game_order_2x2, game_profile_2x2, state_cap=2)
+    def test_memory_ceiling(self):
+        # bundle indices in the narrowest dtype: an int64 leaf level alone
+        # would be 25 MB here
+        order = cd.balanced_order(list(range(1, 7)), 2)
+        profile = uniform_profile(order.shape, 0)
+        tracemalloc.start()
+        try:
+            cd.solve_spne(order, profile)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 10**6
 
     @pytest.mark.parametrize("cap", [0, -1, 1e9])
     def test_state_cap_below_one_is_bad_input(self, game_order_2x2, game_profile_2x2, cap):
@@ -199,6 +282,7 @@ class TestStateSpace:
             cd.solve_spne(game_order_2x2, profile_3x2)
 
     def test_round_without_items_raises(self, monkeypatch, game_order_2x2, game_profile_2x2):
-        monkeypatch.setattr("catdom.spne._available", lambda state, shape, category: [])
+        # the oracle's own guard: the level solver has no per-state item list
+        monkeypatch.setitem(globals(), "_available", lambda state, shape, category: [])
         with pytest.raises(AssertionError, match="no available item"):
-            cd.solve_spne(game_order_2x2, game_profile_2x2)
+            recursive_spne(game_order_2x2, game_profile_2x2)
