@@ -20,11 +20,12 @@ The streams:
 
 The streams work on bundle indices. The serial dictatorships below run the
 engine's one index scan (``engine._serial_picks``). A relabeled ranking maps
-its bundle indices through an index map computed per call
-(``_relabel_map``). The Pareto audit holds the feasible allocations as cached
-rows of bundle indices (``_allocation_rows``), takes per agent the set of
-bundles her ranking puts at or above her own, and scans the rows for the
-first one inside every agent's set other than the outcome's own
+its bundle indices through an index map memoized per shape, category and
+permutation (``_relabel_map``). The Pareto audit holds the feasible
+allocations as cached rows of bundle indices (``_allocation_rows``), takes
+per agent the set of bundles her ranking puts at or above her own, narrows
+the rows one agent at a time to those whose bundle for her lies in her set,
+and reports the first row left other than the outcome's own
 (``_first_dominating``).
 
 In ``Exhaustive`` mode a stream walks every profile of a small shape in
@@ -41,7 +42,6 @@ misreport that keeps her own bundle fixed.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -243,14 +243,15 @@ def _permute_bundle(bundle: Bundle, category: int, perm: tuple[int, ...]) -> Bun
     return bundle[: category - 1] + (perm[item - 1],) + bundle[category:]
 
 
-def _relabel_map(shape: DomainShape, category: int, perm: tuple[int, ...]) -> list[int]:
+@lru_cache(maxsize=32)
+def _relabel_map(shape: DomainShape, category: int, perm: tuple[int, ...]) -> tuple[int, ...]:
     """``map[idx]``: the bundle index that bundle index ``idx`` becomes when
     the items of ``category`` are relabeled by ``perm``. The indices are
     mixed-radix, so in ``range(n**p)`` shaped ``(-1, n, weight)`` the middle
     axis is the digit of ``category``, of weight ``n**(p - category)``."""
     n, weight = shape.n, shape.n ** (shape.p - category)
     blocks = np.arange(shape.bundle_count).reshape(-1, n, weight)
-    return blocks[:, np.array(perm) - 1].ravel().tolist()
+    return tuple(blocks[:, np.array(perm) - 1].ravel().tolist())
 
 
 def _profiles(
@@ -456,18 +457,19 @@ def _first_dominating(profile: Profile, base: Allocation) -> int | None:
     Agent ``j`` weakly prefers exactly the bundles of her ranking down to her
     own in ``base``. Since rankings are strict, the allocations that make
     nobody worse off and somebody better off are the rows inside every
-    agent's set other than ``base``'s own."""
+    agent's set other than ``base``'s own. The row positions are narrowed
+    one agent at a time, keeping those whose bundle for that agent lies in
+    her set, and the first survivor other than ``base``'s row is returned."""
     shape = profile.shape
     lookup, table = _bundle_lookup(shape), bundle_table(shape)
     own = tuple(_bundle_index(shape, lookup, table, base[j]) for j in shape.agents())
-    weak = []
-    for pref, idx in zip(profile.preferences, own):
+    rows = _allocation_rows(shape)
+    keep = range(len(rows))
+    for j, (pref, idx) in enumerate(zip(profile.preferences, own)):
         ranking = pref.indices
-        weak.append(set(ranking[: ranking.index(idx) + 1]))
-    for k, row in enumerate(_allocation_rows(shape)):
-        if all(map(operator.contains, weak, row)) and row != own:
-            return k
-    return None
+        weak = set(ranking[: ranking.index(idx) + 1])
+        keep = [k for k in keep if rows[k][j] in weak]
+    return next((k for k in keep if rows[k] != own), None)
 
 
 def check_pareto_optimality(

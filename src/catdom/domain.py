@@ -24,6 +24,7 @@ ranking positions.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from numbers import Integral
 from functools import lru_cache
@@ -73,16 +74,32 @@ def _check_permutation(seq: Sequence, n: int, what: str = "") -> None:
         raise ValidationError(f"{what}{seq} is not a permutation of 1..{n}")
 
 
-@dataclass(frozen=True)
+# The live shapes by plain-int ``(n, p)``, each registered once validated;
+# an entry goes when nothing (a per-shape cache included) holds its shape.
+_SHAPES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+@dataclass(frozen=True, eq=False)
 class DomainShape:
-    """Domain dimensions: ``n`` agents (and items per category), ``p`` categories."""
+    """Domain dimensions: ``n`` agents (and items per category), ``p`` categories.
+
+    There is one live instance per valid ``(n, p)``: the constructor returns
+    the registered shape, and pickling or copying gives it back, so shapes
+    compare and hash by identity."""
 
     n: int
     p: int
 
+    def __new__(cls, n: int, p: int) -> DomainShape:
+        # only plain ints name a registered shape: True and 2.0 hash like 1 and 2
+        shape = _SHAPES.get((n, p)) if type(n) is int and type(p) is int else None
+        return shape if shape is not None else super().__new__(cls)
+
     def __post_init__(self) -> None:
         if not (type(self.n) is int and type(self.p) is int):
             raise ValidationError(f"shape dimensions must be integers, got {self.n!r}, {self.p!r}")
+        if _SHAPES.get((self.n, self.p)) is self:
+            return  # validated when first built
         if self.n < 1 or self.p < 1:
             raise ValidationError(f"shape ({self.n}, {self.p}) invalid: need n >= 1 and p >= 1")
         # each category costs a round and a bundle component even when n == 1
@@ -93,6 +110,10 @@ class DomainShape:
             raise CapacityError(
                 f"bundle space {self.n}**{self.p} exceeds the capacity limit {CAPACITY_LIMIT}"
             )
+        _SHAPES[self.n, self.p] = self
+
+    def __reduce__(self):
+        return DomainShape, (self.n, self.p)
 
     @property
     def bundle_count(self) -> int:
@@ -138,6 +159,17 @@ def bundle_table(shape: DomainShape) -> tuple[Bundle, ...]:
 @lru_cache(maxsize=8)
 def _bundle_lookup(shape: DomainShape) -> dict[Bundle, int]:
     return {b: i for i, b in enumerate(bundle_table(shape))}
+
+
+@lru_cache(maxsize=8)
+def _item_bits(shape: DomainShape) -> tuple[int, ...]:
+    """One int per bundle index: bit ``c * n + d - 1`` is set when the bundle
+    holds item ``d`` of category ``c + 1``, so two bundles share an item
+    exactly when their bits meet."""
+    n = shape.n
+    return tuple(
+        sum(1 << (c * n + d - 1) for c, d in enumerate(bundle)) for bundle in bundle_table(shape)
+    )
 
 
 def decode_bundle(shape: DomainShape, index: int) -> Bundle:
@@ -360,7 +392,7 @@ class Profile:
         if len(prefs) != shape.n:
             raise ValidationError(f"profile holds {len(prefs)} preferences, expected {shape.n}")
         for j, pref in enumerate(prefs, 1):
-            if pref.shape is not shape and pref.shape != shape:
+            if pref.shape is not shape:
                 raise ValidationError(f"agent {j} preference shaped {pref.shape}, expected {shape}")
         self.shape = shape
         self.preferences = prefs
@@ -406,9 +438,27 @@ def validate_allocation(shape: DomainShape, allocation: Allocation) -> Allocatio
     """Check that every category's items are exactly partitioned among agents.
 
     Returns a report rather than raising, so callers can surface the first
-    offending (category, item) pair.
+    offending (category, item) pair. A well-formed allocation is accepted in
+    one pass: each agent's bundle, a shape tuple or a tuple of plain ints,
+    ORs its item bits (``_item_bits``) into a running mask that they must
+    not meet. Only when that pass fails does the full check run, to name the
+    first offender.
     """
     bundles = allocation.bundles
+    lookup, table, bits = _bundle_lookup(shape), bundle_table(shape), _item_bits(shape)
+    taken = 0
+    try:
+        for j in shape.agents():
+            b = bundles[j]
+            idx = lookup[b]
+            if taken & bits[idx] or (b is not table[idx] and not all(type(x) is int for x in b)):
+                break
+            taken |= bits[idx]
+        else:
+            if len(bundles) == shape.n:
+                return AllocationCheck(True)
+    except (KeyError, TypeError):
+        pass  # a missing agent, or a bundle the lookup does not hold
     if bundles.keys() != set(shape.agents()):
         return AllocationCheck(False, f"agents {sorted(bundles)} do not match 1..{shape.n}")
     n = shape.n

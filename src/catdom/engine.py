@@ -35,7 +35,8 @@ the Mallows study.
 Whole-bundle serial dictatorship has one scan, ``_serial_picks``, behind
 ``direct_serial_dictatorship`` and every serial dictatorship of ``axioms``:
 each agent walks her bundle indices and takes the first bundle whose item
-bits (``_item_bits``, one int per bundle) miss the bits already taken.
+bits (``domain._item_bits``, one int per bundle) miss the bits already
+taken.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .domain import (
     Profile,
     ValidationError,
     _check_permutation,
+    _item_bits,
     build_position_masks,
     bundle_table,
     validate_allocation,
@@ -316,17 +318,6 @@ def _realized_ranks(
         pass
     _bundles(order.shape, profile.preferences, cons)
     return [bits.bit_length() for bits in cons]
-
-
-@functools.lru_cache(maxsize=8)
-def _item_bits(shape) -> tuple[int, ...]:
-    """One int per bundle index: bit ``c * n + d - 1`` is set when the bundle
-    holds item ``d`` of category ``c + 1``, so two bundles share an item
-    exactly when their bits meet."""
-    n = shape.n
-    return tuple(
-        sum(1 << (c * n + d - 1) for c, d in enumerate(bundle)) for bundle in bundle_table(shape)
-    )
 
 
 def _serial_picks(

@@ -169,6 +169,32 @@ class TestIndexPathOracles:
         ]
         check_first_dominating(profile, bases)
 
+    @pytest.mark.parametrize("n, p", [(4, 2), (2, 4)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_first_dominating_on_reference_outcomes(self, n, p, seed):
+        profile = seeded_profile(n, p, 100 + seed)
+        shape = profile.shape
+        agents = list(shape.agents())
+        allocations = all_allocations(shape)
+        rng = np.random.default_rng(seed)
+        picks = rng.choice(len(allocations), min(8, len(allocations)), replace=False)
+        mechanisms = [
+            sd_direct(agents),
+            sd_direct(agents[::-1]),
+            sd_direct(rng.permutation(agents).tolist()),
+            worst_pick_sd(agents),
+            worst_pick_sd(agents[::-1]),
+            bossy_conditional_sd(),
+            non_neutral_conditional_sd(),
+            welfare_maximizer(),
+            constant_mechanism(allocations[int(picks[0])]),
+        ]
+        bases = [mechanism.apply(profile) for mechanism in mechanisms]
+        check_first_dominating(profile, bases + [allocations[k] for k in picks.tolist()])
+        # the serial dictatorships are Pareto optimal, the worst picks not
+        assert [_first_dominating(profile, base) for base in bases[:3]] == [None] * 3
+        assert _first_dominating(profile, bases[3]) is not None
+
     CHECK_ALL_CASES = {
         "worst-pick-4x2": (lambda: worst_pick_sd([1, 2, 3, 4]), cd.DomainShape(4, 2), 300),
         "bossy-3x2": (bossy_conditional_sd, SHAPE_3X2, 300),
@@ -301,6 +327,17 @@ class TestMechanisms:
         got = mech.apply(profile_3x2)
         want = cd.direct_serial_dictatorship([2, 1, 3], profile_3x2)
         assert got.bundles == want.bundles
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            ([1, 1], r"agent order \(1, 1\) is not a permutation of 1..2"),
+            ([1, 2, 3], r"agent order \(1, 2, 3\) is not a permutation of 1..2"),
+        ],
+    )
+    def test_sd_direct_rejects_a_bad_agent_order(self, order, message, welfare_profile_2x2):
+        with pytest.raises(cd.ValidationError, match=message):
+            sd_direct(order).apply(welfare_profile_2x2)
 
     def test_welfare_maximizer_fixture_allocation(self, welfare_profile_2x2):
         alloc = welfare_maximizer().apply(welfare_profile_2x2)

@@ -1,14 +1,19 @@
+import copy
+import dataclasses
+import gc
 import itertools
 import json
+import pickle
 import re
+from numbers import Integral
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import catdom as cd
-from catdom import domain
-from catdom.domain import CAPACITY_LIMIT, build_position_masks
+from catdom import adversarial, axioms, bounds, domain, engine, mallows, orders, spne
+from catdom.domain import CAPACITY_LIMIT, AllocationCheck, build_position_masks
 from catdom.mallows import _draw
 
 from conftest import SHAPE_2X2, SHAPE_3X2, pref_of
@@ -61,6 +66,90 @@ class TestDomainShape:
             SHAPE_2X2.validate_bundle((2, 3))
         with pytest.raises(cd.ValidationError):
             SHAPE_2X2.validate_bundle((1, 1, 1))
+
+
+def clear_shape_caches():
+    """Empty every ``lru_cache`` of the package, the per-shape ones included."""
+    for module in (adversarial, axioms, bounds, domain, engine, mallows, orders, spne):
+        for obj in vars(module).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+
+
+class TestShapeRegistry:
+    """One live ``DomainShape`` per valid ``(n, p)``, compared by identity."""
+
+    def test_equal_dimensions_give_one_object(self):
+        assert cd.DomainShape(3, 2) is cd.DomainShape(3, 2)
+        assert cd.DomainShape(n=3, p=2) is SHAPE_3X2
+        assert cd.DomainShape(2, 3) is not SHAPE_3X2
+
+    def test_hash_and_dict_keys(self):
+        shape = cd.DomainShape(3, 2)
+        assert shape == SHAPE_3X2 and hash(shape) == hash(SHAPE_3X2)
+        table = {SHAPE_3X2: "3x2", SHAPE_2X2: "2x2"}
+        assert table[cd.DomainShape(3, 2)] == "3x2"
+        assert table[cd.DomainShape(2, 2)] == "2x2"
+        assert cd.DomainShape(2, 3) not in table
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            lambda s: pickle.loads(pickle.dumps(s)),
+            copy.copy,
+            copy.deepcopy,
+            dataclasses.replace,
+            lambda s: copy.deepcopy([s, {"shape": s}])[1]["shape"],
+        ],
+        ids=["pickle", "copy", "deepcopy", "replace", "deepcopy-nested"],
+    )
+    def test_copies_are_the_registered_object(self, clone):
+        assert clone(SHAPE_3X2) is SHAPE_3X2
+
+    def test_replace_with_changes(self):
+        assert dataclasses.replace(SHAPE_3X2, p=3) is cd.DomainShape(3, 3)
+        with pytest.raises(cd.ValidationError, match="need n >= 1"):
+            dataclasses.replace(SHAPE_3X2, n=0)
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SHAPE_3X2.n = 4
+        assert SHAPE_3X2.n == 3
+
+    @pytest.mark.parametrize(
+        "n, p, error, message",
+        [
+            (True, 2, cd.ValidationError, r"shape dimensions must be integers, got True, 2"),
+            (2.0, 2, cd.ValidationError, r"shape dimensions must be integers, got 2.0, 2"),
+            (np.int64(2), 2, cd.ValidationError, r"shape dimensions must be integers, got np"),
+            ([2], 2, cd.ValidationError, r"shape dimensions must be integers, got \[2\], 2"),
+            (0, 1, cd.ValidationError, r"shape \(0, 1\) invalid: need n >= 1 and p >= 1"),
+            (10, 7, cd.CapacityError, r"bundle space 10\*\*7 exceeds the capacity limit"),
+        ],
+    )
+    def test_invalid_shapes_raise_and_register_nothing(self, n, p, error, message):
+        held = [cd.DomainShape(1, 2), cd.DomainShape(2, 2)]  # what True and 2.0 hash like
+        before = dict(domain._SHAPES)
+        with pytest.raises(error, match=message):
+            cd.DomainShape(n, p)
+        after = dict(domain._SHAPES)
+        assert after.keys() <= before.keys()
+        assert all(after[key] is before[key] for key in after)
+        assert all(type(s.n) is int and type(s.p) is int for s in after.values())
+        assert [cd.DomainShape(1, 2), cd.DomainShape(2, 2)] == held
+
+    def test_unreferenced_shape_leaves_the_registry(self):
+        shape = cd.DomainShape(7, 2)
+        pref = cd.Preference.from_indices(shape, range(shape.bundle_count)[::-1])
+        assert pref.position_masks and domain._item_bits(shape)
+        cd.validate_allocation(shape, cd.Allocation({j: (j, j) for j in shape.agents()}))
+        del shape, pref
+        gc.collect()
+        assert (7, 2) in domain._SHAPES  # the per-shape caches still hold it
+        clear_shape_caches()
+        gc.collect()
+        assert (7, 2) not in domain._SHAPES
+        assert cd.DomainShape(7, 2).bundle_count == 49
 
 
 class TestEncoding:
@@ -402,6 +491,124 @@ class TestAllocation:
                 assert cd.validate_allocation(SHAPE_2X2, alloc).ok
                 count += 1
         assert count == 4
+
+
+def reference_validate_allocation(shape, allocation):
+    """``validate_allocation`` before its one-pass bit check: the full
+    element-by-element check, kept as its oracle."""
+    bundles = allocation.bundles
+    if bundles.keys() != set(shape.agents()):
+        return AllocationCheck(False, f"agents {sorted(bundles)} do not match 1..{shape.n}")
+    n = shape.n
+    rows = list(map(bundles.__getitem__, shape.agents()))
+    for j, b in enumerate(rows, 1):
+        if len(b) != shape.p or not all(
+            (type(x) is int or isinstance(x, Integral)) and 1 <= x <= n for x in b
+        ):
+            return AllocationCheck(False, f"agent {j} holds malformed bundle {b}")
+    for i, items in enumerate(zip(*rows), 1):
+        if len(set(items)) == n:
+            continue
+        seen = {}
+        for j, item in enumerate(items, 1):
+            if item in seen:
+                return AllocationCheck(
+                    False,
+                    f"item {item} of category {i} assigned to agents {seen[item]} and {j}",
+                    category=i,
+                    item=item,
+                )
+            seen[item] = j
+    return AllocationCheck(True)
+
+
+def check_against_reference(shape, allocation):
+    got = cd.validate_allocation(shape, allocation)
+    want = reference_validate_allocation(shape, allocation)
+    assert (got.ok, got.detail, got.category, got.item) == (
+        want.ok,
+        want.detail,
+        want.category,
+        want.item,
+    )
+    assert type(got.item) is type(want.item)
+    return got
+
+
+# the forms an item may take: the plain int, or a stand-in that is not one
+ITEM_FORMS = {
+    "int": lambda x, n: x,
+    "float": lambda x, n: float(x),
+    "true": lambda x, n: True,
+    "numpy": lambda x, n: np.int64(x),
+    "zero": lambda x, n: 0,
+    "above": lambda x, n: n + 1,
+}
+
+
+@st.composite
+def malformed_allocations(draw):
+    """An allocation built from one item permutation per category, then
+    bent: repeated items, items in other forms, list, short and long
+    bundles, and missing or extra agents."""
+    shape = cd.DomainShape(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    n, p = shape.n, shape.p
+    columns = [draw(st.permutations(range(1, n + 1))) for _ in range(p)]
+    rows = [list(row) for row in zip(*columns)]
+    for c in range(p):
+        if draw(st.booleans()):
+            src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            rows[dst][c] = rows[src][c]
+    forms = st.sampled_from(sorted(ITEM_FORMS)) if draw(st.booleans()) else st.just("int")
+    bundles = {}
+    for j, row in enumerate(rows, 1):
+        items = [ITEM_FORMS[draw(forms)](x, n) for x in row]
+        length = draw(st.sampled_from(["exact", "exact", "short", "long"]))
+        if length == "short":
+            items = items[:-1]
+        elif length == "long":
+            items.append(1)
+        bundles[j] = items if draw(st.integers(0, 4)) == 0 else tuple(items)
+    if draw(st.integers(0, 3)) == 0:
+        del bundles[draw(st.integers(1, n))]
+    if draw(st.integers(0, 3)) == 0:
+        bundles[draw(st.sampled_from([0, n + 1]))] = (1,) * p
+    return shape, cd.Allocation(bundles)
+
+
+class TestAllocationOracle:
+    """``validate_allocation`` against the full check it short-cuts."""
+
+    @pytest.mark.parametrize("n, p", [(2, 2), (3, 2), (2, 3)])
+    def test_every_assignment_of_bundles(self, n, p):
+        shape = cd.DomainShape(n, p)
+        table = domain.bundle_table(shape)
+        valid = 0
+        for combo in itertools.product(table, repeat=n):
+            for bundles in (combo, [tuple(list(b)) for b in combo]):
+                allocation = cd.Allocation(dict(enumerate(bundles, 1)))
+                valid += check_against_reference(shape, allocation).ok
+        # the feasible allocations, each met as shape tuples and as copies
+        assert valid == 2 * len(cd.all_allocations(shape))
+
+    @settings(max_examples=400, deadline=None)
+    @given(malformed_allocations())
+    def test_malformed_allocations(self, case):
+        check_against_reference(*case)
+
+    @pytest.mark.parametrize(
+        "bundles, ok",
+        [
+            ({1: [1, 2], 2: (2, 1)}, True),
+            ({1: (True, 2), 2: (2, 1)}, True),
+            ({1: (np.int64(1), 2), 2: (2, 1)}, True),
+            ({1: (1.0, 2), 2: (2, 1)}, False),
+            ({1: (1, 2), 2: (2, 1), 3: (1, 1)}, False),
+            ({1: (1, 2), 3: (2, 1)}, False),
+        ],
+    )
+    def test_non_canonical_forms(self, bundles, ok):
+        assert check_against_reference(SHAPE_2X2, cd.Allocation(bundles)).ok is ok
 
 
 class TestJson:
