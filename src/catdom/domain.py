@@ -17,8 +17,10 @@ Internally a bundle is also known by its mixed-radix index (``encode_bundle``):
 each shape has one canonical bundle table (``bundle_table``) and one lookup
 from bundle to index. Every ``Preference`` is built from bundle indices
 (``Preference.from_indices``; the public constructor maps bundles to indices
-first), so the samplers work on integers and the engine on bitsets over
-ranking positions.
+first, and ``Preference._from_rows`` checks a sampler's block of index rows
+at once), so the samplers work on integers and the engine on bitsets over
+ranking positions. Position masks are filled from a block of index rows,
+one numpy pass per category for many preferences.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from numbers import Integral
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
@@ -274,9 +275,25 @@ class Preference:
         pref._build(shape, seq)
         return pref
 
-    def _build(self, shape: DomainShape, indices: tuple[int, ...]) -> None:
+    @classmethod
+    def _from_rows(cls, shape: DomainShape, rows: np.ndarray) -> list[Preference]:
+        """One preference per row of a block of bundle indices, checked as a
+        whole: a 2-D unsigned block, ``n**p`` wide, each row of which sorts
+        to ``0..n**p - 1``. A block that fails goes row by row through
+        ``from_indices``, which names the first offender."""
+        if not (
+            rows.ndim == 2
+            and rows.shape[1] == shape.bundle_count
+            and rows.dtype.kind == "u"
+            and (np.sort(rows, axis=1) == _index_range(shape)).all()
+        ):
+            return [cls.from_indices(shape, row) for row in rows.tolist()]
+        return [cls.__new__(cls)._build(shape, tuple(row)) for row in rows.tolist()]
+
+    def _build(self, shape: DomainShape, indices: tuple[int, ...]) -> Preference:
         """The one build path, from a checked permutation of the bundle
-        indices; everything derived from it is built on first use."""
+        indices; everything derived from it is built on first use. Returns
+        the preference."""
         self.shape = shape
         self.indices = indices
         self._order = None
@@ -284,6 +301,7 @@ class Preference:
         self._masks = None
         self._lookup = _bundle_lookup(shape)
         self._table = bundle_table(shape)
+        return self
 
     @property
     def order(self) -> tuple[Bundle, ...]:
@@ -334,8 +352,16 @@ class Preference:
         return f"Preference({self.shape.n}x{self.shape.p}: {head} > ...)"
 
 
-# Largest one-hot block ``build_position_masks`` forms at once, in elements.
+# Largest one-hot block ``_fill_masks`` forms at once, in elements.
 _MASK_BLOCK = 1 << 22
+
+
+@lru_cache(maxsize=8)
+def _index_range(shape: DomainShape) -> np.ndarray:
+    """``0..n**p - 1``, the sorted row of every ranking of ``shape``."""
+    index = np.arange(shape.bundle_count, dtype=np.uintc)
+    index.flags.writeable = False
+    return index
 
 
 @lru_cache(maxsize=8)
@@ -351,25 +377,32 @@ def _digit_matrix(shape: DomainShape) -> np.ndarray:
 
 def build_position_masks(prefs: Sequence[Preference]) -> None:
     """Fill ``position_masks`` of every preference in ``prefs`` (all of one
-    shape) that lacks them: one numpy pass per category over all of those
-    preferences, in blocks of preferences when their one-hot rows would
-    pass ``_MASK_BLOCK`` elements."""
+    shape) that lacks them, from one block of their bundle indices
+    (``_fill_masks``)."""
     todo = [pref for pref in prefs if pref._masks is None]
-    if not todo:
-        return
-    shape = todo[0].shape
+    if todo:
+        m = todo[0].shape.bundle_count
+        flat = itertools.chain.from_iterable(pref.indices for pref in todo)
+        _fill_masks(todo, np.fromiter(flat, np.intp, len(todo) * m).reshape(len(todo), m))
+
+
+def _fill_masks(prefs: Sequence[Preference], index: np.ndarray) -> None:
+    """Set ``position_masks`` of every preference in ``prefs`` (all of one
+    shape) from ``index``, whose row ``a`` lists ``prefs[a].indices``: one
+    numpy pass per category, in blocks of preferences when their one-hot
+    rows would pass ``_MASK_BLOCK`` elements."""
+    shape = prefs[0].shape
     n = shape.n
     digits = _digit_matrix(shape)
     items = np.arange(n, dtype=digits.dtype)[:, None]
     step = max(1, _MASK_BLOCK // (n * shape.bundle_count))
-    for lo in range(0, len(todo), step):
-        block = todo[lo : lo + step]
-        flat = itertools.chain.from_iterable(pref.indices for pref in block)
-        index = np.fromiter(flat, np.intp, len(block) * shape.bundle_count).reshape(len(block), -1)
+    for lo in range(0, len(prefs), step):
+        block = prefs[lo : lo + step]
+        rows = index[lo : lo + step]
         by_pref: list[list[tuple[int, ...]]] = [[] for _ in block]
         for row in digits:
             # one-hot rows per (preference, item), packed to bytes, bit r first
-            packed = np.packbits(row[index][:, None, :] == items, axis=2, bitorder="little")
+            packed = np.packbits(row[rows][:, None, :] == items, axis=2, bitorder="little")
             width = packed.shape[2]
             data = packed.tobytes()
             masks = [
@@ -442,7 +475,8 @@ def validate_allocation(shape: DomainShape, allocation: Allocation) -> Allocatio
     one pass: each agent's bundle, a shape tuple or a tuple of plain ints,
     ORs its item bits (``_item_bits``) into a running mask that they must
     not meet. Only when that pass fails does the full check run, to name the
-    first offender.
+    first offender. Both take plain ints only, as ``rank_of`` does: a bool
+    or numpy integer item makes the bundle malformed.
     """
     bundles = allocation.bundles
     lookup, table, bits = _bundle_lookup(shape), bundle_table(shape), _item_bits(shape)
@@ -464,9 +498,7 @@ def validate_allocation(shape: DomainShape, allocation: Allocation) -> Allocatio
     n = shape.n
     rows = list(map(bundles.__getitem__, shape.agents()))
     for j, b in enumerate(rows, 1):
-        if len(b) != shape.p or not all(
-            (type(x) is int or isinstance(x, Integral)) and 1 <= x <= n for x in b
-        ):
+        if len(b) != shape.p or not all(type(x) is int and 1 <= x <= n for x in b):
             return AllocationCheck(False, f"agent {j} holds malformed bundle {b}")
     for i, items in enumerate(zip(*rows), 1):
         if len(set(items)) == n:

@@ -7,9 +7,10 @@ W from best to worst, the k-th element is inserted r positions above the
 bottom of the partial ranking with probability proportional to phi**r, which
 adds exactly r discordant pairs. The offsets have a closed-form inverse CDF,
 so one vectorised step draws all of them, for as many draws as are asked
-for at once (``_draw``), and no weight table is kept; each draw inserts
-bundle indices and builds the ranking from them
-(``Preference.from_indices``).
+for at once (``_draw``), and no weight table is kept. Each draw inserts
+bundle indices into one row of an unsigned index block; the block is checked
+as a whole and gives the rankings (``Preference._from_rows``), and in the
+study also their position masks.
 
 ``run_experiment`` estimates expected utilitarian and egalitarian realized
 ranks for sequential mechanisms under profiles drawn from a shared Mallows
@@ -24,14 +25,14 @@ import itertools
 import math
 import numbers
 from array import array
-from collections import defaultdict
+from collections import defaultdict, deque
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .bounds import worst_case_report
-from .domain import DomainShape, Preference, Profile, ValidationError, _check_seed
+from .domain import DomainShape, Preference, Profile, ValidationError, _check_seed, _fill_masks
 from .engine import OPTIMISTIC, PESSIMISTIC, _realized_ranks
 from .orders import balanced_order, serial_dictatorship_order
 
@@ -86,23 +87,25 @@ class MallowsParams:
 
 def sample_mallows(params: MallowsParams, rng: np.random.Generator) -> Preference:
     """One repeated-insertion draw (Doignon, Pekec & Regenwetter 2004)."""
-    return _draw(params, 1, rng)[0]
+    return Preference._from_rows(params.reference.shape, _draw(params, 1, rng))[0]
 
 
-def _draw(params: MallowsParams, count: int, rng: np.random.Generator) -> list[Preference]:
+def _draw(params: MallowsParams, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` independent repeated-insertion draws from one
     ``rng.random((count, m))``, row by row the same numbers as ``count``
-    calls of ``rng.random(m)``.
+    calls of ``rng.random(m)``, as a ``(count, m)`` unsigned block of bundle
+    indices, one draw per row, most preferred first.
 
     The k-th reference element goes r places above the bottom of the partial
     ranking, where P(r) is proportional to phi**r on 0..k-1: a truncated
     geometric offset, drawn from one uniform u by its inverse CDF,
     r = floor(log(1 - u (1 - phi**k)) / log(phi)), or floor(u k) at phi = 1.
     ``expm1`` forms ``phi**k - 1`` without a power per element."""
-    shape = params.reference.shape
-    below = np.arange(shape.bundle_count, dtype=float)  # k - 1
+    reference = params.reference
+    m = reference.shape.bundle_count
+    below = np.arange(m, dtype=float)  # k - 1
     # r, then the slot k - 1 - r, computed in place in the uniforms' array
-    x = rng.random((count, shape.bundle_count))
+    x = rng.random((count, m))
     if params.phi == 1:
         np.multiply(x, below + 1, out=x)
     else:
@@ -114,15 +117,14 @@ def _draw(params: MallowsParams, count: int, rng: np.random.Generator) -> list[P
     np.subtract(below, x, out=x)
     # r reaches k only by rounding, when u lies within an ulp or so of 1
     slots = np.maximum(x, 0, out=x).astype(np.intp)
-    draws = []
-    for row in slots:  # one row of Python ints at a time
-        # bundle indices stay below CAPACITY_LIMIT, so fit an unsigned int
-        out = array("I")
-        insert = out.insert
-        for index, slot in zip(params.reference.indices, row.tolist()):
-            insert(slot, index)
-        draws.append(Preference.from_indices(shape, out.tolist()))
-    return draws
+    # bundle indices stay below CAPACITY_LIMIT, so fit an unsigned int
+    block = np.empty((count, m), np.uintc)
+    for row, out in zip(slots, block):
+        placed = array("I")
+        # one insert per reference element, driven from C by the deque
+        deque(map(placed.insert, row.tolist(), reference.indices), 0)
+        out[:] = np.frombuffer(placed, np.uintc)
+    return block
 
 
 def mallows_pmf(params: MallowsParams, ranking: Preference) -> float:
@@ -247,8 +249,10 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentResult]:
             for _ in range(config.samples):
                 rng = np.random.default_rng([config.seed, index])
                 index += 1
-                params = MallowsParams(uniform_preference(shape, rng), phi)
-                profile = Profile(shape, _draw(params, n, rng))
+                block = _draw(MallowsParams(uniform_preference(shape, rng), phi), n, rng)
+                prefs = Preference._from_rows(shape, block)
+                _fill_masks(prefs, block)  # from the draw's block, not from the tuples
+                profile = Profile(shape, prefs)
                 for c_idx, (order, behaviors, report) in enumerate(plays):
                     ranks = _realized_ranks(order, profile, behaviors)
                     if report is not None:

@@ -377,7 +377,7 @@ class TestMechanisms:
     @pytest.mark.parametrize(
         "bundles, detail",
         [
-            ({1: [1, 2], 2: (True, 1)}, "item True of category 1 assigned to agents 1 and 2"),
+            ({1: [1, 2], 2: (True, 1)}, r"agent 2 holds malformed bundle \(True, 1\)"),
             ({1: (1, 2), 2: (2, 2)}, "item 2 of category 2 assigned to agents 1 and 2"),
             ({1: (1, 2), 2: (2, 3)}, r"agent 2 holds malformed bundle \(2, 3\)"),
             ({1: (1, 2)}, r"agents \[1\] do not match 1..2"),
@@ -394,16 +394,20 @@ class TestMechanisms:
 
 class TestNonCanonicalOutcomes:
     """A mechanism may return bundles that ``validate_allocation`` accepts but
-    that are not the shape's bundle tuples: lists, or items such as ``True``.
-    The audits read them through the same bundle lookup as ``rank_of``, so
-    their verdicts, and their errors, are the ones the tuple paths gave."""
+    that are not the shape's bundle tuples: lists of plain ints. The audits
+    read them through the same bundle lookup as ``rank_of``, so their
+    verdicts are the ones the tuple paths gave. Items such as ``True`` or
+    ``np.int64(1)`` make an outcome infeasible, so every audit stops at the
+    first profile with ``DirectMechanism.apply``'s error."""
 
     LIST = cd.Allocation({1: [1, 2], 2: (2, 1)})
     TRUE = cd.Allocation({1: (True, 2), 2: (2, 1)})
+    NUMPY = cd.Allocation({1: (np.int64(1), 2), 2: (2, 1)})
     MODES = {"exhaustive": Exhaustive(), "sampled": Sampled(count=50, seed=3)}
+    INFEASIBLE = "mechanism constant broke feasibility: agent 1 holds malformed bundle {}"
 
     @pytest.mark.parametrize("mode", sorted(MODES))
-    @pytest.mark.parametrize("allocation", [LIST, TRUE], ids=["list", "true"])
+    @pytest.mark.parametrize("allocation", [LIST], ids=["list"])
     @pytest.mark.parametrize("check", [check_strategy_proofness, check_non_bossiness])
     def test_deviation_audits_pass(self, check, allocation, mode):
         verdict = check(constant_mechanism(allocation), SHAPE_2X2, self.MODES[mode])
@@ -427,8 +431,28 @@ class TestNonCanonicalOutcomes:
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_pareto_rejects_true_items(self, mode):
         mech = constant_mechanism(self.TRUE)
-        with pytest.raises(cd.ValidationError, match=r"bundle \(True, 2\) holds item True outside 1..2"):
+        with pytest.raises(AssertionError, match=self.INFEASIBLE.format(r"\(True, 2\)")):
             check_pareto_optimality(mech, SHAPE_2X2, self.MODES[mode])
+
+    @pytest.mark.parametrize(
+        "check", [check_strategy_proofness, check_non_bossiness, check_pareto_optimality]
+    )
+    @pytest.mark.parametrize(
+        "allocation, shown",
+        [(TRUE, r"\(True, 2\)"), (NUMPY, r"\(np.int64\(1\), 2\)")],
+        ids=["true", "numpy"],
+    )
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_infeasible_items_raise(self, mode, allocation, shown, check):
+        # each audit stops at its first profile with the mechanism's error
+        report = cd.validate_allocation(SHAPE_2X2, allocation)
+        assert not report.ok
+        assert report.detail == f"agent 1 holds malformed bundle {allocation[1]}"
+        profiles = []  # every profile the mechanism is applied to
+        mech = cd.DirectMechanism("constant", lambda p: profiles.append(p) or allocation)
+        with pytest.raises(AssertionError, match=self.INFEASIBLE.format(shown)):
+            check(mech, SHAPE_2X2, self.MODES[mode])
+        assert len(profiles) == 1
 
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_neutrality_reads_list_bundles(self, mode):
@@ -457,15 +481,9 @@ class TestNonCanonicalOutcomes:
 
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_neutrality_with_true_items(self, mode):
-        verdict = check_category_wise_neutrality(
-            constant_mechanism(self.TRUE), SHAPE_2X2, self.MODES[mode]
-        )
-        assert not verdict.passed
-        assert verdict.checked == 1
-        assert verdict.to_json()["counterexample"]["alternative"]["bundles"] == {
-            "1": [2, 2],
-            "2": [1, 1],
-        }
+        mech = constant_mechanism(self.TRUE)
+        with pytest.raises(AssertionError, match=self.INFEASIBLE.format(r"\(True, 2\)")):
+            check_category_wise_neutrality(mech, SHAPE_2X2, self.MODES[mode])
 
 
 class TestExhaustiveVerdicts:

@@ -5,7 +5,6 @@ import itertools
 import json
 import pickle
 import re
-from numbers import Integral
 
 import numpy as np
 import pytest
@@ -349,7 +348,8 @@ class TestPreference:
         shape = cd.DomainShape(n, p)
         table = domain.bundle_table(shape)
         ref = cd.uniform_preference(shape, np.random.default_rng(n))
-        prefs = [ref, *_draw(cd.MallowsParams(ref, 0.5), 3, np.random.default_rng(p))]
+        block = _draw(cd.MallowsParams(ref, 0.5), 3, np.random.default_rng(p))
+        prefs = [ref, *cd.Preference._from_rows(shape, block)]
         for pref in prefs:
             assert [pref.rank_of(table[idx]) for idx in pref.indices] == list(
                 range(1, shape.bundle_count + 1)
@@ -451,6 +451,118 @@ class TestPositionMasks:
         for pref in prefs:
             assert pref.position_masks == position_masks_oracle(pref)
 
+    # the Mallows study's shapes, and the wide benchmark's
+    DRAW_SHAPES = [(4, 2), (8, 2), (3, 4), (4, 4), (4, 6)]
+
+    def check_masks_from_draw(self, shape, seed):
+        """A replicate's draw with its masks filled from the draw's block,
+        against the same rankings rebuilt and masked from their tuples."""
+        ref = cd.uniform_preference(shape, np.random.default_rng([seed, 1]))
+        block = _draw(cd.MallowsParams(ref, 0.5), shape.n, np.random.default_rng(seed))
+        drawn = cd.Preference._from_rows(shape, block)
+        domain._fill_masks(drawn, block)
+        rebuilt = [cd.Preference.from_indices(shape, pref.indices) for pref in drawn]
+        build_position_masks(rebuilt)
+        for pref, tuples in zip(drawn, rebuilt):
+            assert pref._masks == tuples._masks == position_masks_oracle(pref), (shape, seed)
+
+    @pytest.mark.parametrize("n,p", DRAW_SHAPES)
+    def test_masks_from_the_draw_block(self, n, p):
+        for seed in range(3):
+            self.check_masks_from_draw(cd.DomainShape(n, p), seed)
+
+    @pytest.mark.parametrize("per_chunk", [1, 3])
+    @pytest.mark.parametrize("n,p", DRAW_SHAPES)
+    def test_masks_from_the_draw_block_in_chunks(self, monkeypatch, n, p, per_chunk):
+        shape = cd.DomainShape(n, p)
+        monkeypatch.setattr(domain, "_MASK_BLOCK", per_chunk * n * shape.bundle_count)
+        self.check_masks_from_draw(shape, 5)
+
+    def test_sample_mallows_keeps_masks_lazy(self):
+        shape = cd.DomainShape(3, 4)
+        ref = cd.uniform_preference(shape, np.random.default_rng(2))
+        pref = cd.sample_mallows(cd.MallowsParams(ref, 0.5), np.random.default_rng(3))
+        assert pref._masks is None
+        assert pref.position_masks == position_masks_oracle(pref)
+
+
+def first_row_error(shape, rows):
+    """The message ``from_indices`` raises on the first row of ``rows`` it
+    rejects, or None."""
+    for row in rows.tolist():
+        try:
+            cd.Preference.from_indices(shape, row)
+        except cd.ValidationError as exc:
+            return str(exc)
+    return None
+
+
+def permutation_rows(shape, count, seed, dtype=np.uint32):
+    rng = np.random.default_rng([seed, shape.n, shape.p])
+    return np.array([rng.permutation(shape.bundle_count) for _ in range(count)], dtype)
+
+
+def put(rows, row, pos, value):
+    out = rows.copy()
+    out[row, pos] = value
+    return out
+
+
+# bad blocks built from three valid rows: rows 1 and 2 get different problems
+# where the width allows, so the message must be row 1's
+BAD_BLOCKS = {
+    "repeat": lambda r, m: put(put(r, 1, m - 1, r[1, 0]), 2, 0, m),
+    "index m": lambda r, m: put(put(r, 1, 0, m), 2, m - 1, r[2, 0]),
+    "narrow": lambda r, m: r[:, :-1],
+    "wide": lambda r, m: np.hstack([r, r[:, :1]]),
+    "signed -1": lambda r, m: put(put(r.astype(np.int64), 1, 0, -1), 2, 0, m),
+    "float": lambda r, m: r.astype(float),
+}
+
+
+class TestFromRows:
+    """``Preference._from_rows`` checks a block at once; it must accept and
+    refuse exactly what ``from_indices`` does row by row."""
+
+    @pytest.mark.parametrize("n,p", [(1, 1), (2, 2), (3, 4), (4, 6)])
+    def test_valid_blocks(self, n, p):
+        shape = cd.DomainShape(n, p)
+        for count in (1, 4):
+            rows = permutation_rows(shape, count, count)
+            prefs = cd.Preference._from_rows(shape, rows)
+            assert prefs == [cd.Preference.from_indices(shape, row) for row in rows.tolist()]
+            for pref in prefs:
+                assert type(pref.indices) is tuple
+                assert set(map(type, pref.indices)) == {int}
+                assert pref._masks is None and pref._order is None and pref._rank is None
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int64])
+    def test_other_integer_blocks(self, dtype):
+        # signed blocks are checked row by row, and accepted as from_indices accepts
+        shape = cd.DomainShape(3, 2)
+        rows = permutation_rows(shape, 3, 1, dtype)
+        want = [cd.Preference.from_indices(shape, row) for row in rows.tolist()]
+        assert cd.Preference._from_rows(shape, rows) == want
+
+    def test_rows_of_a_narrow_type_cannot_pass(self):
+        # 512 bundle indices do not fit uint8: the values wrap, and rows repeat
+        shape = cd.DomainShape(2, 9)
+        rows = permutation_rows(shape, 2, 4, np.int64).astype(np.uint8)
+        with pytest.raises(cd.ValidationError, match="appears twice"):
+            cd.Preference._from_rows(shape, rows)
+
+    @pytest.mark.parametrize("case", sorted(BAD_BLOCKS))
+    @pytest.mark.parametrize("n,p", [(1, 1), (2, 2), (3, 4), (4, 6)])
+    def test_bad_blocks_name_the_first_offender(self, n, p, case):
+        shape = cd.DomainShape(n, p)
+        m = shape.bundle_count
+        rows = BAD_BLOCKS[case](permutation_rows(shape, 3, 2), m)
+        message = first_row_error(shape, rows)
+        assert message is not None
+        with pytest.raises(cd.ValidationError) as info:
+            cd.Preference._from_rows(shape, rows)
+        assert str(info.value) == message
+
 
 class TestAllocation:
     def test_valid(self):
@@ -495,16 +607,16 @@ class TestAllocation:
 
 def reference_validate_allocation(shape, allocation):
     """``validate_allocation`` before its one-pass bit check: the full
-    element-by-element check, kept as its oracle."""
+    element-by-element check, kept as its oracle. Items are plain ints only,
+    as in ``rank_of``: bool and numpy integer items make a bundle
+    malformed."""
     bundles = allocation.bundles
     if bundles.keys() != set(shape.agents()):
         return AllocationCheck(False, f"agents {sorted(bundles)} do not match 1..{shape.n}")
     n = shape.n
     rows = list(map(bundles.__getitem__, shape.agents()))
     for j, b in enumerate(rows, 1):
-        if len(b) != shape.p or not all(
-            (type(x) is int or isinstance(x, Integral)) and 1 <= x <= n for x in b
-        ):
+        if len(b) != shape.p or not all(type(x) is int and 1 <= x <= n for x in b):
             return AllocationCheck(False, f"agent {j} holds malformed bundle {b}")
     for i, items in enumerate(zip(*rows), 1):
         if len(set(items)) == n:
@@ -600,8 +712,8 @@ class TestAllocationOracle:
         "bundles, ok",
         [
             ({1: [1, 2], 2: (2, 1)}, True),
-            ({1: (True, 2), 2: (2, 1)}, True),
-            ({1: (np.int64(1), 2), 2: (2, 1)}, True),
+            ({1: (True, 2), 2: (2, 1)}, False),
+            ({1: (np.int64(1), 2), 2: (2, 1)}, False),
             ({1: (1.0, 2), 2: (2, 1)}, False),
             ({1: (1, 2), 2: (2, 1), 3: (1, 1)}, False),
             ({1: (1, 2), 3: (2, 1)}, False),

@@ -67,6 +67,11 @@ def list_insert_draw(params, count, rng):
     return draws
 
 
+def draw_prefs(params, count, rng):
+    """``_draw``'s block as preferences, through the sampler's own check."""
+    return cd.Preference._from_rows(params.reference.shape, _draw(params, count, rng))
+
+
 def mean_ci_oracle(values):
     """One cell's mean and 95% CI half-width from 1-D numpy reductions."""
     arr = np.asarray(values, dtype=float)
@@ -277,7 +282,7 @@ class TestSampler:
                 params = cd.MallowsParams(ref, phi)
                 count = 1 + seed % 5
                 batch_rng, single_rng, oracle_rng = (np.random.default_rng(seed) for _ in range(3))
-                batch = _draw(params, count, batch_rng)
+                batch = draw_prefs(params, count, batch_rng)
                 assert batch == [cd.sample_mallows(params, single_rng) for _ in range(count)]
                 assert batch == [rim_oracle(params, oracle_rng) for _ in range(count)]
                 state = batch_rng.bit_generator.state
@@ -289,7 +294,7 @@ class TestSampler:
             ref = cd.uniform_preference(shape, np.random.default_rng([seed, 2]))
             params = cd.MallowsParams(ref, self.DRAW_PHIS[seed])
             batch_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            batch = _draw(params, 4, batch_rng)
+            batch = draw_prefs(params, 4, batch_rng)
             assert batch == [rim_oracle(params, oracle_rng) for _ in range(4)], seed
             assert batch_rng.bit_generator.state == oracle_rng.bit_generator.state
 
@@ -310,7 +315,7 @@ class TestSampler:
         params = cd.MallowsParams(ref, phi)
         levels = (0.0, np.nextafter(1.0, 0.0), 0.5, np.nextafter(1.0, 0.0))
         rows = np.array([np.full(shape.bundle_count, u) for u in levels])
-        batch = _draw(params, len(levels), Rows(rows))
+        batch = draw_prefs(params, len(levels), Rows(rows))
         assert batch == [cd.sample_mallows(params, Rows(rows[i : i + 1])) for i in range(4)]
         assert batch[0] == ref
         assert batch[1].order == batch[3].order == ref.order[::-1]
@@ -319,10 +324,10 @@ class TestSampler:
 
     def check_draw_against_list_insert(self, params, count, seed):
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        draws = _draw(params, count, rng)
-        assert [d.indices for d in draws] == [
-            tuple(out) for out in list_insert_draw(params, count, oracle_rng)
-        ]
+        block = _draw(params, count, rng)
+        assert block.shape == (count, params.reference.shape.bundle_count)
+        assert block.dtype.kind == "u"
+        assert block.tolist() == list_insert_draw(params, count, oracle_rng)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     @settings(max_examples=60, deadline=None)
