@@ -508,8 +508,9 @@ def put(rows, row, pos, value):
     return out
 
 
-# bad blocks built from three valid rows: rows 1 and 2 get different problems
-# where the width allows, so the message must be row 1's
+# bad blocks built from three valid rows: the narrow, wide and float cases
+# spoil every row; the others spoil row 1, and row 2 in another way where the
+# width allows, so the message must be row 1's
 BAD_BLOCKS = {
     "repeat": lambda r, m: put(put(r, 1, m - 1, r[1, 0]), 2, 0, m),
     "index m": lambda r, m: put(put(r, 1, 0, m), 2, m - 1, r[2, 0]),
