@@ -10,6 +10,7 @@ refusal; each failure prints one line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Sequence
@@ -202,16 +203,7 @@ def _cmd_spne(args) -> int:
     )
     if args.trace:
         for step in trace:
-            print(
-                json.dumps(
-                    {
-                        "t": step.t,
-                        "agent": step.agent,
-                        "category": step.category,
-                        "item": step.item,
-                    }
-                )
-            )
+            print(json.dumps(dataclasses.asdict(step)))
     doc = _ranks_doc(profile, allocation)
     if args.states:
         doc["state_space_size"] = state_space_size(order)

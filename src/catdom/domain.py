@@ -227,10 +227,11 @@ class Preference:
     ``order[0]`` that bundle, one of the shape's canonical tuples
     (``bundle_table``). Construction validates that the ranking is a
     permutation of the whole bundle space; the bundle order, the rank table
-    and the position masks are built on first use.
+    and the position masks are built on first use. Bundles are decoded and
+    looked up through the shape's shared table and lookup, not per instance.
     """
 
-    __slots__ = ("shape", "indices", "_order", "_rank", "_masks", "_lookup", "_table")
+    __slots__ = ("shape", "indices", "_order", "_rank", "_masks")
 
     def __init__(self, shape: DomainShape, order: Iterable[Sequence[int]]):
         try:
@@ -279,13 +280,14 @@ class Preference:
     def _from_rows(cls, shape: DomainShape, rows: np.ndarray) -> list[Preference]:
         """One preference per row of a block of bundle indices, checked as a
         whole: a 2-D unsigned block, ``n**p`` wide, each row of which sorts
-        to ``0..n**p - 1``. A block that fails goes row by row through
+        to ``0..n**p - 1`` (one sort of the block, compared with one range
+        of its dtype). A block that fails goes row by row through
         ``from_indices``, which names the first offender."""
         if not (
             rows.ndim == 2
             and rows.shape[1] == shape.bundle_count
             and rows.dtype.kind == "u"
-            and (np.sort(rows, axis=1) == _index_range(shape)).all()
+            and (np.sort(rows, axis=1) == np.arange(rows.shape[1], dtype=rows.dtype)).all()
         ):
             return [cls.from_indices(shape, row) for row in rows.tolist()]
         return [cls.__new__(cls)._build(shape, tuple(row)) for row in rows.tolist()]
@@ -299,15 +301,13 @@ class Preference:
         self._order = None
         self._rank = None
         self._masks = None
-        self._lookup = _bundle_lookup(shape)
-        self._table = bundle_table(shape)
         return self
 
     @property
     def order(self) -> tuple[Bundle, ...]:
         """The ranking as bundles, most preferred first, built on first use."""
         if self._order is None:
-            self._order = tuple(map(self._table.__getitem__, self.indices))
+            self._order = tuple(map(bundle_table(self.shape).__getitem__, self.indices))
         return self._order
 
     @property
@@ -327,15 +327,16 @@ class Preference:
             for pos, idx in enumerate(self.indices, 1):
                 rank[idx] = pos
             self._rank = rank
-        return self._rank[_bundle_index(self.shape, self._lookup, self._table, bundle)]
+        shape = self.shape
+        return self._rank[_bundle_index(shape, _bundle_lookup(shape), bundle_table(shape), bundle)]
 
     def bundle_at(self, rank: int) -> Bundle:
         if not (type(rank) is int and 1 <= rank <= len(self.indices)):
             raise ValidationError(f"rank {rank!r} outside 1..{len(self.indices)}")
-        return self._table[self.indices[rank - 1]]
+        return bundle_table(self.shape)[self.indices[rank - 1]]
 
     def top(self) -> Bundle:
-        return self._table[self.indices[0]]
+        return bundle_table(self.shape)[self.indices[0]]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -354,14 +355,6 @@ class Preference:
 
 # Largest one-hot block ``_fill_masks`` forms at once, in elements.
 _MASK_BLOCK = 1 << 22
-
-
-@lru_cache(maxsize=8)
-def _index_range(shape: DomainShape) -> np.ndarray:
-    """``0..n**p - 1``, the sorted row of every ranking of ``shape``."""
-    index = np.arange(shape.bundle_count, dtype=np.uintc)
-    index.flags.writeable = False
-    return index
 
 
 @lru_cache(maxsize=8)

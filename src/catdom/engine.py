@@ -18,17 +18,18 @@ uses only items still available in her open categories. One play
 (``_play``) keeps one per agent, all bits set at the start, and builds every
 agent's position masks in one call (``build_position_masks``). When agent j
 takes item d of category c, j keeps only the positions holding d and every
-other agent loses them. One pick kernel reads the state and returns raw
-data: the optimistic pick is the lowest set bit; the pessimistic pick takes
-the highest set bit per candidate item, its worst bit length, and the
-candidate whose worst bit is lowest wins. After the last round each bitset
-has one bit left, the agent's bundle, and its bit length is her rank. The
-public choice functions build the bitset from scratch
-(``_consistency_mask``) and call the same kernel.
+other agent loses them. The bitsets are the play's only record of what is
+left: an item of a category still open for an agent is available exactly
+when her bitset meets its position mask. One pick kernel reads the state
+and returns raw data: the optimistic pick is the lowest set bit; the
+pessimistic pick takes the highest set bit per candidate item, its worst
+bit length, and the candidate whose worst bit is lowest wins. After the
+last round each bitset has one bit left, the agent's bundle, and its bit
+length is her rank. The public choice functions build the bitset from
+scratch (``_consistency_mask``) and call the same kernel.
 
-``run_csam`` turns the play into a trace: per round, the available item set
-of the round's category and (for pessimistic rounds) the
-candidate-to-worst-bundle comparison that justified the pick.
+``run_csam`` turns the play into a trace: per round, the available items of
+the round's category and, for a pessimistic pick, the comparison behind it.
 ``_realized_ranks`` plays without a trace and returns the ranks only, for
 the Mallows study.
 
@@ -234,35 +235,33 @@ def _play(
     the kernel's worst bit lengths for a pessimistic pick (None otherwise),
     and the running consistency bitsets after the round, ``cons[j - 1]`` for
     agent ``j`` (one list, updated in place). Builds every agent's position
-    masks in one call first."""
+    masks in one call first. A scripted item is on the table exactly when
+    the picker's bitset meets its mask: its category is open for her, and
+    each of her other open categories still holds an item."""
     shape = order.shape
-    table, prefs = bundle_table(shape), profile.preferences
+    n, table, prefs = shape.n, bundle_table(shape), profile.preferences
     build_position_masks(prefs)
     # by_category[c][a]: agent a + 1's masks of the items of category c + 1
     by_category = list(zip(*(pref.position_masks for pref in prefs)))
-    scripts = [b.picks if isinstance(b, Scripted) else None for b in behaviors]
+    scripts = [iter(b.picks) if isinstance(b, Scripted) else None for b in behaviors]
     pessimistic = [isinstance(b, Pessimistic) for b in behaviors]
-    cons = [(1 << shape.bundle_count) - 1] * shape.n
-    # each category's remaining items, kept sorted
-    available = [list(shape.agents()) for _ in shape.categories()]
-    made = [0] * shape.n
+    cons = [(1 << shape.bundle_count) - 1] * n
     for t, (j, i) in enumerate(order.rounds, 1):
         a, c = j - 1, i - 1
-        script = scripts[a]
+        script, row = scripts[a], by_category[c]
         worst = None
         if script is not None:
-            item = script[made[a]]
-            if item not in available[c]:
+            item = next(script)
+            if not (1 <= item <= n and cons[a] & row[a][item - 1]):
+                left = [d for d, bits in enumerate(row[a], 1) if cons[a] & bits]
                 raise ExecutionError(
                     f"round {t}: scripted item {item} of category {i} is not available "
-                    f"(remaining {available[c]})"
+                    f"(remaining {left})"
                 )
         else:
             item, worst = _pick(prefs[a], table, cons[a], i, pessimistic[a])
-        available[c].remove(item)
-        made[a] += 1
         # the taker keeps only bundles with the item, everyone else loses them
-        d, row = item - 1, by_category[c]
+        d = item - 1
         keep = cons[a] & row[a][d]
         cons[:] = [x & ~m[d] for x, m in zip(cons, row)]
         cons[a] = keep

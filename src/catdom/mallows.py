@@ -21,11 +21,10 @@ without a trace).
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from array import array
-from collections import defaultdict, deque
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
@@ -212,18 +211,18 @@ _COLUMNS = tuple(f.name for f in fields(ExperimentResult))
 CSV_HEADER = ",".join(_COLUMNS)
 
 
-def _cell_stats(rows: Sequence[Sequence[int]], size: int) -> tuple[list[float], list[float]]:
+def _cell_stats(rows: np.ndarray) -> tuple[list[float], list[float]]:
     """Mean and 95% normal CI half-width (1.96 s / sqrt(k), 0.0 for k = 1)
-    of each row of k = ``size`` values. One row-wise numpy reduction per
-    statistic sums each contiguous row in the same pairwise order as a 1-D
-    reduction, so the figures are those of per-row ``mean`` and
-    ``std(ddof=1)``, bit for bit."""
-    arr = np.array(rows, dtype=float)
-    means = arr.mean(axis=1).tolist()
+    of each row of a C-contiguous float64 ``(rows, k)`` array. One row-wise
+    numpy reduction per statistic sums each contiguous row in the same
+    pairwise order as a 1-D reduction, so the figures are those of per-row
+    ``mean`` and ``std(ddof=1)``, bit for bit."""
+    size = rows.shape[1]
+    means = rows.mean(axis=1).tolist()
     if size < 2:
         return means, [0.0] * len(means)
     root = math.sqrt(size)
-    return means, [1.96 * sd / root for sd in arr.std(axis=1, ddof=1).tolist()]
+    return means, [1.96 * sd / root for sd in rows.std(axis=1, ddof=1).tolist()]
 
 
 def run_experiment(config: ExperimentConfig) -> list[ExperimentResult]:
@@ -231,10 +230,12 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentResult]:
 
     Replicate streams are np.random.default_rng([seed, index]) with a global
     replicate index enumerating the (n, phi, replicate) grid, so any cell can
-    be reproduced in isolation. Cells are keyed by grid position, so a
-    repeated n or phi value gets its own rows.
+    be reproduced in isolation. Results run over mechanisms, then n, then
+    phi, one per grid position, so a repeated n or phi gets its own rows.
     """
-    cells: dict[tuple[int, int, int], list[tuple[int, int]]] = defaultdict(list)
+    grid = (len(config.mechanisms), len(config.n_values), len(config.phis))
+    # the utilitarian and egalitarian rank of every play, by grid position
+    totals = np.empty((*grid, 2, config.samples))
     index = 0
     for n_idx, n in enumerate(config.n_values):
         shape = DomainShape(n, config.p)
@@ -246,7 +247,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentResult]:
             report = worst_case_report(order, behaviors) if config.check_bounds else None
             plays.append((order, behaviors, report))
         for phi_idx, phi in enumerate(config.phis):
-            for _ in range(config.samples):
+            for rep in range(config.samples):
                 rng = np.random.default_rng([config.seed, index])
                 index += 1
                 block = _draw(MallowsParams(uniform_preference(shape, rng), phi), n, rng)
@@ -262,23 +263,18 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentResult]:
                                     f"realized rank {rank} exceeds the bound "
                                     f"{report.bound(j)} for agent {j}"
                                 )
-                    cells[c_idx, n_idx, phi_idx].append((sum(ranks), max(ranks)))
+                    totals[c_idx, n_idx, phi_idx, :, rep] = sum(ranks), max(ranks)
 
-    keys = list(
-        itertools.product(
-            range(len(config.mechanisms)), range(len(config.n_values)), range(len(config.phis))
-        )
-    )
-    ut_mean, ut_ci = _cell_stats([[ut for ut, _ in cells[key]] for key in keys], config.samples)
-    eg_mean, eg_ci = _cell_stats([[eg for _, eg in cells[key]] for key in keys], config.samples)
+    # rows alternate utilitarian and egalitarian, cell by cell
+    means, cis = _cell_stats(totals.reshape(-1, config.samples))
     results = []
-    for row, (c_idx, n_idx, phi_idx) in enumerate(keys):
+    for row, (c_idx, n_idx, phi_idx) in enumerate(np.ndindex(grid)):
         cfg = config.mechanisms[c_idx]
         results.append(
             ExperimentResult(
                 cfg.order_family, cfg.behavior, config.n_values[n_idx], config.p,
                 config.phis[phi_idx], config.samples, config.seed,
-                ut_mean[row], ut_ci[row], eg_mean[row], eg_ci[row],
+                means[2 * row], cis[2 * row], means[2 * row + 1], cis[2 * row + 1],
             )
         )
     return results

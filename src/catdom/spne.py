@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import Allocation, CapacityError, Profile, ValidationError, bundle_table
-from .orders import PickingOrder
+from .orders import PickingOrder, pickers_in_category
 
 DEFAULT_STATE_CAP = 10_000_000
 
@@ -74,7 +74,7 @@ def _solve_levels(order: PickingOrder, profile: Profile) -> np.ndarray:
     lehmer = np.fromiter(perms, width, math.factorial(n) * n).reshape(-1, n)
     leaf = np.zeros([radix for _, radix in axes] + [n], width)
     for category in shape.categories():
-        pickers = [agent for agent, c in rounds if c == category]
+        pickers = pickers_in_category(order, category)
         items = lehmer[:, np.argsort(pickers)] * n ** (shape.p - category)
         leaf += items.reshape([r if rounds[t][1] == category else 1 for t, r in axes] + [n])
     ranks = np.argsort([pref.indices for pref in profile.preferences], axis=1).astype(width)
@@ -103,13 +103,8 @@ def solve_spne(
         raise ValidationError("profile shape does not match order shape")
     if not (type(state_cap) is int and state_cap >= 1):
         raise ValidationError(f"state cap must be at least 1 state, got {state_cap!r}")
-    states = 0
-    for level in _level_sizes(order):
-        states += level
-        if states > state_cap:
-            raise CapacityError(
-                f"equilibrium solving exceeded the state cap of {state_cap} states"
-            )
+    if state_space_size(order) - 1 > state_cap:
+        raise CapacityError(f"equilibrium solving exceeded the state cap of {state_cap} states")
 
     if shape.n == 1:
         # the lone agent gets the lone bundle, however many categories there are

@@ -301,6 +301,8 @@ class TestCategoryPermutation:
             ((1, 2), True, (2, 1), "category True outside 1..2"),
             ((3, 1), 1, (2, 1), r"bundle \(3, 1\) holds item 3 outside 1..2"),
             ((0, 1), 1, (2, 1), r"bundle \(0, 1\) holds item 0 outside 1..2"),
+            ([1, 2], 1, (2, 1), "cannot permute object of type list"),
+            ({1: (1, 2)}, 1, (2, 1), "cannot permute object of type dict"),
         ],
     )
     def test_bad_arguments_rejected(self, obj, category, perm, message):
@@ -338,6 +340,13 @@ class TestMechanisms:
     def test_sd_direct_rejects_a_bad_agent_order(self, order, message, welfare_profile_2x2):
         with pytest.raises(cd.ValidationError, match=message):
             sd_direct(order).apply(welfare_profile_2x2)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_bossy_sd_with_one_agent(self, p):
+        # one bundle: agent 1 has no second-ranked bundle to read
+        shape = cd.DomainShape(1, p)
+        profile = cd.Profile(shape, [cd.Preference.from_indices(shape, [0])])
+        assert dict(bossy_conditional_sd().apply(profile).bundles) == {1: (1,) * p}
 
     def test_welfare_maximizer_fixture_allocation(self, welfare_profile_2x2):
         alloc = welfare_maximizer().apply(welfare_profile_2x2)

@@ -161,6 +161,22 @@ class TestMalformedInput:
         path.write_text(json.dumps(doc))
         assert_rejected(capsys, ["analyze-order", "--order", str(path)])
 
+    @pytest.mark.parametrize("text", ["{not json", "", '{"n": 2,'])
+    def test_order_file_not_json(self, capsys, tmp_path, text):
+        path = tmp_path / "order.json"
+        path.write_text(text)
+        err = assert_rejected(capsys, ["analyze-order", "--order", str(path)])
+        assert f"{path} is not valid JSON" in err
+
+    @pytest.mark.parametrize("token", ["optimist", "script", "PESS", ""])
+    def test_unknown_behavior_token(self, capsys, order_file, profile_file, token):
+        err = assert_rejected(
+            capsys,
+            ["run", "--order", order_file, "--profile", profile_file,
+             "--behaviors", f"opt,{token},pess"],
+        )
+        assert f"unknown behavior {token!r} (use opt, pess, or script:FILE)" in err
+
     @pytest.mark.parametrize("row", [[[True, 1], [1, 2], [2, 1], [2, 2]], [1, 2, 3, 4]])
     def test_profile_row_rejected(self, capsys, tmp_path, game_order_2x2, game_profile_2x2, row):
         doc = cd.profile_to_json(game_profile_2x2)

@@ -386,6 +386,34 @@ class TestPreference:
         assert a == b and hash(a) == hash(b)
         assert a != c
 
+    def test_repr_shows_the_top_three_bundles(self):
+        pref = pref_of(SHAPE_2X2, ["21", "11", "22", "12"])
+        assert repr(pref) == "Preference(2x2: 21 > 11 > 22 > ...)"
+
+
+class TestProfile:
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_rejects_wrong_number_of_preferences(self, count):
+        pref = pref_of(SHAPE_2X2, ["21", "11", "22", "12"])
+        with pytest.raises(cd.ValidationError, match=f"profile holds {count} preferences, expected 2"):
+            cd.Profile(SHAPE_2X2, [pref] * count)
+
+    def test_rejects_a_preference_of_another_shape(self):
+        pref = pref_of(SHAPE_2X2, ["21", "11", "22", "12"])
+        other = pref_of(cd.DomainShape(2, 1), ["2", "1"])
+        message = f"agent 2 preference shaped {other.shape}, expected {SHAPE_2X2}"
+        with pytest.raises(cd.ValidationError, match=re.escape(message)):
+            cd.Profile(SHAPE_2X2, [pref, other])
+
+    def test_equality_and_hash(self):
+        a = pref_of(SHAPE_2X2, ["21", "11", "22", "12"])
+        b = pref_of(SHAPE_2X2, ["11", "21", "22", "12"])
+        first = cd.Profile(SHAPE_2X2, [a, b])
+        second = cd.Profile(SHAPE_2X2, [pref_of(SHAPE_2X2, ["21", "11", "22", "12"]), b])
+        assert first == second and hash(first) == hash(second)
+        assert first != cd.Profile(SHAPE_2X2, [b, a])
+        assert first != (a, b)
+
 
 def position_masks_oracle(pref):
     """Per-preference numpy build of ``position_masks``: the item digits
@@ -742,7 +770,29 @@ class TestJson:
         with pytest.raises(cd.ValidationError, match="agent 2"):
             cd.profile_from_json(doc)
 
+    @pytest.mark.parametrize(
+        "preferences",
+        [None, {"1": []}, [], [[[1], [2]]], [[[1], [2]], [[2], [1]], [[1], [2]]]],
+    )
+    def test_profile_needs_a_preference_list_per_agent(self, preferences):
+        doc = {"n": 2, "p": 1}
+        if preferences is not None:
+            doc["preferences"] = preferences
+        with pytest.raises(cd.ValidationError, match="profile needs a 'preferences' list of length 2"):
+            cd.profile_from_json(doc)
+
     def test_allocation_roundtrip(self):
         alloc = cd.Allocation({1: (1, 2), 2: (2, 1)})
         back = cd.allocation_from_json(SHAPE_2X2, cd.allocation_to_json(alloc))
         assert dict(back.bundles) == dict(alloc.bundles)
+
+    @pytest.mark.parametrize("data", [{}, {"bundles": [[1, 2], [2, 1]]}, {"bundles": None}])
+    def test_allocation_needs_a_bundles_mapping(self, data):
+        with pytest.raises(cd.ValidationError, match="allocation needs a 'bundles' mapping"):
+            cd.allocation_from_json(SHAPE_2X2, data)
+
+    @pytest.mark.parametrize("key", ["one", "1.5", None])
+    def test_allocation_agent_keys_must_be_integers(self, key):
+        data = {"bundles": {"1": [1, 2], key: [2, 1]}}
+        with pytest.raises(cd.ValidationError, match=re.escape(f"agent key {key!r} is not an integer")):
+            cd.allocation_from_json(SHAPE_2X2, data)

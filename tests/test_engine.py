@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -352,9 +353,15 @@ class TestScripted:
         order = cd.PickingOrder(shape, ((1, 1), (2, 1)))
         prefs = [cd.Preference(shape, [(1,), (2,)]) for _ in (1, 2)]
         profile = cd.Profile(shape, prefs)
-        behaviors = [cd.Scripted([1]), cd.Scripted([1])]
-        with pytest.raises(cd.ExecutionError, match="round 2"):
-            cd.run_csam(order, profile, behaviors)
+        # a taken item and items outside 1..n are refused with one message
+        for picks, t, left in [
+            ((1, 1), 2, [2]), ((1, 0), 2, [2]), ((1, 3), 2, [2]), ((1, -1), 2, [2]),
+            ((0, 1), 1, [1, 2]), ((3, 1), 1, [1, 2]), ((-1, 1), 1, [1, 2]),
+        ]:
+            behaviors = [cd.Scripted([item]) for item in picks]
+            message = f"round {t}: scripted item {picks[t - 1]} of category 1 is not available"
+            with pytest.raises(cd.ExecutionError, match=re.escape(f"{message} (remaining {left})")):
+                cd.run_csam(order, profile, behaviors)
 
     @pytest.mark.parametrize("picks", [(1.7, 1), (True, 1)])
     def test_script_items_must_be_ints(self, mixed_order_3x2, profile_3x2, picks):
@@ -395,6 +402,13 @@ class TestBehaviorValidation:
     def test_wrong_behavior_count(self, mixed_order_3x2, profile_3x2):
         with pytest.raises(cd.ValidationError):
             cd.run_csam(mixed_order_3x2, profile_3x2, [cd.OPTIMISTIC] * 2)
+
+    @pytest.mark.parametrize("behavior", ["opt", None, cd.Behavior(), cd.Optimistic])
+    def test_rejects_objects_that_are_not_behaviors(self, mixed_order_3x2, profile_3x2, behavior):
+        behaviors = [cd.OPTIMISTIC, behavior, cd.PESSIMISTIC]
+        message = f"agent 2 has unknown behavior {behavior!r}"
+        with pytest.raises(cd.ValidationError, match=re.escape(message)):
+            cd.run_csam(mixed_order_3x2, profile_3x2, behaviors)
 
     def test_profile_shape_mismatch(self, mixed_order_3x2):
         shape = cd.DomainShape(2, 2)

@@ -478,7 +478,7 @@ class TestExperiment:
         rng = np.random.default_rng(size)
         for high in (3, 70, 5000):
             rows = rng.integers(1, high, size=(9, size)).tolist()
-            means, cis = _cell_stats(rows, size)
+            means, cis = _cell_stats(np.array(rows, dtype=float))
             assert list(zip(means, cis)) == [mean_ci_oracle(row) for row in rows]
 
     def test_csv_layout(self):

@@ -155,6 +155,13 @@ class TestPickingOrder:
         with pytest.raises(cd.ValidationError, match=f"agent {agent!r} outside 1..3"):
             mixed_order_3x2.rounds_of_agent(agent)
 
+    def test_equality_hash_and_repr(self, mixed_order_3x2):
+        same = cd.PickingOrder(SHAPE_3X2, [list(r) for r in MIXED_ORDER_3X2_ROUNDS])
+        assert same == mixed_order_3x2 and hash(same) == hash(mixed_order_3x2)
+        assert mixed_order_3x2 != cd.serial_dictatorship_order([1, 2, 3], 2)
+        assert mixed_order_3x2 != MIXED_ORDER_3X2_ROUNDS
+        assert repr(mixed_order_3x2) == f"PickingOrder({MIXED_ORDER_3X2_ROUNDS})"
+
 
 class TestOrderFamilies:
     def test_serial_dictatorship_rounds(self):
