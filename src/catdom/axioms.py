@@ -287,9 +287,8 @@ def _deviations(
         for profile in _profiles(shape, mode, rng):
             j = int(rng.integers(1, shape.n + 1))
             deviation = uniform_preference(shape, rng)
-            misreport = Profile(
-                shape, [deviation if a == j else profile.pref(a) for a in shape.agents()]
-            )
+            reports = profile.preferences
+            misreport = Profile(shape, reports[: j - 1] + (deviation,) + reports[j:])
             yield profile, j, deviation, mechanism.apply(profile), mechanism.apply(misreport)
         return
     rankings = all_rankings(shape)
@@ -559,11 +558,12 @@ def welfare_maximizer() -> DirectMechanism:
 
 def _conditional_sd(name: str, tail_order) -> DirectMechanism:
     """Serial dictatorship led by agent 1, who gets her top bundle; the order
-    of the others is ``tail_order(profile, that bundle)``."""
+    of the others is ``tail_order(profile, that bundle)``, which lists agents
+    2..n (the scan does not check the order again)."""
 
     def fn(profile: Profile) -> Allocation:
         tail = tail_order(profile, profile.pref(1).top())
-        return direct_serial_dictatorship([1, *tail], profile)
+        return _serial_picks([1, *tail], profile)
 
     return DirectMechanism(name, fn)
 

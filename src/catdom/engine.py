@@ -263,7 +263,8 @@ def _play(
         # the taker keeps only bundles with the item, everyone else loses them
         d = item - 1
         keep = cons[a] & row[a][d]
-        cons[:] = [x & ~m[d] for x, m in zip(cons, row)]
+        for k in range(n):
+            cons[k] &= ~row[k][d]
         cons[a] = keep
         yield item, worst, cons
 

@@ -14,9 +14,9 @@ study also their position masks.
 
 ``run_experiment`` estimates expected utilitarian and egalitarian realized
 ranks for sequential mechanisms under profiles drawn from a shared Mallows
-population (one uniform reference per replicate, one batched draw for all
-agents, the same profile fed to every mechanism configuration, each played
-without a trace).
+population (one uniform reference permutation per replicate, one batched
+draw for all agents, the same profile fed to every mechanism configuration,
+each played without a trace).
 """
 
 from __future__ import annotations
@@ -86,29 +86,32 @@ class MallowsParams:
 
 def sample_mallows(params: MallowsParams, rng: np.random.Generator) -> Preference:
     """One repeated-insertion draw (Doignon, Pekec & Regenwetter 2004)."""
-    return Preference._from_rows(params.reference.shape, _draw(params, 1, rng))[0]
+    reference = params.reference
+    return Preference._from_rows(reference.shape, _draw(reference.indices, params.phi, 1, rng))[0]
 
 
-def _draw(params: MallowsParams, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` independent repeated-insertion draws from one
-    ``rng.random((count, m))``, row by row the same numbers as ``count``
-    calls of ``rng.random(m)``, as a ``(count, m)`` unsigned block of bundle
-    indices, one draw per row, most preferred first.
+def _draw(reference: Sequence[int], phi: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` independent repeated-insertion draws around the reference
+    ranking's bundle indices, from one ``rng.random((count, m))``, row by
+    row the same numbers as ``count`` calls of ``rng.random(m)``, as a
+    ``(count, m)`` unsigned block of bundle indices, one draw per row, most
+    preferred first. The reference is not checked: a row of a reference
+    that is not a permutation is not one either, and ``_from_rows`` refuses
+    it.
 
     The k-th reference element goes r places above the bottom of the partial
     ranking, where P(r) is proportional to phi**r on 0..k-1: a truncated
     geometric offset, drawn from one uniform u by its inverse CDF,
     r = floor(log(1 - u (1 - phi**k)) / log(phi)), or floor(u k) at phi = 1.
     ``expm1`` forms ``phi**k - 1`` without a power per element."""
-    reference = params.reference
-    m = reference.shape.bundle_count
+    m = len(reference)
     below = np.arange(m, dtype=float)  # k - 1
     # r, then the slot k - 1 - r, computed in place in the uniforms' array
     x = rng.random((count, m))
-    if params.phi == 1:
+    if phi == 1:
         np.multiply(x, below + 1, out=x)
     else:
-        log_phi = math.log(params.phi)
+        log_phi = math.log(phi)
         np.multiply(x, np.expm1((below + 1) * log_phi), out=x)
         np.log1p(x, out=x)
         np.divide(x, log_phi, out=x)
@@ -121,7 +124,7 @@ def _draw(params: MallowsParams, count: int, rng: np.random.Generator) -> np.nda
     for row, out in zip(slots, block):
         placed = array("I")
         # one insert per reference element, driven from C by the deque
-        deque(map(placed.insert, row.tolist(), reference.indices), 0)
+        deque(map(placed.insert, row.tolist(), reference), 0)
         out[:] = np.frombuffer(placed, np.uintc)
     return block
 
@@ -250,7 +253,8 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentResult]:
             for rep in range(config.samples):
                 rng = np.random.default_rng([config.seed, index])
                 index += 1
-                block = _draw(MallowsParams(uniform_preference(shape, rng), phi), n, rng)
+                # uniform_preference's permutation, with no Preference built
+                block = _draw(rng.permutation(shape.bundle_count).tolist(), phi, n, rng)
                 prefs = Preference._from_rows(shape, block)
                 _fill_masks(prefs, block)  # from the draw's block, not from the tuples
                 profile = Profile(shape, prefs)

@@ -348,7 +348,7 @@ class TestPreference:
         shape = cd.DomainShape(n, p)
         table = domain.bundle_table(shape)
         ref = cd.uniform_preference(shape, np.random.default_rng(n))
-        block = _draw(cd.MallowsParams(ref, 0.5), 3, np.random.default_rng(p))
+        block = _draw(ref.indices, 0.5, 3, np.random.default_rng(p))
         prefs = [ref, *cd.Preference._from_rows(shape, block)]
         for pref in prefs:
             assert [pref.rank_of(table[idx]) for idx in pref.indices] == list(
@@ -486,13 +486,18 @@ class TestPositionMasks:
         """A replicate's draw with its masks filled from the draw's block,
         against the same rankings rebuilt and masked from their tuples."""
         ref = cd.uniform_preference(shape, np.random.default_rng([seed, 1]))
-        block = _draw(cd.MallowsParams(ref, 0.5), shape.n, np.random.default_rng(seed))
+        block = _draw(ref.indices, 0.5, shape.n, np.random.default_rng(seed))
         drawn = cd.Preference._from_rows(shape, block)
         domain._fill_masks(drawn, block)
+        # the same block as a native index gives the same masks
+        native = cd.Preference._from_rows(shape, block)
+        domain._fill_masks(native, block.astype(np.intp))
+        assert block.dtype == np.uintc
         rebuilt = [cd.Preference.from_indices(shape, pref.indices) for pref in drawn]
         build_position_masks(rebuilt)
-        for pref, tuples in zip(drawn, rebuilt):
-            assert pref._masks == tuples._masks == position_masks_oracle(pref), (shape, seed)
+        for pref, intp, tuples in zip(drawn, native, rebuilt):
+            want = position_masks_oracle(pref)
+            assert pref._masks == intp._masks == tuples._masks == want, (shape, seed)
 
     @pytest.mark.parametrize("n,p", DRAW_SHAPES)
     def test_masks_from_the_draw_block(self, n, p):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import catdom as cd
+from catdom import domain, mallows
 from catdom.mallows import (
     CSV_HEADER,
     DEFAULT_GRID,
@@ -69,7 +70,8 @@ def list_insert_draw(params, count, rng):
 
 def draw_prefs(params, count, rng):
     """``_draw``'s block as preferences, through the sampler's own check."""
-    return cd.Preference._from_rows(params.reference.shape, _draw(params, count, rng))
+    ref = params.reference
+    return cd.Preference._from_rows(ref.shape, _draw(ref.indices, params.phi, count, rng))
 
 
 def mean_ci_oracle(values):
@@ -324,7 +326,7 @@ class TestSampler:
 
     def check_draw_against_list_insert(self, params, count, seed):
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        block = _draw(params, count, rng)
+        block = _draw(params.reference.indices, params.phi, count, rng)
         assert block.shape == (count, params.reference.shape.bundle_count)
         assert block.dtype.kind == "u"
         assert block.tolist() == list_insert_draw(params, count, oracle_rng)
@@ -350,6 +352,17 @@ class TestSampler:
             ref = cd.uniform_preference(shape, np.random.default_rng([seed, 3]))
             for count in (1, 4):
                 self.check_draw_against_list_insert(cd.MallowsParams(ref, phi), count, seed)
+
+    @pytest.mark.parametrize("phi", [0.5, 1.0])
+    def test_draw_from_a_repeated_index_is_refused(self, phi):
+        # _draw does not check its reference; the block check refuses the rows
+        shape = cd.DomainShape(2, 2)
+        block = _draw([0, 1, 1, 3], phi, 3, np.random.default_rng(0))
+        bundle = domain.bundle_table(shape)[1]
+        with pytest.raises(cd.ValidationError, match=re.escape(f"bundle {bundle} appears twice")):
+            cd.Preference.from_indices(shape, [0, 1, 1, 3])
+        with pytest.raises(cd.ValidationError, match=re.escape(f"bundle {bundle} appears twice")):
+            cd.Preference._from_rows(shape, block)
 
     def test_oracle_prefix_weights_equal_per_element_cumsum(self):
         for phi in self.ORACLE_PHIS:
@@ -450,6 +463,27 @@ class TestExperiment:
         assert len(first) == len(DEFAULT_GRID) * 2 * 2
         cells = {(r.mechanism, r.behavior, r.n, r.phi) for r in first}
         assert len(cells) == len(first)
+
+    @pytest.mark.parametrize("n,p", [(2, 2), (3, 4), (4, 6)])
+    def test_reference_uses_the_stream_as_uniform_preference(self, monkeypatch, n, p):
+        # each replicate's reference and the rng state after it, as _draw sees them
+        seen = []
+
+        def recording_draw(reference, phi, count, rng):
+            seen.append((list(reference), rng.bit_generator.state))
+            return _draw(reference, phi, count, rng)
+
+        monkeypatch.setattr(mallows, "_draw", recording_draw)
+        config = ExperimentConfig(p=p, n_values=(n,), phis=(0.5,), samples=2, seed=11)
+        run_experiment(config)
+        assert len(seen) == 2
+        shape = cd.DomainShape(n, p)
+        for index, (reference, state) in enumerate(seen):
+            rng = np.random.default_rng([11, index])
+            assert reference == list(cd.uniform_preference(shape, rng).indices)
+            after = np.random.default_rng()
+            after.bit_generator.state = state
+            assert after.random() == rng.random()
 
     def test_bound_assertion_mode(self):
         config = ExperimentConfig(
