@@ -36,10 +36,11 @@ except in one category):
   bundle, while item j's worst consistent bundle sits strictly higher, so she
   picks j.
 * The top pin of every agent except the round-1 agent is the almost-j bundle
-  holding the item of her cyclic predecessor in the first round's category;
-  giving every agent that pinned bundle is a valid allocation
-  (``near_optimal_allocation``) in which all agents except the round-1 agent
-  get their rank-1 bundle and the round-1 agent gets rank 1 or 2.
+  holding the item of her cyclic predecessor in the first round's category
+  (``_near``, which both ranking builders read); giving every agent that
+  bundle is a valid allocation (``near_optimal_allocation``) in which all
+  agents except the round-1 agent get their rank-1 bundle and the round-1
+  agent gets rank 1 or 2.
 
 ``strategic_worst_profile`` does the analogous job for two fully strategic
 agents (n = 2): a recursive profile on which the unique subgame-perfect
@@ -132,6 +133,13 @@ def _best_cover(order: PickingOrder, agent: int, after_round: int) -> Bundle:
     return best[1]
 
 
+def _near(order: PickingOrder, agent: int) -> Bundle:
+    """The agent's near-optimal pin: her own bundle with the item of her
+    cyclic predecessor in the first round's category."""
+    i1 = order.rounds[0][1]
+    return _almost((agent,) * order.shape.p, i1, predecessor_in_category(order, i1, agent))
+
+
 def _optimist_ranking(order: PickingOrder, agent: int) -> list[Bundle]:
     shape = order.shape
     analytics = order.analytics
@@ -141,31 +149,28 @@ def _optimist_ranking(order: PickingOrder, agent: int) -> list[Bundle]:
     own = (agent,) * shape.p
     if shape.n == 1:
         return [own]
-    t_at = {l: order.round_of(agent, sub[l - 1]) for l in range(1, shape.p + 1)}
-
-    last_in_i1 = pickers_in_category(order, i1)[-1]
-    l_bundle = _almost(own, i1, last_in_i1)
+    near = _near(order, agent)
 
     if agent == j1 and big_k == 1:
         # the agent leads every category: the block is the whole space and the
         # bound is 1; rank own first and the near-optimal bundle second
-        return _ranking(shape, agent, [own, l_bundle], [])
+        return _ranking(shape, agent, [own, near], [])
 
     per_category: dict[int, tuple[int, ...]] = {}
     for l, cat in enumerate(sub, 1):
         if l < big_k:
             per_category[cat] = (agent,)
         else:
-            per_category[cat] = _remaining(order, cat, t_at[l])
+            per_category[cat] = _remaining(order, cat, order.round_of(agent, cat))
     block = set(
         itertools.product(*(per_category[i] for i in shape.categories()))
     )
 
     pins: list[Bundle] = []
     if agent != j1:
-        pins.append(_almost(own, i1, predecessor_in_category(order, i1, agent)))
+        pins.append(near)
     if big_k > 1:
-        guard_round = t_at[big_k - 1]
+        guard_round = order.round_of(agent, sub[big_k - 2])
         c = sub[big_k - 1]
         first_in_c = pickers_in_category(order, c)[0]
         if c != i1 and first_in_c != agent:
@@ -173,8 +178,8 @@ def _optimist_ranking(order: PickingOrder, agent: int) -> list[Bundle]:
         if agent == j1:
             if not pins:
                 pins.append(_best_cover(order, agent, guard_round))
-            pins.append(l_bundle)
-        helpers = [b for b in pins if b != l_bundle or agent != j1]
+            pins.append(near)
+        helpers = [b for b in pins if b != near or agent != j1]
         if not any(_death_round(order, agent, b) > guard_round for b in helpers):
             pins.append(_best_cover(order, agent, guard_round))
 
@@ -183,32 +188,28 @@ def _optimist_ranking(order: PickingOrder, agent: int) -> list[Bundle]:
 
 def _pessimist_ranking(order: PickingOrder, agent: int) -> list[Bundle]:
     shape = order.shape
-    analytics = order.analytics
     j1, i1 = order.rounds[0]
-    sub = analytics.suborder(agent)
     own = (agent,) * shape.p
     if shape.n == 1:
         return [own]
-    t_at = {l: order.round_of(agent, sub[l - 1]) for l in range(1, shape.p + 1)}
 
-    # tier l: almost-j bundles over the items of suborder position l that are
-    # still obtainable at the agent's own round there
-    tiers: dict[int, list[Bundle]] = {}
-    for l, cat in enumerate(sub, 1):
-        tiers[l] = [_almost(own, cat, d) for d in _remaining(order, cat, t_at[l]) if d != agent]
+    # one tier per suborder position: almost-j bundles over the items of that
+    # position's category still obtainable at the agent's own round there
+    tiers = []
+    for cat in order.analytics.suborder(agent):
+        left = _remaining(order, cat, order.round_of(agent, cat))
+        tiers.append([_almost(own, cat, d) for d in left if d != agent])
 
     def stacked(skip: Bundle | None = None) -> list[Bundle]:
         out = [own]
-        for l in range(shape.p, 0, -1):
-            out.extend(b for b in tiers[l] if b != skip)
+        for tier in reversed(tiers):
+            out.extend(b for b in tier if b != skip)
         return out
 
+    near = _near(order, agent)
     if agent != j1:
-        near = _almost(own, i1, predecessor_in_category(order, i1, agent))
         return _ranking(shape, agent, [near], stacked())
 
-    last_in_i1 = pickers_in_category(order, i1)[-1]
-    near = _almost(own, i1, last_in_i1)
     if shape.p == 1:
         # near is itself a block bundle here; own must take rank 1 (the bound
         # is 1), so near settles for rank 2
@@ -217,7 +218,7 @@ def _pessimist_ranking(order: PickingOrder, agent: int) -> list[Bundle]:
 
     # swap: pin near on top, and anchor its candidate item with the all-foreign
     # bundle at the very bottom so the round-1 comparison still favors item j
-    return _ranking(shape, agent, [near], stacked(skip=near) + [(last_in_i1,) * shape.p])
+    return _ranking(shape, agent, [near], stacked(skip=near) + [(near[i1 - 1],) * shape.p])
 
 
 def worst_case_profile(order: PickingOrder, behaviors: Sequence[Behavior]) -> Profile:
@@ -267,12 +268,8 @@ def near_optimal_allocation(order: PickingOrder, profile: Profile) -> Allocation
     shape = order.shape
     if profile.shape != shape:
         raise ValidationError("profile shape does not match order shape")
-    j1, i1 = order.rounds[0]
-    bundles = {}
-    for j in shape.agents():
-        own = (j,) * shape.p
-        bundles[j] = _almost(own, i1, predecessor_in_category(order, i1, j))
-    allocation = Allocation(bundles)
+    j1 = order.rounds[0][0]
+    allocation = Allocation({j: _near(order, j) for j in shape.agents()})
     check = validate_allocation(shape, allocation)
     if not check.ok:
         raise ConstructionError(f"near-optimal allocation invalid: {check.detail}")
@@ -391,28 +388,17 @@ def _strategic_rec(rounds) -> tuple[dict[int, list[Bundle]], dict[int, Bundle]]:
     def ext(bundle: Bundle, item: int) -> Bundle:
         return bundle[:pos] + (item,) + bundle[pos:]
 
-    rankings: dict[int, list[Bundle]] = {}
-    for agent in (1, 2):
-        seq = sub_rankings[agent]
-        pivot = seq.index(sub_spne[agent])
-        top, bottom = seq[:pivot], seq[pivot + 1 :]
-        b = sub_spne[agent]
-        if agent == j_star:
-            rankings[agent] = (
-                [ext(d, 1) for d in top]
-                + [ext(d, 2) for d in top]
-                + [ext(b, 1), ext(b, 2)]
-                + [ext(d, 1) for d in bottom]
-                + [ext(d, 2) for d in bottom]
-            )
-        else:
-            rankings[agent] = (
-                [ext(d, 1) for d in top]
-                + [ext(b, 1)]
-                + [ext(d, 1) for d in bottom]
-                + [ext(d, 2) for d in top]
-                + [ext(b, 2)]
-                + [ext(d, 2) for d in bottom]
-            )
+    def spliced(*parts: list[Bundle]) -> list[Bundle]:
+        """Each part extended by item 1, then the same part by item 2."""
+        return [ext(d, item) for part in parts for item in (1, 2) for d in part]
+
+    # the other agent's ranking is the reduced one with item 1, then with
+    # item 2; the round-1 agent's splits around her equilibrium bundle
+    seq = sub_rankings[j_star]
+    pivot = seq.index(sub_spne[j_star])
+    rankings = {
+        j_star: spliced(seq[:pivot], seq[pivot : pivot + 1], seq[pivot + 1 :]),
+        other: spliced(sub_rankings[other]),
+    }
     spne = {j_star: ext(sub_spne[j_star], 1), other: ext(sub_spne[other], 2)}
     return rankings, spne

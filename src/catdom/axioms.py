@@ -556,14 +556,16 @@ def welfare_maximizer() -> DirectMechanism:
     return DirectMechanism("welfare-max", fn)
 
 
-def _conditional_sd(name: str, tail_order) -> DirectMechanism:
-    """Serial dictatorship led by agent 1, who gets her top bundle; the order
-    of the others is ``tail_order(profile, that bundle)``, which lists agents
-    2..n (the scan does not check the order again)."""
+def _conditional_sd(name: str, ascending) -> DirectMechanism:
+    """Serial dictatorship led by agent 1, who gets her top bundle; the others
+    follow in order 2..n when ``ascending(profile, that bundle)``, else in
+    order n..2."""
 
     def fn(profile: Profile) -> Allocation:
-        tail = tail_order(profile, profile.pref(1).top())
-        return _serial_picks([1, *tail], profile)
+        n = profile.shape.n
+        top = profile.preferences[0].top()
+        rest = range(2, n + 1) if ascending(profile, top) else range(n, 1, -1)
+        return _serial_picks([1, *rest], profile)
 
     return DirectMechanism(name, fn)
 
@@ -574,41 +576,31 @@ def bossy_conditional_sd() -> DirectMechanism:
     bundle matches her top's, the others pick in ascending order, else
     descending. Strategy-proof but bossy (for three or more agents)."""
 
-    def tail(profile: Profile, _first: Bundle):
-        shape = profile.shape
-        if shape.bundle_count < 2:
-            return list(shape.agents())[1:]
-        top = profile.pref(1).top()
-        second = profile.pref(1).bundle_at(2)
-        ascending = second[0] == top[0]
-        rest = list(shape.agents())[1:]
-        return rest if ascending else list(reversed(rest))
+    def ascending(profile: Profile, top: Bundle) -> bool:
+        # one agent has one bundle and no second one
+        return profile.shape.n == 1 or profile.preferences[0].bundle_at(2)[0] == top[0]
 
-    return _conditional_sd("bossy-sd", tail)
+    return _conditional_sd("bossy-sd", ascending)
 
 
 def non_neutral_conditional_sd() -> DirectMechanism:
     """Serial dictatorship whose tail order flips on whether agent 1 receives
     the all-ones bundle, an item-label-dependent condition that breaks
     category-wise neutrality (for three or more agents)."""
-
-    def tail(profile: Profile, first: Bundle):
-        shape = profile.shape
-        ascending = first == (1,) * shape.p
-        rest = list(shape.agents())[1:]
-        return rest if ascending else list(reversed(rest))
-
-    return _conditional_sd("nonneutral-sd", tail)
+    return _conditional_sd("nonneutral-sd", lambda profile, top: top == (1,) * profile.shape.p)
 
 
 def worst_pick_sd(agent_order: Sequence[int]) -> DirectMechanism:
     """Each dictator takes her worst still-compatible bundle; violates Pareto
-    optimality on purpose (test fixture)."""
+    optimality on purpose (test fixture). The agent order is checked against
+    the profile's ``n`` on each application, as ``sd_direct``'s is."""
     order = tuple(agent_order)
-    return DirectMechanism(
-        f"worst-pick-sd{list(order)}",
-        lambda profile: _serial_picks(order, profile, worst_first=True),
-    )
+
+    def fn(profile: Profile) -> Allocation:
+        _check_permutation(order, profile.shape.n, "agent order ")
+        return _serial_picks(order, profile, worst_first=True)
+
+    return DirectMechanism(f"worst-pick-sd{list(order)}", fn)
 
 
 def constant_mechanism(allocation: Allocation) -> DirectMechanism:

@@ -129,8 +129,8 @@ def all_optimistic_witness(analytics: OrderAnalytics) -> int:
     uninterrupted index, so her optimistic bound degenerates to n**p. Returns
     the smallest such agent."""
     for j in analytics.shape.agents():
-        tail = analytics.suborder(j)[analytics.uninterrupted_index(j) - 1 :]
-        if all(analytics.slack(j, i) == 1 for i in tail):
+        # the bound is n**p + 1 - prod(tail slacks), each slack at least 1
+        if optimistic_bound(analytics, j) == analytics.shape.bundle_count:
             return j
     raise AssertionError("no degenerate agent found; analytics must be inconsistent")
 
@@ -166,13 +166,8 @@ def _permutation_blocks(size: int, per_block: int) -> Iterator[np.ndarray]:
     r = 1
     while r < size and math.factorial(r + 1) <= per_block:
         r += 1
-    # lex table of range(k + 1): each first entry f, then range(k)'s table
-    # renumbered past f
-    table = np.zeros((1, 0), dtype=np.intp)
-    for k in range(r):
-        first = np.repeat(np.arange(k + 1), len(table))
-        rest = np.tile(table, (k + 1, 1))
-        table = np.column_stack([first, rest + (rest >= first[:, None])])
+    perms = itertools.chain.from_iterable(itertools.permutations(range(r)))
+    table = np.fromiter(perms, np.intp, math.factorial(r) * r).reshape(-1, r)
     for prefix in itertools.permutations(range(size), size - r):
         block = np.empty((len(table), size), dtype=np.intp)
         block[:, : size - r] = prefix
@@ -210,9 +205,9 @@ def search_orders(
     Exhaustive mode enumerates all (n*p)! orders (refusing when that exceeds
     the budget), pruned by agent relabeling within equal-behavior classes;
     ties go to the lexicographically smallest round sequence. Random mode
-    draws ``budget`` orders from the seeded generator: a block at a time
-    through ``rng.permuted``, which draws the same rows as one
-    ``rng.permutation(n*p)`` per order.
+    needs a seed (exhaustive mode ignores it) and draws ``budget`` orders
+    from the seeded generator: a block at a time through ``rng.permuted``,
+    which draws the same rows as one ``rng.permutation(n*p)`` per order.
 
     Candidates are scored in blocks of at most ``_BLOCK // (n*p)`` orders by
     ``_block_bounds``, with no ``PickingOrder``, analytics or report built
@@ -235,6 +230,8 @@ def search_orders(
         raise ValidationError(f"unknown search mode {mode!r}")
     if not (type(budget) is int and budget >= 1):
         raise ValidationError(f"{mode} search needs a budget of at least 1 order, got {budget!r}")
+    if mode == "random" and seed is None:
+        raise ValidationError("random search needs an explicit seed")
     optimists = _optimists(behaviors)
 
     if mode == "exhaustive":

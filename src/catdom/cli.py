@@ -61,6 +61,14 @@ def _load_json(path: str):
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None
+
+
 def _parse_behaviors(text: str, n: int):
     tokens = text.split(",")
     if len(tokens) != n:
@@ -189,8 +197,7 @@ def _cmd_worst_case(args) -> int:
         "near_optimal": _ranks_doc(profile, near),
     }
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(profile_to_json(profile), fh, indent=2)
+        _write(args.out, json.dumps(profile_to_json(profile), indent=2))
     _print(doc)
     return 0
 
@@ -250,8 +257,7 @@ def _cmd_experiment(args) -> int:
     )
     csv_text = results_to_csv(run_experiment(config))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
+        _write(args.out, csv_text)
     else:
         sys.stdout.write(csv_text)
     return 0

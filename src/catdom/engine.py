@@ -325,13 +325,14 @@ def _serial_picks(
 ) -> Allocation:
     """Each agent, in order, takes the first bundle of her ranking (read from
     the bottom when ``worst_first``) whose item bits miss those of the
-    bundles already taken."""
+    bundles already taken. The agent order is not checked: pass a
+    permutation of 1..n."""
     shape = profile.shape
     table, bits = bundle_table(shape), _item_bits(shape)
     taken = 0
     bundles: dict[int, Bundle] = {}
     for j in agent_order:
-        indices = profile.pref(j).indices
+        indices = profile.preferences[j - 1].indices
         for idx in reversed(indices) if worst_first else indices:
             if not bits[idx] & taken:
                 taken |= bits[idx]

@@ -31,7 +31,15 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bounds import worst_case_report
-from .domain import DomainShape, Preference, Profile, ValidationError, _check_seed, _fill_masks
+from .domain import (
+    CapacityError,
+    DomainShape,
+    Preference,
+    Profile,
+    ValidationError,
+    _check_seed,
+    _fill_masks,
+)
 from .engine import OPTIMISTIC, PESSIMISTIC, _realized_ranks
 from .orders import balanced_order, serial_dictatorship_order
 
@@ -131,9 +139,14 @@ def _draw(reference: Sequence[int], phi: float, count: int, rng: np.random.Gener
 
 def mallows_pmf(params: MallowsParams, ranking: Preference) -> float:
     """Exact probability of one ranking; the normalizer has the closed form
-    prod_k (1 + phi + ... + phi**(k-1))."""
+    prod_k (1 + phi + ... + phi**(k-1)), each factor (phi**k - 1) / (phi - 1)
+    formed with ``expm1`` as in ``_draw`` (k at phi = 1)."""
     m = params.reference.shape.bundle_count
-    z = math.prod(sum(params.phi**r for r in range(k)) for k in range(1, m + 1))
+    log_phi = math.log(params.phi)
+    z = math.prod(
+        math.expm1(k * log_phi) / math.expm1(log_phi) if log_phi else float(k)
+        for k in range(1, m + 1)
+    )
     return params.phi ** kendall_tau(ranking, params.reference) / z
 
 
@@ -237,8 +250,12 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentResult]:
     phi, one per grid position, so a repeated n or phi gets its own rows.
     """
     grid = (len(config.mechanisms), len(config.n_values), len(config.phis))
-    # the utilitarian and egalitarian rank of every play, by grid position
-    totals = np.empty((*grid, 2, config.samples))
+    # the utilitarian and egalitarian rank of every play, by grid position;
+    # numpy refuses an array it cannot hold before any draw is made
+    try:
+        totals = np.empty((*grid, 2, config.samples))
+    except (MemoryError, ValueError) as exc:
+        raise CapacityError(f"{config.samples} samples per cell are too many: {exc}") from None
     index = 0
     for n_idx, n in enumerate(config.n_values):
         shape = DomainShape(n, config.p)

@@ -1,11 +1,14 @@
 import hashlib
+import itertools
 import json
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import catdom as cd
+from catdom.adversarial import _strategic_rec
 from catdom.cli import main
 
 from conftest import MIXED_BEHAVIORS_3X2
@@ -194,7 +197,65 @@ class TestOneReplay:
         assert calls == {"run_csam": 1}
 
 
+def loop_strategic_rec(rounds):
+    """The strategic splice written out per agent and per part, kept as the
+    oracle of ``adversarial._strategic_rec``."""
+    cats = sorted({i for _, i in rounds})
+    j_star, i_star = rounds[0]
+    other = 3 - j_star
+    if len(cats) == 1:
+        ranking = [(1,), (2,)]
+        return {1: list(ranking), 2: list(ranking)}, {j_star: (1,), other: (2,)}
+
+    reduced = tuple((j, i) for j, i in rounds if i != i_star)
+    sub_rankings, sub_spne = loop_strategic_rec(reduced)
+    pos = cats.index(i_star)
+
+    def ext(bundle, item):
+        return bundle[:pos] + (item,) + bundle[pos:]
+
+    rankings = {}
+    for agent in (1, 2):
+        seq = sub_rankings[agent]
+        pivot = seq.index(sub_spne[agent])
+        top, bottom = seq[:pivot], seq[pivot + 1 :]
+        b = sub_spne[agent]
+        if agent == j_star:
+            rankings[agent] = (
+                [ext(d, 1) for d in top]
+                + [ext(d, 2) for d in top]
+                + [ext(b, 1), ext(b, 2)]
+                + [ext(d, 1) for d in bottom]
+                + [ext(d, 2) for d in bottom]
+            )
+        else:
+            rankings[agent] = (
+                [ext(d, 1) for d in top]
+                + [ext(b, 1)]
+                + [ext(d, 1) for d in bottom]
+                + [ext(d, 2) for d in top]
+                + [ext(b, 2)]
+                + [ext(d, 2) for d in bottom]
+            )
+    spne = {j_star: ext(sub_spne[j_star], 1), other: ext(sub_spne[other], 2)}
+    return rankings, spne
+
+
+def two_agent_orders(p):
+    """Every 2 x p order for p <= 3, else 20 seeded ones."""
+    pairs = [(j, i) for j in (1, 2) for i in range(1, p + 1)]
+    if p <= 3:
+        return list(itertools.permutations(pairs))
+    rng = np.random.default_rng(p)
+    return [tuple(pairs[k] for k in rng.permutation(len(pairs))) for _ in range(20)]
+
+
 class TestStrategicWitness:
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    def test_splice_matches_loop_oracle(self, p):
+        for rounds in two_agent_orders(p):
+            assert _strategic_rec(rounds) == loop_strategic_rec(rounds), rounds
+
     def test_game_order_rankings(self, game_order_2x2):
         profile = cd.strategic_worst_profile(game_order_2x2)
         r1 = [profile.pref(1).bundle_at(r) for r in range(1, 5)]

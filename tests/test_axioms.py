@@ -101,6 +101,29 @@ def profiles(draw, max_n=3, max_p=2):
     )
 
 
+def bossy_tail(profile, _first):
+    """Agents 2..n, ascending when agent 1's second-ranked bundle shares its
+    first component with her top, else descending: the bossy fixture's tail
+    order, kept as the oracle of ``axioms._conditional_sd``."""
+    shape = profile.shape
+    if shape.bundle_count < 2:
+        return list(shape.agents())[1:]
+    top = profile.pref(1).top()
+    second = profile.pref(1).bundle_at(2)
+    ascending = second[0] == top[0]
+    rest = list(shape.agents())[1:]
+    return rest if ascending else list(reversed(rest))
+
+
+def non_neutral_tail(profile, first):
+    """Agents 2..n, ascending when agent 1 gets the all-ones bundle, else
+    descending: the non-neutral fixture's tail order, likewise."""
+    shape = profile.shape
+    ascending = first == (1,) * shape.p
+    rest = list(shape.agents())[1:]
+    return rest if ascending else list(reversed(rest))
+
+
 def seeded_profile(n, p, seed):
     shape = cd.DomainShape(n, p)
     rng = np.random.default_rng(seed)
@@ -340,6 +363,24 @@ class TestMechanisms:
     def test_sd_direct_rejects_a_bad_agent_order(self, order, message, welfare_profile_2x2):
         with pytest.raises(cd.ValidationError, match=message):
             sd_direct(order).apply(welfare_profile_2x2)
+
+    @pytest.mark.parametrize("order", [[1, 1], [2], [1, 3], [1, 2, 3]])
+    def test_worst_pick_sd_rejects_a_bad_agent_order(self, order, welfare_profile_2x2):
+        message = rf"agent order \({', '.join(map(str, order))},?\) is not a permutation of 1..2"
+        with pytest.raises(cd.ValidationError, match=message):
+            worst_pick_sd(order).apply(welfare_profile_2x2)
+
+    @pytest.mark.parametrize("n, p", [(1, 3), (2, 2), (3, 2), (4, 2)])
+    def test_conditional_sds_match_tail_oracles(self, n, p):
+        for seed in range(20):
+            profile = seeded_profile(n, p, seed)
+            first = profile.pref(1).top()
+            for make, tail in (
+                (bossy_conditional_sd, bossy_tail),
+                (non_neutral_conditional_sd, non_neutral_tail),
+            ):
+                want = tuple_serial_picks([1, *tail(profile, first)], profile)
+                assert make().apply(profile).bundles == want.bundles, (n, p, seed)
 
     @pytest.mark.parametrize("p", [1, 3])
     def test_bossy_sd_with_one_agent(self, p):

@@ -400,6 +400,12 @@ class TestSearch:
         assert a.score == b.score
         assert a.evaluated == 300
 
+    def test_random_mode_needs_a_seed(self):
+        # an unseeded draw could not be reproduced; exhaustive mode reads no seed
+        with pytest.raises(cd.ValidationError, match="random search needs an explicit seed"):
+            cd.search_orders(3, 3, [cd.OPTIMISTIC] * 3, mode="random", budget=20)
+        assert cd.search_orders(2, 2, [cd.OPTIMISTIC] * 2, seed=None).evaluated > 0
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(cd.ValidationError):
             cd.search_orders(2, 2, [cd.OPTIMISTIC] * 2, mode="simulated-annealing")

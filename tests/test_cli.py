@@ -558,6 +558,18 @@ class TestWorstCase:
         written = cd.profile_from_json(json.loads(out_path.read_text()))
         assert written.shape == SHAPE_3X2
 
+    def test_unwritable_out_is_bad_input(self, capsys, tmp_path, order_file):
+        out_path = tmp_path / "missing" / "witness.json"
+        code = main(
+            ["worst-case", "--order", order_file, "--behaviors", "opt,opt,pess",
+             "--out", str(out_path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out_path}: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestSpne:
     def test_equilibrium_doc(self, capsys, tmp_path, game_order_2x2, game_profile_2x2):
@@ -671,6 +683,27 @@ class TestExperiment:
         lines = out_path.read_text().strip().split("\n")
         assert lines[0].startswith("mechanism,behavior,")
         assert len(lines) == 1 + 4 * 2
+
+    def test_unwritable_out_is_bad_input(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "results.csv"
+        code = main(
+            ["experiment", "--n", "2", "--phi", "0.5", "--samples", "2", "--out", str(out_path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out_path}: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("samples", ["1000000000000000", "10000000000000000000"])
+    def test_oversized_sample_count_refused(self, capsys, samples):
+        # numpy refuses the rank table at either size without allocating it
+        code = main(["experiment", "--n", "2", "--phi", "0.5", "--samples", samples])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"refused: {samples} samples per cell are too many: ")
+        assert captured.err.count("\n") == 1
 
     def test_mechanism_subset_to_stdout(self, capsys):
         code, out = run_cli(

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -138,6 +139,23 @@ class TestPmf:
         for items, want in table.items():
             ranking = pref_from_items(shape, items)
             assert cd.mallows_pmf(params, ranking) == pytest.approx(want)
+
+    @pytest.mark.parametrize("n, p", [(2, 2), (3, 1), (2, 3)])
+    @pytest.mark.parametrize("phi", [0.1, 0.5, 0.9, 1.0])
+    def test_matches_exact_normalizer(self, n, p, phi):
+        # the normalizer summed term by term in exact arithmetic
+        shape = cd.DomainShape(n, p)
+        exact = Fraction(phi)
+        z = math.prod(
+            sum(exact**r for r in range(k)) for k in range(1, shape.bundle_count + 1)
+        )
+        ref = cd.uniform_preference(shape, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            ranking = cd.uniform_preference(shape, rng)
+            want = exact ** cd.kendall_tau(ranking, ref) / z
+            got = cd.mallows_pmf(cd.MallowsParams(ref, phi), ranking)
+            assert got == pytest.approx(float(want), rel=1e-12)
 
     def test_uniform_at_phi_one(self):
         shape = cd.DomainShape(2, 2)
