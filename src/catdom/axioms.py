@@ -322,7 +322,9 @@ def _relabelings(
         rng = np.random.default_rng(mode.seed)
         for profile in _profiles(shape, mode, rng):
             category = int(rng.integers(1, shape.p + 1))
-            perm = tuple(int(x) + 1 for x in rng.permutation(shape.n))
+            shuffled = list(identity)
+            rng.shuffle(shuffled)  # the same draws and swaps as rng.permutation(shape.n)
+            perm = tuple(shuffled)
             if perm != identity:
                 yield profile, category, perm, mechanism.apply(profile)
         return

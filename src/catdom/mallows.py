@@ -152,7 +152,11 @@ def mallows_pmf(params: MallowsParams, ranking: Preference) -> float:
 
 def uniform_preference(shape: DomainShape, rng: np.random.Generator) -> Preference:
     """One uniformly random ranking of the bundle space."""
-    return Preference.from_indices(shape, rng.permutation(shape.bundle_count).tolist())
+    # a list shuffle makes the same swaps, from the same draws, as
+    # rng.permutation, without the array and its conversion
+    indices = list(range(shape.bundle_count))
+    rng.shuffle(indices)
+    return Preference.from_indices(shape, indices)
 
 
 @dataclass(frozen=True)

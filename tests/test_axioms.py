@@ -240,6 +240,32 @@ class TestIndexPathOracles:
             assert [d["passed"] for d in got][3] is False
 
 
+class TestSampledStreams:
+    @pytest.mark.parametrize("n, p", [(1, 1), (2, 2), (3, 2), (2, 3), (4, 6)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_relabelings_draw_as_permutation(self, n, p, seed):
+        # oracle: each draw's profile, category and permutation(n) + 1, as
+        # numpy's permutation draws them; identity draws yield no case
+        shape = cd.DomainShape(n, p)
+        identity = tuple(shape.agents())
+        mode = Sampled(count=8, seed=seed)
+        oracle = np.random.default_rng(seed)
+        want = []
+        for _ in range(mode.count):
+            rows = [tuple(oracle.permutation(shape.bundle_count).tolist()) for _ in identity]
+            category = int(oracle.integers(1, p + 1))
+            perm = tuple((oracle.permutation(n) + 1).tolist())
+            if perm != identity:
+                want.append((rows, category, perm))
+        got = [
+            ([pref.indices for pref in profile.preferences], category, perm)
+            for profile, category, perm, _ in axioms._relabelings(
+                sd_direct(list(identity)), shape, mode
+            )
+        ]
+        assert got == want
+
+
 class TestEnumeration:
     def test_all_rankings_count_and_order(self):
         rankings = all_rankings(SHAPE_2X2)

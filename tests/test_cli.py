@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import catdom as cd
+from catdom import cli
 from catdom.cli import main
 
 from conftest import (
@@ -167,6 +168,14 @@ class TestMalformedInput:
         path.write_text(text)
         err = assert_rejected(capsys, ["analyze-order", "--order", str(path)])
         assert f"{path} is not valid JSON" in err
+
+    @pytest.mark.parametrize("depth", [10_000, 100_000])
+    def test_deeply_nested_file(self, capsys, tmp_path, depth):
+        # json.load's RecursionError used to escape as a traceback
+        path = tmp_path / "order.json"
+        path.write_text("[" * depth + "]" * depth)
+        err = assert_rejected(capsys, ["analyze-order", "--order", str(path)])
+        assert f"{path} is nested too deeply to read" in err
 
     @pytest.mark.parametrize("token", ["optimist", "script", "PESS", ""])
     def test_unknown_behavior_token(self, capsys, order_file, profile_file, token):
@@ -716,6 +725,12 @@ class TestExperiment:
         assert len(lines) == 1 + 1 * 2
         assert lines[1].split(",")[0] == "sd"
 
+    @pytest.mark.parametrize("value", ["", "sd:opt,"])
+    def test_empty_mechanism_refused(self, capsys, value):
+        # an empty --mechanisms used to run the default grid
+        err = assert_rejected(capsys, EXPERIMENT + ["--mechanisms", value])
+        assert "unknown order family ''" in err
+
     def test_capacity_refused_before_any_draw(self, capsys, monkeypatch):
         def fail(*args):
             raise AssertionError("Mallows draw made before the capacity guard")
@@ -751,3 +766,143 @@ class TestExperiment:
              "--seed", "1"],
         )
         assert code == 1
+
+
+# The indented writer, against json.dumps(indent=2) as the oracle.
+class _Int(int):
+    def __repr__(self):
+        return "not used by json"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not used by json"
+
+
+_STRINGS = st.one_of(
+    st.text(),
+    st.text(alphabet='"\\/\x00\x01\x08\x0c\x1f\x7f\x80\xe9 \ud800\uffff\U0001f600 az\n\t\r'),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.integers().map(_Int),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1e300, 5e-324]),
+    st.floats().map(_Float),
+    _STRINGS,
+)
+_KEYS = st.one_of(_STRINGS, st.integers(), st.floats(), st.booleans(), st.none())
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=5),
+        st.dictionaries(_KEYS, children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_DOCUMENTS)
+def test_writer_matches_json_dumps(doc):
+    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOCUMENTS, st.sampled_from([object(), {1, 2}, b"x", 1j, (x for x in ())]), st.data())
+def test_writer_refuses_what_json_refuses(doc, bad, data):
+    # the unserializable value in place of a leaf, or as a dict key
+    wrapped = data.draw(
+        st.sampled_from([[doc, bad], {"a": doc, "b": bad}, {(1, 2): doc}, bad])
+    )
+    with pytest.raises(TypeError) as want:
+        json.dumps(wrapped, indent=2)
+    with pytest.raises(TypeError) as got:
+        cli._dumps(wrapped)
+    assert str(got.value) == str(want.value)
+
+
+def test_writer_empty_and_nested_empty_containers():
+    for doc in ([], (), {}, [[]], [{}], {"a": []}, {"a": {}}, [[], {}, ()], {"": [[[]]]}):
+        assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+
+def spy_documents(monkeypatch):
+    """The documents handed to the writer at top level, in order."""
+    docs = []
+    dumps = cli._dumps
+
+    def spy(doc, *rest):
+        if not rest:
+            docs.append(doc)
+        return dumps(doc, *rest)
+
+    monkeypatch.setattr(cli, "_dumps", spy)
+    return docs
+
+
+class TestPrintedBytes:
+    """Every subcommand's stdout, byte for byte as json.dumps(indent=2)
+    prints the document, after any compact trace lines."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, order_file, profile_file, game_order_2x2, game_profile_2x2):
+        game_order = tmp_path / "game-order.json"
+        game_order.write_text(json.dumps(cd.order_to_json(game_order_2x2)))
+        game_profile = tmp_path / "game-profile.json"
+        game_profile.write_text(json.dumps(cd.profile_to_json(game_profile_2x2)))
+        return {
+            "ORDER": order_file,
+            "PROFILE": profile_file,
+            "GAME_ORDER": str(game_order),
+            "GAME_PROFILE": str(game_profile),
+        }
+
+    ARGV = {
+        "run": ["run", "--order", "ORDER", "--profile", "PROFILE",
+                "--behaviors", "opt,opt,pess", "--trace"],
+        "analyze-order": ["analyze-order", "--order", "ORDER"],
+        "bounds": ["bounds", "--order", "ORDER", "--behaviors", "opt,pess,pess"],
+        "search": ["search", "--n", "2", "--p", "3", "--behaviors", "opt,opt"],
+        "search-random": ["search", "--n", "3", "--p", "2", "--behaviors", "opt,pess,opt",
+                          "--mode", "random", "--budget", "50", "--seed", "4"],
+        "worst-case": ["worst-case", "--order", "ORDER", "--behaviors", "opt,opt,pess"],
+        "spne": ["spne", "--order", "GAME_ORDER", "--profile", "GAME_PROFILE",
+                 "--trace", "--states"],
+        "check-axioms": ["check-axioms", "--mechanism", "sd", "--n", "2", "--p", "2"],
+        "check-axioms-counterexample": [
+            "check-axioms", "--mechanism", "bossy-sd", "--n", "3", "--p", "2",
+            "--mode", "sampled", "--count", "150", "--seed", "3",
+        ],
+    }
+
+    @pytest.mark.parametrize("name", sorted(ARGV))
+    def test_stdout(self, monkeypatch, inputs, name):
+        docs = spy_documents(monkeypatch)
+        code, out, err = run_quietly([inputs.get(arg, arg) for arg in self.ARGV[name]])
+        assert (code, err) == (0, "")
+        assert len(docs) == 1
+        printed = json.dumps(docs[0], indent=2) + "\n"
+        assert out.endswith(printed)
+        for line in out[: -len(printed)].splitlines():
+            assert line == json.dumps(json.loads(line))
+        if name == "check-axioms-counterexample":
+            assert any("counterexample" in v for v in docs[0]["verdicts"])
+
+    def test_worst_case_out_file(self, monkeypatch, tmp_path, order_file):
+        docs = spy_documents(monkeypatch)
+        out_path = tmp_path / "witness.json"
+        code, out, _ = run_quietly(
+            ["worst-case", "--order", order_file, "--behaviors", "opt,opt,pess",
+             "--out", str(out_path)]
+        )
+        assert code == 0
+        profile_doc, doc = docs
+        assert out_path.read_bytes() == json.dumps(profile_doc, indent=2).encode()
+        assert profile_doc == doc["profile"]
+        assert out == json.dumps(doc, indent=2) + "\n"

@@ -395,6 +395,18 @@ class TestSampler:
         assert a == b
         assert sorted(a.order) == list(shape.bundles())
 
+    @pytest.mark.parametrize("n, p", [(1, 1), (2, 2), (3, 2), (2, 3), (4, 6)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_uniform_preference_draws_as_permutation(self, n, p, seed):
+        # the list shuffle keeps numpy's permutation stream: the same rankings,
+        # and the generator left where permutation leaves it
+        shape = cd.DomainShape(n, p)
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = cd.uniform_preference(shape, rng).indices
+            assert list(got) == oracle.permutation(shape.bundle_count).tolist()
+        assert rng.random() == oracle.random()
+
 
 class TestExperiment:
     def test_default_grid(self):
