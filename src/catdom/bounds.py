@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .domain import CapacityError, DomainShape, ValidationError, _check_seed, _exceeds
-from .engine import Behavior, Optimistic, Pessimistic, Scripted
+from .engine import Behavior, Optimistic, Scripted, _check_behaviors
 from .orders import OrderAnalytics, PickingOrder, _order_arrays
 
 
@@ -53,20 +53,13 @@ def strategic_bound(analytics: OrderAnalytics, agent: int) -> int:
     return shape.bundle_count + 1 - full
 
 
-def _optimists(behaviors: Sequence[Behavior]) -> list[bool]:
-    """Whether each agent is optimistic (else pessimistic); the only two
-    behaviors with an order-level guarantee."""
-    optimists = []
-    for j, b in enumerate(behaviors, 1):
-        if isinstance(b, Optimistic):
-            optimists.append(True)
-        elif isinstance(b, Pessimistic):
-            optimists.append(False)
-        elif isinstance(b, Scripted):
-            raise ValidationError("scripted agents have no order-level worst-case guarantee")
-        else:
-            raise ValidationError(f"agent {j} has unknown behavior {b!r}")
-    return optimists
+def _optimists(shape: DomainShape, behaviors: Sequence[Behavior]) -> list[bool]:
+    """Whether each agent is optimistic (else pessimistic), from behaviors
+    the engine's check accepts; the only two with an order-level guarantee."""
+    bs = _check_behaviors(shape, behaviors)
+    if any(isinstance(b, Scripted) for b in bs):
+        raise ValidationError("scripted agents have no order-level worst-case guarantee")
+    return [isinstance(b, Optimistic) for b in bs]
 
 
 @dataclass(frozen=True)
@@ -104,14 +97,12 @@ class RankBoundReport:
 def worst_case_report(order: PickingOrder, behaviors: Sequence[Behavior]) -> RankBoundReport:
     """Per-agent tight worst-case ranks plus their sum and max."""
     shape = order.shape
-    if len(behaviors) != shape.n:
-        raise ValidationError(f"{len(behaviors)} behaviors given, expected {shape.n}")
     analytics = order.analytics
     entries = tuple(
         AgentBound(j, "opt", optimistic_bound(analytics, j))
         if optimist
         else AgentBound(j, "pess", pessimistic_bound(analytics, j))
-        for j, optimist in enumerate(_optimists(behaviors), 1)
+        for j, optimist in enumerate(_optimists(shape, behaviors), 1)
     )
     bounds = [e.bound for e in entries]
     return RankBoundReport(shape, entries, sum(bounds), max(bounds))
@@ -218,8 +209,6 @@ def search_orders(
     shape = DomainShape(n, p)
     if objective not in ("utilitarian", "egalitarian"):
         raise ValidationError(f"unknown objective {objective!r}")
-    if len(behaviors) != n:
-        raise ValidationError(f"{len(behaviors)} behaviors given, expected {n}")
     if seed is not None:
         _check_seed(seed)
     pairs = [(j, i) for j in shape.agents() for i in shape.categories()]
@@ -232,7 +221,7 @@ def search_orders(
         raise ValidationError(f"{mode} search needs a budget of at least 1 order, got {budget!r}")
     if mode == "random" and seed is None:
         raise ValidationError("random search needs an explicit seed")
-    optimists = _optimists(behaviors)
+    optimists = _optimists(shape, behaviors)
 
     if mode == "exhaustive":
         if _exceeds(budget, range(2, size + 1)):

@@ -44,7 +44,7 @@ from .domain import (
     profile_to_json,
     utilitarian_rank,
 )
-from .engine import OPTIMISTIC, PESSIMISTIC, ExecutionError, Scripted, run_csam
+from .engine import _BEHAVIORS, ExecutionError, Scripted, run_csam
 from .mallows import (
     DEFAULT_GRID,
     ExperimentConfig,
@@ -80,21 +80,19 @@ def _parse_behaviors(text: str, n: int):
     tokens = text.split(",")
     if len(tokens) != n:
         raise ValidationError(f"behavior list {text!r} has {len(tokens)} entries, expected {n}")
-    out = []
-    for tok in tokens:
-        tok = tok.strip()
-        if tok == "opt":
-            out.append(OPTIMISTIC)
-        elif tok == "pess":
-            out.append(PESSIMISTIC)
-        elif tok.startswith("script:"):
-            picks = _load_json(tok.split(":", 1)[1])
-            if not isinstance(picks, list):
-                raise ValidationError(f"script file for {tok!r} must hold a JSON list of items")
-            out.append(Scripted(tuple(picks)))
-        else:
-            raise ValidationError(f"unknown behavior {tok!r} (use opt, pess, or script:FILE)")
-    return out
+    return [_behavior(tok.strip()) for tok in tokens]
+
+
+def _behavior(tok: str):
+    if tok in _BEHAVIORS:
+        return _BEHAVIORS[tok]
+    if tok.startswith("script:"):
+        picks = _load_json(tok.split(":", 1)[1])
+        if not isinstance(picks, list):
+            raise ValidationError(f"script file for {tok!r} must hold a JSON list of items")
+        return Scripted(tuple(picks))
+    known = ", ".join(_BEHAVIORS)
+    raise ValidationError(f"unknown behavior {tok!r} (use {known}, or script:FILE)")
 
 
 def _number(token: str, convert, flag: str):
@@ -183,9 +181,7 @@ def _cmd_analyze_order(args) -> int:
     analytics = order.analytics
     shape = order.shape
     doc = {
-        "n": shape.n,
-        "p": shape.p,
-        "rounds": [list(r) for r in order.rounds],
+        **order_to_json(order),
         "agents": [
             {
                 "agent": j,
@@ -285,11 +281,8 @@ def _cmd_check_axioms(args) -> int:
 def _cmd_experiment(args) -> int:
     mechanisms = DEFAULT_GRID
     if args.mechanisms is not None:
-        parsed = []
-        for tok in args.mechanisms.split(","):
-            family, _, behavior = tok.partition(":")
-            parsed.append(MechanismConfig(family.strip(), behavior.strip()))
-        mechanisms = tuple(parsed)
+        entries = (tok.partition(":") for tok in args.mechanisms.split(","))
+        mechanisms = tuple(MechanismConfig(f.strip(), b.strip()) for f, _, b in entries)
     config = ExperimentConfig(
         p=args.p,
         n_values=_parse_int_list(args.n),

@@ -19,8 +19,10 @@ from bundle to index. Every ``Preference`` is built from bundle indices
 (``Preference.from_indices``; the public constructor maps bundles to indices
 first, and ``Preference._from_rows`` checks a sampler's block of index rows
 at once), so the samplers work on integers and the engine on bitsets over
-ranking positions. Position masks are filled from a block of index rows,
-one numpy pass per category for many preferences.
+ranking positions. Whichever way a ranking comes in, one list-order loop
+(``_check_indices``) names the first problem of one that fails its check.
+Position masks are filled from a block of index rows, one numpy pass per
+category for many preferences.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
+from functools import lru_cache, partial
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -204,20 +206,23 @@ def _bundle_index(
     return idx
 
 
-def _reject_indices(shape: DomainShape, seq: Sequence) -> NoReturn:
-    """Name the first problem of ``seq``, which is not a permutation of the
-    bundle indices: an entry that is not an index, then a repeat, in list
-    order, and otherwise its length."""
+def _check_indices(shape: DomainShape, indices: Iterable) -> tuple[int, ...]:
+    """The bundle indices ``indices`` lists, as a tuple, if they are a
+    permutation of the shape's; else the first problem, in list order: an
+    entry that is not an index, then a repeat, and otherwise the length."""
     count = shape.bundle_count
-    table = bundle_table(shape)
     seen = bytearray(count)
-    for idx in seq:
+    listed = []
+    for idx in indices:
         if not (type(idx) is int and 0 <= idx < count):
             raise ValidationError(f"bundle index {idx!r} outside 0..{count - 1}")
         if seen[idx]:
-            raise ValidationError(f"bundle {table[idx]} appears twice in preference")
+            raise ValidationError(f"bundle {bundle_table(shape)[idx]} appears twice in preference")
         seen[idx] = 1
-    raise ValidationError(f"preference lists {len(seq)} bundles, expected all {count}")
+        listed.append(idx)
+    if len(listed) != count:
+        raise ValidationError(f"preference lists {len(listed)} bundles, expected all {count}")
+    return tuple(listed)
 
 
 class Preference:
@@ -243,17 +248,10 @@ class Preference:
                 f"preference lists {len(seq)} bundles, expected all {shape.bundle_count}"
             )
         lookup, table = _bundle_lookup(shape), bundle_table(shape)
-        # repeats are caught in the mapping loop, so a bundle's own error and a
-        # repeat are met in list order
-        seen = bytearray(shape.bundle_count)
-        listed = []
-        for b in seq:
-            idx = _bundle_index(shape, lookup, table, b)
-            if seen[idx]:
-                raise ValidationError(f"bundle {table[idx]} appears twice in preference")
-            seen[idx] = 1
-            listed.append(idx)
-        self._build(shape, tuple(listed))
+        # each bundle is mapped as the check reaches it, so a bundle's own
+        # error and a repeat are met in list order
+        listed = map(partial(_bundle_index, shape, lookup, table), seq)
+        self._build(shape, _check_indices(shape, listed))
 
     @classmethod
     def from_indices(cls, shape: DomainShape, indices: Iterable[int]) -> Preference:
@@ -262,7 +260,8 @@ class Preference:
 
         The whole sequence is checked at once (its length, that every entry
         is a plain ``int``, and that the entries cover every index); only
-        when that fails does a loop look for the first offender to name."""
+        when that fails does ``_check_indices`` loop to name the first
+        offender."""
         seq = tuple(indices)
         count = shape.bundle_count
         # with count plain ints covering range(count), each index appears once
@@ -271,10 +270,8 @@ class Preference:
             and set(map(type, seq)) == {int}
             and set(seq).issuperset(range(count))
         ):
-            _reject_indices(shape, seq)
-        pref = cls.__new__(cls)
-        pref._build(shape, seq)
-        return pref
+            seq = _check_indices(shape, seq)
+        return cls.__new__(cls)._build(shape, seq)
 
     @classmethod
     def _from_rows(cls, shape: DomainShape, rows: np.ndarray) -> list[Preference]:

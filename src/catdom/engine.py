@@ -89,6 +89,8 @@ class Scripted(Behavior):
 
 OPTIMISTIC = Optimistic()
 PESSIMISTIC = Pessimistic()
+# the sincere behaviors by their CLI and study token
+_BEHAVIORS = {"opt": OPTIMISTIC, "pess": PESSIMISTIC}
 
 
 @dataclass(frozen=True)
@@ -212,9 +214,11 @@ def pessimistic_choice(
 
 
 def _check_behaviors(shape, behaviors: Sequence[Behavior]) -> tuple[Behavior, ...]:
+    """The one check of a behavior list: one behavior per agent, each
+    optimistic, pessimistic or a script of one int per category."""
     bs = tuple(behaviors)
     if len(bs) != shape.n:
-        raise ValidationError(f"{len(bs)} behaviors given, expected one per agent ({shape.n})")
+        raise ValidationError(f"{len(bs)} behaviors given, expected {shape.n}")
     for j, b in enumerate(bs, 1):
         if isinstance(b, Scripted):
             if not all(type(x) is int for x in b.picks):

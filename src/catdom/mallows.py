@@ -40,8 +40,11 @@ from .domain import (
     _check_seed,
     _fill_masks,
 )
-from .engine import OPTIMISTIC, PESSIMISTIC, _realized_ranks
+from .engine import _BEHAVIORS, _realized_ranks
 from .orders import balanced_order, serial_dictatorship_order
+
+# the order families by their study token
+_FAMILIES = {"sd": serial_dictatorship_order, "balanced": balanced_order}
 
 
 def kendall_tau(first: Preference, second: Preference) -> int:
@@ -161,13 +164,14 @@ def uniform_preference(shape: DomainShape, rng: np.random.Generator) -> Preferen
 
 @dataclass(frozen=True)
 class MechanismConfig:
-    order_family: str  # "sd" | "balanced"
-    behavior: str  # "opt" | "pess"
+    order_family: str  # a key of _FAMILIES
+    behavior: str  # a key of engine._BEHAVIORS
 
     def __post_init__(self) -> None:
-        if self.order_family not in ("sd", "balanced"):
+        # a non-string (a list is unhashable) is no token either
+        if not (isinstance(self.order_family, str) and self.order_family in _FAMILIES):
             raise ValidationError(f"unknown order family {self.order_family!r}")
-        if self.behavior not in ("opt", "pess"):
+        if not (isinstance(self.behavior, str) and self.behavior in _BEHAVIORS):
             raise ValidationError(f"unknown behavior {self.behavior!r}")
 
 
@@ -265,9 +269,8 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentResult]:
         shape = DomainShape(n, config.p)
         plays = []
         for cfg in config.mechanisms:
-            build = serial_dictatorship_order if cfg.order_family == "sd" else balanced_order
-            order = build(list(shape.agents()), config.p)
-            behaviors = (OPTIMISTIC if cfg.behavior == "opt" else PESSIMISTIC,) * n
+            order = _FAMILIES[cfg.order_family](list(shape.agents()), config.p)
+            behaviors = (_BEHAVIORS[cfg.behavior],) * n
             report = worst_case_report(order, behaviors) if config.check_bounds else None
             plays.append((order, behaviors, report))
         for phi_idx, phi in enumerate(config.phis):

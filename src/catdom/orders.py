@@ -22,13 +22,20 @@ its candidate blocks from the same arrays.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .domain import DomainShape, ValidationError, _check_permutation
+from .domain import DomainShape, ValidationError, _check_permutation, _shape_from_json
+
+# reprs in error messages: one level deep, a few entries per container, and
+# ints through the generic fallback, which also prints one past ``str``'s
+# digit limit
+_REPR = reprlib.Repr()
+_REPR.maxlevel, _REPR.repr_int = 1, _REPR.repr_instance
 
 
 class PickingOrder:
@@ -38,22 +45,32 @@ class PickingOrder:
 
     def __init__(self, shape: DomainShape, rounds: Iterable[Sequence[int]]):
         try:
-            seq = tuple((a, c) for a, c in rounds)
-        except (TypeError, ValueError):
-            raise ValidationError(f"order rounds must be pairs, got {rounds!r}") from None
+            entries = tuple(rounds)
+        except TypeError:
+            raise ValidationError(f"order rounds must be pairs, got {_REPR.repr(rounds)}") from None
         expected = {(j, i) for j in shape.agents() for i in shape.categories()}
-        if (
-            not all(type(a) is int and type(c) is int for a, c in seq)
-            or len(seq) != len(expected)
-            or set(seq) != expected
-        ):
-            raise ValidationError(
-                f"order must list every (agent, category) pair of a {shape.n}x{shape.p} "
-                f"domain exactly once, got {seq}"
-            )
+        # in list order, the first entry that is no pair of the shape or
+        # repeats one is named, with its round; then the first pair left out
+        round_of: dict[tuple[int, int], int] = {}
+        for t, entry in enumerate(entries, 1):
+            try:
+                a, c = entry
+            except (TypeError, ValueError):
+                a = c = None
+            if not (type(a) is int and type(c) is int and (a, c) in expected):
+                raise ValidationError(
+                    f"order round {t} is not an (agent, category) pair of a "
+                    f"{shape.n}x{shape.p} domain: {_REPR.repr(entry)}"
+                )
+            # the pair's first round, if it has one already
+            if round_of.setdefault((a, c), t) != t:
+                raise ValidationError(f"order round {t} repeats the pair {(a, c)}")
+        if len(round_of) < len(expected):
+            missing = min(expected.difference(round_of))
+            raise ValidationError(f"order has no round for the pair {missing}")
         self.shape = shape
-        self.rounds = seq
-        self._round_of = {pair: t for t, pair in enumerate(seq, 1)}
+        self.rounds = tuple(round_of)
+        self._round_of = round_of
 
     def round_of(self, agent: int, category: int) -> int:
         if type(agent) is int and type(category) is int and (agent, category) in self._round_of:
@@ -224,11 +241,8 @@ def order_to_json(order: PickingOrder) -> dict:
 
 
 def order_from_json(data: Mapping) -> PickingOrder:
-    try:
-        shape = DomainShape(data["n"], data["p"])
-        rounds = data["rounds"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"order document missing field: {exc}") from None
+    shape = _shape_from_json(data)
+    rounds = data.get("rounds")
     if not isinstance(rounds, list):
         raise ValidationError("order 'rounds' must be a list of [agent, category] pairs")
     return PickingOrder(shape, rounds)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -462,6 +463,55 @@ class TestSearch:
             lambda: cd.worst_case_report(order, behaviors),
         ):
             with pytest.raises(cd.ValidationError, match=message):
+                call()
+
+    @staticmethod
+    def entry_points(behaviors):
+        """Every library call that takes a 2x2 behavior list: the engine's
+        play and each bounds entry point built on it."""
+        order = cd.serial_dictatorship_order([1, 2], 2)
+        pref = cd.Preference.from_indices(order.shape, range(4))
+        profile = cd.Profile(order.shape, [pref, pref])
+        return {
+            "run_csam": lambda: cd.run_csam(order, profile, behaviors),
+            "worst_case_report": lambda: cd.worst_case_report(order, behaviors),
+            "worst_case_profile": lambda: cd.worst_case_profile(order, behaviors),
+            "exhaustive": lambda: cd.search_orders(2, 2, behaviors),
+            "random": lambda: cd.search_orders(2, 2, behaviors, mode="random", seed=0, budget=2),
+        }
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_one_count_message_everywhere(self, count):
+        # run_csam said "expected one per agent (2)"; bounds had its own copy
+        message = f"{count} behaviors given, expected 2"
+        for call in self.entry_points([cd.OPTIMISTIC] * count).values():
+            with pytest.raises(cd.ValidationError, match=f"^{re.escape(message)}$"):
+                call()
+
+    @pytest.mark.parametrize(
+        "behaviors, message",
+        [
+            ([cd.Scripted((1,)), cd.OPTIMISTIC], "agent 1 script lists 1 picks, expected 2"),
+            (
+                [cd.Scripted((1.5, 1)), cd.OPTIMISTIC],
+                "agent 1 script picks (1.5, 1) are not all integers",
+            ),
+            ([cd.OPTIMISTIC, cd.Scripted((1, 2, 1))], "agent 2 script lists 3 picks, expected 2"),
+            # a bad behavior after a well-formed script is named before the refusal
+            ([cd.Scripted((1, 1)), "pess"], "agent 2 has unknown behavior 'pess'"),
+        ],
+    )
+    def test_engine_check_comes_before_the_scripted_refusal(self, behaviors, message):
+        # bounds used to refuse any script as scripted, malformed or not
+        for call in self.entry_points(behaviors).values():
+            with pytest.raises(cd.ValidationError, match=f"^{re.escape(message)}$"):
+                call()
+
+    def test_well_formed_script_refused_by_bounds_only(self):
+        calls = self.entry_points([cd.Scripted((1, 1)), cd.OPTIMISTIC])
+        calls.pop("run_csam")()  # a well-formed script plays
+        for call in calls.values():
+            with pytest.raises(cd.ValidationError, match="^scripted agents have no order-level"):
                 call()
 
 

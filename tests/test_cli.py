@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import catdom as cd
-from catdom import cli
+from catdom import cli, engine
 from catdom.cli import main
 
 from conftest import (
@@ -185,6 +185,40 @@ class TestMalformedInput:
              "--behaviors", f"opt,{token},pess"],
         )
         assert f"unknown behavior {token!r} (use opt, pess, or script:FILE)" in err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            # a 500-deep entry: the whole argument used to be echoed
+            (
+                {"n": 2, "p": 1, "rounds": [[1, 1], json.loads("[" * 500 + "]" * 500)]},
+                "order round 2 is not an (agent, category) pair of a 2x1 domain: [[...]]",
+            ),
+            # a 100000x1 order with one pair repeated: a 1.19 MB line before
+            (
+                {
+                    "n": 100_000,
+                    "p": 1,
+                    "rounds": [[j, 1] for j in range(1, 100_000)] + [[7, 1]],
+                },
+                "order round 100000 repeats the pair (7, 1)",
+            ),
+            (
+                {"n": 100_000, "p": 1, "rounds": [[j, 1] for j in range(100_000, 1, -1)]},
+                "order has no round for the pair (1, 1)",
+            ),
+            (
+                {"n": 2, "p": 1, "rounds": [[2, 1], ["x" * 10_000, 1]]},
+                "order round 2 is not an (agent, category) pair of a 2x1 domain: ['xxxxx",
+            ),
+        ],
+    )
+    def test_bad_order_named_in_one_short_line(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "order.json"
+        path.write_text(json.dumps(doc))
+        err = assert_rejected(capsys, ["analyze-order", "--order", str(path)])
+        assert err.startswith(f"error: {message}")
+        assert len(err) < 200
 
     @pytest.mark.parametrize("row", [[[True, 1], [1, 2], [2, 1], [2, 2]], [1, 2, 3, 4]])
     def test_profile_row_rejected(self, capsys, tmp_path, game_order_2x2, game_profile_2x2, row):
@@ -724,6 +758,34 @@ class TestExperiment:
         lines = out.strip().split("\n")
         assert len(lines) == 1 + 1 * 2
         assert lines[1].split(",")[0] == "sd"
+
+    @pytest.mark.parametrize("token", sorted(engine._BEHAVIORS))
+    def test_every_behavior_token_accepted_by_both_flags(
+        self, capsys, order_file, profile_file, token
+    ):
+        code, out = run_cli(
+            capsys,
+            ["run", "--order", order_file, "--profile", profile_file,
+             "--behaviors", ",".join([token] * 3)],
+        )
+        assert code == 0 and json.loads(out)["message_count"] == 21
+        code, out = run_cli(capsys, EXPERIMENT + ["--mechanisms", f"sd:{token},balanced:{token}"])
+        assert code == 0
+        rows = [line.split(",")[:2] for line in out.strip().split("\n")[1:]]
+        assert rows == [["sd", token], ["balanced", token]]
+
+    @pytest.mark.parametrize("token", ["strat", "optimist", "PESS", "script", "sd"])
+    def test_unknown_behavior_token_refused_by_both_flags(
+        self, capsys, order_file, profile_file, token
+    ):
+        err = assert_rejected(
+            capsys,
+            ["run", "--order", order_file, "--profile", profile_file,
+             "--behaviors", f"opt,{token},pess"],
+        )
+        assert err == f"error: unknown behavior {token!r} (use opt, pess, or script:FILE)\n"
+        err = assert_rejected(capsys, EXPERIMENT + ["--mechanisms", f"sd:opt,sd:{token}"])
+        assert err == f"error: unknown behavior {token!r}\n"
 
     @pytest.mark.parametrize("value", ["", "sd:opt,"])
     def test_empty_mechanism_refused(self, capsys, value):

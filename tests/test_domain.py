@@ -203,6 +203,28 @@ def element_loop_build(shape, indices):
     return tuple(listed)
 
 
+def bundle_loop_build(shape, bundles):
+    """Check a ranking of bundles one bundle at a time, written from the
+    definition: a wrong length first, then, in list order, the first bundle
+    that is not one of the shape's (a wrong component count, or an item that
+    is not a plain int in 1..n) or that repeats an earlier one."""
+    bundles = [tuple(b) for b in bundles]
+    count = shape.bundle_count
+    if len(bundles) != count:
+        raise cd.ValidationError(f"preference lists {len(bundles)} bundles, expected all {count}")
+    seen = []
+    for b in bundles:
+        if len(b) != shape.p:
+            raise cd.ValidationError(f"bundle {b} has {len(b)} components, expected {shape.p}")
+        for item in b:
+            if not (type(item) is int and 1 <= item <= shape.n):
+                raise cd.ValidationError(f"bundle {b} holds item {item!r} outside 1..{shape.n}")
+        if b in seen:
+            raise cd.ValidationError(f"bundle {b} appears twice in preference")
+        seen.append(b)
+    return tuple(sorted(shape.bundles()).index(b) for b in bundles)
+
+
 class TestPreference:
     def test_rank_of_and_bundle_at(self):
         pref = pref_of(SHAPE_2X2, ["21", "11", "22", "12"])
@@ -317,6 +339,39 @@ class TestPreference:
                 cd.Preference.from_indices(shape, indices)
         else:
             assert cd.Preference.from_indices(shape, indices).indices == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([(1, 3), (2, 1), (2, 2), (3, 2)]), st.data())
+    def test_constructor_names_what_the_bundle_loop_names(self, shape_dims, data):
+        shape = cd.DomainShape(*shape_dims)
+        n, p, count = shape.n, shape.p, shape.bundle_count
+        item = st.one_of(
+            st.integers(0, n + 1), st.sampled_from([True, 1.0, np.int64(1), "1", None])
+        )
+        bundle = st.one_of(
+            st.sampled_from(list(shape.bundles())),
+            st.lists(item, min_size=max(p - 1, 0), max_size=p + 1).map(tuple),
+        )
+        bundles = data.draw(
+            st.one_of(
+                st.permutations(list(shape.bundles())),
+                st.lists(bundle, min_size=count - 1, max_size=count + 1),
+                # one bundle of a permutation replaced, so a bad bundle and
+                # a repeat can meet in either order
+                st.tuples(
+                    st.permutations(list(shape.bundles())),
+                    st.integers(0, count - 1),
+                    bundle,
+                ).map(lambda t: [*t[0][: t[1]], t[2], *t[0][t[1] + 1 :]]),
+            )
+        )
+        try:
+            want = bundle_loop_build(shape, bundles)
+        except cd.ValidationError as exc:
+            with pytest.raises(cd.ValidationError, match=f"^{re.escape(str(exc))}$"):
+                cd.Preference(shape, bundles)
+        else:
+            assert cd.Preference(shape, bundles).indices == want
 
     def test_from_indices_rejects_non_permutations_4x6(self):
         shape = cd.DomainShape(4, 6)

@@ -112,6 +112,9 @@ def order_strategy(draw, max_n=3, max_p=3):
     return cd.PickingOrder(cd.DomainShape(n, p), tuple(rounds))
 
 
+NOT_A_PAIR_2X1 = "is not an (agent, category) pair of a 2x1 domain"
+
+
 class TestPickingOrder:
     def test_round_lookup(self):
         order = cd.PickingOrder(SHAPE_3X2, MIXED_ORDER_3X2_ROUNDS)
@@ -142,6 +145,83 @@ class TestPickingOrder:
         rounds = MIXED_ORDER_3X2_ROUNDS[:-1]
         with pytest.raises(cd.ValidationError):
             cd.PickingOrder(SHAPE_3X2, rounds)
+
+    @pytest.mark.parametrize(
+        "rounds, message",
+        [
+            (5, "order rounds must be pairs, got 5"),
+            ([(1, 1), (1, 1)], "order round 2 repeats the pair (1, 1)"),
+            ([(1, 1)], "order has no round for the pair (2, 1)"),
+            ([], "order has no round for the pair (1, 1)"),
+            ([(2, 1), (3, 1)], f"order round 2 {NOT_A_PAIR_2X1}: (3, 1)"),
+            ([(True, 1), (2, 1)], f"order round 1 {NOT_A_PAIR_2X1}: (True, 1)"),
+            ([(1, 1), (2, 1), (1, 1)], "order round 3 repeats the pair (1, 1)"),
+            ([(1, 1), 7], f"order round 2 {NOT_A_PAIR_2X1}: 7"),
+        ],
+    )
+    def test_first_bad_entry_named(self, rounds, message):
+        with pytest.raises(cd.ValidationError, match=f"^{re.escape(message)}$"):
+            cd.PickingOrder(cd.DomainShape(2, 1), rounds)
+
+    @pytest.mark.parametrize(
+        "entry", [(10**5000, 1), list(range(10**5)), "ab" * 10**5, [[[[[[1]]]]], 1], {1: 2}]
+    )
+    def test_bad_entry_printed_short(self, entry):
+        with pytest.raises(cd.ValidationError) as info:
+            cd.PickingOrder(cd.DomainShape(2, 1), [(1, 1), entry])
+        message = str(info.value)
+        assert message.startswith(f"order round 2 {NOT_A_PAIR_2X1}: ")
+        assert len(message) < 150
+
+    def test_rounds_from_a_generator(self):
+        order = cd.PickingOrder(SHAPE_3X2, (pair for pair in MIXED_ORDER_3X2_ROUNDS))
+        assert order == cd.PickingOrder(SHAPE_3X2, MIXED_ORDER_3X2_ROUNDS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([(1, 1), (2, 1), (1, 3), (2, 2), (3, 2)]), st.data())
+    def test_names_what_the_pair_loop_names(self, dims, data):
+        shape = cd.DomainShape(*dims)
+        n, p = dims
+        pairs = [(j, i) for j in range(1, n + 1) for i in range(1, p + 1)]
+        entry = st.one_of(
+            st.sampled_from(pairs),
+            st.tuples(st.integers(0, n + 1), st.integers(0, p + 1)),
+            st.sampled_from([(True, 1), (1, 1.0), (1,), (1, 1, 1), None]),
+        )
+        rounds = data.draw(
+            st.one_of(
+                st.permutations(pairs),
+                # a permutation cut short: pairs left out, none repeated
+                st.permutations(pairs).flatmap(
+                    lambda perm: st.integers(0, len(perm) - 1).map(lambda k: perm[:k])
+                ),
+                st.lists(entry, min_size=max(len(pairs) - 1, 0), max_size=len(pairs) + 1),
+            )
+        )
+        # the oracle: entries in list order, then the first pair left out
+        seen, message = [], None
+        for t, e in enumerate(rounds, 1):
+            if not (
+                isinstance(e, tuple) and len(e) == 2 and all(type(x) is int for x in e)
+                and e in pairs
+            ):
+                message = (
+                    f"order round {t} is not an (agent, category) pair of a {n}x{p} domain: {e!r}"
+                )
+                break
+            if e in seen:
+                message = f"order round {t} repeats the pair {e}"
+                break
+            seen.append(e)
+        else:
+            missing = [pair for pair in pairs if pair not in seen]
+            if missing:
+                message = f"order has no round for the pair {missing[0]}"
+        if message is None:
+            assert cd.PickingOrder(shape, rounds).rounds == tuple(rounds)
+        else:
+            with pytest.raises(cd.ValidationError, match=f"^{re.escape(message)}$"):
+                cd.PickingOrder(shape, rounds)
 
     @pytest.mark.parametrize("agent, category", [(True, 1), (1, 1.0), (1.0, True), (4, 1), ([1], 1)])
     def test_round_of_takes_plain_ints_only(self, mixed_order_3x2, agent, category):
