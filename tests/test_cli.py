@@ -632,6 +632,35 @@ class TestSpne:
         assert doc["allocation"]["bundles"] == {"1": [1, 1], "2": [2, 2]}
         assert doc["state_space_size"] > 0
 
+    def test_trace_golden_3x4(self, capsys, tmp_path):
+        # stdout bytes pinned by digest: the balanced 3x4 order against three
+        # shuffled rankings; a change is recorded in CHANGES.md
+        shape = cd.DomainShape(3, 4)
+        rng = random.Random(2015)
+        bundles = list(shape.bundles())
+        rows = []
+        for _ in shape.agents():
+            rng.shuffle(bundles)
+            rows.append([list(b) for b in bundles])
+        (tmp_path / "profile.json").write_text(
+            json.dumps({"n": 3, "p": 4, "preferences": rows})
+        )
+        order = cd.balanced_order([1, 2, 3], 4)
+        (tmp_path / "order.json").write_text(json.dumps(cd.order_to_json(order)))
+        code, out = run_cli(
+            capsys,
+            ["spne", "--order", str(tmp_path / "order.json"),
+             "--profile", str(tmp_path / "profile.json"), "--trace", "--states"],
+        )
+        assert code == 0
+        lines = out.split("\n")
+        assert [list(json.loads(line)) for line in lines[:12]] == [
+            ["t", "agent", "category", "item"]
+        ] * 12
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7f757bcb23424f6da8f80c972f78abc8d3fdd81b8f163a203cdbbae5687ce1e7"
+        )
+
     def test_one_agent_deep_game(self, capsys, tmp_path):
         p = 1500
         order_path = tmp_path / "order.json"
