@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -174,8 +173,10 @@ def all_rankings(shape: DomainShape) -> tuple[Preference, ...]:
             f"shape {shape.n}x{shape.p} has more than 1000000 rankings to materialize; "
             "use sampled mode"
         )
-    bundles = list(shape.bundles())
-    return tuple(Preference(shape, perm) for perm in itertools.permutations(bundles))
+    # bundle_table lists bundles in index order, so index permutations come
+    # in the same lexicographic order as bundle permutations
+    perms = itertools.permutations(range(shape.bundle_count))
+    return tuple(Preference.from_indices(shape, perm) for perm in perms)
 
 
 @lru_cache(maxsize=8)
@@ -532,28 +533,25 @@ def welfare_maximizer() -> DirectMechanism:
     An agent's i-th ranked bundle scores (n**p - i) * (1 + (1/(2*n**p))**j)
     where j is the agent index; the perturbation makes every profile's
     maximizer unique (checked) while preserving the utilitarian flavor.
-    Strategy-proofness fails for it, which is the role it plays in tests.
+    Scores are kept as exact ints, each scaled by ``(2*n**p)**n``, which
+    changes neither the maximum nor a tie. Strategy-proofness fails for it,
+    which is the role it plays in tests.
     """
 
     def fn(profile: Profile) -> Allocation:
         shape = profile.shape
-        m = shape.bundle_count
-        weights = {j: 1 + Fraction(1, 2 * m) ** j for j in shape.agents()}
-        best = None
-        best_score = None
-        tie = False
-        for allocation in all_allocations(shape):
-            score = sum(
-                (m - profile.pref(j).rank_of(allocation[j])) * weights[j]
-                for j in shape.agents()
-            )
-            if best_score is None or score > best_score:
-                best, best_score, tie = allocation, score, False
-            elif score == best_score:
-                tie = True
-        if best is None or tie:
+        m, n, prefs = shape.bundle_count, shape.n, profile.preferences
+        # agent j's weight 1 + (1/(2m))**j, scaled by (2m)**n
+        agents = [(j, prefs[j - 1], (2 * m) ** n + (2 * m) ** (n - j)) for j in shape.agents()]
+        allocations = all_allocations(shape)
+        scores = [
+            sum((m - pref.rank_of(allocation[j])) * weight for j, pref, weight in agents)
+            for allocation in allocations
+        ]
+        best = max(scores, default=None)
+        if best is None or scores.count(best) > 1:
             raise AssertionError("perturbed welfare scores must have a unique maximum")
-        return best
+        return allocations[scores.index(best)]
 
     return DirectMechanism("welfare-max", fn)
 

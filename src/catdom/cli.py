@@ -14,7 +14,6 @@ prints; the ``--trace`` lines are compact ``json.dumps`` records, one a line.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -39,10 +38,8 @@ from .domain import (
     Profile,
     ValidationError,
     allocation_to_json,
-    egalitarian_rank,
     profile_from_json,
     profile_to_json,
-    utilitarian_rank,
 )
 from .engine import _BEHAVIORS, ExecutionError, Scripted, run_csam
 from .mallows import (
@@ -58,14 +55,16 @@ from .spne import DEFAULT_STATE_CAP, solve_spne, state_space_size
 
 def _load_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:
         raise ValidationError(f"{path} is nested too deeply to read") from None
+    except ValueError as exc:
+        # a JSONDecodeError, a byte that is not UTF-8, or an integer over
+        # the interpreter's digit limit
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -153,12 +152,16 @@ def _print(doc) -> None:
 
 
 def _ranks_doc(profile: Profile, allocation: Allocation) -> dict:
-    ranks = {str(j): profile.pref(j).rank_of(allocation[j]) for j in profile.shape.agents()}
+    """The allocation with each agent's rank of her bundle, read once, and
+    their sum and maximum. The allocation is not checked again: the engine
+    and the witness builder check theirs, and the solver's is one item
+    permutation per category by construction."""
+    ranks = [pref.rank_of(allocation[j]) for j, pref in enumerate(profile.preferences, 1)]
     return {
         "allocation": allocation_to_json(allocation),
-        "ranks": ranks,
-        "utilitarian": utilitarian_rank(profile, allocation),
-        "egalitarian": egalitarian_rank(profile, allocation),
+        "ranks": {str(j): rank for j, rank in enumerate(ranks, 1)},
+        "utilitarian": sum(ranks),
+        "egalitarian": max(ranks),
     }
 
 
@@ -250,7 +253,7 @@ def _cmd_spne(args) -> int:
     )
     if args.trace:
         for step in trace:
-            print(json.dumps(dataclasses.asdict(step)))
+            print(json.dumps(step.to_json()))
     doc = _ranks_doc(profile, allocation)
     if args.states:
         doc["state_space_size"] = state_space_size(order)

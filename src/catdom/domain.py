@@ -565,14 +565,21 @@ def allocation_to_json(allocation: Allocation) -> dict:
 
 
 def allocation_from_json(shape: DomainShape, data: Mapping) -> Allocation:
-    raw = data.get("bundles")
+    """The allocation a document lists. An agent key is a plain int or the
+    string ``str`` writes for one (``"01"``, ``" 2 "`` and ``"1_0"`` are
+    refused), and no agent is listed twice."""
+    raw = data.get("bundles") if isinstance(data, Mapping) else None
     if not isinstance(raw, Mapping):
         raise ValidationError("allocation needs a 'bundles' mapping")
     bundles = {}
     for key, value in raw.items():
         try:
-            agent = int(key)
-        except (TypeError, ValueError):
-            raise ValidationError(f"agent key {key!r} is not an integer") from None
+            agent = int(key) if type(key) in (int, str) else None
+        except ValueError:
+            agent = None
+        if agent is None or str(agent) != str(key):
+            raise ValidationError(f"agent key {key!r} is not an integer")
+        if agent in bundles:
+            raise ValidationError(f"allocation lists agent {agent} twice")
         bundles[agent] = shape.validate_bundle(value)
     return Allocation(bundles)

@@ -95,21 +95,22 @@ _BEHAVIORS = {"opt": OPTIMISTIC, "pess": PESSIMISTIC}
 
 @dataclass(frozen=True)
 class RoundRecord:
+    """One round of a play: who picked which item of which category. A
+    ``run_csam`` record also holds the items the category still had and,
+    for a pessimistic pick, the comparison behind it; an equilibrium path
+    (``spne.solve_spne``) holds neither."""
+
     t: int
     agent: int
     category: int
     item: int
-    available: tuple[int, ...]
+    available: tuple[int, ...] | None = None
     comparison: Mapping[int, Bundle] | None = None
 
     def to_json(self) -> dict:
-        doc = {
-            "t": self.t,
-            "agent": self.agent,
-            "category": self.category,
-            "item": self.item,
-            "available": list(self.available),
-        }
+        doc = {"t": self.t, "agent": self.agent, "category": self.category, "item": self.item}
+        if self.available is not None:
+            doc["available"] = list(self.available)
         if self.comparison is not None:
             doc["comparison"] = {str(d): list(b) for d, b in sorted(self.comparison.items())}
         return doc

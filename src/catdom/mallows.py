@@ -51,9 +51,8 @@ def kendall_tau(first: Preference, second: Preference) -> int:
     """Number of bundle pairs the two rankings order oppositely."""
     if first.shape != second.shape:
         raise ValidationError("rankings live on different shapes")
-    pos = {bundle: i for i, bundle in enumerate(second.order)}
-    seq = [pos[b] for b in first.order]
-    return _count_inversions(seq)
+    pos = {idx: i for i, idx in enumerate(second.indices)}
+    return _count_inversions([pos[idx] for idx in first.indices])
 
 
 def _count_inversions(seq: list[int]) -> int:

@@ -29,22 +29,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import Allocation, CapacityError, Profile, ValidationError, bundle_table
+from .engine import RoundRecord
 from .orders import PickingOrder, pickers_in_category
 
 DEFAULT_STATE_CAP = 10_000_000
-
-
-@dataclass(frozen=True)
-class SpneRound:
-    t: int
-    agent: int
-    category: int
-    item: int
 
 
 def _radices(order: PickingOrder):
@@ -65,7 +57,7 @@ def _level_sizes(order: PickingOrder):
 
 def _solve_levels(order: PickingOrder, profile: Profile) -> np.ndarray:
     """Each agent's equilibrium bundle index, by backward induction over the
-    levels of the game (``n >= 2``)."""
+    levels of the game."""
     shape, rounds, n = order.shape, order.rounds, order.shape.n
     width = np.min_scalar_type(shape.bundle_count - 1)
     # rounds with one item left offer no choice and add no axis
@@ -92,8 +84,9 @@ def solve_spne(
     profile: Profile,
     state_cap: int = DEFAULT_STATE_CAP,
     collect_trace: bool = False,
-) -> tuple[Allocation, tuple[SpneRound, ...] | None]:
-    """Equilibrium allocation (and optionally the equilibrium path).
+) -> tuple[Allocation, tuple[RoundRecord, ...] | None]:
+    """Equilibrium allocation (and optionally the equilibrium path, one
+    ``RoundRecord`` per round without ``available``).
 
     Refuses with CapacityError, before solving, when the game has more than
     ``state_cap`` decision states; the result is exact, never truncated.
@@ -106,21 +99,16 @@ def solve_spne(
     if state_space_size(order) - 1 > state_cap:
         raise CapacityError(f"equilibrium solving exceeded the state cap of {state_cap} states")
 
-    if shape.n == 1:
-        # the lone agent gets the lone bundle, however many categories there are
-        final = ((1,) * shape.p,)
-    else:
-        table = bundle_table(shape)
-        final = tuple(table[i] for i in _solve_levels(order, profile).tolist())
+    table = bundle_table(shape)
+    final = [table[i] for i in _solve_levels(order, profile).tolist()]
     allocation = Allocation({j: final[j - 1] for j in shape.agents()})
 
-    trace = None
-    if collect_trace:
-        trace = tuple(
-            SpneRound(t, agent, category, final[agent - 1][category - 1])
-            for t, (agent, category) in enumerate(order.rounds, 1)
-        )
-    return allocation, trace
+    if not collect_trace:
+        return allocation, None
+    return allocation, tuple(
+        RoundRecord(t, agent, category, final[agent - 1][category - 1])
+        for t, (agent, category) in enumerate(order.rounds, 1)
+    )
 
 
 def state_space_size(order: PickingOrder) -> int:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -122,6 +123,33 @@ def non_neutral_tail(profile, first):
     ascending = first == (1,) * shape.p
     rest = list(shape.agents())[1:]
     return rest if ascending else list(reversed(rest))
+
+
+def fraction_welfare(profile):
+    """The welfare maximizer's allocation under its ``Fraction`` scores: an
+    agent's i-th ranked bundle scores (n**p - i) * (1 + (1/(2*n**p))**j), j
+    the agent index. Raises on a tie."""
+    shape = profile.shape
+    m = shape.bundle_count
+    weights = {j: 1 + Fraction(1, 2 * m) ** j for j in shape.agents()}
+    best = best_score = None
+    tie = False
+    for allocation in all_allocations(shape):
+        score = sum(
+            (m - profile.pref(j).rank_of(allocation[j])) * weights[j] for j in shape.agents()
+        )
+        if best_score is None or score > best_score:
+            best, best_score, tie = allocation, score, False
+        elif score == best_score:
+            tie = True
+    if best is None or tie:
+        raise AssertionError("perturbed welfare scores must have a unique maximum")
+    return best
+
+
+def bundle_rankings(shape):
+    """Every ranking, built from the permutations of the bundle tuples."""
+    return tuple(cd.Preference(shape, perm) for perm in itertools.permutations(shape.bundles()))
 
 
 def seeded_profile(n, p, seed):
@@ -272,6 +300,11 @@ class TestEnumeration:
         assert len(rankings) == 24
         assert rankings[0].order == ((1, 1), (1, 2), (2, 1), (2, 2))
         assert len({r.order for r in rankings}) == 24
+
+    @pytest.mark.parametrize("n, p", [(2, 1), (2, 2), (3, 1), (1, 3)])
+    def test_all_rankings_match_bundle_permutations(self, n, p):
+        shape = cd.DomainShape(n, p)
+        assert all_rankings(shape) == bundle_rankings(shape)
 
     def test_all_rankings_capacity(self):
         with pytest.raises(cd.CapacityError):
@@ -429,6 +462,25 @@ class TestMechanisms:
         monkeypatch.setattr("catdom.axioms.all_allocations", lambda shape: allocations)
         with pytest.raises(AssertionError, match="unique maximum"):
             welfare_maximizer().apply(welfare_profile_2x2)
+
+    @pytest.mark.parametrize(
+        "n, p, seeds",
+        [(2, 2, None), (3, 1, None), (3, 2, range(200)), (2, 3, range(200))],
+    )
+    def test_welfare_maximizer_matches_fraction_scores(self, n, p, seeds):
+        # every profile of the small shapes, 200 seeded ones of the others
+        shape = cd.DomainShape(n, p)
+        if seeds is None:
+            every = itertools.product(all_rankings(shape), repeat=n)
+            cases = (cd.Profile(shape, prefs) for prefs in every)
+        else:
+            cases = (seeded_profile(n, p, seed) for seed in seeds)
+        mech = welfare_maximizer()
+        count = 0
+        for profile in cases:
+            assert mech.apply(profile).bundles == fraction_welfare(profile).bundles
+            count += 1
+        assert count == (len(all_rankings(shape)) ** n if seeds is None else len(seeds))
 
     def test_welfare_maximizer_is_deterministic(self, welfare_profile_2x2):
         mech = welfare_maximizer()

@@ -78,6 +78,26 @@ class TestRun:
         assert first["agent"] == 1
         assert first["item"] == 1
 
+    def test_ranks_read_once(self, monkeypatch, capsys, order_file, profile_file):
+        # the play reads bitsets; each agent's rank is read once for the document
+        calls = []
+        rank_of = cd.Preference.rank_of
+
+        def counted(pref, bundle):
+            calls.append(bundle)
+            return rank_of(pref, bundle)
+
+        monkeypatch.setattr(cd.Preference, "rank_of", counted)
+        code, out = run_cli(
+            capsys,
+            ["run", "--order", order_file, "--profile", profile_file,
+             "--behaviors", "opt,opt,pess"],
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["utilitarian"], doc["egalitarian"]) == (25, 9)
+        assert calls == [(1, 1), (2, 2), (3, 3)]
+
     def test_trace_golden_3x4(self, capsys, tmp_path):
         # stdout bytes pinned by digest: a scripted, an optimistic and a
         # pessimistic agent on the balanced 3x4 order; a change is recorded
@@ -176,6 +196,41 @@ class TestMalformedInput:
         path.write_text("[" * depth + "]" * depth)
         err = assert_rejected(capsys, ["analyze-order", "--order", str(path)])
         assert f"{path} is nested too deeply to read" in err
+
+    # which file of each subcommand is unreadable: the order, the profile or
+    # a script file
+    UNREADABLE = {
+        "run-order": ["run", "--order", "BAD", "--profile", "PROFILE",
+                      "--behaviors", "opt,opt,pess"],
+        "run-profile": ["run", "--order", "ORDER", "--profile", "BAD",
+                        "--behaviors", "opt,opt,pess"],
+        "run-script": ["run", "--order", "ORDER", "--profile", "PROFILE",
+                       "--behaviors", "script:BAD,opt,pess"],
+        "analyze-order": ["analyze-order", "--order", "BAD"],
+        "bounds": ["bounds", "--order", "BAD", "--behaviors", "opt,opt,pess"],
+        "worst-case": ["worst-case", "--order", "BAD", "--behaviors", "opt,opt,pess"],
+        "spne-order": ["spne", "--order", "BAD", "--profile", "PROFILE"],
+        "spne-profile": ["spne", "--order", "ORDER", "--profile", "BAD"],
+    }
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            # json.load's plain ValueError past the int digit limit
+            b'{"n": 2, "p": 1, "rounds": [[' + b"7" * 5001 + b", 1], [2, 1]]}",
+            # a UTF-16 byte order mark: not UTF-8
+            b"\xff\xfe{\x00}\x00",
+        ],
+        ids=["5001-digit-agent", "utf-16-bytes"],
+    )
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    def test_unreadable_file(self, capsys, tmp_path, order_file, profile_file, content, case):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        names = {"ORDER": order_file, "PROFILE": profile_file, "BAD": str(path)}
+        argv = [names.get(arg, arg.replace("BAD", str(path))) for arg in self.UNREADABLE[case]]
+        err = assert_rejected(capsys, argv)
+        assert err.startswith(f"error: {path} is not valid JSON: ")
 
     @pytest.mark.parametrize("token", ["optimist", "script", "PESS", ""])
     def test_unknown_behavior_token(self, capsys, order_file, profile_file, token):

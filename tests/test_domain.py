@@ -851,6 +851,26 @@ class TestJson:
         with pytest.raises(cd.ValidationError, match="allocation needs a 'bundles' mapping"):
             cd.allocation_from_json(SHAPE_2X2, data)
 
+    @pytest.mark.parametrize("key", ["01", "1_0", " 2 ", "+2", True, 2.0])
+    def test_allocation_agent_key_is_not_coerced(self, key):
+        data = {"bundles": {"1": [1, 2], key: [2, 1]}}
+        with pytest.raises(cd.ValidationError, match=re.escape(f"agent key {key!r} is not an integer")):
+            cd.allocation_from_json(SHAPE_2X2, data)
+
+    def test_allocation_agent_listed_twice(self):
+        data = {"bundles": {1: [1, 2], "1": [2, 1]}}
+        with pytest.raises(cd.ValidationError, match="allocation lists agent 1 twice"):
+            cd.allocation_from_json(SHAPE_2X2, data)
+
+    @pytest.mark.parametrize("data", [[], [["bundles", {}]], "bundles", None])
+    def test_allocation_document_must_be_a_mapping(self, data):
+        with pytest.raises(cd.ValidationError, match="allocation needs a .bundles. mapping"):
+            cd.allocation_from_json(SHAPE_2X2, data)
+
+    def test_allocation_int_keys(self):
+        back = cd.allocation_from_json(SHAPE_2X2, {"bundles": {1: [1, 2], "2": [2, 1]}})
+        assert dict(back.bundles) == {1: (1, 2), 2: (2, 1)}
+
     @pytest.mark.parametrize("key", ["one", "1.5", None])
     def test_allocation_agent_keys_must_be_integers(self, key):
         data = {"bundles": {"1": [1, 2], key: [2, 1]}}

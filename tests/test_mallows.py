@@ -115,6 +115,14 @@ class TestKendallTau:
         second = pref_from_items(shape, data.draw(st.permutations(items)))
         assert cd.kendall_tau(first, second) == brute_tau(first, second)
 
+    def test_reads_indices_only(self):
+        shape = cd.DomainShape(2, 3)
+        first = cd.Preference.from_indices(shape, [3, 1, 4, 0, 5, 2, 7, 6])
+        second = cd.Preference.from_indices(shape, range(8))
+        assert cd.kendall_tau(first, second) == 8
+        # neither ranking's bundle order is built
+        assert first._order is None and second._order is None
+
     def test_shape_mismatch(self):
         a = pref_from_items(line_shape(2), [1, 2])
         b = pref_from_items(line_shape(3), [1, 2, 3])

@@ -116,6 +116,26 @@ class TestGameRegression:
             assert record.item == alloc[record.agent][record.category - 1]
         assert [(r.agent, r.category) for r in trace] == list(game_order_2x2.rounds)
 
+    @pytest.mark.parametrize(
+        "order",
+        [cd.serial_dictatorship_order([1], 3), cd.balanced_order([1, 2], 2),
+         cd.balanced_order([1, 2, 3], 4)],
+        ids=["sd-1x3", "balanced-2x2", "balanced-3x4"],
+    )
+    def test_trace_holds_round_records(self, order):
+        # one record type for run --trace and spne --trace
+        n, p = order.shape.n, order.shape.p
+        alloc, trace = cd.solve_spne(order, uniform_profile(order.shape, 0), collect_trace=True)
+        assert len(trace) == n * p
+        for record, (agent, category) in zip(trace, order.rounds):
+            assert type(record) is cd.RoundRecord
+            assert record.available is None and record.comparison is None
+            assert record.to_json() == {
+                "t": record.t, "agent": agent, "category": category,
+                "item": alloc[agent][category - 1],
+            }
+            assert list(record.to_json()) == ["t", "agent", "category", "item"]
+
     def test_no_trace_by_default(self, game_order_2x2, game_profile_2x2):
         _, trace = cd.solve_spne(game_order_2x2, game_profile_2x2)
         assert trace is None
