@@ -150,11 +150,6 @@ class TestMixedRun:
         assert trace.rounds[0].comparison is None
         assert trace.rounds[1].comparison is None
 
-    def test_record_without_available(self):
-        record = cd.RoundRecord(1, 2, 1, 3)
-        assert record.available is None and record.comparison is None
-        assert record.to_json() == {"t": 1, "agent": 2, "category": 1, "item": 3}
-
     def test_message_count(self, mixed_order_3x2, profile_3x2):
         _, trace = cd.run_csam(mixed_order_3x2, profile_3x2, MIXED_BEHAVIORS_3X2)
         assert trace.message_count == (1 + 3 * 2) * 3
