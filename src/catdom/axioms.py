@@ -2,23 +2,34 @@
 
 A direct mechanism maps a full preference profile to an allocation. Four
 axioms are audited: strategy-proofness, non-bossiness, category-wise
-neutrality and Pareto optimality. Each axiom is a predicate over a stream
-of cases; one driver, ``_audit``, runs one or more predicates over a single
-pass of a stream, counts each predicate's cases up to the first one it turns
-into a counterexample, and reports that case in a replayable form.
+neutrality and Pareto optimality. Each axiom is a predicate over cases; one
+function, ``_audit``, is the only walk over the profiles. In ``Exhaustive``
+mode it walks every profile of a small shape in ranking-index order, after
+the early-exit guard ``domain._exceeds`` has refused any audit whose check
+count is over the budget; the same guard caps ``all_rankings`` and
+``all_allocations``. In ``Sampled`` mode it makes ``count`` uniform draws
+from one generator seeded with ``seed``. Per profile, an audit's case
+function yields that profile's cases, each with a weight, the number of
+checks it counts; a sampled case function draws from the same generator
+right after the profile. ``_audit`` runs one or more predicates over the
+cases, adds each case's weight to each predicate's count up to the first
+case it turns into a counterexample, and reports that case in a replayable
+form.
 
-The streams:
+The case functions:
 
-* ``_deviations`` yields ``(profile, agent, deviation, baseline,
-  alternative)``: the outcomes before and after one agent misreports.
-  Strategy-proofness and non-bossiness are predicates over it, and
-  ``check_all`` audits both in one shared walk.
-* ``_relabelings`` yields ``(profile, category, permutation, outcome)`` for
-  category-wise neutrality.
-* Pareto optimality pairs each profile's outcome with the feasible
-  allocations.
+* ``_deviations`` makes ``(profile, agent, deviation, baseline,
+  alternative)`` cases: the outcomes before and after one agent misreports,
+  the exhaustive ones memoized by walk position. Strategy-proofness and
+  non-bossiness are predicates over them, and ``check_all`` audits both in
+  one shared walk.
+* ``_relabelings`` makes ``(profile, category, permutation, outcome)``
+  cases for category-wise neutrality.
+* Pareto optimality makes one case per profile: its outcome and the first
+  feasible allocation that dominates it. An exhaustive case weighs the
+  allocations it checked, all of them or those up to the dominating one.
 
-The streams work on bundle indices. The serial dictatorships below run the
+The cases work on bundle indices. The serial dictatorships below run the
 engine's one index scan (``engine._serial_picks``). A relabeled ranking maps
 its bundle indices through an index map memoized per shape, category and
 permutation (``_relabel_map``). The Pareto audit holds the feasible
@@ -27,12 +38,6 @@ per agent the set of bundles her ranking puts at or above her own, narrows
 the rows one agent at a time to those whose bundle for her lies in her set,
 and reports the first row left other than the outcome's own
 (``_first_dominating``).
-
-In ``Exhaustive`` mode a stream walks every profile of a small shape in
-ranking-index order, after the early-exit guard ``domain._exceeds`` has refused
-any audit whose case count is over the budget; the same guard caps
-``all_rankings`` and ``all_allocations``. In ``Sampled`` mode a stream makes
-``count`` seeded draws.
 
 Category-wise neutrality: relabeling the items of one category commutes with
 the mechanism. Non-bossiness: no agent can change someone else's bundle by a
@@ -43,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -56,6 +61,7 @@ from .domain import (
     Preference,
     Profile,
     ValidationError,
+    _REPR,
     _bundle_index,
     _bundle_lookup,
     _check_permutation,
@@ -107,6 +113,10 @@ class Sampled:
 
 Mode = Exhaustive | Sampled
 
+# a profile's cases, given the profile, its walk position and the sampled
+# mode's generator (None when exhaustive), as (weight, predicate args) pairs
+_Cases = Callable[[Profile, int, np.random.Generator | None], Iterator[tuple[int, tuple]]]
+
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -154,12 +164,6 @@ class AxiomVerdict:
         return doc
 
 
-def _coverage(mode: Mode) -> str:
-    if isinstance(mode, Exhaustive):
-        return "exhaustive"
-    return f"sampled(count={mode.count}, seed={mode.seed})"
-
-
 def _factorial_factors(k: int, power: int = 1) -> Iterator[int]:
     """Factors whose product is ``factorial(k) ** power``."""
     return itertools.chain.from_iterable(itertools.repeat(range(2, k + 1), power))
@@ -187,17 +191,12 @@ def all_allocations(shape: DomainShape) -> tuple[Allocation, ...]:
             f"shape {shape.n}x{shape.p} has more than 1000000 allocations to materialize"
         )
     perms = list(itertools.permutations(range(1, shape.n + 1)))
-    out = []
-    for combo in itertools.product(perms, repeat=shape.p):
-        out.append(
-            Allocation(
-                {
-                    j: tuple(combo[i - 1][j - 1] for i in shape.categories())
-                    for j in shape.agents()
-                }
-            )
-        )
-    return tuple(out)
+    # combo holds one item permutation per category; agent j's bundle takes
+    # the j-th item of each
+    return tuple(
+        Allocation(dict(zip(shape.agents(), zip(*combo))))
+        for combo in itertools.product(perms, repeat=shape.p)
+    )
 
 
 def apply_category_permutation(obj, category: int, permutation: Sequence[int]):
@@ -240,7 +239,9 @@ def _permute_bundle(bundle: Bundle, category: int, perm: tuple[int, ...]) -> Bun
     bundle = tuple(bundle)
     item = bundle[category - 1]
     if not 1 <= item <= len(perm):
-        raise ValidationError(f"bundle {bundle} holds item {item!r} outside 1..{len(perm)}")
+        raise ValidationError(
+            f"bundle {_REPR.repr(bundle)} holds item {_REPR.repr(item)} outside 1..{len(perm)}"
+        )
     return bundle[: category - 1] + (perm[item - 1],) + bundle[category:]
 
 
@@ -255,103 +256,28 @@ def _relabel_map(shape: DomainShape, category: int, perm: tuple[int, ...]) -> tu
     return tuple(blocks[:, np.array(perm) - 1].ravel().tolist())
 
 
-def _profiles(
-    shape: DomainShape, mode: Mode, rng: np.random.Generator | None
-) -> Iterator[Profile]:
-    """Every profile in ranking-index order, or ``mode.count`` uniform draws.
-
-    The sampled streams draw more from ``rng`` between two profiles; the
-    generator draws a profile only when asked for it, so those draws
-    interleave with the profile draws in a fixed order.
-    """
-    if isinstance(mode, Sampled):
-        for _ in range(mode.count):
-            yield Profile(shape, [uniform_preference(shape, rng) for _ in shape.agents()])
-        return
-    for prefs in itertools.product(all_rankings(shape), repeat=shape.n):
-        yield Profile(shape, prefs)
-
-
-def _deviations(
-    mechanism: DirectMechanism, shape: DomainShape, mode: Mode
-) -> Iterator[tuple[Profile, int, Preference, Allocation, Allocation]]:
-    """``(profile, agent, deviation, baseline, alternative)`` cases: the
-    mechanism's outcome on the truthful profile and on the profile with the
-    agent's report replaced by the deviation.
-
-    Exhaustive: every profile, agent and other ranking, with outcomes
-    memoized by ranking indices. Sampled: per draw, a profile, an agent and a
-    uniform misreport, which may equal the truthful ranking.
-    """
-    if isinstance(mode, Sampled):
-        rng = np.random.default_rng(mode.seed)
-        for profile in _profiles(shape, mode, rng):
-            j = int(rng.integers(1, shape.n + 1))
-            deviation = uniform_preference(shape, rng)
-            reports = profile.preferences
-            misreport = Profile(shape, reports[: j - 1] + (deviation,) + reports[j:])
-            yield profile, j, deviation, mechanism.apply(profile), mechanism.apply(misreport)
-        return
-    rankings = all_rankings(shape)
-
-    @lru_cache(maxsize=None)
-    def outcome(idx: tuple[int, ...]) -> Allocation:
-        return mechanism.apply(Profile(shape, [rankings[i] for i in idx]))
-
-    for idx in itertools.product(range(len(rankings)), repeat=shape.n):
-        profile = Profile(shape, [rankings[i] for i in idx])
-        base = outcome(idx)
-        for j in shape.agents():
-            for dev, deviation in enumerate(rankings):
-                if dev != idx[j - 1]:
-                    alt = outcome(idx[: j - 1] + (dev,) + idx[j:])
-                    yield profile, j, deviation, base, alt
-
-
-def _relabelings(
-    mechanism: DirectMechanism, shape: DomainShape, mode: Mode
-) -> Iterator[tuple[Profile, int, tuple[int, ...], Allocation]]:
-    """``(profile, category, permutation, outcome)`` cases, where ``outcome``
-    is the mechanism's allocation for the profile before relabeling.
-
-    Exhaustive: every profile, category and non-identity permutation.
-    Sampled: per draw, a profile, a category and a uniform permutation; a
-    draw whose permutation is the identity yields no case.
-    """
-    identity = tuple(shape.agents())
-    if isinstance(mode, Sampled):
-        rng = np.random.default_rng(mode.seed)
-        for profile in _profiles(shape, mode, rng):
-            category = int(rng.integers(1, shape.p + 1))
-            shuffled = list(identity)
-            rng.shuffle(shuffled)  # the same draws and swaps as rng.permutation(shape.n)
-            perm = tuple(shuffled)
-            if perm != identity:
-                yield profile, category, perm, mechanism.apply(profile)
-        return
-    for profile in _profiles(shape, mode, None):
-        outcome = mechanism.apply(profile)
-        for category in shape.categories():
-            for perm in itertools.permutations(identity):
-                if perm != identity:
-                    yield profile, category, perm, outcome
-
-
 def _audit(
     axioms: Sequence[tuple[str, Callable[..., Counterexample | None]]],
     mechanism: DirectMechanism,
     shape: DomainShape,
     mode: Mode,
     per_profile: Iterable[int],
-    cases: Iterable[tuple],
+    cases: _Cases,
 ) -> list[AxiomVerdict]:
-    """One verdict per ``(axiom, violation)`` pair from one pass over ``cases``.
+    """One verdict per ``(axiom, violation)`` pair from one walk over the
+    profiles: every profile in ranking-index order (``Exhaustive``), or
+    ``mode.count`` uniform draws from one generator seeded with ``mode.seed``
+    (``Sampled``).
 
-    Each axiom counts cases until its ``violation`` returns a counterexample
-    for one, and then checks no further case; the pass ends when every axiom
-    has a counterexample or the stream ends. An exhaustive audit is refused,
+    ``cases(profile, k, rng)`` yields the cases of the walk's ``k``-th
+    profile as ``(weight, args)``; in sampled mode it draws from ``rng``
+    right after the profile, and in exhaustive mode ``rng`` is None. Each
+    axiom adds a case's weight, the number of checks it counts, to its
+    ``checked`` until its ``violation(*args)`` returns a counterexample, and
+    then checks no further case; the walk ends when every axiom has a
+    counterexample or the profiles run out. An exhaustive audit is refused,
     naming the first axiom, before its first case when the number of
-    profiles times the product of ``per_profile`` (the cases per profile)
+    profiles times the product of ``per_profile`` (the checks per profile)
     is over the budget.
     """
     if isinstance(mode, Exhaustive):
@@ -361,19 +287,97 @@ def _audit(
                 f"exhaustive {axioms[0][0]} over shape {shape.n}x{shape.p} needs more than "
                 f"{mode.budget} checks, the budget"
             )
+        rng, coverage = None, "exhaustive"
+        walk = map(partial(Profile, shape), itertools.product(all_rankings(shape), repeat=shape.n))
+    else:
+        rng = np.random.default_rng(mode.seed)
+        coverage = f"sampled(count={mode.count}, seed={mode.seed})"
+        walk = (
+            Profile(shape, [uniform_preference(shape, rng) for _ in shape.agents()])
+            for _ in range(mode.count)
+        )
     checked = [0] * len(axioms)
     found: list[Counterexample | None] = [None] * len(axioms)
-    for case in cases:
-        for k, (_, violation) in enumerate(axioms):
-            if found[k] is None:
-                checked[k] += 1
-                found[k] = violation(*case)
+    stream = itertools.chain.from_iterable(cases(profile, k, rng) for k, profile in enumerate(walk))
+    for weight, args in stream:
+        for i, (_, violation) in enumerate(axioms):
+            if found[i] is None:
+                checked[i] += weight
+                found[i] = violation(*args)
         if all(found):
             break
     return [
-        AxiomVerdict(axiom, mechanism.name, cx is None, _coverage(mode), count, cx)
+        AxiomVerdict(axiom, mechanism.name, cx is None, coverage, count, cx)
         for (axiom, _), count, cx in zip(axioms, checked, found)
     ]
+
+
+def _deviations(mechanism: DirectMechanism, shape: DomainShape) -> _Cases:
+    """Per profile, the ``(profile, agent, deviation, baseline, alternative)``
+    cases: the mechanism's outcome on the truthful profile and on the profile
+    with the agent's report replaced by the deviation.
+
+    Exhaustive: every agent and other ranking. The outcomes are memoized by
+    walk position: agent ``j``'s ranking index is the position's digit of
+    place value ``R**(n - j)``, R the number of rankings, so her misreport
+    moves the position by a multiple of that stride. Sampled: an agent and a
+    uniform misreport, which may equal the truthful ranking.
+    """
+    outcomes: dict[int, Allocation] = {}
+
+    def cases(profile, k, rng):
+        reports = profile.preferences
+        if rng is not None:
+            j = int(rng.integers(1, shape.n + 1))
+            deviation = uniform_preference(shape, rng)
+            misreport = Profile(shape, reports[: j - 1] + (deviation,) + reports[j:])
+            yield 1, (profile, j, deviation, mechanism.apply(profile), mechanism.apply(misreport))
+            return
+        if k not in outcomes:
+            outcomes[k] = mechanism.apply(profile)
+        base = outcomes[k]
+        rankings = all_rankings(shape)
+        for j in shape.agents():
+            stride = len(rankings) ** (shape.n - j)
+            own = k // stride % len(rankings)
+            for dev, deviation in enumerate(rankings):
+                if dev == own:
+                    continue
+                key = k + (dev - own) * stride
+                if key not in outcomes:
+                    misreport = Profile(shape, reports[: j - 1] + (deviation,) + reports[j:])
+                    outcomes[key] = mechanism.apply(misreport)
+                yield 1, (profile, j, deviation, base, outcomes[key])
+
+    return cases
+
+
+def _relabelings(mechanism: DirectMechanism, shape: DomainShape) -> _Cases:
+    """Per profile, the ``(profile, category, permutation, outcome)`` cases,
+    where ``outcome`` is the mechanism's allocation for the profile before
+    relabeling.
+
+    Exhaustive: every category and non-identity permutation. Sampled: a
+    category and a uniform permutation; an identity draw yields no case.
+    """
+    identity = tuple(shape.agents())
+
+    def cases(profile, k, rng):
+        if rng is None:
+            outcome = mechanism.apply(profile)
+            for category in shape.categories():
+                for perm in itertools.permutations(identity):
+                    if perm != identity:
+                        yield 1, (profile, category, perm, outcome)
+            return
+        category = int(rng.integers(1, shape.p + 1))
+        shuffled = list(identity)
+        rng.shuffle(shuffled)  # the same draws and swaps as rng.permutation(shape.n)
+        perm = tuple(shuffled)
+        if perm != identity:
+            yield 1, (profile, category, perm, mechanism.apply(profile))
+
+    return cases
 
 
 def _manipulation(profile, j, deviation, base, alt) -> Counterexample | None:
@@ -400,7 +404,7 @@ def _deviation_audit(
 ) -> list[AxiomVerdict]:
     # n agents times (n**p)! rankings each, the truthful one included
     cost = itertools.chain((shape.n,), _factorial_factors(shape.bundle_count))
-    return _audit(axioms, mechanism, shape, mode, cost, _deviations(mechanism, shape, mode))
+    return _audit(axioms, mechanism, shape, mode, cost, _deviations(mechanism, shape))
 
 
 def check_strategy_proofness(
@@ -438,7 +442,7 @@ def check_category_wise_neutrality(
 
     # p categories times n! permutations, the identity included
     cost = itertools.chain((shape.p,), _factorial_factors(shape.n))
-    cases = _relabelings(mechanism, shape, mode)
+    cases = _relabelings(mechanism, shape)
     return _audit([(axiom, violation)], mechanism, shape, mode, cost, cases)[0]
 
 
@@ -487,22 +491,16 @@ def check_pareto_optimality(
             return None
         return Counterexample(axiom, profile, base, allocations[first])
 
-    sampled = isinstance(mode, Sampled)
-    rng = np.random.default_rng(mode.seed) if sampled else None
-
-    def cases():
-        for profile in _profiles(shape, mode, rng):
-            base = mechanism.apply(profile)
-            first = _first_dominating(profile, base)
-            if sampled:
-                yield profile, base, first
-                continue
-            # an exhaustive audit counts (profile, allocation) pairs
-            for k in range(len(allocations)):
-                yield profile, base, first if k == first else None
+    def cases(profile, k, rng):
+        base = mechanism.apply(profile)
+        first = _first_dominating(profile, base)
+        # an exhaustive case counts (profile, allocation) pairs, up to the
+        # first dominating allocation
+        pairs = len(allocations) if first is None else first + 1
+        yield (pairs if rng is None else 1), (profile, base, first)
 
     cost = (len(allocations),)
-    return _audit([(axiom, violation)], mechanism, shape, mode, cost, cases())[0]
+    return _audit([(axiom, violation)], mechanism, shape, mode, cost, cases)[0]
 
 
 def check_all(mechanism: DirectMechanism, shape: DomainShape, mode: Mode) -> list[AxiomVerdict]:

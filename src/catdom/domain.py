@@ -28,6 +28,7 @@ category for many preferences.
 from __future__ import annotations
 
 import itertools
+import reprlib
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -65,6 +66,21 @@ def _exceeds(limit: int, factors: Iterable[int]) -> bool:
     return total > limit
 
 
+class _BoundedRepr(reprlib.Repr):
+    """Reprs of caller input in error messages: one level deep, a few
+    entries per container, and ints through the generic fallback, which also
+    prints one past ``str``'s digit limit. A tuple quoted whole is how the
+    package holds a bundle, a pair or a sequence it was given, so its entries
+    show one level deeper, as they were given."""
+
+    def repr(self, x) -> str:
+        return self.repr1(x, self.maxlevel + (type(x) is tuple))
+
+
+_REPR = _BoundedRepr()
+_REPR.maxlevel, _REPR.repr_int = 1, _REPR.repr_instance
+
+
 def _check_seed(seed) -> None:
     """Reject a seed ``np.random.default_rng`` would refuse, and bools."""
     if not (type(seed) is int and seed >= 0):
@@ -74,7 +90,7 @@ def _check_seed(seed) -> None:
 def _check_permutation(seq: Sequence, n: int, what: str = "") -> None:
     """Reject ``seq`` unless it lists the plain ints 1..n once each."""
     if not all(type(x) is int for x in seq) or sorted(seq) != list(range(1, n + 1)):
-        raise ValidationError(f"{what}{seq} is not a permutation of 1..{n}")
+        raise ValidationError(f"{what}{_REPR.repr(seq)} is not a permutation of 1..{n}")
 
 
 # The live shapes by plain-int ``(n, p)``, each registered once validated;
@@ -135,10 +151,14 @@ class DomainShape:
     def validate_bundle(self, bundle: Sequence[int]) -> Bundle:
         b = tuple(bundle)
         if len(b) != self.p:
-            raise ValidationError(f"bundle {b} has {len(b)} components, expected {self.p}")
+            raise ValidationError(
+                f"bundle {_REPR.repr(b)} has {len(b)} components, expected {self.p}"
+            )
         for item in b:
             if not (type(item) is int and 1 <= item <= self.n):
-                raise ValidationError(f"bundle {b} holds item {item!r} outside 1..{self.n}")
+                raise ValidationError(
+                    f"bundle {_REPR.repr(b)} holds item {_REPR.repr(item)} outside 1..{self.n}"
+                )
         return b
 
 
@@ -490,7 +510,7 @@ def validate_allocation(shape: DomainShape, allocation: Allocation) -> Allocatio
     rows = list(map(bundles.__getitem__, shape.agents()))
     for j, b in enumerate(rows, 1):
         if len(b) != shape.p or not all(type(x) is int and 1 <= x <= n for x in b):
-            return AllocationCheck(False, f"agent {j} holds malformed bundle {b}")
+            return AllocationCheck(False, f"agent {j} holds malformed bundle {_REPR.repr(b)}")
     for i, items in enumerate(zip(*rows), 1):
         if len(set(items)) == n:
             continue
@@ -578,7 +598,7 @@ def allocation_from_json(shape: DomainShape, data: Mapping) -> Allocation:
         except ValueError:
             agent = None
         if agent is None or str(agent) != str(key):
-            raise ValidationError(f"agent key {key!r} is not an integer")
+            raise ValidationError(f"agent key {_REPR.repr(key)} is not an integer")
         if agent in bundles:
             raise ValidationError(f"allocation lists agent {agent} twice")
         bundles[agent] = shape.validate_bundle(value)

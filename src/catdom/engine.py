@@ -53,6 +53,7 @@ from .domain import (
     Preference,
     Profile,
     ValidationError,
+    _REPR,
     _check_permutation,
     _item_bits,
     build_position_masks,
@@ -223,7 +224,9 @@ def _check_behaviors(shape, behaviors: Sequence[Behavior]) -> tuple[Behavior, ..
     for j, b in enumerate(bs, 1):
         if isinstance(b, Scripted):
             if not all(type(x) is int for x in b.picks):
-                raise ValidationError(f"agent {j} script picks {b.picks!r} are not all integers")
+                raise ValidationError(
+                    f"agent {j} script picks {_REPR.repr(b.picks)} are not all integers"
+                )
             if len(b.picks) != shape.p:
                 raise ValidationError(
                     f"agent {j} script lists {len(b.picks)} picks, expected {shape.p}"

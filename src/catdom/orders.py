@@ -22,20 +22,13 @@ its candidate blocks from the same arrays.
 
 from __future__ import annotations
 
-import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .domain import DomainShape, ValidationError, _check_permutation, _shape_from_json
-
-# reprs in error messages: one level deep, a few entries per container, and
-# ints through the generic fallback, which also prints one past ``str``'s
-# digit limit
-_REPR = reprlib.Repr()
-_REPR.maxlevel, _REPR.repr_int = 1, _REPR.repr_instance
+from .domain import DomainShape, ValidationError, _REPR, _check_permutation, _shape_from_json
 
 
 class PickingOrder:

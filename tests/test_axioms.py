@@ -285,13 +285,267 @@ class TestSampledStreams:
             perm = tuple((oracle.permutation(n) + 1).tolist())
             if perm != identity:
                 want.append((rows, category, perm))
-        got = [
-            ([pref.indices for pref in profile.preferences], category, perm)
-            for profile, category, perm, _ in axioms._relabelings(
-                sd_direct(list(identity)), shape, mode
-            )
-        ]
+        got = []
+
+        def record(profile, category, perm, outcome):
+            got.append(([pref.indices for pref in profile.preferences], category, perm))
+
+        mechanism = sd_direct(list(identity))
+        cases = axioms._relabelings(mechanism, shape)
+        axioms._audit([("record", record)], mechanism, shape, mode, (), cases)
         assert got == want
+
+
+# The streams before ``axioms._audit`` became the only profile walk, kept as
+# the oracle of the walk and its per-profile cases: a profile generator, one
+# stream per audit (the exhaustive deviations with their own index product,
+# each sampled stream with its own generator, one Pareto case per
+# (profile, allocation) pair), and the one-pass audit.
+
+
+def stream_profiles(shape, mode, rng):
+    if isinstance(mode, Sampled):
+        for _ in range(mode.count):
+            yield cd.Profile(shape, [cd.uniform_preference(shape, rng) for _ in shape.agents()])
+        return
+    for prefs in itertools.product(all_rankings(shape), repeat=shape.n):
+        yield cd.Profile(shape, prefs)
+
+
+def stream_deviations(mechanism, shape, mode):
+    if isinstance(mode, Sampled):
+        rng = np.random.default_rng(mode.seed)
+        for profile in stream_profiles(shape, mode, rng):
+            j = int(rng.integers(1, shape.n + 1))
+            deviation = cd.uniform_preference(shape, rng)
+            reports = profile.preferences
+            misreport = cd.Profile(shape, reports[: j - 1] + (deviation,) + reports[j:])
+            yield profile, j, deviation, mechanism.apply(profile), mechanism.apply(misreport)
+        return
+    rankings = all_rankings(shape)
+    outcomes = {}
+
+    def outcome(idx):
+        if idx not in outcomes:
+            outcomes[idx] = mechanism.apply(cd.Profile(shape, [rankings[i] for i in idx]))
+        return outcomes[idx]
+
+    for idx in itertools.product(range(len(rankings)), repeat=shape.n):
+        profile = cd.Profile(shape, [rankings[i] for i in idx])
+        base = outcome(idx)
+        for j in shape.agents():
+            for dev, deviation in enumerate(rankings):
+                if dev != idx[j - 1]:
+                    yield profile, j, deviation, base, outcome(idx[: j - 1] + (dev,) + idx[j:])
+
+
+def stream_relabelings(mechanism, shape, mode):
+    identity = tuple(shape.agents())
+    if isinstance(mode, Sampled):
+        rng = np.random.default_rng(mode.seed)
+        for profile in stream_profiles(shape, mode, rng):
+            category = int(rng.integers(1, shape.p + 1))
+            shuffled = list(identity)
+            rng.shuffle(shuffled)
+            perm = tuple(shuffled)
+            if perm != identity:
+                yield profile, category, perm, mechanism.apply(profile)
+        return
+    for profile in stream_profiles(shape, mode, None):
+        outcome = mechanism.apply(profile)
+        for category in shape.categories():
+            for perm in itertools.permutations(identity):
+                if perm != identity:
+                    yield profile, category, perm, outcome
+
+
+def stream_pareto(mechanism, shape, mode):
+    sampled = isinstance(mode, Sampled)
+    rng = np.random.default_rng(mode.seed) if sampled else None
+    for profile in stream_profiles(shape, mode, rng):
+        base = mechanism.apply(profile)
+        first = _first_dominating(profile, base)
+        if sampled:
+            yield profile, base, first
+            continue
+        for k in range(len(all_allocations(shape))):
+            yield profile, base, first if k == first else None
+
+
+def stream_audit(axioms_, mechanism, shape, mode, per_profile, cases):
+    if isinstance(mode, Exhaustive):
+        profiles = axioms._factorial_factors(shape.bundle_count, shape.n)
+        if cd.domain._exceeds(mode.budget, itertools.chain(per_profile, profiles)):
+            raise cd.CapacityError(
+                f"exhaustive {axioms_[0][0]} over shape {shape.n}x{shape.p} needs more than "
+                f"{mode.budget} checks, the budget"
+            )
+    checked = [0] * len(axioms_)
+    found = [None] * len(axioms_)
+    for case in cases:
+        for k, (_, violation) in enumerate(axioms_):
+            if found[k] is None:
+                checked[k] += 1
+                found[k] = violation(*case)
+        if all(found):
+            break
+    if isinstance(mode, Exhaustive):
+        coverage = "exhaustive"
+    else:
+        coverage = f"sampled(count={mode.count}, seed={mode.seed})"
+    return [
+        axioms.AxiomVerdict(axiom, mechanism.name, cx is None, coverage, count, cx)
+        for (axiom, _), count, cx in zip(axioms_, checked, found)
+    ]
+
+
+def stream_deviation_audit(mechanism, shape, mode):
+    cost = itertools.chain((shape.n,), axioms._factorial_factors(shape.bundle_count))
+    cases = stream_deviations(mechanism, shape, mode)
+    predicates = [axioms._STRATEGY_PROOFNESS, axioms._NON_BOSSINESS]
+    return stream_audit(predicates, mechanism, shape, mode, cost, cases)
+
+
+def stream_neutrality_audit(mechanism, shape, mode):
+    axiom = "category-wise-neutrality"
+
+    def violation(profile, category, perm, outcome):
+        lhs = mechanism.apply(apply_category_permutation(profile, category, perm))
+        rhs = apply_category_permutation(outcome, category, perm)
+        if lhs.bundles != rhs.bundles and rhs.bundles != {
+            j: tuple(b) for j, b in lhs.bundles.items()
+        }:
+            return axioms.Counterexample(axiom, profile, lhs, rhs, category=category, permutation=perm)
+        return None
+
+    cost = itertools.chain((shape.p,), axioms._factorial_factors(shape.n))
+    cases = stream_relabelings(mechanism, shape, mode)
+    return stream_audit([(axiom, violation)], mechanism, shape, mode, cost, cases)
+
+
+def stream_pareto_audit(mechanism, shape, mode):
+    allocations = all_allocations(shape)
+
+    def violation(profile, base, first):
+        if first is None:
+            return None
+        return axioms.Counterexample("pareto-optimality", profile, base, allocations[first])
+
+    cases = stream_pareto(mechanism, shape, mode)
+    axiom = [("pareto-optimality", violation)]
+    return stream_audit(axiom, mechanism, shape, mode, (len(allocations),), cases)
+
+
+def stream_check_all(mechanism, shape, mode):
+    """``check_all`` over the oracle streams."""
+    if isinstance(mode, Sampled):
+        all_allocations(shape)
+    return [
+        *stream_deviation_audit(mechanism, shape, mode),
+        *stream_neutrality_audit(mechanism, shape, mode),
+        *stream_pareto_audit(mechanism, shape, mode),
+    ]
+
+
+# every fixture mechanism, made for a shape
+FIXTURES = {
+    "sd": lambda shape: sd_direct(list(shape.agents())),
+    "welfare": lambda shape: welfare_maximizer(),
+    "bossy": lambda shape: bossy_conditional_sd(),
+    "nonneutral": lambda shape: non_neutral_conditional_sd(),
+    "worst-pick": lambda shape: worst_pick_sd(list(shape.agents())),
+    "constant": lambda shape: constant_mechanism(all_allocations(shape)[-1]),
+}
+
+
+class TestStreamOracle:
+    """``check_all`` over the one walk against the streams it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    @pytest.mark.parametrize("n, p", [(2, 2), (2, 1), (3, 1), (1, 3)])
+    def test_exhaustive(self, n, p, name):
+        shape = cd.DomainShape(n, p)
+        mechanism = FIXTURES[name](shape)
+        got = [v.to_json() for v in check_all(mechanism, shape, Exhaustive())]
+        assert got == [v.to_json() for v in stream_check_all(mechanism, shape, Exhaustive())]
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n, p", [(3, 2), (2, 3)])
+    def test_sampled(self, n, p, seed, name):
+        shape = cd.DomainShape(n, p)
+        mechanism = FIXTURES[name](shape)
+        mode = Sampled(count=200, seed=seed)
+        got = [v.to_json() for v in check_all(mechanism, shape, mode)]
+        assert got == [v.to_json() for v in stream_check_all(mechanism, shape, mode)]
+
+    def test_exhaustive_pareto_yields_once_per_profile(self, monkeypatch):
+        # one case per 2x2 profile, weighing the 4 allocations it checks
+        weights = []
+        audit = axioms._audit
+
+        def counting(axioms_, mechanism, shape, mode, per_profile, cases):
+            def counted(*args):
+                for weight, case in cases(*args):
+                    weights.append(weight)
+                    yield weight, case
+
+            return audit(axioms_, mechanism, shape, mode, per_profile, counted)
+
+        monkeypatch.setattr(axioms, "_audit", counting)
+        verdict = check_pareto_optimality(sd_direct([1, 2]), SHAPE_2X2, Exhaustive())
+        assert (verdict.passed, verdict.checked) == (True, 2304)
+        assert weights == [4] * 576
+
+
+def csam_direct(rounds, behavior):
+    """The 2x2 CSAM that plays the order ``rounds`` with both agents of one
+    behavior, as a direct mechanism."""
+    order = cd.PickingOrder(SHAPE_2X2, rounds)
+    behaviors = [behavior] * 2
+    return cd.DirectMechanism(
+        f"csam{list(rounds)}", lambda profile: cd.run_csam(order, profile, behaviors)[0]
+    )
+
+
+SD_ROUNDS = ((1, 1), (1, 2), (2, 1), (2, 2))
+
+
+class TestCsamAudits:
+    """Exhaustive 2x2 audits of CSAMs, the mechanisms the paper
+    characterizes: the serial-dictatorship order played optimistically is
+    the serial dictatorship and passes every axiom; played pessimistically,
+    or interleaved, it can be manipulated and is not Pareto optimal."""
+
+    CASES = {
+        "sd-optimistic": (SD_ROUNDS, cd.OPTIMISTIC, [True] * 4, [26496, 26496, 1152, 2304]),
+        "sd-pessimistic": (
+            SD_ROUNDS, cd.PESSIMISTIC, [False, True, True, False], [3313, 26496, 1152, 301],
+        ),
+        "interleaved-optimistic": (
+            ((1, 1), (2, 2), (2, 1), (1, 2)),
+            cd.OPTIMISTIC,
+            [False, True, True, False],
+            [2496, 26496, 1152, 195],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_check_all_pinned(self, name):
+        rounds, behavior, passed, checked = self.CASES[name]
+        verdicts = check_all(csam_direct(rounds, behavior), SHAPE_2X2, Exhaustive())
+        assert [v.passed for v in verdicts] == passed
+        assert [v.checked for v in verdicts] == checked
+
+    def test_optimistic_sd_order_is_the_serial_dictatorship(self):
+        csam, sd = csam_direct(SD_ROUNDS, cd.OPTIMISTIC), sd_direct([1, 2])
+        profiles = [
+            cd.Profile(SHAPE_2X2, prefs)
+            for prefs in itertools.product(all_rankings(SHAPE_2X2), repeat=2)
+        ]
+        assert len(profiles) == 576
+        for profile in profiles:
+            assert csam.apply(profile).bundles == sd.apply(profile).bundles
 
 
 class TestEnumeration:

@@ -275,6 +275,34 @@ class TestMalformedInput:
         assert err.startswith(f"error: {message}")
         assert len(err) < 200
 
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            # one bundle of 100,000 components: a line of about 300,000 characters before
+            ("run", {"bundle": [1] * 100_000}),
+            # one item a 100,000-int list: about 600,000 characters before
+            ("spne", {"bundle": [1, [0] * 100_000]}),
+            # a script of 100,000 strings: about 500,000 characters before
+            ("run", {"script": ["x"] * 100_000}),
+        ],
+    )
+    def test_long_input_named_in_one_short_line(
+        self, capsys, tmp_path, order_file, profile_file, command, bad
+    ):
+        behaviors = ["--behaviors", "opt,opt,pess"] if command == "run" else []
+        if "bundle" in bad:
+            doc = json.loads(Path(profile_file).read_text())
+            doc["preferences"][0][0] = bad["bundle"]
+            profile_file = tmp_path / "long.json"
+            profile_file.write_text(json.dumps(doc))
+        else:
+            script = tmp_path / "script.json"
+            script.write_text(json.dumps(bad["script"]))
+            behaviors = ["--behaviors", f"opt,script:{script},pess"]
+        argv = [command, "--order", order_file, "--profile", str(profile_file), *behaviors]
+        err = assert_rejected(capsys, argv)
+        assert len(err) < 200
+
     @pytest.mark.parametrize("row", [[[True, 1], [1, 2], [2, 1], [2, 2]], [1, 2, 3, 4]])
     def test_profile_row_rejected(self, capsys, tmp_path, game_order_2x2, game_profile_2x2, row):
         doc = cd.profile_to_json(game_profile_2x2)

@@ -670,6 +670,27 @@ class TestAllocation:
         alloc = cd.Allocation({1: (1, 2), 3: (2, 1)})
         assert not cd.validate_allocation(SHAPE_2X2, alloc).ok
 
+    @pytest.mark.parametrize("bundle", [[1] * 100_000, (1, [0] * 100_000)], ids=["long", "item"])
+    def test_malformed_bundle_named_in_one_short_line(self, bundle):
+        # a 100,000-component bundle gave a 300,031-character detail
+        check = cd.validate_allocation(SHAPE_2X2, cd.Allocation({1: bundle, 2: (2, 1)}))
+        assert check.detail.startswith("agent 1 holds malformed bundle ")
+        assert len(check.detail) < 200
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda profile: cd.direct_serial_dictatorship(list(range(2, 100_002)), profile),
+            lambda profile: axioms.sd_direct(["x" * 100_000, 1, 2]).apply(profile),
+            lambda profile: axioms.apply_category_permutation(profile, 1, [[0] * 100_000] * 3),
+        ],
+        ids=["order", "long-entry", "permutation"],
+    )
+    def test_bad_permutation_named_in_one_short_line(self, profile_3x2, call):
+        with pytest.raises(cd.ValidationError, match="is not a permutation of 1..3") as refusal:
+            call(profile_3x2)
+        assert len(str(refusal.value)) < 200
+
     def test_welfare_ranks(self, profile_3x2):
         alloc = cd.Allocation({1: (1, 2), 2: (2, 1), 3: (3, 3)})
         assert cd.utilitarian_rank(profile_3x2, alloc) == 11
@@ -866,6 +887,20 @@ class TestJson:
     def test_allocation_document_must_be_a_mapping(self, data):
         with pytest.raises(cd.ValidationError, match="allocation needs a .bundles. mapping"):
             cd.allocation_from_json(SHAPE_2X2, data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"bundles": {"9" * 300_000: [1, 2]}},
+            {"bundles": {"1": [1] * 100_000}},
+            {"bundles": {"1": [1, [0] * 100_000]}},
+        ],
+        ids=["key", "bundle", "item"],
+    )
+    def test_long_allocation_named_in_one_short_line(self, data):
+        with pytest.raises(cd.ValidationError) as refusal:
+            cd.allocation_from_json(SHAPE_2X2, data)
+        assert len(str(refusal.value)) < 200
 
     def test_allocation_int_keys(self):
         back = cd.allocation_from_json(SHAPE_2X2, {"bundles": {1: [1, 2], "2": [2, 1]}})
