@@ -9,8 +9,6 @@ Mallows-model expected-rank experiments.
 
 from .adversarial import (
     ConstructionError,
-    InterrupterAudit,
-    audit_interrupter_order,
     near_optimal_allocation,
     strategic_worst_profile,
     worst_case_profile,
@@ -30,7 +28,6 @@ from .axioms import (
     check_non_bossiness,
     check_pareto_optimality,
     check_strategy_proofness,
-    constant_mechanism,
     non_neutral_conditional_sd,
     sd_direct,
     welfare_maximizer,
@@ -78,7 +75,6 @@ from .engine import (
     RoundRecord,
     Scripted,
     direct_serial_dictatorship,
-    message_count,
     optimistic_choice,
     pessimistic_choice,
     pessimistic_comparison,

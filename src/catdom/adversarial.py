@@ -6,8 +6,7 @@ simultaneously realizes her worst-case rank bound exactly. One private pass,
 ``_witness``, takes the bounds from ``bounds.worst_case_report``, builds the
 rankings, replays the profile once and builds ``near_optimal_allocation``
 once; it raises ``ConstructionError`` if any agent ends up off her bound.
-The ``worst-case`` CLI and ``audit_interrupter_order`` read all of it from
-that one pass.
+The ``worst-case`` CLI reads all of it from that one pass.
 
 Construction sketch (writing ``own`` for agent j's all-j bundle, i.e. item j
 in every category, and ``almost-j`` bundles for bundles equal to ``own``
@@ -50,7 +49,6 @@ equilibrium gives both agents exactly their strategic bound.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .bounds import RankBoundReport, worst_case_report
@@ -64,10 +62,9 @@ from .domain import (
     bundle_table,
     validate_allocation,
 )
-from .engine import OPTIMISTIC, PESSIMISTIC, Behavior, run_csam
+from .engine import Behavior, run_csam
 from .orders import (
     PickingOrder,
-    interrupter_order,
     pickers_in_category,
     predecessor_in_category,
 )
@@ -281,77 +278,6 @@ def near_optimal_allocation(order: PickingOrder, profile: Profile) -> Allocation
                 f"near-optimal bundle of agent {j} sits at rank {rank}, expected <= {limit}"
             )
     return allocation
-
-
-@dataclass(frozen=True)
-class InterrupterAudit:
-    """Comparison of analyzer-derived worst cases for the interrupter order
-    against two candidate closed forms sometimes conjectured for it:
-    ``n**p + 1 - (1 + n*p/2)`` for the non-interrupting agents and
-    ``n**p + 1 - 2**p`` for the interrupter."""
-
-    order: PickingOrder
-    report: RankBoundReport
-    candidate_majority: int
-    candidate_interrupter: int
-    majority_matches: bool
-    interrupter_matches: bool
-    verified: bool
-    witness_checked: bool
-    notes: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "order": [list(r) for r in self.order.rounds],
-            "report": self.report.to_json(),
-            "candidate_majority": self.candidate_majority,
-            "candidate_interrupter": self.candidate_interrupter,
-            "majority_matches": self.majority_matches,
-            "interrupter_matches": self.interrupter_matches,
-            "verified": self.verified,
-            "witness_checked": self.witness_checked,
-            "notes": list(self.notes),
-        }
-
-
-def audit_interrupter_order(n: int, p: int) -> InterrupterAudit:
-    """Audit the mixed-behavior interrupter configuration (agents 1..n-1
-    optimistic, agent n pessimistic).
-
-    The per-agent worst cases reported here come from the order analytics and
-    are confirmed by the one witness construction and replay (``_witness``);
-    the closed-form candidates are evaluated and flagged unverified when they
-    disagree with that ground truth. ``witness_checked`` is always True on
-    return, because the construction raises ConstructionError when the
-    replay misses a bound.
-    """
-    order = interrupter_order(n, p)
-    report = _witness(order, [OPTIMISTIC] * (n - 1) + [PESSIMISTIC])[3]
-
-    cand_majority = n**p + 1 - (1 + n * p // 2)
-    cand_interrupter = n**p + 1 - 2**p
-    majority_matches = all(report.bound(j) == cand_majority for j in range(1, n))
-    interrupter_matches = report.bound(n) == cand_interrupter
-    verified = majority_matches and interrupter_matches
-
-    notes = []
-    if not verified:
-        notes.append(
-            "closed-form candidates diverge from the analyzer-derived worst cases; "
-            "treating the closed forms as unverified"
-        )
-    notes.append("analyzer bounds confirmed tight by constructive witness replay")
-    return InterrupterAudit(
-        order,
-        report,
-        cand_majority,
-        cand_interrupter,
-        majority_matches,
-        interrupter_matches,
-        verified,
-        True,
-        tuple(notes),
-    )
 
 
 def strategic_worst_profile(order: PickingOrder) -> Profile:

@@ -67,6 +67,7 @@ from .domain import (
     _check_permutation,
     _check_seed,
     _exceeds,
+    _invalid,
     allocation_to_json,
     bundle_table,
     profile_to_json,
@@ -95,9 +96,7 @@ class Exhaustive:
 
     def __post_init__(self) -> None:
         if not (type(self.budget) is int and self.budget >= 1):
-            raise ValidationError(
-                f"exhaustive mode needs a budget of at least 1 check, got {self.budget!r}"
-            )
+            raise _invalid("exhaustive mode needs a budget of at least 1 check", self.budget)
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,7 @@ class Sampled:
 
     def __post_init__(self) -> None:
         if not (type(self.count) is int and self.count >= 1):
-            raise ValidationError(f"sampled mode needs a count of at least 1, got {self.count!r}")
+            raise _invalid("sampled mode needs a count of at least 1", self.count)
         _check_seed(self.seed)
 
 
@@ -229,16 +228,17 @@ def apply_category_permutation(obj, category: int, permutation: Sequence[int]):
 
 def _check_perm(n: int, p: int, category, perm: tuple) -> None:
     if not (type(category) is int and 1 <= category <= p):
-        raise ValidationError(f"category {category} outside 1..{p}")
+        raise ValidationError(f"category {_REPR.repr(category)} outside 1..{p}")
     _check_permutation(perm, n)
 
 
 def _permute_bundle(bundle: Bundle, category: int, perm: tuple[int, ...]) -> Bundle:
-    """``bundle`` (a tuple or a list) as a tuple with its ``category`` item
-    relabeled by ``perm``, a checked permutation of 1..len(perm)."""
+    """``bundle`` (a tuple or a list) as a tuple with its ``category`` item,
+    a plain int, relabeled by ``perm``, a checked permutation of
+    1..len(perm)."""
     bundle = tuple(bundle)
     item = bundle[category - 1]
-    if not 1 <= item <= len(perm):
+    if not (type(item) is int and 1 <= item <= len(perm)):
         raise ValidationError(
             f"bundle {_REPR.repr(bundle)} holds item {_REPR.repr(item)} outside 1..{len(perm)}"
         )
@@ -599,7 +599,3 @@ def worst_pick_sd(agent_order: Sequence[int]) -> DirectMechanism:
         return _serial_picks(order, profile, worst_first=True)
 
     return DirectMechanism(f"worst-pick-sd{list(order)}", fn)
-
-
-def constant_mechanism(allocation: Allocation) -> DirectMechanism:
-    return DirectMechanism("constant", lambda profile: allocation)

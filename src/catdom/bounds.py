@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .domain import CapacityError, DomainShape, ValidationError, _check_seed, _exceeds
+from .domain import CapacityError, DomainShape, ValidationError, _REPR, _check_seed, _exceeds
 from .engine import Behavior, Optimistic, Scripted, _check_behaviors
 from .orders import OrderAnalytics, PickingOrder, _order_arrays
 
@@ -78,7 +78,7 @@ class RankBoundReport:
 
     def bound(self, agent: int) -> int:
         if not (type(agent) is int and 1 <= agent <= len(self.entries)):
-            raise ValidationError(f"agent {agent!r} outside 1..{len(self.entries)}")
+            raise ValidationError(f"agent {_REPR.repr(agent)} outside 1..{len(self.entries)}")
         return self.entries[agent - 1].bound
 
     def to_json(self) -> dict:
@@ -208,7 +208,7 @@ def search_orders(
     """
     shape = DomainShape(n, p)
     if objective not in ("utilitarian", "egalitarian"):
-        raise ValidationError(f"unknown objective {objective!r}")
+        raise ValidationError(f"unknown objective {_REPR.repr(objective)}")
     if seed is not None:
         _check_seed(seed)
     pairs = [(j, i) for j in shape.agents() for i in shape.categories()]
@@ -216,9 +216,11 @@ def search_orders(
     per_block = max(1, _BLOCK // size)
 
     if mode not in ("exhaustive", "random"):
-        raise ValidationError(f"unknown search mode {mode!r}")
+        raise ValidationError(f"unknown search mode {_REPR.repr(mode)}")
     if not (type(budget) is int and budget >= 1):
-        raise ValidationError(f"{mode} search needs a budget of at least 1 order, got {budget!r}")
+        raise ValidationError(
+            f"{mode} search needs a budget of at least 1 order, got {_REPR.repr(budget)}"
+        )
     if mode == "random" and seed is None:
         raise ValidationError("random search needs an explicit seed")
     optimists = _optimists(shape, behaviors)

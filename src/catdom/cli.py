@@ -37,6 +37,7 @@ from .domain import (
     DomainShape,
     Profile,
     ValidationError,
+    _REPR,
     allocation_to_json,
     profile_from_json,
     profile_to_json,
@@ -78,7 +79,9 @@ def _write(path: str, text: str) -> None:
 def _parse_behaviors(text: str, n: int):
     tokens = text.split(",")
     if len(tokens) != n:
-        raise ValidationError(f"behavior list {text!r} has {len(tokens)} entries, expected {n}")
+        raise ValidationError(
+            f"behavior list {_REPR.repr(text)} has {len(tokens)} entries, expected {n}"
+        )
     return [_behavior(tok.strip()) for tok in tokens]
 
 
@@ -88,17 +91,19 @@ def _behavior(tok: str):
     if tok.startswith("script:"):
         picks = _load_json(tok.split(":", 1)[1])
         if not isinstance(picks, list):
-            raise ValidationError(f"script file for {tok!r} must hold a JSON list of items")
+            raise ValidationError(
+                f"script file for {_REPR.repr(tok)} must hold a JSON list of items"
+            )
         return Scripted(tuple(picks))
     known = ", ".join(_BEHAVIORS)
-    raise ValidationError(f"unknown behavior {tok!r} (use {known}, or script:FILE)")
+    raise ValidationError(f"unknown behavior {_REPR.repr(tok)} (use {known}, or script:FILE)")
 
 
 def _number(token: str, convert, flag: str):
     try:
         return convert(token)
     except ValueError:
-        raise ValidationError(f"{flag} has a malformed entry {token!r}") from None
+        raise ValidationError(f"{flag} has a malformed entry {_REPR.repr(token)}") from None
 
 
 def _parse_int_list(text: str) -> Sequence[int]:

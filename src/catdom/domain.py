@@ -78,13 +78,20 @@ class _BoundedRepr(reprlib.Repr):
 
 
 _REPR = _BoundedRepr()
-_REPR.maxlevel, _REPR.repr_int = 1, _REPR.repr_instance
+# 64 characters of any other object: the longest repr quoted whole in a
+# refusal, a MechanismConfig of the default grid, runs to 57
+_REPR.maxlevel, _REPR.maxother, _REPR.repr_int = 1, 64, _REPR.repr_instance
+
+
+def _invalid(message: str, value) -> ValidationError:
+    """The error ``"{message}, got {value}"``, with ``value`` quoted short."""
+    return ValidationError(f"{message}, got {_REPR.repr(value)}")
 
 
 def _check_seed(seed) -> None:
     """Reject a seed ``np.random.default_rng`` would refuse, and bools."""
     if not (type(seed) is int and seed >= 0):
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+        raise _invalid("seed must be a non-negative integer", seed)
 
 
 def _check_permutation(seq: Sequence, n: int, what: str = "") -> None:
@@ -115,19 +122,20 @@ class DomainShape:
         return shape if shape is not None else super().__new__(cls)
 
     def __post_init__(self) -> None:
-        if not (type(self.n) is int and type(self.p) is int):
-            raise ValidationError(f"shape dimensions must be integers, got {self.n!r}, {self.p!r}")
-        if _SHAPES.get((self.n, self.p)) is self:
+        if type(self.n) is int and type(self.p) is int and _SHAPES.get((self.n, self.p)) is self:
             return  # validated when first built
+        n, p = _REPR.repr(self.n), _REPR.repr(self.p)
+        if not (type(self.n) is int and type(self.p) is int):
+            raise ValidationError(f"shape dimensions must be integers, got {n}, {p}")
         if self.n < 1 or self.p < 1:
-            raise ValidationError(f"shape ({self.n}, {self.p}) invalid: need n >= 1 and p >= 1")
+            raise ValidationError(f"shape ({n}, {p}) invalid: need n >= 1 and p >= 1")
         # each category costs a round and a bundle component even when n == 1
         # spans one bundle; past this check, n >= 2 runs at most ~20 factors
         if self.p > CAPACITY_LIMIT:
-            raise CapacityError(f"{self.p} categories exceed the capacity limit {CAPACITY_LIMIT}")
+            raise CapacityError(f"{p} categories exceed the capacity limit {CAPACITY_LIMIT}")
         if self.n > 1 and _exceeds(CAPACITY_LIMIT, itertools.repeat(self.n, self.p)):
             raise CapacityError(
-                f"bundle space {self.n}**{self.p} exceeds the capacity limit {CAPACITY_LIMIT}"
+                f"bundle space {n}**{p} exceeds the capacity limit {CAPACITY_LIMIT}"
             )
         _SHAPES[self.n, self.p] = self
 
@@ -165,10 +173,7 @@ class DomainShape:
 def encode_bundle(shape: DomainShape, bundle: Sequence[int]) -> int:
     """Mixed-radix index of a bundle, 0-based: (1,..,1) -> 0, (n,..,n) -> n**p - 1."""
     b = shape.validate_bundle(bundle)
-    idx = 0
-    for item in b:
-        idx = idx * shape.n + (item - 1)
-    return idx
+    return sum((item - 1) * shape.n ** (shape.p - i) for i, item in enumerate(b, 1))
 
 
 @lru_cache(maxsize=8)
@@ -197,12 +202,10 @@ def _item_bits(shape: DomainShape) -> tuple[int, ...]:
 
 def decode_bundle(shape: DomainShape, index: int) -> Bundle:
     if not (type(index) is int and 0 <= index < shape.bundle_count):
-        raise ValidationError(f"bundle index {index!r} outside 0..{shape.bundle_count - 1}")
-    comps = []
-    for _ in range(shape.p):
-        comps.append(index % shape.n + 1)
-        index //= shape.n
-    return tuple(reversed(comps))
+        raise ValidationError(
+            f"bundle index {_REPR.repr(index)} outside 0..{shape.bundle_count - 1}"
+        )
+    return tuple(index // shape.n ** (shape.p - i) % shape.n + 1 for i in shape.categories())
 
 
 def _bundle_index(
@@ -235,7 +238,7 @@ def _check_indices(shape: DomainShape, indices: Iterable) -> tuple[int, ...]:
     listed = []
     for idx in indices:
         if not (type(idx) is int and 0 <= idx < count):
-            raise ValidationError(f"bundle index {idx!r} outside 0..{count - 1}")
+            raise ValidationError(f"bundle index {_REPR.repr(idx)} outside 0..{count - 1}")
         if seen[idx]:
             raise ValidationError(f"bundle {bundle_table(shape)[idx]} appears twice in preference")
         seen[idx] = 1
@@ -349,7 +352,7 @@ class Preference:
 
     def bundle_at(self, rank: int) -> Bundle:
         if not (type(rank) is int and 1 <= rank <= len(self.indices)):
-            raise ValidationError(f"rank {rank!r} outside 1..{len(self.indices)}")
+            raise ValidationError(f"rank {_REPR.repr(rank)} outside 1..{len(self.indices)}")
         return bundle_table(self.shape)[self.indices[rank - 1]]
 
     def top(self) -> Bundle:
@@ -443,7 +446,7 @@ class Profile:
 
     def pref(self, agent: int) -> Preference:
         if not (type(agent) is int and 1 <= agent <= self.shape.n):
-            raise ValidationError(f"agent {agent!r} outside 1..{self.shape.n}")
+            raise ValidationError(f"agent {_REPR.repr(agent)} outside 1..{self.shape.n}")
         return self.preferences[agent - 1]
 
     def __eq__(self, other: object) -> bool:
@@ -505,7 +508,8 @@ def validate_allocation(shape: DomainShape, allocation: Allocation) -> Allocatio
     except (KeyError, TypeError):
         pass  # a missing agent, or a bundle the lookup does not hold
     if bundles.keys() != set(shape.agents()):
-        return AllocationCheck(False, f"agents {sorted(bundles)} do not match 1..{shape.n}")
+        agents = _REPR.repr(sorted(bundles))
+        return AllocationCheck(False, f"agents {agents} do not match 1..{shape.n}")
     n = shape.n
     rows = list(map(bundles.__getitem__, shape.agents()))
     for j, b in enumerate(rows, 1):
@@ -600,6 +604,6 @@ def allocation_from_json(shape: DomainShape, data: Mapping) -> Allocation:
         if agent is None or str(agent) != str(key):
             raise ValidationError(f"agent key {_REPR.repr(key)} is not an integer")
         if agent in bundles:
-            raise ValidationError(f"allocation lists agent {agent} twice")
+            raise ValidationError(f"allocation lists agent {_REPR.repr(agent)} twice")
         bundles[agent] = shape.validate_bundle(value)
     return Allocation(bundles)

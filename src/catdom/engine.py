@@ -123,10 +123,6 @@ class ExecutionTrace:
     message_count: int
 
 
-def message_count(trace: ExecutionTrace) -> int:
-    return trace.message_count
-
-
 def _consistency_mask(
     pref: Preference,
     picks: Mapping[int, int],
@@ -232,7 +228,7 @@ def _check_behaviors(shape, behaviors: Sequence[Behavior]) -> tuple[Behavior, ..
                     f"agent {j} script lists {len(b.picks)} picks, expected {shape.p}"
                 )
         elif not isinstance(b, (Optimistic, Pessimistic)):
-            raise ValidationError(f"agent {j} has unknown behavior {b!r}")
+            raise ValidationError(f"agent {j} has unknown behavior {_REPR.repr(b)}")
     return bs
 
 
@@ -263,7 +259,7 @@ def _play(
             if not (1 <= item <= n and cons[a] & row[a][item - 1]):
                 left = [d for d, bits in enumerate(row[a], 1) if cons[a] & bits]
                 raise ExecutionError(
-                    f"round {t}: scripted item {item} of category {i} is not available "
+                    f"round {t}: scripted item {_REPR.repr(item)} of category {i} is not available "
                     f"(remaining {left})"
                 )
         else:

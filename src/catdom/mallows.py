@@ -37,8 +37,10 @@ from .domain import (
     Preference,
     Profile,
     ValidationError,
+    _REPR,
     _check_seed,
     _fill_masks,
+    _invalid,
 )
 from .engine import _BEHAVIORS, _realized_ranks
 from .orders import balanced_order, serial_dictatorship_order
@@ -78,9 +80,9 @@ def _count_inversions(seq: list[int]) -> int:
 def _check_phi(phi) -> None:
     """Reject a dispersion that is not a real number in (0, 1], and bools."""
     if not isinstance(phi, numbers.Real) or isinstance(phi, bool):
-        raise ValidationError(f"dispersion phi must be a real number, got {phi!r}")
+        raise _invalid("dispersion phi must be a real number", phi)
     if not (0 < phi <= 1):
-        raise ValidationError(f"dispersion phi must lie in (0, 1], got {phi}")
+        raise _invalid("dispersion phi must lie in (0, 1]", phi)
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,7 @@ class MallowsParams:
 
     def __post_init__(self) -> None:
         if not isinstance(self.reference, Preference):
-            raise ValidationError(f"Mallows reference must be a Preference, got {self.reference!r}")
+            raise _invalid("Mallows reference must be a Preference", self.reference)
         _check_phi(self.phi)
 
 
@@ -169,9 +171,9 @@ class MechanismConfig:
     def __post_init__(self) -> None:
         # a non-string (a list is unhashable) is no token either
         if not (isinstance(self.order_family, str) and self.order_family in _FAMILIES):
-            raise ValidationError(f"unknown order family {self.order_family!r}")
+            raise ValidationError(f"unknown order family {_REPR.repr(self.order_family)}")
         if not (isinstance(self.behavior, str) and self.behavior in _BEHAVIORS):
-            raise ValidationError(f"unknown behavior {self.behavior!r}")
+            raise ValidationError(f"unknown behavior {_REPR.repr(self.behavior)}")
 
 
 DEFAULT_GRID = (
@@ -194,22 +196,22 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if type(self.samples) is not int:
-            raise ValidationError(f"samples must be an integer, got {self.samples!r}")
+            raise _invalid("samples must be an integer", self.samples)
         if self.samples < 1:
             raise ValidationError("need at least one sample per cell")
         for name in ("n_values", "phis", "mechanisms"):
             axis = getattr(self, name)
             if not isinstance(axis, Sequence) or isinstance(axis, str):
-                raise ValidationError(f"{name} must be a sequence, got {axis!r}")
+                raise _invalid(f"{name} must be a sequence", axis)
         if not self.n_values or not self.phis or not self.mechanisms:
             raise ValidationError("experiment grid is empty")
         for phi in self.phis:
             _check_phi(phi)
         for cfg in self.mechanisms:
             if not isinstance(cfg, MechanismConfig):
-                raise ValidationError(f"mechanisms must be MechanismConfig entries, got {cfg!r}")
+                raise _invalid("mechanisms must be MechanismConfig entries", cfg)
         if type(self.check_bounds) is not bool:
-            raise ValidationError(f"check_bounds must be a bool, got {self.check_bounds!r}")
+            raise _invalid("check_bounds must be a bool", self.check_bounds)
         _check_seed(self.seed)
         for n in self.n_values:  # every shape's capacity guard, before any draw
             DomainShape(n, self.p)

@@ -68,12 +68,14 @@ class PickingOrder:
     def round_of(self, agent: int, category: int) -> int:
         if type(agent) is int and type(category) is int and (agent, category) in self._round_of:
             return self._round_of[agent, category]
-        raise ValidationError(f"no round for agent {agent!r}, category {category!r}")
+        raise ValidationError(
+            f"no round for agent {_REPR.repr(agent)}, category {_REPR.repr(category)}"
+        )
 
     def rounds_of_agent(self, agent: int) -> list[tuple[int, int]]:
         """(round, category) pairs for one agent, in round order."""
         if not (type(agent) is int and 1 <= agent <= self.shape.n):
-            raise ValidationError(f"agent {agent!r} outside 1..{self.shape.n}")
+            raise ValidationError(f"agent {_REPR.repr(agent)} outside 1..{self.shape.n}")
         return [(t, i) for t, (j, i) in enumerate(self.rounds, 1) if j == agent]
 
     @cached_property
@@ -113,7 +115,9 @@ def balanced_order(agent_order: Sequence[int], p: int) -> PickingOrder:
     n = len(agent_order)
     _check_permutation(agent_order, n, "agent order ")
     if p % 2:
-        raise ValidationError(f"balanced orders need an even number of categories, got p={p}")
+        raise ValidationError(
+            f"balanced orders need an even number of categories, got p={_REPR.repr(p)}"
+        )
     shape = DomainShape(n, p)
     rounds = []
     for i in shape.categories():
@@ -131,7 +135,7 @@ def interrupter_order(n: int, p: int) -> PickingOrder:
     the interrupter a pessimistic stance in mixed-behavior comparisons.
     """
     if type(n) is not int or n < 2:
-        raise ValidationError(f"interrupter orders need at least two agents, got n={n!r}")
+        raise ValidationError(f"interrupter orders need at least two agents, got n={_REPR.repr(n)}")
     base = balanced_order(list(range(1, n)), p).rounds
     block = [(n, i) for i in range(1, p + 1)]
     cut = len(base) - (n - 1)
@@ -152,7 +156,9 @@ class OrderAnalytics:
         # plain ints only: True or 1.0 would find the entry of 1
         if all(type(k) is int for k in (key if type(key) is tuple else (key,))) and key in table:
             return table[key]
-        raise ValidationError(f"no {what} {key!r} in a {self.shape.n}x{self.shape.p} order")
+        raise ValidationError(
+            f"no {what} {_REPR.repr(key)} in a {self.shape.n}x{self.shape.p} order"
+        )
 
     def suborder(self, agent: int) -> tuple[int, ...]:
         return self._get(self.suborders, agent, "agent")
@@ -167,7 +173,7 @@ class OrderAnalytics:
 def pickers_in_category(order: PickingOrder, category: int) -> tuple[int, ...]:
     """Agents picking from one category, in round order."""
     if not (type(category) is int and 1 <= category <= order.shape.p):
-        raise ValidationError(f"category {category!r} outside 1..{order.shape.p}")
+        raise ValidationError(f"category {_REPR.repr(category)} outside 1..{order.shape.p}")
     return tuple(j for j, i in order.rounds if i == category)
 
 
@@ -176,7 +182,7 @@ def predecessor_in_category(order: PickingOrder, category: int, agent: int) -> i
     so the first picker's predecessor is the last picker."""
     seq = pickers_in_category(order, category)
     if not (type(agent) is int and 1 <= agent <= order.shape.n):
-        raise ValidationError(f"agent {agent!r} outside 1..{order.shape.n}")
+        raise ValidationError(f"agent {_REPR.repr(agent)} outside 1..{order.shape.n}")
     return seq[seq.index(agent) - 1]
 
 

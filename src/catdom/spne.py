@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .domain import Allocation, CapacityError, Profile, ValidationError, bundle_table
+from .domain import Allocation, CapacityError, Profile, ValidationError, _invalid, bundle_table
 from .engine import RoundRecord
 from .orders import PickingOrder, pickers_in_category
 
@@ -95,7 +95,7 @@ def solve_spne(
     if profile.shape != shape:
         raise ValidationError("profile shape does not match order shape")
     if not (type(state_cap) is int and state_cap >= 1):
-        raise ValidationError(f"state cap must be at least 1 state, got {state_cap!r}")
+        raise _invalid("state cap must be at least 1 state", state_cap)
     if state_space_size(order) - 1 > state_cap:
         raise CapacityError(f"equilibrium solving exceeded the state cap of {state_cap} states")
 

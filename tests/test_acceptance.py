@@ -445,16 +445,21 @@ def test_c13_expected_rank_study():
 
 
 def test_c14_interrupter_audit_flags_divergence():
-    audit = cd.audit_interrupter_order(3, 4)
-    assert [e.bound for e in audit.report.entries] == [81, 80, 79]
-    assert audit.witness_checked is True
-    assert audit.candidate_majority == 75
-    assert audit.candidate_interrupter == 66
-    assert audit.majority_matches is False
-    assert audit.interrupter_matches is False
-    assert audit.verified is False
-    doc = audit.to_json()
-    assert doc["verified"] is False
+    n, p = 3, 4
+    order = cd.interrupter_order(n, p)
+    behaviors = [cd.OPTIMISTIC] * (n - 1) + [cd.PESSIMISTIC]
+    bounds = [e.bound for e in cd.worst_case_report(order, behaviors).entries]
+    assert bounds == [81, 80, 79]
+    # the witness replay puts every agent exactly on her bound
+    profile = cd.worst_case_profile(order, behaviors)
+    allocation, _ = cd.run_csam(order, profile, behaviors)
+    assert [profile.pref(j).rank_of(allocation[j]) for j in range(1, n + 1)] == bounds
+    # closed forms sometimes conjectured for the majority and the interrupter
+    candidate_majority = n**p + 1 - (1 + n * p // 2)
+    candidate_interrupter = n**p + 1 - 2**p
+    assert (candidate_majority, candidate_interrupter) == (75, 66)
+    assert all(bound != candidate_majority for bound in bounds[:-1])
+    assert bounds[-1] != candidate_interrupter
     note(
         "c14 interrupter audit: analyzer worst cases 81/80/79 witness-confirmed, "
         "candidate forms 75/66 flagged unverified"

@@ -193,7 +193,9 @@ class TestOneReplay:
 
     def test_interrupter_audit(self, monkeypatch):
         calls = counted(monkeypatch, "run_csam")
-        assert cd.audit_interrupter_order(3, 4).witness_checked is True
+        cd.worst_case_profile(
+            cd.interrupter_order(3, 4), [cd.OPTIMISTIC, cd.OPTIMISTIC, cd.PESSIMISTIC]
+        )
         assert calls == {"run_csam": 1}
 
 

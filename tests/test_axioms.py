@@ -23,7 +23,6 @@ from catdom.axioms import (
     check_non_bossiness,
     check_pareto_optimality,
     check_strategy_proofness,
-    constant_mechanism,
     non_neutral_conditional_sd,
     sd_direct,
     welfare_maximizer,
@@ -36,6 +35,10 @@ from conftest import SHAPE_2X2, pref_of
 
 
 SHAPE_3X2 = cd.DomainShape(3, 2)
+
+
+def constant_mechanism(allocation):
+    return cd.DirectMechanism("constant", lambda profile: allocation)
 
 
 # The tuple-bundle paths the index paths replaced, kept as their oracles.
@@ -639,6 +642,16 @@ class TestCategoryPermutation:
             ((0, 1), 1, (2, 1), r"bundle \(0, 1\) holds item 0 outside 1..2"),
             ([1, 2], 1, (2, 1), "cannot permute object of type list"),
             ({1: (1, 2)}, 1, (2, 1), "cannot permute object of type dict"),
+            # items that are not plain ints, True included
+            (([0], 1), 1, (2, 1), r"bundle \(\[0\], 1\) holds item \[0\] outside 1..2"),
+            (("x", 1), 1, (2, 1), r"bundle \('x', 1\) holds item 'x' outside 1..2"),
+            ((True, 1), 1, (2, 1), r"bundle \(True, 1\) holds item True outside 1..2"),
+            (
+                cd.Allocation({1: ("1", 2), 2: (2, 1)}),
+                1,
+                (2, 1),
+                r"bundle \('1', 2\) holds item '1' outside 1..2",
+            ),
         ],
     )
     def test_bad_arguments_rejected(self, obj, category, perm, message):

@@ -627,15 +627,18 @@ class TestGoldenSearch:
 
 
 class TestInterrupterAudit:
-    def test_small_audit_fields(self):
-        audit = cd.audit_interrupter_order(2, 2)
-        assert audit.order.rounds == ((1, 1), (2, 1), (2, 2), (1, 2))
-        assert audit.witness_checked
-        # candidates: n**p + 1 - (1 + n*p/2) = 2 and n**p + 1 - 2**p = 1
-        assert audit.candidate_majority == 2
-        assert audit.candidate_interrupter == 1
+    """The interrupter order with agents 1..n-1 optimistic and agent n
+    pessimistic, against two closed forms sometimes conjectured for it:
+    ``n**p + 1 - (1 + n*p/2)`` for the majority and ``n**p + 1 - 2**p`` for
+    the interrupter."""
 
-    def test_audit_json(self):
-        doc = cd.audit_interrupter_order(2, 2).to_json()
-        assert doc["witness_checked"] is True
-        assert "verified" in doc
+    def test_small_audit_fields(self):
+        order = cd.interrupter_order(2, 2)
+        assert order.rounds == ((1, 1), (2, 1), (2, 2), (1, 2))
+        behaviors = [cd.OPTIMISTIC, cd.PESSIMISTIC]
+        report = cd.worst_case_report(order, behaviors)
+        # raises ConstructionError unless its replay puts every agent on her bound
+        cd.worst_case_profile(order, behaviors)
+        assert [e.bound for e in report.entries] == [4, 3]
+        n, p = 2, 2
+        assert (n**p + 1 - (1 + n * p // 2), n**p + 1 - 2**p) == (2, 1)

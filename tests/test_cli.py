@@ -303,6 +303,27 @@ class TestMalformedInput:
         err = assert_rejected(capsys, argv)
         assert len(err) < 200
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 20,000 behavior entries: a line of 80,054 characters before
+            ["bounds", "--order", "ORDER", "--behaviors", "opt," * 20_000],
+            # one 60,000-character behavior token: 60,059 before
+            ["bounds", "--order", "ORDER", "--behaviors", "opt," + "z" * 60_000 + ",pess"],
+            # 60,036 before
+            ["experiment", "--n", "2," + "x" * 60_000, "--phi", "0.5"],
+            # 60,027 before
+            ["experiment", "--n", "2", "--phi", "0.5", "--mechanisms", "sd:" + "y" * 60_000],
+            # 3,063 before
+            ["search", "--n", "2", "--p", "2", "--behaviors", "opt,opt",
+             "--budget", "-" + "9" * 3_000],
+        ],
+        ids=["behavior-list", "behavior", "n", "mechanisms", "budget"],
+    )
+    def test_long_argument_named_in_one_short_line(self, capsys, order_file, argv):
+        err = assert_rejected(capsys, [order_file if a == "ORDER" else a for a in argv])
+        assert len(err) < 200
+
     @pytest.mark.parametrize("row", [[[True, 1], [1, 2], [2, 1], [2, 2]], [1, 2, 3, 4]])
     def test_profile_row_rejected(self, capsys, tmp_path, game_order_2x2, game_profile_2x2, row):
         doc = cd.profile_to_json(game_profile_2x2)

@@ -691,6 +691,31 @@ class TestAllocation:
             call(profile_3x2)
         assert len(str(refusal.value)) < 200
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda profile: profile.pref("x" * 100_000),
+            lambda profile: cd.decode_bundle(profile.shape, "x" * 100_000),
+            lambda profile: cd.serial_dictatorship_order([1, 2, 3], 2).round_of("x" * 100_000, 1),
+            lambda profile: cd.MechanismConfig("x" * 100_000, "opt"),
+            lambda profile: axioms.Sampled(count="x" * 100_000, seed=0),
+            # a 300,031-character message before
+            lambda profile: cd.run_csam(
+                cd.serial_dictatorship_order([1, 2, 3], 2),
+                profile,
+                [cd.OPTIMISTIC, "x" * 300_000, cd.PESSIMISTIC],
+            ),
+            # the interpreter's digit-limit ValueError before
+            lambda profile: cd.DomainShape(10**5000, 1),
+            lambda profile: cd.DomainShape(-(10**5000), 1),
+        ],
+        ids=["pref", "decode", "round-of", "mechanism", "sampled", "run-csam", "n", "negative-n"],
+    )
+    def test_long_argument_named_in_one_short_line(self, profile_3x2, call):
+        with pytest.raises((cd.ValidationError, cd.CapacityError)) as refusal:
+            call(profile_3x2)
+        assert len(str(refusal.value)) < 200
+
     def test_welfare_ranks(self, profile_3x2):
         alloc = cd.Allocation({1: (1, 2), 2: (2, 1), 3: (3, 3)})
         assert cd.utilitarian_rank(profile_3x2, alloc) == 11
