@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
@@ -315,7 +316,34 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
+# Flag values go through these converters rather than argparse's ``type=int``
+# and ``choices=``, whose messages quote the value whole: the wording stays
+# argparse's, with the value quoted short.
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # a malformed int, or one past the digit limit
+        raise argparse.ArgumentTypeError(f"invalid int value: {_REPR.repr(text)}") from None
+
+
+def _one_of(choices: tuple, text: str) -> str:
+    if text in choices:
+        return text
+    known = ", ".join(map(repr, choices))
+    raise argparse.ArgumentTypeError(f"invalid choice: {_REPR.repr(text)} (choose from {known})")
+
+
+def _choices(*choices: str) -> dict:
+    """``add_argument`` keywords for a flag that takes one of ``choices``:
+    the check, and the ``{a,b}`` metavar that ``choices=`` shows in help."""
+    return {"type": partial(_one_of, choices), "metavar": "{" + ",".join(choices) + "}"}
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser every ``main`` call shares, built on first use:
+    ``parse_args`` leaves it unchanged and gives each call a fresh
+    namespace, and no default is mutable."""
     parser = _Parser(
         prog="catdom",
         description="Sequential allocation on categorized domains: execution, "
@@ -340,13 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.set_defaults(handler=_cmd_bounds)
 
     srch = sub.add_parser("search", help="optimize worst-case bounds over orders")
-    srch.add_argument("--n", type=int, required=True)
-    srch.add_argument("--p", type=int, required=True)
+    srch.add_argument("--n", type=_int, required=True)
+    srch.add_argument("--p", type=_int, required=True)
     srch.add_argument("--behaviors", required=True)
-    srch.add_argument("--objective", choices=["utilitarian", "egalitarian"], default="egalitarian")
-    srch.add_argument("--mode", choices=["exhaustive", "random"], default="exhaustive")
-    srch.add_argument("--seed", type=int, default=0)
-    srch.add_argument("--budget", type=int, default=200_000)
+    srch.add_argument("--objective", **_choices("utilitarian", "egalitarian"), default="egalitarian")
+    srch.add_argument("--mode", **_choices("exhaustive", "random"), default="exhaustive")
+    srch.add_argument("--seed", type=_int, default=0)
+    srch.add_argument("--budget", type=_int, default=200_000)
     srch.set_defaults(handler=_cmd_search)
 
     wc = sub.add_parser("worst-case", help="construct a tight adversarial profile")
@@ -360,25 +388,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--profile", required=True)
     sp.add_argument("--trace", action="store_true")
     sp.add_argument("--states", action="store_true", help="report reachable state count")
-    sp.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
+    sp.add_argument("--state-cap", type=_int, default=DEFAULT_STATE_CAP)
     sp.set_defaults(handler=_cmd_spne)
 
     ax = sub.add_parser("check-axioms", help="audit a direct mechanism")
-    ax.add_argument("--mechanism", choices=sorted(_MECHANISMS), required=True)
-    ax.add_argument("--n", type=int, required=True)
-    ax.add_argument("--p", type=int, required=True)
-    ax.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    ax.add_argument("--count", type=int, default=1000, help="draws in sampled mode")
-    ax.add_argument("--seed", type=int, default=0)
-    ax.add_argument("--budget", type=int, default=10_000_000)
+    ax.add_argument("--mechanism", **_choices(*sorted(_MECHANISMS)), required=True)
+    ax.add_argument("--n", type=_int, required=True)
+    ax.add_argument("--p", type=_int, required=True)
+    ax.add_argument("--mode", **_choices("exhaustive", "sampled"), default="exhaustive")
+    ax.add_argument("--count", type=_int, default=1000, help="draws in sampled mode")
+    ax.add_argument("--seed", type=_int, default=0)
+    ax.add_argument("--budget", type=_int, default=10_000_000)
     ax.set_defaults(handler=_cmd_check_axioms)
 
     ex = sub.add_parser("experiment", help="Mallows expected-rank study, CSV output")
-    ex.add_argument("--p", type=int, default=2)
+    ex.add_argument("--p", type=_int, default=2)
     ex.add_argument("--n", required=True, help="range like 2..11 or comma list")
     ex.add_argument("--phi", required=True, help="comma list of dispersions in (0,1]")
-    ex.add_argument("--samples", type=int, default=2000)
-    ex.add_argument("--seed", type=int, default=0)
+    ex.add_argument("--samples", type=_int, default=2000)
+    ex.add_argument("--seed", type=_int, default=0)
     ex.add_argument("--out", help="CSV path (stdout when absent)")
     ex.add_argument("--mechanisms", help="comma list like sd:opt,balanced:pess")
     ex.add_argument("--check-bounds", action="store_true")
@@ -388,11 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # The parser stays referenced until main returns, so that its reference
-    # cycles are not collected in the middle of the handler's work.
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (ValidationError, ExecutionError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -508,7 +508,10 @@ def validate_allocation(shape: DomainShape, allocation: Allocation) -> Allocatio
     except (KeyError, TypeError):
         pass  # a missing agent, or a bundle the lookup does not hold
     if bundles.keys() != set(shape.agents()):
-        agents = _REPR.repr(sorted(bundles))
+        try:
+            agents = _REPR.repr(sorted(bundles))
+        except TypeError:  # keys of types that do not order, such as 1 and 'x'
+            agents = _REPR.repr(list(bundles))
         return AllocationCheck(False, f"agents {agents} do not match 1..{shape.n}")
     n = shape.n
     rows = list(map(bundles.__getitem__, shape.agents()))

@@ -114,11 +114,9 @@ def balanced_order(agent_order: Sequence[int], p: int) -> PickingOrder:
     """
     n = len(agent_order)
     _check_permutation(agent_order, n, "agent order ")
-    if p % 2:
-        raise ValidationError(
-            f"balanced orders need an even number of categories, got p={_REPR.repr(p)}"
-        )
     shape = DomainShape(n, p)
+    if p % 2:
+        raise ValidationError(f"balanced orders need an even number of categories, got p={p}")
     rounds = []
     for i in shape.categories():
         phase = agent_order if i % 2 else list(reversed(agent_order))

@@ -317,8 +317,17 @@ class TestMalformedInput:
             # 3,063 before
             ["search", "--n", "2", "--p", "2", "--behaviors", "opt,opt",
              "--budget", "-" + "9" * 3_000],
+            # argparse's usage errors: 5,064 characters before
+            ["search", "--n", "2", "--p", "2", "--behaviors", "opt,opt",
+             "--budget", "-" + "9" * 5_000],
+            # 60,058 before
+            ["search", "--n", "x" * 60_000, "--p", "2", "--behaviors", "opt,opt"],
+            # 60,095 before
+            ["search", "--n", "2", "--p", "2", "--behaviors", "opt,opt", "--mode", "y" * 60_000],
+            ["check-axioms", "--mechanism", "z" * 60_000, "--n", "2", "--p", "2"],
         ],
-        ids=["behavior-list", "behavior", "n", "mechanisms", "budget"],
+        ids=["behavior-list", "behavior", "n", "mechanisms", "budget", "budget-digits",
+             "int-flag", "mode", "mechanism"],
     )
     def test_long_argument_named_in_one_short_line(self, capsys, order_file, argv):
         err = assert_rejected(capsys, [order_file if a == "ORDER" else a for a in argv])
@@ -356,6 +365,42 @@ EXHAUSTIVE_SEARCH = ["search", "--n", "2", "--p", "2", "--behaviors", "opt,opt"]
 RANDOM_SEARCH = EXHAUSTIVE_SEARCH + ["--mode", "random"]
 EXPERIMENT = ["experiment", "--n", "2", "--phi", "0.5", "--samples", "2"]
 
+# `--help` at 80 columns
+HELP = {
+    "search": """\
+usage: catdom search [-h] --n N --p P --behaviors BEHAVIORS
+                     [--objective {utilitarian,egalitarian}]
+                     [--mode {exhaustive,random}] [--seed SEED]
+                     [--budget BUDGET]
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --p P
+  --behaviors BEHAVIORS
+  --objective {utilitarian,egalitarian}
+  --mode {exhaustive,random}
+  --seed SEED
+  --budget BUDGET
+""",
+    "check-axioms": """\
+usage: catdom check-axioms [-h] --mechanism
+                           {bossy-sd,nonneutral-sd,sd,welfare,worst-pick-sd}
+                           --n N --p P [--mode {exhaustive,sampled}]
+                           [--count COUNT] [--seed SEED] [--budget BUDGET]
+
+options:
+  -h, --help            show this help message and exit
+  --mechanism {bossy-sd,nonneutral-sd,sd,welfare,worst-pick-sd}
+  --n N
+  --p P
+  --mode {exhaustive,sampled}
+  --count COUNT         draws in sampled mode
+  --seed SEED
+  --budget BUDGET
+""",
+}
+
 
 class TestBadArguments:
     @pytest.mark.parametrize(
@@ -392,6 +437,68 @@ class TestBadArguments:
             main(["search", "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: catdom search")
+
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_help_pinned(self, monkeypatch, capsys, command):
+        # the flags checked by catdom's own converters show the metavars
+        # that argparse's choices= gave them
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == HELP[command]
+
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call in a process, and no call
+    leaves state that the next one sees."""
+
+    def test_second_call_builds_no_parser(self, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        assert run_quietly(EXHAUSTIVE_SEARCH)[0] == 0
+        first = len(built)
+        assert first > 0  # the top-level parser and one per subcommand
+        assert run_quietly(EXHAUSTIVE_SEARCH)[0] == 0
+        assert len(built) == first
+
+    def test_flags_do_not_carry_over(self):
+        plain = run_quietly(EXHAUSTIVE_SEARCH)
+        assert plain[0] == 0
+        assert run_quietly(RANDOM_SEARCH + ["--seed", "4", "--budget", "50"])[0] == 0
+        assert run_quietly(EXHAUSTIVE_SEARCH) == plain
+
+    def test_trace_does_not_carry_over(self, order_file, profile_file):
+        argv = ["run", "--order", order_file, "--profile", profile_file,
+                "--behaviors", "opt,opt,pess"]
+        traced = run_quietly(argv + ["--trace"])
+        code, out, err = run_quietly(argv)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        # the traced run printed its trace lines, then the same document
+        assert traced[1].endswith(out) and traced[1] != out
+
+    @pytest.mark.parametrize(
+        "before",
+        [["search", "--n", "x", "--p", "2", "--behaviors", "opt"], ["search", "--help"]],
+        ids=["usage-error", "help"],
+    )
+    def test_failed_or_help_call_leaves_next_unchanged(self, before):
+        want = run_quietly(RANDOM_SEARCH)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                assert main(before) == 1
+            except SystemExit as exc:
+                assert exc.code == 0
+        assert run_quietly(RANDOM_SEARCH) == want
 
 
 # Malformed flag values: negative, empty, non-numeric (no digits, no "inf"

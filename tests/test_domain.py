@@ -670,6 +670,11 @@ class TestAllocation:
         alloc = cd.Allocation({1: (1, 2), 3: (2, 1)})
         assert not cd.validate_allocation(SHAPE_2X2, alloc).ok
 
+    def test_wrong_agents_of_mixed_types_named(self):
+        # sorting the keys 1 and 'x' for the message raised TypeError
+        check = cd.validate_allocation(SHAPE_2X2, cd.Allocation({1: (1, 2), "x": (2, 1)}))
+        assert (check.ok, check.detail) == (False, "agents [1, 'x'] do not match 1..2")
+
     @pytest.mark.parametrize("bundle", [[1] * 100_000, (1, [0] * 100_000)], ids=["long", "item"])
     def test_malformed_bundle_named_in_one_short_line(self, bundle):
         # a 100,000-component bundle gave a 300,031-character detail

@@ -262,6 +262,12 @@ class TestOrderFamilies:
         with pytest.raises(cd.ValidationError):
             cd.balanced_order([1, 2], 3)
 
+    @pytest.mark.parametrize("p", ["x", True, 2.0, None])
+    def test_balanced_rejects_non_int_p(self, p):
+        # p % 2 ran first: 'x' % 2 is string formatting, a TypeError
+        with pytest.raises(cd.ValidationError, match="shape dimensions must be integers"):
+            cd.balanced_order([1, 2], p)
+
     def test_balanced_slack_pairs_sum(self):
         # forward then reversed phases give every agent slacks q and n+1-q
         for n, p in [(2, 2), (3, 2), (4, 4)]:
