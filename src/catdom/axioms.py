@@ -39,6 +39,15 @@ the rows one agent at a time to those whose bundle for her lies in her set,
 and reports the first row left other than the outcome's own
 (``_first_dominating``).
 
+Caller input is checked once, where it enters. The rankings, misreports and
+relabelings an audit builds itself are permutations by construction, so they
+go straight to ``Preference._build`` (``all_rankings``,
+``mallows.uniform_preference``, ``_relabeled``); ``Preference.from_indices``
+is for indices a caller gives. The categories and permutations an audit
+draws are not checked again either, while ``apply_category_permutation``
+checks its caller's. A mechanism is caller code, so ``DirectMechanism.apply``
+checks every allocation it returns.
+
 Category-wise neutrality: relabeling the items of one category commutes with
 the mechanism. Non-bossiness: no agent can change someone else's bundle by a
 misreport that keeps her own bundle fixed.
@@ -179,7 +188,7 @@ def all_rankings(shape: DomainShape) -> tuple[Preference, ...]:
     # bundle_table lists bundles in index order, so index permutations come
     # in the same lexicographic order as bundle permutations
     perms = itertools.permutations(range(shape.bundle_count))
-    return tuple(Preference.from_indices(shape, perm) for perm in perms)
+    return tuple(Preference.__new__(Preference)._build(shape, perm) for perm in perms)
 
 
 @lru_cache(maxsize=8)
@@ -208,14 +217,8 @@ def apply_category_permutation(obj, category: int, permutation: Sequence[int]):
     """
     perm = tuple(permutation)
     if isinstance(obj, (Preference, Profile)):
-        shape = obj.shape
-        _check_perm(shape.n, shape.p, category, perm)
-        relabel = _relabel_map(shape, category, perm).__getitem__
-        if isinstance(obj, Preference):
-            return Preference.from_indices(shape, map(relabel, obj.indices))
-        return Profile(
-            shape, [Preference.from_indices(shape, map(relabel, p.indices)) for p in obj.preferences]
-        )
+        _check_perm(obj.shape.n, obj.shape.p, category, perm)
+        return _relabeled(obj, category, perm)
     if isinstance(obj, Allocation):
         bundles = obj.bundles
         _check_perm(len(bundles), min(map(len, bundles.values()), default=0), category, perm)
@@ -243,6 +246,17 @@ def _permute_bundle(bundle: Bundle, category: int, perm: tuple[int, ...]) -> Bun
             f"bundle {_REPR.repr(bundle)} holds item {_REPR.repr(item)} outside 1..{len(perm)}"
         )
     return bundle[: category - 1] + (perm[item - 1],) + bundle[category:]
+
+
+def _relabeled(obj: Preference | Profile, category: int, perm: tuple) -> Preference | Profile:
+    """``obj``, a checked preference or profile, with the items of
+    ``category`` relabeled by ``perm``, a checked permutation. A ranking's
+    bundle indices mapped through ``_relabel_map`` are a permutation of them
+    again, so each relabeled ranking is built unchecked."""
+    if isinstance(obj, Profile):
+        return Profile(obj.shape, [_relabeled(pref, category, perm) for pref in obj.preferences])
+    relabel = _relabel_map(obj.shape, category, perm).__getitem__
+    return Preference.__new__(Preference)._build(obj.shape, tuple(map(relabel, obj.indices)))
 
 
 @lru_cache(maxsize=32)
@@ -429,8 +443,10 @@ def check_category_wise_neutrality(
     axiom = "category-wise-neutrality"
 
     def violation(profile, category, perm, outcome):
-        lhs = mechanism.apply(apply_category_permutation(profile, category, perm))
-        rhs = apply_category_permutation(outcome, category, perm)
+        # the audit drew the category and permutation, and apply checked the
+        # outcome: relabel both without checking them again
+        lhs = mechanism.apply(_relabeled(profile, category, perm))
+        rhs = Allocation({j: _permute_bundle(b, category, perm) for j, b in outcome.items()})
         # rhs holds tuples, and a mechanism may return list bundles
         if lhs.bundles != rhs.bundles and rhs.bundles != {
             j: tuple(b) for j, b in lhs.bundles.items()

@@ -309,11 +309,30 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _invalid_choice(text: str, choices) -> str:
+    return f"invalid choice: {_REPR.repr(text)} (choose from {', '.join(map(repr, choices))})"
+
+
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error like any other bad input: one line, exit 1."""
+    """Reports a usage error like any other bad input: one line, exit 1.
+
+    The two usage errors that argparse words from the raw input, a
+    subcommand that is not one and arguments left unrecognized, quote it
+    short, as the converters below do."""
 
     def error(self, message):
         raise ValidationError(f"{self.prog}: {message}")
+
+    def _check_value(self, action, value):
+        # only the subcommand argument has choices: each flag's converter checks its value
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(action, _invalid_choice(value, action.choices))
+
+    def parse_args(self, args=None, namespace=None):
+        namespace, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {_REPR.repr(' '.join(extras))}")
+        return namespace
 
 
 # Flag values go through these converters rather than argparse's ``type=int``
@@ -329,8 +348,7 @@ def _int(text: str) -> int:
 def _one_of(choices: tuple, text: str) -> str:
     if text in choices:
         return text
-    known = ", ".join(map(repr, choices))
-    raise argparse.ArgumentTypeError(f"invalid choice: {_REPR.repr(text)} (choose from {known})")
+    raise argparse.ArgumentTypeError(_invalid_choice(text, choices))
 
 
 def _choices(*choices: str) -> dict:

@@ -21,6 +21,10 @@ first, and ``Preference._from_rows`` checks a sampler's block of index rows
 at once), so the samplers work on integers and the engine on bitsets over
 ranking positions. Whichever way a ranking comes in, one list-order loop
 (``_check_indices``) names the first problem of one that fails its check.
+A ranking is checked once, where it enters: caller-given indices go through
+``from_indices``, and a permutation the package builds itself (a shuffled
+``range``, one of ``itertools.permutations``, a relabeled checked ranking)
+goes straight to ``Preference._build``.
 Position masks are filled from a block of index rows, one numpy pass per
 category for many preferences.
 """
@@ -279,7 +283,9 @@ class Preference:
     @classmethod
     def from_indices(cls, shape: DomainShape, indices: Iterable[int]) -> Preference:
         """The preference listing bundle ``indices`` (``encode_bundle``), most
-        preferred first; they must name each of ``0..n**p - 1`` once.
+        preferred first; they must name each of ``0..n**p - 1`` once. This is
+        the entry for indices a caller gives; a permutation the package
+        builds itself goes to ``_build`` unchecked.
 
         The whole sequence is checked at once (its length, that every entry
         is a plain ``int``, and that the entries cover every index); only
@@ -313,9 +319,11 @@ class Preference:
         return [cls.__new__(cls)._build(shape, tuple(row)) for row in rows.tolist()]
 
     def _build(self, shape: DomainShape, indices: tuple[int, ...]) -> Preference:
-        """The one build path, from a checked permutation of the bundle
-        indices; everything derived from it is built on first use. Returns
-        the preference."""
+        """The one build path, from a tuple that is a permutation of the
+        bundle indices: checked by ``from_indices`` or ``_from_rows`` when a
+        caller gave it, unchecked when the package built it as one (called
+        on ``Preference.__new__(Preference)``). Everything derived from it
+        is built on first use. Returns the preference."""
         self.shape = shape
         self.indices = indices
         self._order = None
@@ -481,6 +489,10 @@ class AllocationCheck:
     item: int | None = None
 
 
+# the one passing report: the dataclass is frozen, so every caller can share it
+_VALID = AllocationCheck(True)
+
+
 def validate_allocation(shape: DomainShape, allocation: Allocation) -> AllocationCheck:
     """Check that every category's items are exactly partitioned among agents.
 
@@ -504,7 +516,7 @@ def validate_allocation(shape: DomainShape, allocation: Allocation) -> Allocatio
             taken |= bits[idx]
         else:
             if len(bundles) == shape.n:
-                return AllocationCheck(True)
+                return _VALID
     except (KeyError, TypeError):
         pass  # a missing agent, or a bundle the lookup does not hold
     if bundles.keys() != set(shape.agents()):
@@ -532,7 +544,7 @@ def validate_allocation(shape: DomainShape, allocation: Allocation) -> Allocatio
                     item=item,
                 )
             seen[item] = j
-    return AllocationCheck(True)
+    return _VALID
 
 
 def _require_valid(profile: Profile, allocation: Allocation) -> None:

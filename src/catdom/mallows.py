@@ -155,12 +155,15 @@ def mallows_pmf(params: MallowsParams, ranking: Preference) -> float:
 
 
 def uniform_preference(shape: DomainShape, rng: np.random.Generator) -> Preference:
-    """One uniformly random ranking of the bundle space."""
+    """One uniformly random ranking of the bundle space. A shuffled
+    ``range`` is a permutation by construction, so it goes straight to
+    ``Preference._build``, unchecked: ``from_indices`` is for indices a
+    caller gives."""
     # a list shuffle makes the same swaps, from the same draws, as
     # rng.permutation, without the array and its conversion
     indices = list(range(shape.bundle_count))
     rng.shuffle(indices)
-    return Preference.from_indices(shape, indices)
+    return Preference.__new__(Preference)._build(shape, tuple(indices))
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,12 @@ def tuple_relabel(obj, category, perm):
     return cd.Allocation({j: tuple_permute_bundle(b, category, perm) for j, b in obj.items()})
 
 
+def checked_relabel(pref, category, perm):
+    """The fully checked relabeling: ``from_indices`` over ``_relabel_map``."""
+    relabel = axioms._relabel_map(pref.shape, category, perm)
+    return cd.Preference.from_indices(pref.shape, [relabel[idx] for idx in pref.indices])
+
+
 def dominates(profile, alt, base):
     strict = False
     for j in profile.shape.agents():
@@ -264,11 +270,60 @@ class TestIndexPathOracles:
         for module in (axioms, engine):
             monkeypatch.setattr(module, "_serial_picks", tuple_serial_picks)
         monkeypatch.setattr(axioms, "_first_dominating", first_dominating)
-        monkeypatch.setattr(axioms, "apply_category_permutation", tuple_relabel)
+        # the neutrality audit relabels the profile and the outcome itself
+        monkeypatch.setattr(axioms, "_relabeled", tuple_relabel)
+        monkeypatch.setattr(axioms, "_permute_bundle", tuple_permute_bundle)
         want = [v.to_json() for v in check_all(make(), shape, mode)]
         assert got == want
         if name == "worst-pick-4x2":
             assert [d["passed"] for d in got][3] is False
+
+
+class TestTrustedBuilds:
+    """The rankings the audits build unchecked (``Preference._build``)
+    against the fully checked path, and the checks that stay."""
+
+    # None: every ranking of the shape; else that many seeded draws, checked
+    @pytest.mark.parametrize(
+        "n, p, count", [(2, 2, None), (3, 2, 200), (4, 3, 20), (3, 5, 10), (2, 12, 4)]
+    )
+    def test_relabeled_matches_checked_path(self, n, p, count):
+        shape = cd.DomainShape(n, p)
+        if count is None:
+            rows = itertools.permutations(range(shape.bundle_count))
+        else:
+            rng = np.random.default_rng([n, p])
+            rows = (rng.permutation(shape.bundle_count).tolist() for _ in range(count))
+        prefs = [cd.Preference.from_indices(shape, row) for row in rows]
+        for category in shape.categories():
+            for perm in itertools.permutations(shape.agents()):
+                got = [axioms._relabeled(pref, category, perm) for pref in prefs]
+                want = [checked_relabel(pref, category, perm) for pref in prefs]
+                assert got == want
+                assert [pref.order for pref in got] == [pref.order for pref in want]
+
+    def test_sampled_neutrality_still_checks_the_relabeled_outcome(self):
+        # a sampled case applies the mechanism to the drawn profile, then to
+        # its relabeling; only the second outcome is infeasible
+        seen = []
+
+        def fn(profile):
+            seen.append(profile)
+            if len(seen) == 1:
+                return _serial_picks([1, 2, 3], profile)
+            return cd.Allocation({j: (1, 1) for j in SHAPE_3X2.agents()})
+
+        mechanism = cd.DirectMechanism("infeasible-when-relabeled", fn)
+        with pytest.raises(AssertionError, match="broke feasibility"):
+            check_category_wise_neutrality(mechanism, SHAPE_3X2, Sampled(count=20, seed=0))
+        assert len(seen) == 2
+        relabelings = [
+            apply_category_permutation(seen[0], category, perm)
+            for category in SHAPE_3X2.categories()
+            for perm in itertools.permutations(SHAPE_3X2.agents())
+            if perm != (1, 2, 3)
+        ]
+        assert seen[1] in relabelings
 
 
 class TestSampledStreams:
@@ -558,7 +613,7 @@ class TestEnumeration:
         assert rankings[0].order == ((1, 1), (1, 2), (2, 1), (2, 2))
         assert len({r.order for r in rankings}) == 24
 
-    @pytest.mark.parametrize("n, p", [(2, 1), (2, 2), (3, 1), (1, 3)])
+    @pytest.mark.parametrize("n, p", [(2, 1), (2, 2), (3, 1), (1, 3), (2, 3)])
     def test_all_rankings_match_bundle_permutations(self, n, p):
         shape = cd.DomainShape(n, p)
         assert all_rankings(shape) == bundle_rankings(shape)
@@ -661,11 +716,13 @@ class TestCategoryPermutation:
     @pytest.mark.parametrize("category, perm", [(0, (2, 1)), (3, (2, 1)), (1, (1, 1)), (1, (3, 1))])
     def test_preference_arguments_use_the_same_wording(self, category, perm):
         pref = pref_of(SHAPE_2X2, ["21", "11", "22", "12"])
-        with pytest.raises(cd.ValidationError) as preference_error:
-            apply_category_permutation(pref, category, perm)
         with pytest.raises(cd.ValidationError) as bundle_error:
             apply_category_permutation((2, 1), category, perm)
-        assert str(preference_error.value) == str(bundle_error.value)
+        # a profile's relabeling is built unchecked, after the same check
+        for obj in (pref, cd.Profile(SHAPE_2X2, [pref, pref])):
+            with pytest.raises(cd.ValidationError) as preference_error:
+                apply_category_permutation(obj, category, perm)
+            assert str(preference_error.value) == str(bundle_error.value)
 
     def test_bundle_relabeling(self):
         assert apply_category_permutation((1, 2, 3), 3, (3, 1, 2)) == (1, 2, 2)

@@ -325,13 +325,36 @@ class TestMalformedInput:
             # 60,095 before
             ["search", "--n", "2", "--p", "2", "--behaviors", "opt,opt", "--mode", "y" * 60_000],
             ["check-axioms", "--mechanism", "z" * 60_000, "--n", "2", "--p", "2"],
+            # argparse's own wording: 60,161 characters before
+            ["x" * 60_000],
+            # 60,040 before
+            ["search", "--n", "2", "--p", "2", "--behaviors", "opt,opt", "y" * 60_000],
         ],
         ids=["behavior-list", "behavior", "n", "mechanisms", "budget", "budget-digits",
-             "int-flag", "mode", "mechanism"],
+             "int-flag", "mode", "mechanism", "subcommand", "unrecognized"],
     )
     def test_long_argument_named_in_one_short_line(self, capsys, order_file, argv):
         err = assert_rejected(capsys, [order_file if a == "ORDER" else a for a in argv])
         assert len(err) < 200
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["no-such-command"],
+                "argument command: invalid choice: 'no-such-command' (choose from 'run', "
+                "'analyze-order', 'bounds', 'search', 'worst-case', 'spne', 'check-axioms', "
+                "'experiment')",
+            ),
+            (
+                ["search", "--n", "2", "--p", "2", "--behaviors", "opt,opt", "a", "--zz"],
+                "unrecognized arguments: 'a --zz'",
+            ),
+        ],
+        ids=["subcommand", "unrecognized"],
+    )
+    def test_argparse_usage_error_wording(self, capsys, argv, message):
+        assert assert_rejected(capsys, argv) == f"error: catdom: {message}\n"
 
     @pytest.mark.parametrize("row", [[[True, 1], [1, 2], [2, 1], [2, 2]], [1, 2, 3, 4]])
     def test_profile_row_rejected(self, capsys, tmp_path, game_order_2x2, game_profile_2x2, row):

@@ -659,6 +659,13 @@ class TestAllocation:
         check = cd.validate_allocation(SHAPE_2X2, alloc)
         assert check.ok
 
+    def test_passing_report_cannot_be_changed(self):
+        # every passing call may return one shared report: it must be frozen
+        check = cd.validate_allocation(SHAPE_2X2, cd.Allocation({1: (1, 2), 2: (2, 1)}))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            check.ok = False
+        assert check == AllocationCheck(True)
+
     def test_detects_duplicate_item(self):
         alloc = cd.Allocation({1: (1, 2), 2: (1, 1)})
         check = cd.validate_allocation(SHAPE_2X2, alloc)

@@ -415,6 +415,20 @@ class TestSampler:
             assert list(got) == oracle.permutation(shape.bundle_count).tolist()
         assert rng.random() == oracle.random()
 
+    @pytest.mark.parametrize("n, p", [(2, 14), (3, 8), (5, 5), (10, 4)])
+    def test_uniform_preference_matches_checked_path(self, n, p):
+        # a shuffled range built unchecked equals the checked build of its
+        # indices, and numpy's permutation from an identically seeded
+        # generator, at shapes past the property tests'
+        shape = cd.DomainShape(n, p)
+        rng, oracle = np.random.default_rng([n, p]), np.random.default_rng([n, p])
+        for _ in range(3):
+            pref = cd.uniform_preference(shape, rng)
+            checked = cd.Preference.from_indices(shape, pref.indices)
+            assert pref == checked
+            assert pref.order == checked.order
+            assert list(pref.indices) == oracle.permutation(shape.bundle_count).tolist()
+
 
 class TestExperiment:
     def test_default_grid(self):
