@@ -85,8 +85,6 @@ from .mallows import (
     ExperimentResult,
     MallowsParams,
     MechanismConfig,
-    kendall_tau,
-    mallows_pmf,
     results_to_csv,
     run_experiment,
     sample_mallows,

@@ -42,10 +42,11 @@ and reports the first row left other than the outcome's own
 Caller input is checked once, where it enters. The rankings, misreports and
 relabelings an audit builds itself are permutations by construction, so they
 go straight to ``Preference._build`` (``all_rankings``,
-``mallows.uniform_preference``, ``_relabeled``); ``Preference.from_indices``
-is for indices a caller gives. The categories and permutations an audit
-draws are not checked again either, while ``apply_category_permutation``
-checks its caller's. A mechanism is caller code, so ``DirectMechanism.apply``
+``mallows.uniform_preference``, ``_relabeled``), as do the Mallows draws
+(``mallows.sample_mallows`` and the study's profiles);
+``Preference.from_indices`` is for indices a caller gives. The categories and
+permutations an audit draws are not checked again either, while
+``apply_category_permutation`` checks its caller's. A mechanism is caller code, so ``DirectMechanism.apply``
 checks every allocation it returns.
 
 Category-wise neutrality: relabeling the items of one category commutes with

@@ -318,7 +318,12 @@ class _Parser(argparse.ArgumentParser):
 
     The two usage errors that argparse words from the raw input, a
     subcommand that is not one and arguments left unrecognized, quote it
-    short, as the converters below do."""
+    short, as the converters below do. Long flags are not abbreviated, so a
+    prefix such as ``--b=...`` is one more unrecognized argument rather than
+    an ambiguous option, whose message would quote it whole."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ValidationError(f"{self.prog}: {message}")

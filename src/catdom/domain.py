@@ -17,14 +17,13 @@ Internally a bundle is also known by its mixed-radix index (``encode_bundle``):
 each shape has one canonical bundle table (``bundle_table``) and one lookup
 from bundle to index. Every ``Preference`` is built from bundle indices
 (``Preference.from_indices``; the public constructor maps bundles to indices
-first, and ``Preference._from_rows`` checks a sampler's block of index rows
-at once), so the samplers work on integers and the engine on bitsets over
-ranking positions. Whichever way a ranking comes in, one list-order loop
-(``_check_indices``) names the first problem of one that fails its check.
-A ranking is checked once, where it enters: caller-given indices go through
-``from_indices``, and a permutation the package builds itself (a shuffled
-``range``, one of ``itertools.permutations``, a relabeled checked ranking)
-goes straight to ``Preference._build``.
+first), so the samplers work on integers and the engine on bitsets over
+ranking positions. A ranking is checked once, where it enters: caller-given
+bundles or indices go through one list-order loop (``_check_indices``),
+which names the first problem of one that fails, and a permutation the
+package builds itself (a shuffled ``range``, a row of a Mallows draw, one of
+``itertools.permutations``, a relabeled checked ranking) goes straight to
+``Preference._build``.
 Position masks are filled from a block of index rows, one numpy pass per
 category for many preferences.
 """
@@ -284,46 +283,18 @@ class Preference:
     def from_indices(cls, shape: DomainShape, indices: Iterable[int]) -> Preference:
         """The preference listing bundle ``indices`` (``encode_bundle``), most
         preferred first; they must name each of ``0..n**p - 1`` once. This is
-        the entry for indices a caller gives; a permutation the package
-        builds itself goes to ``_build`` unchecked.
-
-        The whole sequence is checked at once (its length, that every entry
-        is a plain ``int``, and that the entries cover every index); only
-        when that fails does ``_check_indices`` loop to name the first
-        offender."""
-        seq = tuple(indices)
-        count = shape.bundle_count
-        # with count plain ints covering range(count), each index appears once
-        if not (
-            len(seq) == count
-            and set(map(type, seq)) == {int}
-            and set(seq).issuperset(range(count))
-        ):
-            seq = _check_indices(shape, seq)
-        return cls.__new__(cls)._build(shape, seq)
-
-    @classmethod
-    def _from_rows(cls, shape: DomainShape, rows: np.ndarray) -> list[Preference]:
-        """One preference per row of a block of bundle indices, checked as a
-        whole: a 2-D unsigned block, ``n**p`` wide, each row of which sorts
-        to ``0..n**p - 1`` (one sort of the block, compared with one range
-        of its dtype). A block that fails goes row by row through
-        ``from_indices``, which names the first offender."""
-        if not (
-            rows.ndim == 2
-            and rows.shape[1] == shape.bundle_count
-            and rows.dtype.kind == "u"
-            and (np.sort(rows, axis=1) == np.arange(rows.shape[1], dtype=rows.dtype)).all()
-        ):
-            return [cls.from_indices(shape, row) for row in rows.tolist()]
-        return [cls.__new__(cls)._build(shape, tuple(row)) for row in rows.tolist()]
+        the entry for indices a caller gives, checked by ``_check_indices``,
+        which names the first offender; a permutation the package builds
+        itself goes to ``_build`` unchecked."""
+        return cls.__new__(cls)._build(shape, _check_indices(shape, indices))
 
     def _build(self, shape: DomainShape, indices: tuple[int, ...]) -> Preference:
         """The one build path, from a tuple that is a permutation of the
-        bundle indices: checked by ``from_indices`` or ``_from_rows`` when a
-        caller gave it, unchecked when the package built it as one (called
-        on ``Preference.__new__(Preference)``). Everything derived from it
-        is built on first use. Returns the preference."""
+        bundle indices: checked by ``from_indices`` when a caller gave it,
+        unchecked when the package built it as one (a shuffled ``range``, a
+        Mallows draw, one of ``itertools.permutations``, a relabeled checked
+        ranking; called on ``Preference.__new__(Preference)``). Everything
+        derived from it is built on first use. Returns the preference."""
         self.shape = shape
         self.indices = indices
         self._order = None
@@ -446,9 +417,14 @@ class Profile:
         prefs = tuple(preferences)
         if len(prefs) != shape.n:
             raise ValidationError(f"profile holds {len(prefs)} preferences, expected {shape.n}")
-        for j, pref in enumerate(prefs, 1):
-            if pref.shape is not shape:
-                raise ValidationError(f"agent {j} preference shaped {pref.shape}, expected {shape}")
+        try:
+            for j, pref in enumerate(prefs, 1):
+                if pref.shape is not shape:
+                    raise ValidationError(
+                        f"agent {j} preference shaped {pref.shape}, expected {shape}"
+                    )
+        except AttributeError:  # an entry with no shape: a valid profile pays nothing
+            raise _invalid(f"agent {j} preference must be a Preference", pref) from None
         self.shape = shape
         self.preferences = prefs
 

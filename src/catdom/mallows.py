@@ -1,16 +1,18 @@
 """Mallows-model preference sampling and expected-rank experiments.
 
 The Mallows distribution over rankings of the bundle space weights a ranking
-V by phi**kendall_tau(V, W) for a reference ranking W and dispersion
+V by phi**d(V, W), d the Kendall tau distance (the number of bundle pairs
+the two order oppositely), for a reference ranking W and dispersion
 0 < phi <= 1 (phi = 1 is uniform). Sampling uses repeated insertion: walking
 W from best to worst, the k-th element is inserted r positions above the
 bottom of the partial ranking with probability proportional to phi**r, which
 adds exactly r discordant pairs. The offsets have a closed-form inverse CDF,
 so one vectorised step draws all of them, for as many draws as are asked
 for at once (``_draw``), and no weight table is kept. Each draw inserts
-bundle indices into one row of an unsigned index block; the block is checked
-as a whole and gives the rankings (``Preference._from_rows``), and in the
-study also their position masks.
+bundle indices into one row of an unsigned index block. Every row is a
+permutation of the reference's indices by construction, so each becomes a
+ranking through ``Preference._build`` unchecked, and in the study the block
+also gives the rankings' position masks.
 
 ``run_experiment`` estimates expected utilitarian and egalitarian realized
 ranks for sequential mechanisms under profiles drawn from a shared Mallows
@@ -49,34 +51,6 @@ from .orders import balanced_order, serial_dictatorship_order
 _FAMILIES = {"sd": serial_dictatorship_order, "balanced": balanced_order}
 
 
-def kendall_tau(first: Preference, second: Preference) -> int:
-    """Number of bundle pairs the two rankings order oppositely."""
-    if first.shape != second.shape:
-        raise ValidationError("rankings live on different shapes")
-    pos = {idx: i for i, idx in enumerate(second.indices)}
-    return _count_inversions([pos[idx] for idx in first.indices])
-
-
-def _count_inversions(seq: list[int]) -> int:
-    if len(seq) < 2:
-        return 0
-    mid = len(seq) // 2
-    left, right = seq[:mid], seq[mid:]
-    count = _count_inversions(left) + _count_inversions(right)
-    merged = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            merged.append(right[j])
-            j += 1
-            count += len(left) - i
-    seq[:] = merged + left[i:] + right[j:]
-    return count
-
-
 def _check_phi(phi) -> None:
     """Reject a dispersion that is not a real number in (0, 1], and bools."""
     if not isinstance(phi, numbers.Real) or isinstance(phi, bool):
@@ -99,7 +73,8 @@ class MallowsParams:
 def sample_mallows(params: MallowsParams, rng: np.random.Generator) -> Preference:
     """One repeated-insertion draw (Doignon, Pekec & Regenwetter 2004)."""
     reference = params.reference
-    return Preference._from_rows(reference.shape, _draw(reference.indices, params.phi, 1, rng))[0]
+    row = _draw(reference.indices, params.phi, 1, rng)[0]
+    return Preference.__new__(Preference)._build(reference.shape, tuple(row.tolist()))
 
 
 def _draw(reference: Sequence[int], phi: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -107,9 +82,11 @@ def _draw(reference: Sequence[int], phi: float, count: int, rng: np.random.Gener
     ranking's bundle indices, from one ``rng.random((count, m))``, row by
     row the same numbers as ``count`` calls of ``rng.random(m)``, as a
     ``(count, m)`` unsigned block of bundle indices, one draw per row, most
-    preferred first. The reference is not checked: a row of a reference
-    that is not a permutation is not one either, and ``_from_rows`` refuses
-    it.
+    preferred first. Each row is a permutation of the reference: every
+    reference element is inserted exactly once (``array.insert`` always
+    inserts), so a row is built into a ranking unchecked. The reference is
+    not checked either; the callers pass a checked ranking's indices
+    (``MallowsParams`` holds a ``Preference``) or ``rng.permutation(m)``.
 
     The k-th reference element goes r places above the bottom of the partial
     ranking, where P(r) is proportional to phi**r on 0..k-1: a truncated
@@ -139,19 +116,6 @@ def _draw(reference: Sequence[int], phi: float, count: int, rng: np.random.Gener
         deque(map(placed.insert, row.tolist(), reference), 0)
         out[:] = np.frombuffer(placed, np.uintc)
     return block
-
-
-def mallows_pmf(params: MallowsParams, ranking: Preference) -> float:
-    """Exact probability of one ranking; the normalizer has the closed form
-    prod_k (1 + phi + ... + phi**(k-1)), each factor (phi**k - 1) / (phi - 1)
-    formed with ``expm1`` as in ``_draw`` (k at phi = 1)."""
-    m = params.reference.shape.bundle_count
-    log_phi = math.log(params.phi)
-    z = math.prod(
-        math.expm1(k * log_phi) / math.expm1(log_phi) if log_phi else float(k)
-        for k in range(1, m + 1)
-    )
-    return params.phi ** kendall_tau(ranking, params.reference) / z
 
 
 def uniform_preference(shape: DomainShape, rng: np.random.Generator) -> Preference:
@@ -283,7 +247,10 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentResult]:
                 index += 1
                 # uniform_preference's permutation, with no Preference built
                 block = _draw(rng.permutation(shape.bundle_count).tolist(), phi, n, rng)
-                prefs = Preference._from_rows(shape, block)
+                prefs = [
+                    Preference.__new__(Preference)._build(shape, tuple(row))
+                    for row in block.tolist()
+                ]
                 _fill_masks(prefs, block)  # from the draw's block, not from the tuples
                 profile = Profile(shape, prefs)
                 for c_idx, (order, behaviors, report) in enumerate(plays):

@@ -1,4 +1,4 @@
-"""Shared instances reused across test modules.
+"""Shared instances and oracles reused across test modules.
 
 The 3x2 instance and its mixed-behavior order exercise every interesting
 code path at desk scale: an interrupted suborder for agents 1 and 2, a
@@ -6,9 +6,12 @@ pessimistic agent with slack 2 in both categories, and a profile whose
 serial-dictatorship outcome differs from the mixed-order outcome.
 """
 
+import math
+
 import pytest
 
 import catdom as cd
+from catdom import MallowsParams, Preference, ValidationError
 
 
 def pref_of(shape, rows):
@@ -19,6 +22,49 @@ def pref_of(shape, rows):
 def profile_of(shape, rows_by_agent):
     prefs = [pref_of(shape, rows_by_agent[j]) for j in shape.agents()]
     return cd.Profile(shape, prefs)
+
+
+# The Mallows model's exact distance and probability: the oracle that the
+# sampler's draws are compared against.
+def kendall_tau(first: Preference, second: Preference) -> int:
+    """Number of bundle pairs the two rankings order oppositely."""
+    if first.shape != second.shape:
+        raise ValidationError("rankings live on different shapes")
+    pos = {idx: i for i, idx in enumerate(second.indices)}
+    return _count_inversions([pos[idx] for idx in first.indices])
+
+
+def _count_inversions(seq: list[int]) -> int:
+    if len(seq) < 2:
+        return 0
+    mid = len(seq) // 2
+    left, right = seq[:mid], seq[mid:]
+    count = _count_inversions(left) + _count_inversions(right)
+    merged = []
+    i = j = 0
+    while i < len(left) and j < len(right):
+        if left[i] <= right[j]:
+            merged.append(left[i])
+            i += 1
+        else:
+            merged.append(right[j])
+            j += 1
+            count += len(left) - i
+    seq[:] = merged + left[i:] + right[j:]
+    return count
+
+
+def mallows_pmf(params: MallowsParams, ranking: Preference) -> float:
+    """Exact probability of one ranking; the normalizer has the closed form
+    prod_k (1 + phi + ... + phi**(k-1)), each factor (phi**k - 1) / (phi - 1)
+    formed with ``expm1`` as in ``_draw`` (k at phi = 1)."""
+    m = params.reference.shape.bundle_count
+    log_phi = math.log(params.phi)
+    z = math.prod(
+        math.expm1(k * log_phi) / math.expm1(log_phi) if log_phi else float(k)
+        for k in range(1, m + 1)
+    )
+    return params.phi ** kendall_tau(ranking, params.reference) / z
 
 
 SHAPE_3X2 = cd.DomainShape(3, 2)

@@ -329,9 +329,11 @@ class TestMalformedInput:
             ["x" * 60_000],
             # 60,040 before
             ["search", "--n", "2", "--p", "2", "--behaviors", "opt,opt", "y" * 60_000],
+            # an ambiguous long-option prefix: 60,079 before
+            ["search", "--n", "2", "--p", "2", "--behaviors", "opt,opt", "--b=" + "y" * 60_000],
         ],
         ids=["behavior-list", "behavior", "n", "mechanisms", "budget", "budget-digits",
-             "int-flag", "mode", "mechanism", "subcommand", "unrecognized"],
+             "int-flag", "mode", "mechanism", "subcommand", "unrecognized", "prefix"],
     )
     def test_long_argument_named_in_one_short_line(self, capsys, order_file, argv):
         err = assert_rejected(capsys, [order_file if a == "ORDER" else a for a in argv])
@@ -350,8 +352,17 @@ class TestMalformedInput:
                 ["search", "--n", "2", "--p", "2", "--behaviors", "opt,opt", "a", "--zz"],
                 "unrecognized arguments: 'a --zz'",
             ),
+            # long flags are not abbreviated: a prefix, ambiguous or not, is no flag
+            (
+                ["search", "--n", "2", "--p", "2", "--behaviors", "opt,opt", "--b=yy"],
+                "unrecognized arguments: '--b=yy'",
+            ),
+            (
+                ["search", "--n", "2", "--p", "2", "--behaviors", "opt,opt", "--bud", "5"],
+                "unrecognized arguments: '--bud 5'",
+            ),
         ],
-        ids=["subcommand", "unrecognized"],
+        ids=["subcommand", "unrecognized", "ambiguous-prefix", "abbreviation"],
     )
     def test_argparse_usage_error_wording(self, capsys, argv, message):
         assert assert_rejected(capsys, argv) == f"error: catdom: {message}\n"

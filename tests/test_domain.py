@@ -404,7 +404,7 @@ class TestPreference:
         table = domain.bundle_table(shape)
         ref = cd.uniform_preference(shape, np.random.default_rng(n))
         block = _draw(ref.indices, 0.5, 3, np.random.default_rng(p))
-        prefs = [ref, *cd.Preference._from_rows(shape, block)]
+        prefs = [ref, *(cd.Preference.from_indices(shape, row) for row in block.tolist())]
         for pref in prefs:
             assert [pref.rank_of(table[idx]) for idx in pref.indices] == list(
                 range(1, shape.bundle_count + 1)
@@ -459,6 +459,24 @@ class TestProfile:
         message = f"agent 2 preference shaped {other.shape}, expected {SHAPE_2X2}"
         with pytest.raises(cd.ValidationError, match=re.escape(message)):
             cd.Profile(SHAPE_2X2, [pref, other])
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([1, 2], "agent 1 preference must be a Preference, got 1"),
+            (["21", None], "agent 1 preference must be a Preference, got '21'"),
+            ([(2, 1), [(1,), (2,)]], "agent 1 preference must be a Preference, got (2, 1)"),
+        ],
+    )
+    def test_rejects_an_entry_that_is_no_preference(self, entries, message):
+        # used to end in AttributeError: 'int' object has no attribute 'shape'
+        with pytest.raises(cd.ValidationError, match=re.escape(message)):
+            cd.Profile(cd.DomainShape(2, 1), entries)
+
+    def test_names_the_agent_of_an_entry_that_is_no_preference(self):
+        pref = pref_of(SHAPE_2X2, ["21", "11", "22", "12"])
+        with pytest.raises(cd.ValidationError, match="agent 2 preference must be a Preference"):
+            cd.Profile(SHAPE_2X2, [pref, "x" * 100])
 
     def test_equality_and_hash(self):
         a = pref_of(SHAPE_2X2, ["21", "11", "22", "12"])
@@ -542,10 +560,10 @@ class TestPositionMasks:
         against the same rankings rebuilt and masked from their tuples."""
         ref = cd.uniform_preference(shape, np.random.default_rng([seed, 1]))
         block = _draw(ref.indices, 0.5, shape.n, np.random.default_rng(seed))
-        drawn = cd.Preference._from_rows(shape, block)
+        drawn = [cd.Preference.from_indices(shape, row) for row in block.tolist()]
         domain._fill_masks(drawn, block)
         # the same block as a native index gives the same masks
-        native = cd.Preference._from_rows(shape, block)
+        native = [cd.Preference.from_indices(shape, row) for row in block.tolist()]
         domain._fill_masks(native, block.astype(np.intp))
         assert block.dtype == np.uintc
         rebuilt = [cd.Preference.from_indices(shape, pref.indices) for pref in drawn]
@@ -572,85 +590,6 @@ class TestPositionMasks:
         pref = cd.sample_mallows(cd.MallowsParams(ref, 0.5), np.random.default_rng(3))
         assert pref._masks is None
         assert pref.position_masks == position_masks_oracle(pref)
-
-
-def first_row_error(shape, rows):
-    """The message ``from_indices`` raises on the first row of ``rows`` it
-    rejects, or None."""
-    for row in rows.tolist():
-        try:
-            cd.Preference.from_indices(shape, row)
-        except cd.ValidationError as exc:
-            return str(exc)
-    return None
-
-
-def permutation_rows(shape, count, seed, dtype=np.uint32):
-    rng = np.random.default_rng([seed, shape.n, shape.p])
-    return np.array([rng.permutation(shape.bundle_count) for _ in range(count)], dtype)
-
-
-def put(rows, row, pos, value):
-    out = rows.copy()
-    out[row, pos] = value
-    return out
-
-
-# bad blocks built from three valid rows: the narrow, wide and float cases
-# spoil every row; the others spoil row 1, and row 2 in another way where the
-# width allows, so the message must be row 1's
-BAD_BLOCKS = {
-    "repeat": lambda r, m: put(put(r, 1, m - 1, r[1, 0]), 2, 0, m),
-    "index m": lambda r, m: put(put(r, 1, 0, m), 2, m - 1, r[2, 0]),
-    "narrow": lambda r, m: r[:, :-1],
-    "wide": lambda r, m: np.hstack([r, r[:, :1]]),
-    "signed -1": lambda r, m: put(put(r.astype(np.int64), 1, 0, -1), 2, 0, m),
-    "float": lambda r, m: r.astype(float),
-}
-
-
-class TestFromRows:
-    """``Preference._from_rows`` checks a block at once; it must accept and
-    refuse exactly what ``from_indices`` does row by row."""
-
-    @pytest.mark.parametrize("n,p", [(1, 1), (2, 2), (3, 4), (4, 6)])
-    def test_valid_blocks(self, n, p):
-        shape = cd.DomainShape(n, p)
-        for count in (1, 4):
-            rows = permutation_rows(shape, count, count)
-            prefs = cd.Preference._from_rows(shape, rows)
-            assert prefs == [cd.Preference.from_indices(shape, row) for row in rows.tolist()]
-            for pref in prefs:
-                assert type(pref.indices) is tuple
-                assert set(map(type, pref.indices)) == {int}
-                assert pref._masks is None and pref._order is None and pref._rank is None
-
-    @pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int64])
-    def test_other_integer_blocks(self, dtype):
-        # signed blocks are checked row by row, and accepted as from_indices accepts
-        shape = cd.DomainShape(3, 2)
-        rows = permutation_rows(shape, 3, 1, dtype)
-        want = [cd.Preference.from_indices(shape, row) for row in rows.tolist()]
-        assert cd.Preference._from_rows(shape, rows) == want
-
-    def test_rows_of_a_narrow_type_cannot_pass(self):
-        # 512 bundle indices do not fit uint8: the values wrap, and rows repeat
-        shape = cd.DomainShape(2, 9)
-        rows = permutation_rows(shape, 2, 4, np.int64).astype(np.uint8)
-        with pytest.raises(cd.ValidationError, match="appears twice"):
-            cd.Preference._from_rows(shape, rows)
-
-    @pytest.mark.parametrize("case", sorted(BAD_BLOCKS))
-    @pytest.mark.parametrize("n,p", [(1, 1), (2, 2), (3, 4), (4, 6)])
-    def test_bad_blocks_name_the_first_offender(self, n, p, case):
-        shape = cd.DomainShape(n, p)
-        m = shape.bundle_count
-        rows = BAD_BLOCKS[case](permutation_rows(shape, 3, 2), m)
-        message = first_row_error(shape, rows)
-        assert message is not None
-        with pytest.raises(cd.ValidationError) as info:
-            cd.Preference._from_rows(shape, rows)
-        assert str(info.value) == message
 
 
 class TestAllocation:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import catdom as cd
-from catdom import domain, mallows
+from catdom import mallows
 from catdom.mallows import (
     CSV_HEADER,
     DEFAULT_GRID,
@@ -20,6 +20,8 @@ from catdom.mallows import (
     results_to_csv,
     run_experiment,
 )
+
+from conftest import kendall_tau, mallows_pmf
 
 
 def line_shape(m):
@@ -70,9 +72,10 @@ def list_insert_draw(params, count, rng):
 
 
 def draw_prefs(params, count, rng):
-    """``_draw``'s block as preferences, through the sampler's own check."""
+    """``_draw``'s block as preferences, each row through the checked path."""
     ref = params.reference
-    return cd.Preference._from_rows(ref.shape, _draw(ref.indices, params.phi, count, rng))
+    block = _draw(ref.indices, params.phi, count, rng)
+    return [cd.Preference.from_indices(ref.shape, row) for row in block.tolist()]
 
 
 def mean_ci_oracle(values):
@@ -102,9 +105,9 @@ class TestKendallTau:
         shape = line_shape(4)
         ref = pref_from_items(shape, [1, 2, 3, 4])
         rev = pref_from_items(shape, [4, 3, 2, 1])
-        assert cd.kendall_tau(ref, ref) == 0
-        assert cd.kendall_tau(ref, rev) == 6
-        assert cd.kendall_tau(rev, ref) == 6
+        assert kendall_tau(ref, ref) == 0
+        assert kendall_tau(ref, rev) == 6
+        assert kendall_tau(rev, ref) == 6
 
     @settings(max_examples=100)
     @given(st.integers(2, 5), st.data())
@@ -113,13 +116,13 @@ class TestKendallTau:
         items = list(range(1, m + 1))
         first = pref_from_items(shape, data.draw(st.permutations(items)))
         second = pref_from_items(shape, data.draw(st.permutations(items)))
-        assert cd.kendall_tau(first, second) == brute_tau(first, second)
+        assert kendall_tau(first, second) == brute_tau(first, second)
 
     def test_reads_indices_only(self):
         shape = cd.DomainShape(2, 3)
         first = cd.Preference.from_indices(shape, [3, 1, 4, 0, 5, 2, 7, 6])
         second = cd.Preference.from_indices(shape, range(8))
-        assert cd.kendall_tau(first, second) == 8
+        assert kendall_tau(first, second) == 8
         # neither ranking's bundle order is built
         assert first._order is None and second._order is None
 
@@ -127,7 +130,7 @@ class TestKendallTau:
         a = pref_from_items(line_shape(2), [1, 2])
         b = pref_from_items(line_shape(3), [1, 2, 3])
         with pytest.raises(cd.ValidationError):
-            cd.kendall_tau(a, b)
+            kendall_tau(a, b)
 
 
 class TestPmf:
@@ -146,7 +149,7 @@ class TestPmf:
         }
         for items, want in table.items():
             ranking = pref_from_items(shape, items)
-            assert cd.mallows_pmf(params, ranking) == pytest.approx(want)
+            assert mallows_pmf(params, ranking) == pytest.approx(want)
 
     @pytest.mark.parametrize("n, p", [(2, 2), (3, 1), (2, 3)])
     @pytest.mark.parametrize("phi", [0.1, 0.5, 0.9, 1.0])
@@ -161,8 +164,8 @@ class TestPmf:
         rng = np.random.default_rng(1)
         for _ in range(5):
             ranking = cd.uniform_preference(shape, rng)
-            want = exact ** cd.kendall_tau(ranking, ref) / z
-            got = cd.mallows_pmf(cd.MallowsParams(ref, phi), ranking)
+            want = exact ** kendall_tau(ranking, ref) / z
+            got = mallows_pmf(cd.MallowsParams(ref, phi), ranking)
             assert got == pytest.approx(float(want), rel=1e-12)
 
     def test_uniform_at_phi_one(self):
@@ -171,7 +174,7 @@ class TestPmf:
         params = cd.MallowsParams(ref, 1.0)
         for perm in itertools.permutations(list(shape.bundles())):
             ranking = cd.Preference(shape, perm)
-            assert cd.mallows_pmf(params, ranking) == pytest.approx(1 / 24)
+            assert mallows_pmf(params, ranking) == pytest.approx(1 / 24)
 
     @pytest.mark.parametrize("phi", [0.1, 0.5, 0.9, 1.0])
     def test_total_mass(self, phi):
@@ -179,7 +182,7 @@ class TestPmf:
         ref = cd.Preference(shape, list(shape.bundles()))
         params = cd.MallowsParams(ref, phi)
         total = sum(
-            cd.mallows_pmf(params, cd.Preference(shape, perm))
+            mallows_pmf(params, cd.Preference(shape, perm))
             for perm in itertools.permutations(list(shape.bundles()))
         )
         assert total == pytest.approx(1.0)
@@ -251,7 +254,7 @@ class TestSampler:
             counts[s] = counts.get(s, 0) + 1
         for items in itertools.permutations([1, 2, 3]):
             ranking = pref_from_items(shape, items)
-            want = cd.mallows_pmf(params, ranking)
+            want = mallows_pmf(params, ranking)
             got = counts.get(ranking, 0) / m
             se = math.sqrt(want * (1 - want) / m)
             assert abs(got - want) < 4 * se
@@ -379,16 +382,30 @@ class TestSampler:
             for count in (1, 4):
                 self.check_draw_against_list_insert(cd.MallowsParams(ref, phi), count, seed)
 
-    @pytest.mark.parametrize("phi", [0.5, 1.0])
-    def test_draw_from_a_repeated_index_is_refused(self, phi):
-        # _draw does not check its reference; the block check refuses the rows
-        shape = cd.DomainShape(2, 2)
-        block = _draw([0, 1, 1, 3], phi, 3, np.random.default_rng(0))
-        bundle = domain.bundle_table(shape)[1]
-        with pytest.raises(cd.ValidationError, match=re.escape(f"bundle {bundle} appears twice")):
-            cd.Preference.from_indices(shape, [0, 1, 1, 3])
-        with pytest.raises(cd.ValidationError, match=re.escape(f"bundle {bundle} appears twice")):
-            cd.Preference._from_rows(shape, block)
+    # the rows of a draw are built unchecked: each must be a permutation of
+    # its reference, and equal to the checked build of its indices
+    UNCHECKED_PHIS = (1e-6, 0.5, 1.0)
+
+    @pytest.mark.parametrize("n,p", [(4, 6), (2, 12)])
+    def test_draw_rows_are_permutations_of_the_reference(self, n, p):
+        shape = cd.DomainShape(n, p)
+        for seed, phi in enumerate(self.UNCHECKED_PHIS):
+            ref = cd.uniform_preference(shape, np.random.default_rng([seed, 4]))
+            block = _draw(ref.indices, phi, 4, np.random.default_rng(seed))
+            for row in block.tolist():
+                assert sorted(row) == sorted(ref.indices), (seed, phi)
+
+    @pytest.mark.parametrize("n,p", [(4, 6), (2, 12)])
+    def test_sample_mallows_matches_checked_path(self, n, p):
+        shape = cd.DomainShape(n, p)
+        for seed, phi in enumerate(self.UNCHECKED_PHIS):
+            ref = cd.uniform_preference(shape, np.random.default_rng([seed, 5]))
+            rng = np.random.default_rng(seed)
+            for _ in range(2):
+                draw = cd.sample_mallows(cd.MallowsParams(ref, phi), rng)
+                assert type(draw.indices) is tuple
+                assert set(map(type, draw.indices)) == {int}
+                assert draw == cd.Preference.from_indices(shape, draw.indices), (seed, phi)
 
     def test_oracle_prefix_weights_equal_per_element_cumsum(self):
         for phi in self.ORACLE_PHIS:
@@ -536,6 +553,34 @@ class TestExperiment:
             after = np.random.default_rng()
             after.bit_generator.state = state
             assert after.random() == rng.random()
+
+    @pytest.mark.parametrize("phi", TestSampler.UNCHECKED_PHIS)
+    def test_replicate_plays_the_checked_build_of_its_draw(self, monkeypatch, phi):
+        # one 4x6 replicate: the profile every mechanism plays holds the
+        # checked build of each row of the block _draw returned
+        blocks, profiles = [], []
+        realized_ranks = mallows._realized_ranks
+
+        def recording_draw(reference, phi, count, rng):
+            blocks.append(_draw(reference, phi, count, rng))
+            return blocks[-1]
+
+        def recording_ranks(order, profile, behaviors):
+            profiles.append(profile)
+            return realized_ranks(order, profile, behaviors)
+
+        monkeypatch.setattr(mallows, "_draw", recording_draw)
+        monkeypatch.setattr(mallows, "_realized_ranks", recording_ranks)
+        config = ExperimentConfig(p=6, n_values=(4,), phis=(phi,), samples=1, seed=13)
+        run_experiment(config)
+        shape = cd.DomainShape(4, 6)
+        [block] = blocks
+        want = [cd.Preference.from_indices(shape, row) for row in block.tolist()]
+        assert len(profiles) == len(DEFAULT_GRID)
+        for profile in profiles:
+            assert list(profile.preferences) == want
+            for pref in profile.preferences:
+                assert set(map(type, pref.indices)) == {int}
 
     def test_bound_assertion_mode(self):
         config = ExperimentConfig(

@@ -142,9 +142,9 @@ PUBLIC_NAMES = [
     "bounds", "check_all", "check_category_wise_neutrality", "check_non_bossiness",
     "check_pareto_optimality", "check_strategy_proofness", "decode_bundle",
     "direct_serial_dictatorship", "domain", "egalitarian_rank", "encode_bundle",
-    "engine", "interrupter_order", "kendall_tau", "mallows", "mallows_pmf",
-    "near_optimal_allocation", "non_neutral_conditional_sd", "optimistic_bound",
-    "optimistic_choice", "order_from_json", "order_to_json", "orders",
+    "engine", "interrupter_order", "mallows", "near_optimal_allocation",
+    "non_neutral_conditional_sd", "optimistic_bound", "optimistic_choice",
+    "order_from_json", "order_to_json", "orders",
     "pessimistic_bound", "pessimistic_choice", "pessimistic_comparison",
     "pickers_in_category", "predecessor_in_category", "profile_from_json",
     "profile_to_json", "results_to_csv", "run_csam", "run_experiment", "sample_mallows",
