@@ -4,7 +4,9 @@ Subcommands: run, analyze-order, bounds, search, worst-case, spne,
 check-axioms, experiment. Inputs are JSON files (orders, profiles), outputs
 are JSON on stdout (CSV for experiments). Exit codes: 0 success, 1 invalid
 input (usage errors included) or execution failure, 2 capacity or budget
-refusal; each failure prints one line on stderr.
+refusal; each failure prints one line on stderr and nothing on stdout, with
+control characters escaped, over-long tokens cut and at most 300
+characters.
 
 Each output document, and the profile that ``worst-case --out`` writes, is
 JSON indented by two spaces, byte for byte what ``json.dumps(doc, indent=2)``
@@ -15,8 +17,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from functools import cache, partial
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
@@ -60,7 +63,7 @@ def _load_json(path: str):
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
     except RecursionError:
         raise ValidationError(f"{path} is nested too deeply to read") from None
     except ValueError as exc:
@@ -74,6 +77,8 @@ def _write(path: str, text: str) -> None:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
+    except ValueError as exc:  # a path holding NUL, which open refuses
         raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
@@ -309,18 +314,13 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _invalid_choice(text: str, choices) -> str:
-    return f"invalid choice: {_REPR.repr(text)} (choose from {', '.join(map(repr, choices))})"
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error like any other bad input: one line, exit 1.
 
-    The two usage errors that argparse words from the raw input, a
-    subcommand that is not one and arguments left unrecognized, quote it
-    short, as the converters below do. Long flags are not abbreviated, so a
-    prefix such as ``--b=...`` is one more unrecognized argument rather than
-    an ambiguous option, whose message would quote it whole."""
+    Every choice, the subcommand's included, is checked here, so its
+    message quotes the value short whatever argparse's version. Long flags
+    are spelled in full: an abbreviation such as ``--beh`` is an
+    unrecognized argument, not ``--behaviors``."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
@@ -329,37 +329,11 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
     def _check_value(self, action, value):
-        # only the subcommand argument has choices: each flag's converter checks its value
         if action.choices is not None and value not in action.choices:
-            raise argparse.ArgumentError(action, _invalid_choice(value, action.choices))
-
-    def parse_args(self, args=None, namespace=None):
-        namespace, extras = self.parse_known_args(args, namespace)
-        if extras:
-            self.error(f"unrecognized arguments: {_REPR.repr(' '.join(extras))}")
-        return namespace
-
-
-# Flag values go through these converters rather than argparse's ``type=int``
-# and ``choices=``, whose messages quote the value whole: the wording stays
-# argparse's, with the value quoted short.
-def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:  # a malformed int, or one past the digit limit
-        raise argparse.ArgumentTypeError(f"invalid int value: {_REPR.repr(text)}") from None
-
-
-def _one_of(choices: tuple, text: str) -> str:
-    if text in choices:
-        return text
-    raise argparse.ArgumentTypeError(_invalid_choice(text, choices))
-
-
-def _choices(*choices: str) -> dict:
-    """``add_argument`` keywords for a flag that takes one of ``choices``:
-    the check, and the ``{a,b}`` metavar that ``choices=`` shows in help."""
-    return {"type": partial(_one_of, choices), "metavar": "{" + ",".join(choices) + "}"}
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {_REPR.repr(value)} (choose from {choices})"
+            )
 
 
 @cache
@@ -391,13 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.set_defaults(handler=_cmd_bounds)
 
     srch = sub.add_parser("search", help="optimize worst-case bounds over orders")
-    srch.add_argument("--n", type=_int, required=True)
-    srch.add_argument("--p", type=_int, required=True)
+    srch.add_argument("--n", type=int, required=True)
+    srch.add_argument("--p", type=int, required=True)
     srch.add_argument("--behaviors", required=True)
-    srch.add_argument("--objective", **_choices("utilitarian", "egalitarian"), default="egalitarian")
-    srch.add_argument("--mode", **_choices("exhaustive", "random"), default="exhaustive")
-    srch.add_argument("--seed", type=_int, default=0)
-    srch.add_argument("--budget", type=_int, default=200_000)
+    srch.add_argument("--objective", choices=("utilitarian", "egalitarian"), default="egalitarian")
+    srch.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
+    srch.add_argument("--seed", type=int, default=0)
+    srch.add_argument("--budget", type=int, default=200_000)
     srch.set_defaults(handler=_cmd_search)
 
     wc = sub.add_parser("worst-case", help="construct a tight adversarial profile")
@@ -411,25 +385,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--profile", required=True)
     sp.add_argument("--trace", action="store_true")
     sp.add_argument("--states", action="store_true", help="report reachable state count")
-    sp.add_argument("--state-cap", type=_int, default=DEFAULT_STATE_CAP)
+    sp.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
     sp.set_defaults(handler=_cmd_spne)
 
     ax = sub.add_parser("check-axioms", help="audit a direct mechanism")
-    ax.add_argument("--mechanism", **_choices(*sorted(_MECHANISMS)), required=True)
-    ax.add_argument("--n", type=_int, required=True)
-    ax.add_argument("--p", type=_int, required=True)
-    ax.add_argument("--mode", **_choices("exhaustive", "sampled"), default="exhaustive")
-    ax.add_argument("--count", type=_int, default=1000, help="draws in sampled mode")
-    ax.add_argument("--seed", type=_int, default=0)
-    ax.add_argument("--budget", type=_int, default=10_000_000)
+    ax.add_argument("--mechanism", choices=sorted(_MECHANISMS), required=True)
+    ax.add_argument("--n", type=int, required=True)
+    ax.add_argument("--p", type=int, required=True)
+    ax.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
+    ax.add_argument("--count", type=int, default=1000, help="draws in sampled mode")
+    ax.add_argument("--seed", type=int, default=0)
+    ax.add_argument("--budget", type=int, default=10_000_000)
     ax.set_defaults(handler=_cmd_check_axioms)
 
     ex = sub.add_parser("experiment", help="Mallows expected-rank study, CSV output")
-    ex.add_argument("--p", type=_int, default=2)
+    ex.add_argument("--p", type=int, default=2)
     ex.add_argument("--n", required=True, help="range like 2..11 or comma list")
     ex.add_argument("--phi", required=True, help="comma list of dispersions in (0,1]")
-    ex.add_argument("--samples", type=_int, default=2000)
-    ex.add_argument("--seed", type=_int, default=0)
+    ex.add_argument("--samples", type=int, default=2000)
+    ex.add_argument("--seed", type=int, default=0)
     ex.add_argument("--out", help="CSV path (stdout when absent)")
     ex.add_argument("--mechanisms", help="comma list like sd:opt,balanced:pess")
     ex.add_argument("--check-bounds", action="store_true")
@@ -438,15 +412,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _failure_line(line: str) -> str:
+    """``line`` as one short stderr line: each character that ``repr``
+    escapes escaped as it does, each run of over 100 non-blank characters
+    cut to its first 13, ``...`` and its last 14 (the form ``_REPR`` gives a
+    quoted string), and the whole cut to 300 characters. Argparse words its
+    messages from the raw input and paths are printed as given, so the bound
+    falls here, on every line ``main`` prints."""
+    line = "".join(c if c.isprintable() else repr(c)[1:-1] for c in line)
+    line = re.sub(r"\S{101,}", lambda run: f"{run[0][:13]}...{run[0][-14:]}", line)
+    return line if len(line) <= 300 else line[:297] + "..."
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.handler(args)
     except (ValidationError, ExecutionError, ConstructionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_failure_line(f"error: {exc}"), file=sys.stderr)
         return 1
     except CapacityError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
+        print(_failure_line(f"refused: {exc}"), file=sys.stderr)
         return 2
 
 

@@ -129,6 +129,15 @@ class TestNearOptimalValidation:
         with pytest.raises(cd.ConstructionError):
             cd.near_optimal_allocation(mixed_order_3x2, profile)
 
+    @pytest.mark.parametrize("n, p", [(2, 2), (3, 1), (3, 3), (4, 2)])
+    def test_rejects_profile_of_another_shape(self, mixed_order_3x2, n, p):
+        # the order is 3x2: a profile that differs in n, in p or in both
+        shape = cd.DomainShape(n, p)
+        ascending = cd.Preference(shape, list(shape.bundles()))
+        profile = cd.Profile(shape, [ascending] * n)
+        with pytest.raises(cd.ValidationError, match="^profile shape does not match order shape$"):
+            cd.near_optimal_allocation(mixed_order_3x2, profile)
+
 
 class TestEdgeShapes:
     def test_single_agent(self):

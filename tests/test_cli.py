@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -18,8 +19,11 @@ from catdom import cli, engine
 from catdom.cli import main
 
 from conftest import (
+    GAME_ORDER_2X2_ROUNDS,
+    GAME_PROFILE_2X2_ROWS,
     MIXED_ORDER_3X2_ROUNDS,
     PROFILE_3X2_ROWS,
+    SHAPE_2X2,
     SHAPE_3X2,
     profile_of,
 )
@@ -331,13 +335,42 @@ class TestMalformedInput:
             ["search", "--n", "2", "--p", "2", "--behaviors", "opt,opt", "y" * 60_000],
             # an ambiguous long-option prefix: 60,079 before
             ["search", "--n", "2", "--p", "2", "--behaviors", "opt,opt", "--b=" + "y" * 60_000],
+            # argparse's "ignored explicit argument": 60,066 before
+            ["run", "--order", "ORDER", "--profile", "PROFILE", "--behaviors", "opt,opt,pess",
+             "--trace=" + "y" * 60_000],
+            ["spne", "--order", "ORDER", "--profile", "PROFILE", "--states=" + "y" * 60_000],
+            ["experiment", "--n", "2", "--phi", "0.5", "--check-bounds=" + "y" * 60_000],
+            ["search", "--help=" + "y" * 60_000],
+            # a path the OSError message repeated: 120,055 before
+            ["run", "--order", "y" * 60_000, "--profile", "PROFILE", "--behaviors", "opt,opt,pess"],
+            # 120,082 before
+            ["experiment", "--n", "2", "--phi", "0.5", "--samples", "2",
+             "--out", "/nonexistent/" + "y" * 60_000],
         ],
         ids=["behavior-list", "behavior", "n", "mechanisms", "budget", "budget-digits",
-             "int-flag", "mode", "mechanism", "subcommand", "unrecognized", "prefix"],
+             "int-flag", "mode", "mechanism", "subcommand", "unrecognized", "prefix",
+             "trace", "states", "check-bounds", "help", "order-path", "out-path"],
     )
-    def test_long_argument_named_in_one_short_line(self, capsys, order_file, argv):
-        err = assert_rejected(capsys, [order_file if a == "ORDER" else a for a in argv])
+    def test_long_argument_named_in_one_short_line(self, capsys, order_file, profile_file, argv):
+        names = {"ORDER": order_file, "PROFILE": profile_file}
+        err = assert_rejected(capsys, [names.get(a, a) for a in argv])
         assert len(err) < 200
+
+    def test_path_holding_a_newline_is_one_line(self, capsys, profile_file):
+        # the newline used to split the line in two
+        argv = ["run", "--order", "a\nb", "--profile", profile_file, "--behaviors", "opt,opt,pess"]
+        assert assert_rejected(capsys, argv) == "error: cannot read a\\nb: No such file or directory\n"
+
+    def test_out_path_holding_nul_is_refused(self, capsys):
+        # open's ValueError used to escape as a traceback
+        argv = EXPERIMENT + ["--out", "/nonexistent/a\0b"]
+        err = assert_rejected(capsys, argv)
+        assert err == "error: cannot write /nonexistent/a\\x00b: embedded null byte\n"
+
+    def test_unreadable_path_named_once(self, capsys, tmp_path, profile_file):
+        argv = ["run", "--order", str(tmp_path), "--profile", profile_file,
+                "--behaviors", "opt,opt,pess"]
+        assert assert_rejected(capsys, argv) == f"error: cannot read {tmp_path}: Is a directory\n"
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -350,16 +383,16 @@ class TestMalformedInput:
             ),
             (
                 ["search", "--n", "2", "--p", "2", "--behaviors", "opt,opt", "a", "--zz"],
-                "unrecognized arguments: 'a --zz'",
+                "unrecognized arguments: a --zz",
             ),
             # long flags are not abbreviated: a prefix, ambiguous or not, is no flag
             (
                 ["search", "--n", "2", "--p", "2", "--behaviors", "opt,opt", "--b=yy"],
-                "unrecognized arguments: '--b=yy'",
+                "unrecognized arguments: --b=yy",
             ),
             (
                 ["search", "--n", "2", "--p", "2", "--behaviors", "opt,opt", "--bud", "5"],
-                "unrecognized arguments: '--bud 5'",
+                "unrecognized arguments: --bud 5",
             ),
         ],
         ids=["subcommand", "unrecognized", "ambiguous-prefix", "abbreviation"],
@@ -474,8 +507,7 @@ class TestBadArguments:
 
     @pytest.mark.parametrize("command", sorted(HELP))
     def test_help_pinned(self, monkeypatch, capsys, command):
-        # the flags checked by catdom's own converters show the metavars
-        # that argparse's choices= gave them
+        # the choice flags show argparse's {a,b} metavars
         monkeypatch.setenv("COLUMNS", "80")
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
@@ -579,6 +611,84 @@ def test_malformed_numbers_fuzz(data):
     for flag in chosen:
         argv += [flag, data.draw(_MALFORMED)]
     assert_one_line_failure(*run_quietly(argv))
+
+
+# One short valid run of each subcommand; ORDER and PROFILE name a 2x2 game.
+_BASE_RUNS = {
+    "run": ["run", "--order", "ORDER", "--profile", "PROFILE", "--behaviors", "opt,pess"],
+    "analyze-order": ["analyze-order", "--order", "ORDER"],
+    "bounds": ["bounds", "--order", "ORDER", "--behaviors", "opt,pess"],
+    "search": EXHAUSTIVE_SEARCH,
+    "worst-case": ["worst-case", "--order", "ORDER", "--behaviors", "opt,pess"],
+    "spne": ["spne", "--order", "ORDER", "--profile", "PROFILE"],
+    "check-axioms": EXHAUSTIVE_SD,
+    "experiment": EXPERIMENT,
+}
+
+
+def _long_flags():
+    """``(subcommand, flag, takes a value)`` for every long flag of every
+    subcommand, ``--help`` included, read off the parser itself."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (command, flag, action.nargs != 0)
+        for command, parser in sub.choices.items()
+        for action in parser._actions
+        for flag in action.option_strings
+        if flag.startswith("--")
+    ]
+
+
+@pytest.fixture(scope="module")
+def game_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("game")
+    docs = {
+        "ORDER": cd.order_to_json(cd.PickingOrder(SHAPE_2X2, GAME_ORDER_2X2_ROUNDS)),
+        "PROFILE": cd.profile_to_json(profile_of(SHAPE_2X2, GAME_PROFILE_2X2_ROWS)),
+    }
+    for name, doc in docs.items():
+        (root / name).write_text(json.dumps(doc))
+    return {name: str(root / name) for name in docs}
+
+
+def test_every_subcommand_has_a_valid_base_run(game_files):
+    assert sorted(_BASE_RUNS) == sorted({command for command, _, _ in _long_flags()})
+    for argv in _BASE_RUNS.values():
+        assert run_quietly([game_files.get(a, a) for a in argv])[0] == 0
+
+
+# Values no flag accepts: over 300 characters, or holding a control
+# character. No digit, no ``inf`` or ``nan`` and no behavior, family or
+# choice name can be spelled from the alphabet.
+_PLAIN = "abxyz.,:/-_ '\"\\"
+_BAD_VALUE = st.one_of(
+    st.text(alphabet=_PLAIN, min_size=301, max_size=400),
+    st.builds(
+        "{}{}{}".format,
+        st.text(alphabet=_PLAIN, max_size=400),
+        st.sampled_from("\n\r\t\x00\x0b\x1b\x7f\x85\u2028"),
+        st.text(alphabet=_PLAIN + "\n", max_size=400),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "command, flag, valued", [pytest.param(*f, id=f"{f[0]} {f[1]}") for f in _long_flags()]
+)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_bad_flag_value_fails_in_one_short_line(game_files, command, flag, valued, data):
+    value = data.draw(_BAD_VALUE)
+    if flag == "--out":
+        value = "/nonexistent/" + value  # never a path that can be written
+    # a flag that takes no value is refused one given with ``=``
+    joined = not valued or data.draw(st.booleans())
+    argv = [game_files.get(a, a) for a in _BASE_RUNS[command]]
+    argv += [f"{flag}={value}"] if joined else [flag, value]
+    code, out, err = run_quietly(argv)
+    assert_one_line_failure(code, out, err)
+    # 300 characters and the newline; every escape is ASCII
+    assert len(err.encode()) <= 301
 
 
 # Values of the wrong kind for any place in a JSON document: null, a float,
