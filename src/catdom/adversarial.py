@@ -59,6 +59,7 @@ from .domain import (
     Preference,
     Profile,
     ValidationError,
+    _bundle_lookup,
     bundle_table,
     validate_allocation,
 )
@@ -81,7 +82,10 @@ def _almost(own: Bundle, category: int, item: int) -> Bundle:
 def _ranking(
     shape: DomainShape, agent: int, top: list[Bundle], bottom: list[Bundle]
 ) -> list[Bundle]:
-    """``top``, then every other bundle in bundle-table order, then ``bottom``."""
+    """``top``, then every other bundle in bundle-table order, then ``bottom``:
+    a permutation of the bundle space, since a bundle placed twice is refused
+    and the ranking builders place only bundles of the shape. Every witness
+    ranking comes from here, so ``_witness`` builds them unchecked."""
     placed = set(top) | set(bottom)
     if len(placed) != len(top) + len(bottom):
         raise ConstructionError(f"agent {agent}: a bundle is placed twice in her ranking")
@@ -145,7 +149,7 @@ def _optimist_ranking(order: PickingOrder, agent: int) -> list[Bundle]:
     big_k = analytics.uninterrupted_index(agent)
     own = (agent,) * shape.p
     if shape.n == 1:
-        return [own]
+        return _ranking(shape, agent, [own], [])
     near = _near(order, agent)
 
     if agent == j1 and big_k == 1:
@@ -188,7 +192,7 @@ def _pessimist_ranking(order: PickingOrder, agent: int) -> list[Bundle]:
     j1, i1 = order.rounds[0]
     own = (agent,) * shape.p
     if shape.n == 1:
-        return [own]
+        return _ranking(shape, agent, [own], [])
 
     # one tier per suborder position: almost-j bundles over the items of that
     # position's category still obtainable at the agent's own round there
@@ -211,7 +215,7 @@ def _pessimist_ranking(order: PickingOrder, agent: int) -> list[Bundle]:
         # near is itself a block bundle here; own must take rank 1 (the bound
         # is 1), so near settles for rank 2
         block_list = stacked(skip=near)
-        return [block_list[0], near] + block_list[1:]
+        return _ranking(shape, agent, [block_list[0], near], block_list[1:])
 
     # swap: pin near on top, and anchor its candidate item with the all-foreign
     # bundle at the very bottom so the round-1 comparison still favors item j
@@ -242,7 +246,12 @@ def _witness(
         (_optimist_ranking if e.behavior == "opt" else _pessimist_ranking)(order, e.agent)
         for e in report.entries
     )
-    profile = Profile(shape, [Preference(shape, r) for r in rankings])
+    lookup = _bundle_lookup(shape)
+    prefs = [
+        Preference.__new__(Preference)._build(shape, tuple(map(lookup.__getitem__, r)))
+        for r in rankings
+    ]
+    profile = Profile(shape, prefs)
     allocation, _ = run_csam(order, profile, behaviors)
     for j in shape.agents():
         own, bound = (j,) * shape.p, report.bound(j)

@@ -60,9 +60,15 @@ from .spne import DEFAULT_STATE_CAP, solve_spne, state_space_size
 
 def _load_json(path: str):
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        fh = open(path, encoding="utf-8")
     except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # a path holding NUL, which open refuses
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+    try:
+        with fh:
+            return json.load(fh)
+    except OSError as exc:  # a read that fails once the file is open
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
     except RecursionError:
         raise ValidationError(f"{path} is nested too deeply to read") from None

@@ -17,16 +17,22 @@ positions: bit ``r`` is set while ``order[r]`` agrees with her own picks and
 uses only items still available in her open categories. One play
 (``_play``) keeps one per agent, all bits set at the start, and builds every
 agent's position masks in one call (``build_position_masks``). When agent j
-takes item d of category c, j keeps only the positions holding d and every
-other agent loses them. The bitsets are the play's only record of what is
-left: an item of a category still open for an agent is available exactly
-when her bitset meets its position mask. One pick kernel reads the state
-and returns raw data: the optimistic pick is the lowest set bit; the
-pessimistic pick takes the highest set bit per candidate item, its worst
-bit length, and the candidate whose worst bit is lowest wins. After the
-last round each bitset has one bit left, the agent's bundle, and its bit
-length is her rank. The public choice functions build the bitset from
-scratch (``_consistency_mask``) and call the same kernel.
+takes item d of category c, j keeps only the positions holding d, and each
+agent who picks c in a later round (``PickingOrder._later_pickers``) loses
+them. The agents who picked c earlier need no update: each kept only the
+positions holding her own item e of c, and e != d, since her pick took e
+off every other bitset, so none of her positions holds d (a bundle has one
+item per category). That is n(n-1)/2 updates per category in place of n**2,
+and every bitset after every round is what updating all n would give. The
+bitsets are the play's only record of what is left: an item of a category
+still open for an agent is available exactly when her bitset meets its
+position mask. One pick kernel reads the state and returns raw data: the
+optimistic pick is the lowest set bit; the pessimistic pick takes the
+highest set bit per candidate item, its worst bit length, and the
+candidate whose worst bit is lowest wins. After the last round each
+bitset has one bit left, the agent's bundle, and its bit length is her
+rank. The public choice functions build the bitset from scratch
+(``_consistency_mask``) and call the same kernel.
 
 ``run_csam`` turns the play into a trace: per round, the available items of
 the round's category and, for a pessimistic pick, the comparison behind it.
@@ -250,7 +256,7 @@ def _play(
     scripts = [iter(b.picks) if isinstance(b, Scripted) else None for b in behaviors]
     pessimistic = [isinstance(b, Pessimistic) for b in behaviors]
     cons = [(1 << shape.bundle_count) - 1] * n
-    for t, (j, i) in enumerate(order.rounds, 1):
+    for t, ((j, i), later) in enumerate(zip(order.rounds, order._later_pickers), 1):
         a, c = j - 1, i - 1
         script, row = scripts[a], by_category[c]
         worst = None
@@ -264,12 +270,12 @@ def _play(
                 )
         else:
             item, worst = _pick(prefs[a], table, cons[a], i, pessimistic[a])
-        # the taker keeps only bundles with the item, everyone else loses them
+        # the taker keeps only bundles with the item, the category's later
+        # pickers lose them (its earlier pickers hold none of them)
         d = item - 1
-        keep = cons[a] & row[a][d]
-        for k in range(n):
+        cons[a] &= row[a][d]
+        for k in later:
             cons[k] &= ~row[k][d]
-        cons[a] = keep
         yield item, worst, cons
 
 

@@ -7,27 +7,35 @@ the two order oppositely), for a reference ranking W and dispersion
 W from best to worst, the k-th element is inserted r positions above the
 bottom of the partial ranking with probability proportional to phi**r, which
 adds exactly r discordant pairs. The offsets have a closed-form inverse CDF,
-so one vectorised step draws all of them, for as many draws as are asked
-for at once (``_draw``), and no weight table is kept. Each draw inserts
-bundle indices into one row of an unsigned index block. Every row is a
-permutation of the reference's indices by construction, so each becomes a
-ranking through ``Preference._build`` unchecked, and in the study the block
-also gives the rankings' position masks.
+so one vectorised step turns a whole block of uniforms into insertion slots
+(``_slots``), and no weight table is kept. One placement loop (``_place``)
+inserts each row's reference bundle indices at its slots, into one row of an
+unsigned index block. Every row is a permutation of its reference's indices
+by construction, so each becomes a ranking through ``Preference._build``
+unchecked, and in the study the block also gives the rankings' position
+masks. ``_draw`` runs both steps for draws around one reference.
 
 ``run_experiment`` estimates expected utilitarian and egalitarian realized
 ranks for sequential mechanisms under profiles drawn from a shared Mallows
-population (one uniform reference permutation per replicate, one batched
-draw for all agents, the same profile fed to every mechanism configuration,
-each played without a trace).
+population (one uniform reference permutation per replicate, one draw per
+agent, the same profile fed to every mechanism configuration, each played
+without a trace). Each replicate keeps its own stream (``_replicate``), but
+the study draws in blocks: per shape, the uniforms of as many replicates as
+fit in ``_STUDY_BLOCK`` elements, across phis, go into one array, which takes
+one slot pass per phi, one placement loop (each row around its replicate's
+reference) and one mask build (``domain._fill_masks``). The cap bounds a
+block's arrays and index tuples at any ``samples``; a block holds one
+replicate at least.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from array import array
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -49,6 +57,10 @@ from .orders import balanced_order, serial_dictatorship_order
 
 # the order families by their study token
 _FAMILIES = {"sd": serial_dictatorship_order, "balanced": balanced_order}
+
+# Largest block of uniforms ``run_experiment`` draws at once, in elements:
+# a block holds whole replicates, n * m uniforms each, at least one.
+_STUDY_BLOCK = 1 << 16
 
 
 def _check_phi(phi) -> None:
@@ -82,21 +94,31 @@ def _draw(reference: Sequence[int], phi: float, count: int, rng: np.random.Gener
     ranking's bundle indices, from one ``rng.random((count, m))``, row by
     row the same numbers as ``count`` calls of ``rng.random(m)``, as a
     ``(count, m)`` unsigned block of bundle indices, one draw per row, most
-    preferred first. Each row is a permutation of the reference: every
-    reference element is inserted exactly once (``array.insert`` always
-    inserts), so a row is built into a ranking unchecked. The reference is
-    not checked either; the callers pass a checked ranking's indices
-    (``MallowsParams`` holds a ``Preference``) or ``rng.permutation(m)``.
+    preferred first: the uniforms become slots (``_slots``) and the slots
+    placements (``_place``). ``run_experiment`` runs the same two steps on
+    blocks of up to ``_STUDY_BLOCK`` uniforms, replicate after replicate:
+    each replicate's stream (``_replicate``) draws its reference permutation
+    and then its ``(n, m)`` uniforms, so its rows are the ones
+    ``_draw(reference, phi, n, rng)`` gives on that stream. The reference is
+    not checked; ``sample_mallows`` passes a checked ranking's indices
+    (``MallowsParams`` holds a ``Preference``)."""
+    x = rng.random((count, len(reference)))
+    _slots(x, phi)
+    return _place(x, itertools.repeat(reference, count))
+
+
+def _slots(x: np.ndarray, phi: float) -> None:
+    """Turn each row of uniforms ``x`` (a C-contiguous ``(rows, m)`` float
+    block) into the insertion slots of its draw, in place, one vectorised
+    pass for all rows.
 
     The k-th reference element goes r places above the bottom of the partial
     ranking, where P(r) is proportional to phi**r on 0..k-1: a truncated
     geometric offset, drawn from one uniform u by its inverse CDF,
     r = floor(log(1 - u (1 - phi**k)) / log(phi)), or floor(u k) at phi = 1.
-    ``expm1`` forms ``phi**k - 1`` without a power per element."""
-    m = len(reference)
-    below = np.arange(m, dtype=float)  # k - 1
-    # r, then the slot k - 1 - r, computed in place in the uniforms' array
-    x = rng.random((count, m))
+    ``expm1`` forms ``phi**k - 1`` without a power per element. The slot is
+    k - 1 - r."""
+    below = np.arange(x.shape[1], dtype=float)  # k - 1
     if phi == 1:
         np.multiply(x, below + 1, out=x)
     else:
@@ -107,15 +129,35 @@ def _draw(reference: Sequence[int], phi: float, count: int, rng: np.random.Gener
     np.floor(x, out=x)
     np.subtract(below, x, out=x)
     # r reaches k only by rounding, when u lies within an ulp or so of 1
-    slots = np.maximum(x, 0, out=x).astype(np.intp)
+    np.maximum(x, 0, out=x)
+
+
+def _place(slots: np.ndarray, references: Iterable[Sequence[int]]) -> np.ndarray:
+    """The placement loop: row ``r`` of ``slots`` (``_slots``) inserts the
+    elements of the ``r``-th reference, in order, at its slots. Returns a
+    ``(rows, m)`` unsigned block of bundle indices, one draw per row, most
+    preferred first. Each row is a permutation of its reference: every
+    reference element is inserted exactly once (``array.insert`` always
+    inserts), so a row is built into a ranking unchecked."""
     # bundle indices stay below CAPACITY_LIMIT, so fit an unsigned int
-    block = np.empty((count, m), np.uintc)
-    for row, out in zip(slots, block):
+    block = array("I")
+    for row, reference in zip(slots.astype(np.intp).tolist(), references):
         placed = array("I")
         # one insert per reference element, driven from C by the deque
-        deque(map(placed.insert, row.tolist(), reference), 0)
-        out[:] = np.frombuffer(placed, np.uintc)
-    return block
+        deque(map(placed.insert, row, reference), 0)
+        block += placed
+    return np.frombuffer(block, np.uintc).reshape(slots.shape)
+
+
+def _replicate(seed: int, index: int, out: np.ndarray) -> list[int]:
+    """Study replicate ``index``'s stream, ``default_rng([seed, index])``:
+    returns its reference permutation, ``rng.permutation(m)`` (the one
+    ``uniform_preference`` draws), and writes its uniforms, the next
+    ``rng.random(out.shape)``, into ``out``, a ``(n, m)`` slice of a block."""
+    rng = np.random.default_rng([seed, index])
+    reference = rng.permutation(out.shape[1]).tolist()
+    rng.random(out=out)
+    return reference
 
 
 def uniform_preference(shape: DomainShape, rng: np.random.Generator) -> Preference:
@@ -232,27 +274,41 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentResult]:
         totals = np.empty((*grid, 2, config.samples))
     except (MemoryError, ValueError) as exc:
         raise CapacityError(f"{config.samples} samples per cell are too many: {exc}") from None
-    index = 0
+    samples = config.samples
     for n_idx, n in enumerate(config.n_values):
         shape = DomainShape(n, config.p)
+        m = shape.bundle_count
+        # each order family once per shape, in the grid's order
+        families = dict.fromkeys(cfg.order_family for cfg in config.mechanisms)
+        orders = {f: _FAMILIES[f](list(shape.agents()), config.p) for f in families}
         plays = []
         for cfg in config.mechanisms:
-            order = _FAMILIES[cfg.order_family](list(shape.agents()), config.p)
-            behaviors = (_BEHAVIORS[cfg.behavior],) * n
+            order, behaviors = orders[cfg.order_family], (_BEHAVIORS[cfg.behavior],) * n
             report = worst_case_report(order, behaviors) if config.check_bounds else None
             plays.append((order, behaviors, report))
-        for phi_idx, phi in enumerate(config.phis):
-            for rep in range(config.samples):
-                rng = np.random.default_rng([config.seed, index])
-                index += 1
-                # uniform_preference's permutation, with no Preference built
-                block = _draw(rng.permutation(shape.bundle_count).tolist(), phi, n, rng)
-                prefs = [
-                    Preference.__new__(Preference)._build(shape, tuple(row))
-                    for row in block.tolist()
-                ]
-                _fill_masks(prefs, block)  # from the draw's block, not from the tuples
-                profile = Profile(shape, prefs)
+        # the shape's replicates run phi by phi, global index first + k for
+        # the k-th; a block holds up to ``step`` of them
+        first = n_idx * len(config.phis) * samples
+        count = len(config.phis) * samples
+        step = max(1, _STUDY_BLOCK // (n * m))
+        for lo in range(0, count, step):
+            hi = min(count, lo + step)
+            x = np.empty((hi - lo, n, m))
+            refs = [_replicate(config.seed, first + k, out) for k, out in zip(range(lo, hi), x)]
+            x = x.reshape(-1, m)
+            # the slots of each phi's rows of the block, one pass per phi
+            for phi_idx in range(lo // samples, (hi - 1) // samples + 1):
+                a = max(lo, phi_idx * samples) - lo
+                b = min(hi, (phi_idx + 1) * samples) - lo
+                _slots(x[a * n : b * n], config.phis[phi_idx])
+            block = _place(x, (ref for ref in refs for _ in range(n)))
+            prefs = [
+                Preference.__new__(Preference)._build(shape, tuple(row)) for row in block.tolist()
+            ]
+            _fill_masks(prefs, block)  # from the block, not from the tuples
+            for k in range(lo, hi):
+                phi_idx, rep = divmod(k, samples)
+                profile = Profile(shape, prefs[(k - lo) * n : (k - lo + 1) * n])
                 for c_idx, (order, behaviors, report) in enumerate(plays):
                     ranks = _realized_ranks(order, profile, behaviors)
                     if report is not None:

@@ -82,6 +82,17 @@ class PickingOrder:
     def analytics(self) -> "OrderAnalytics":
         return analyze_order(self)
 
+    @cached_property
+    def _later_pickers(self) -> tuple[tuple[int, ...], ...]:
+        """Per round, the agents (0-based) who pick the round's category in
+        later rounds: the bitsets a play updates when the round's item goes."""
+        after: dict[int, tuple[int, ...]] = {}
+        later = []
+        for j, i in reversed(self.rounds):
+            later.append(after.get(i, ()))
+            after[i] = (j - 1, *later[-1])
+        return tuple(reversed(later))
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, PickingOrder)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import catdom as cd
+from catdom import adversarial
 from catdom.adversarial import _strategic_rec
 from catdom.cli import main
 
@@ -94,6 +95,35 @@ class TestWitnessProperty:
         ranks = sorted(profile.pref(j).rank_of(near[j]) for j in order.shape.agents())
         assert ranks[-1] <= 2
         assert ranks[: n - 1] == [1] * (n - 1)
+
+
+def all_orders(n, p):
+    pairs = [(j, i) for j in range(1, n + 1) for i in range(1, p + 1)]
+    shape = cd.DomainShape(n, p)
+    return [cd.PickingOrder(shape, rounds) for rounds in itertools.permutations(pairs)]
+
+
+class TestUncheckedWitness:
+    """The witness builds its rankings unchecked: each must equal the checked
+    build of the bundles its ranking builder lists."""
+
+    @pytest.mark.parametrize(
+        "orders",
+        [all_orders(2, 2), all_orders(3, 2), all_orders(2, 3), all_orders(4, 1),
+         all_orders(1, 3), [cd.balanced_order([1, 2, 3, 4], 4)]],
+        ids=["2x2", "3x2", "2x3", "4x1", "1x3", "balanced-4x4"],
+    )
+    @pytest.mark.parametrize("behavior", [cd.OPTIMISTIC, cd.PESSIMISTIC], ids=["opt", "pess"])
+    def test_rankings_equal_checked_builds(self, orders, behavior):
+        build = (
+            adversarial._optimist_ranking if behavior == cd.OPTIMISTIC
+            else adversarial._pessimist_ranking
+        )
+        for order in orders:
+            shape = order.shape
+            profile = cd.worst_case_profile(order, [behavior] * shape.n)
+            for j in shape.agents():
+                assert profile.pref(j) == cd.Preference(shape, build(order, j)), order
 
 
 class TestGoldenWitness:

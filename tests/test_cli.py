@@ -367,6 +367,11 @@ class TestMalformedInput:
         err = assert_rejected(capsys, argv)
         assert err == "error: cannot write /nonexistent/a\\x00b: embedded null byte\n"
 
+    def test_input_path_holding_nul_is_refused(self, capsys, profile_file):
+        # open's ValueError used to be reported as a JSON error
+        argv = ["run", "--order", "a\0b", "--profile", profile_file, "--behaviors", "opt,opt,pess"]
+        assert assert_rejected(capsys, argv) == "error: cannot read a\\x00b: embedded null byte\n"
+
     def test_unreadable_path_named_once(self, capsys, tmp_path, profile_file):
         argv = ["run", "--order", str(tmp_path), "--profile", profile_file,
                 "--behaviors", "opt,opt,pess"]

@@ -315,6 +315,96 @@ class TestRunningState:
             check_running_state(*seeded_instance(n, p, seed))
 
 
+def eager_play(order, profile, behaviors):
+    """``engine._play`` with every agent's bitset updated at every pick, the
+    picker's included: the oracle for the play, which updates only the
+    agents who pick the round's category later."""
+    shape = order.shape
+    n, table, prefs = shape.n, cd.domain.bundle_table(shape), profile.preferences
+    by_category = list(zip(*(pref.position_masks for pref in prefs)))
+    scripts = [iter(b.picks) if isinstance(b, cd.Scripted) else None for b in behaviors]
+    pessimistic = [isinstance(b, cd.Pessimistic) for b in behaviors]
+    cons = [(1 << shape.bundle_count) - 1] * n
+    for t, (j, i) in enumerate(order.rounds, 1):
+        a, c = j - 1, i - 1
+        script, row = scripts[a], by_category[c]
+        worst = None
+        if script is not None:
+            item = next(script)
+            if not (1 <= item <= n and cons[a] & row[a][item - 1]):
+                left = [d for d, bits in enumerate(row[a], 1) if cons[a] & bits]
+                raise cd.ExecutionError(
+                    f"round {t}: scripted item {item} of category {i} is not available "
+                    f"(remaining {left})"
+                )
+        else:
+            item, worst = engine._pick(prefs[a], table, cons[a], i, pessimistic[a])
+        d = item - 1
+        keep = cons[a] & row[a][d]
+        for k in range(n):
+            cons[k] &= ~row[k][d]
+        cons[a] = keep
+        yield item, worst, cons
+
+
+def play_rounds(play):
+    """Each round's item, worst bit lengths and a copy of every bitset, and
+    the message of the refusal that ended the play, or None."""
+    rounds = []
+    try:
+        for item, worst, cons in play:
+            rounds.append((item, worst, list(cons)))
+    except cd.ExecutionError as exc:
+        return rounds, str(exc)
+    return rounds, None
+
+
+def check_play_against_eager(order, profile, kinds):
+    """``engine._play`` and ``eager_play`` agree in every round, up to the
+    same refusal if a script makes one; returns the refusal."""
+    behaviors = tuple(kind_behaviors(kinds))
+    played = play_rounds(engine._play(order, profile, behaviors))
+    assert played == play_rounds(eager_play(order, profile, behaviors))
+    return played[1]
+
+
+def spoil_script(kinds, rng):
+    """The kinds with one pick of one script replaced by an item that may be
+    taken already, or by one outside 1..n, which is never available."""
+    scripted = [j for j, k in enumerate(kinds) if isinstance(k, tuple)]
+    if not scripted:
+        return kinds
+    j = rng.choice(scripted)
+    picks = list(kinds[j])
+    n = len(kinds)
+    picks[rng.randrange(len(picks))] = rng.choice([0, n + 1, *range(1, n + 1)])
+    return [tuple(picks) if a == j else k for a, k in enumerate(kinds)]
+
+
+class TestLazyPlay:
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_instance_strategy(), st.randoms(use_true_random=False))
+    def test_matches_eager_play(self, instance, rng):
+        order, profile, kinds = instance
+        check_play_against_eager(order, profile, kinds)
+        check_play_against_eager(order, profile, spoil_script(kinds, rng))
+
+    @pytest.mark.parametrize("n,p", [(6, 2), (4, 3), (3, 4), (2, 6)])
+    def test_matches_eager_play_larger(self, n, p):
+        refusals = 0
+        for seed in range(12):
+            order, profile, kinds = seeded_instance(n, p, seed)
+            assert check_play_against_eager(order, profile, kinds) is None
+            spoiled = spoil_script(kinds, random.Random(seed))
+            refusals += check_play_against_eager(order, profile, spoiled) is not None
+        # some spoiled script reached the "not available" refusal
+        assert refusals
+
+    def test_later_pickers(self, mixed_order_3x2):
+        # rounds (1,1) (2,2) (3,1) (3,2) (2,1) (1,2), agents 0-based
+        assert mixed_order_3x2._later_pickers == ((2, 1), (2, 0), (1,), (0,), (), ())
+
+
 def check_realized_ranks(order, profile, kinds):
     """``engine._realized_ranks`` equals ``rank_of`` on ``run_csam``'s
     allocation, agent by agent."""

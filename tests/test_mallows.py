@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -535,41 +536,45 @@ class TestExperiment:
 
     @pytest.mark.parametrize("n,p", [(2, 2), (3, 4), (4, 6)])
     def test_reference_uses_the_stream_as_uniform_preference(self, monkeypatch, n, p):
-        # each replicate's reference and the rng state after it, as _draw sees them
+        # each replicate's reference and the uniforms its stream goes on to
+        # write into the block, as _replicate returns and writes them
         seen = []
+        replicate = mallows._replicate
 
-        def recording_draw(reference, phi, count, rng):
-            seen.append((list(reference), rng.bit_generator.state))
-            return _draw(reference, phi, count, rng)
+        def recording_replicate(seed, index, out):
+            reference = replicate(seed, index, out)
+            seen.append((seed, index, reference, out.copy()))
+            return reference
 
-        monkeypatch.setattr(mallows, "_draw", recording_draw)
+        monkeypatch.setattr(mallows, "_replicate", recording_replicate)
         config = ExperimentConfig(p=p, n_values=(n,), phis=(0.5,), samples=2, seed=11)
         run_experiment(config)
-        assert len(seen) == 2
         shape = cd.DomainShape(n, p)
-        for index, (reference, state) in enumerate(seen):
+        assert [(seed, index) for seed, index, _, _ in seen] == [(11, 0), (11, 1)]
+        for _, index, reference, uniforms in seen:
             rng = np.random.default_rng([11, index])
             assert reference == list(cd.uniform_preference(shape, rng).indices)
-            after = np.random.default_rng()
-            after.bit_generator.state = state
-            assert after.random() == rng.random()
+            # the rng state after the reference is unchanged: the uniforms
+            # are its next draws
+            assert uniforms.shape == (n, shape.bundle_count)
+            assert np.array_equal(uniforms, rng.random((n, shape.bundle_count)))
 
     @pytest.mark.parametrize("phi", TestSampler.UNCHECKED_PHIS)
     def test_replicate_plays_the_checked_build_of_its_draw(self, monkeypatch, phi):
         # one 4x6 replicate: the profile every mechanism plays holds the
-        # checked build of each row of the block _draw returned
+        # checked build of each row of the block _place returned
         blocks, profiles = [], []
-        realized_ranks = mallows._realized_ranks
+        place, realized_ranks = mallows._place, mallows._realized_ranks
 
-        def recording_draw(reference, phi, count, rng):
-            blocks.append(_draw(reference, phi, count, rng))
+        def recording_place(slots, references):
+            blocks.append(place(slots, references))
             return blocks[-1]
 
         def recording_ranks(order, profile, behaviors):
             profiles.append(profile)
             return realized_ranks(order, profile, behaviors)
 
-        monkeypatch.setattr(mallows, "_draw", recording_draw)
+        monkeypatch.setattr(mallows, "_place", recording_place)
         monkeypatch.setattr(mallows, "_realized_ranks", recording_ranks)
         config = ExperimentConfig(p=6, n_values=(4,), phis=(phi,), samples=1, seed=13)
         run_experiment(config)
@@ -581,6 +586,19 @@ class TestExperiment:
             assert list(profile.preferences) == want
             for pref in profile.preferences:
                 assert set(map(type, pref.indices)) == {int}
+
+    def test_large_cell_memory_is_bounded(self):
+        # 24 replicates of 4x6 drawn in one block held about 27 MiB of
+        # uniforms, slots and index tuples; blocks under the cap peak near 7
+        config = ExperimentConfig(p=6, n_values=(4,), phis=(0.5,), samples=24, seed=3)
+        assert mallows._STUDY_BLOCK < 24 * 4 * 4096
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
     def test_bound_assertion_mode(self):
         config = ExperimentConfig(
@@ -649,6 +667,16 @@ class TestGoldenStreams:
         config = ExperimentConfig(p=6, n_values=(4,), phis=(0.5, 1.0), samples=1, seed=7)
         assert _sha256(results_to_csv(run_experiment(config))) == (
             "6028f9df805e7b95c124f15994a4e211e844eef177e401e42f6e887d10836fdb"
+        )
+
+    def test_experiment_4x6_across_blocks(self):
+        # 36 replicates of 4x6 in blocks of several under the cap, one of
+        # which holds replicates of both phis
+        per_block = mallows._STUDY_BLOCK // (4 * 4096)
+        assert 1 < per_block < 36 and 18 % per_block
+        config = ExperimentConfig(p=6, n_values=(4,), phis=(0.3, 1.0), samples=18, seed=17)
+        assert _sha256(results_to_csv(run_experiment(config))) == (
+            "8817baeea57051524ec965742502147440717e30b9811a608721928860755612"
         )
 
     def test_experiment_one_sample(self):
