@@ -108,9 +108,9 @@ def _draw(reference: Sequence[int], phi: float, count: int, rng: np.random.Gener
 
 
 def _slots(x: np.ndarray, phi: float) -> None:
-    """Turn each row of uniforms ``x`` (a C-contiguous ``(rows, m)`` float
-    block) into the insertion slots of its draw, in place, one vectorised
-    pass for all rows.
+    """Turn each row of uniforms ``x``, a ``(rows, m)`` float block, into
+    the insertion slots of its draw, in place, one vectorised pass for all
+    rows.
 
     The k-th reference element goes r places above the bottom of the partial
     ranking, where P(r) is proportional to phi**r on 0..k-1: a truncated
