@@ -21,11 +21,12 @@ population (one uniform reference permutation per replicate, one draw per
 agent, the same profile fed to every mechanism configuration, each played
 without a trace). Each replicate keeps its own stream (``_replicate``), but
 the study draws in blocks: per shape, the uniforms of as many replicates as
-fit in ``_STUDY_BLOCK`` elements, across phis, go into one array, which takes
-one slot pass per phi, one placement loop (each row around its replicate's
-reference) and one mask build (``domain._fill_masks``). The cap bounds a
-block's arrays and index tuples at any ``samples``; a block holds one
-replicate at least.
+fit in ``_STUDY_BLOCK`` elements and ``_STUDY_ROWS`` draws, across phis, go
+into one array, which takes one slot pass per phi and one placement loop
+(each row around its replicate's reference), both in ``_study_block``, and
+one mask build (``domain._fill_masks``). The element cap bounds a block's
+arrays and index tuples and the row cap its rankings at any ``samples``; a
+block holds one replicate at least.
 """
 
 from __future__ import annotations
@@ -58,9 +59,13 @@ from .orders import balanced_order, serial_dictatorship_order
 # the order families by their study token
 _FAMILIES = {"sd": serial_dictatorship_order, "balanced": balanced_order}
 
-# Largest block of uniforms ``run_experiment`` draws at once, in elements:
-# a block holds whole replicates, n * m uniforms each, at least one.
+# Largest block of uniforms ``run_experiment`` draws at once, in elements
+# and in draws: a block holds whole replicates, n draws of m uniforms each,
+# at least one. Every draw becomes a ranking with its masks, so at small m,
+# where the element cap alone lets a block hold 65536 / m draws, the row
+# cap bounds them.
 _STUDY_BLOCK = 1 << 16
+_STUDY_ROWS = 1 << 12
 
 
 def _check_phi(phi) -> None:
@@ -95,13 +100,11 @@ def _draw(reference: Sequence[int], phi: float, count: int, rng: np.random.Gener
     row the same numbers as ``count`` calls of ``rng.random(m)``, as a
     ``(count, m)`` unsigned block of bundle indices, one draw per row, most
     preferred first: the uniforms become slots (``_slots``) and the slots
-    placements (``_place``). ``run_experiment`` runs the same two steps on
-    blocks of up to ``_STUDY_BLOCK`` uniforms, replicate after replicate:
-    each replicate's stream (``_replicate``) draws its reference permutation
-    and then its ``(n, m)`` uniforms, so its rows are the ones
-    ``_draw(reference, phi, n, rng)`` gives on that stream. The reference is
-    not checked; ``sample_mallows`` passes a checked ranking's indices
-    (``MallowsParams`` holds a ``Preference``)."""
+    placements (``_place``). The study runs the same two steps on blocks of
+    many replicates (``_study_block``), and each replicate's rows there are
+    the ones ``_draw(reference, phi, n, rng)`` gives on its stream. The
+    reference is not checked; ``sample_mallows`` passes a checked ranking's
+    indices (``MallowsParams`` holds a ``Preference``)."""
     x = rng.random((count, len(reference)))
     _slots(x, phi)
     return _place(x, itertools.repeat(reference, count))
@@ -158,6 +161,29 @@ def _replicate(seed: int, index: int, out: np.ndarray) -> list[int]:
     reference = rng.permutation(out.shape[1]).tolist()
     rng.random(out=out)
     return reference
+
+
+def _study_block(
+    config: ExperimentConfig, shape: DomainShape, first: int, lo: int, hi: int
+) -> np.ndarray:
+    """The draws of a shape's replicates ``lo`` to ``hi - 1`` in the study,
+    as a ``(rows, m)`` unsigned block of bundle indices, n rows per
+    replicate. The shape's replicates run phi by phi, ``samples`` each, the
+    k-th with global index ``first + k``. Each replicate's stream
+    (``_replicate``) draws its reference permutation and then writes its
+    ``(n, m)`` uniforms into the block, so its rows are the ones
+    ``_draw(reference, phi, n, rng)`` gives on that stream; the slots take
+    one pass per phi and the placement one loop for the whole block."""
+    n, m, samples = shape.n, shape.bundle_count, config.samples
+    x = np.empty((hi - lo, n, m))
+    refs = [_replicate(config.seed, first + k, out) for k, out in zip(range(lo, hi), x)]
+    x = x.reshape(-1, m)
+    # the slots of each phi's rows of the block, one pass per phi
+    for phi_idx in range(lo // samples, (hi - 1) // samples + 1):
+        a = max(lo, phi_idx * samples) - lo
+        b = min(hi, (phi_idx + 1) * samples) - lo
+        _slots(x[a * n : b * n], config.phis[phi_idx])
+    return _place(x, (ref for ref in refs for _ in range(n)))
 
 
 def uniform_preference(shape: DomainShape, rng: np.random.Generator) -> Preference:
@@ -290,18 +316,10 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentResult]:
         # the k-th; a block holds up to ``step`` of them
         first = n_idx * len(config.phis) * samples
         count = len(config.phis) * samples
-        step = max(1, _STUDY_BLOCK // (n * m))
+        step = max(1, min(_STUDY_BLOCK // (n * m), _STUDY_ROWS // n))
         for lo in range(0, count, step):
             hi = min(count, lo + step)
-            x = np.empty((hi - lo, n, m))
-            refs = [_replicate(config.seed, first + k, out) for k, out in zip(range(lo, hi), x)]
-            x = x.reshape(-1, m)
-            # the slots of each phi's rows of the block, one pass per phi
-            for phi_idx in range(lo // samples, (hi - 1) // samples + 1):
-                a = max(lo, phi_idx * samples) - lo
-                b = min(hi, (phi_idx + 1) * samples) - lo
-                _slots(x[a * n : b * n], config.phis[phi_idx])
-            block = _place(x, (ref for ref in refs for _ in range(n)))
+            block = _study_block(config, shape, first, lo, hi)
             prefs = [
                 Preference.__new__(Preference)._build(shape, tuple(row)) for row in block.tolist()
             ]

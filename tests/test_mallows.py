@@ -600,6 +600,45 @@ class TestExperiment:
             tracemalloc.stop()
         assert peak < 12 * 2**20
 
+    def test_small_shape_block_memory_is_bounded(self):
+        # at 2x2 the element cap alone let one block hold all 8192
+        # replicates, 16384 rankings with their masks, which peaked near
+        # 10 MB; under the row cap the blocks peak near 3
+        config = ExperimentConfig(p=2, n_values=(2,), phis=(0.5,), samples=8192, seed=3)
+        assert mallows._STUDY_ROWS < 8192 * 2 <= mallows._STUDY_BLOCK // 4
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+
+    @pytest.mark.parametrize(
+        "n,p,samples,lo,hi",
+        [
+            (2, 2, 3, 0, 9), (2, 2, 3, 4, 8), (2, 2, 4, 1, 11),
+            (3, 4, 2, 3, 4), (1, 4, 5, 4, 6), (4, 3, 1, 0, 3),
+        ],
+    )
+    def test_study_block_rows_are_each_replicates_draw(self, n, p, samples, lo, hi):
+        # the study's block, each phi's rows slotted as one slice and every
+        # row placed around its own replicate's reference, is row by row
+        # what _draw gives on each replicate's stream
+        phis = (1e-6, 0.5, 1.0)
+        config = ExperimentConfig(p=p, n_values=(n,), phis=phis, samples=samples, seed=19)
+        shape = cd.DomainShape(n, p)
+        m = shape.bundle_count
+        first = 2 * len(phis) * samples  # as for the third shape of a study
+        block = mallows._study_block(config, shape, first, lo, hi)
+        assert block.shape == ((hi - lo) * n, m)
+        for k in range(lo, hi):
+            rng = np.random.default_rng([19, first + k])
+            reference = rng.permutation(m).tolist()
+            want = _draw(reference, phis[k // samples], n, rng)
+            assert want.dtype == block.dtype
+            assert np.array_equal(block[(k - lo) * n : (k - lo + 1) * n], want)
+
     def test_bound_assertion_mode(self):
         config = ExperimentConfig(
             p=2,
