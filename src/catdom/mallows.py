@@ -13,25 +13,21 @@ inserts each row's reference bundle indices at its slots, into one row of an
 unsigned index block. Every row is a permutation of its reference's indices
 by construction, so each becomes a ranking through ``Preference._build``
 unchecked, and in the study the block also gives the rankings' position
-masks. ``_draw`` runs both steps for draws around one reference.
+masks.
 
 ``run_experiment`` estimates expected utilitarian and egalitarian realized
 ranks for sequential mechanisms under profiles drawn from a shared Mallows
-population (one uniform reference permutation per replicate, one draw per
+population (one ``uniform_preference`` reference per replicate, one draw per
 agent, the same profile fed to every mechanism configuration, each played
-without a trace). Each replicate keeps its own stream (``_replicate``), but
-the study draws in blocks: per shape, the uniforms of as many replicates as
-fit in ``_STUDY_BLOCK`` elements and ``_STUDY_ROWS`` draws, across phis, go
-into one array, which takes one slot pass per phi and one placement loop
-(each row around its replicate's reference), both in ``_study_block``, and
-one mask build (``domain._fill_masks``). The element cap bounds a block's
-arrays and index tuples and the row cap its rankings at any ``samples``; a
-block holds one replicate at least.
+without a trace). Each replicate keeps its own stream, but the study draws
+in blocks (``_study_block``): per shape, as many replicates as fit in
+``_STUDY_BLOCK`` uniforms and ``_STUDY_ROWS`` draws, across phis, one at
+least, with one slot pass per phi, one placement loop and one mask build
+(``domain._fill_masks``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from array import array
@@ -88,26 +84,14 @@ class MallowsParams:
 
 
 def sample_mallows(params: MallowsParams, rng: np.random.Generator) -> Preference:
-    """One repeated-insertion draw (Doignon, Pekec & Regenwetter 2004)."""
+    """One repeated-insertion draw (Doignon, Pekec & Regenwetter 2004), from
+    one ``rng.random((1, m))``. The reference is a checked ranking
+    (``MallowsParams`` holds a ``Preference``)."""
     reference = params.reference
-    row = _draw(reference.indices, params.phi, 1, rng)[0]
+    x = rng.random((1, reference.shape.bundle_count))
+    _slots(x, params.phi)
+    row = _place(x, [reference.indices])[0]
     return Preference.__new__(Preference)._build(reference.shape, tuple(row.tolist()))
-
-
-def _draw(reference: Sequence[int], phi: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` independent repeated-insertion draws around the reference
-    ranking's bundle indices, from one ``rng.random((count, m))``, row by
-    row the same numbers as ``count`` calls of ``rng.random(m)``, as a
-    ``(count, m)`` unsigned block of bundle indices, one draw per row, most
-    preferred first: the uniforms become slots (``_slots``) and the slots
-    placements (``_place``). The study runs the same two steps on blocks of
-    many replicates (``_study_block``), and each replicate's rows there are
-    the ones ``_draw(reference, phi, n, rng)`` gives on its stream. The
-    reference is not checked; ``sample_mallows`` passes a checked ranking's
-    indices (``MallowsParams`` holds a ``Preference``)."""
-    x = rng.random((count, len(reference)))
-    _slots(x, phi)
-    return _place(x, itertools.repeat(reference, count))
 
 
 def _slots(x: np.ndarray, phi: float) -> None:
@@ -136,12 +120,10 @@ def _slots(x: np.ndarray, phi: float) -> None:
 
 
 def _place(slots: np.ndarray, references: Iterable[Sequence[int]]) -> np.ndarray:
-    """The placement loop: row ``r`` of ``slots`` (``_slots``) inserts the
-    elements of the ``r``-th reference, in order, at its slots. Returns a
-    ``(rows, m)`` unsigned block of bundle indices, one draw per row, most
-    preferred first. Each row is a permutation of its reference: every
-    reference element is inserted exactly once (``array.insert`` always
-    inserts), so a row is built into a ranking unchecked."""
+    """Row ``r`` of ``slots`` inserts the ``r``-th reference's elements, in
+    order, at its slots: a ``(rows, m)`` unsigned block of bundle indices,
+    most preferred first. ``array.insert`` always inserts, so each row is a
+    permutation of its reference."""
     # bundle indices stay below CAPACITY_LIMIT, so fit an unsigned int
     block = array("I")
     for row, reference in zip(slots.astype(np.intp).tolist(), references):
@@ -152,31 +134,22 @@ def _place(slots: np.ndarray, references: Iterable[Sequence[int]]) -> np.ndarray
     return np.frombuffer(block, np.uintc).reshape(slots.shape)
 
 
-def _replicate(seed: int, index: int, out: np.ndarray) -> list[int]:
-    """Study replicate ``index``'s stream, ``default_rng([seed, index])``:
-    returns its reference permutation, ``rng.permutation(m)`` (the one
-    ``uniform_preference`` draws), and writes its uniforms, the next
-    ``rng.random(out.shape)``, into ``out``, a ``(n, m)`` slice of a block."""
-    rng = np.random.default_rng([seed, index])
-    reference = rng.permutation(out.shape[1]).tolist()
-    rng.random(out=out)
-    return reference
-
-
 def _study_block(
     config: ExperimentConfig, shape: DomainShape, first: int, lo: int, hi: int
 ) -> np.ndarray:
     """The draws of a shape's replicates ``lo`` to ``hi - 1`` in the study,
     as a ``(rows, m)`` unsigned block of bundle indices, n rows per
     replicate. The shape's replicates run phi by phi, ``samples`` each, the
-    k-th with global index ``first + k``. Each replicate's stream
-    (``_replicate``) draws its reference permutation and then writes its
-    ``(n, m)`` uniforms into the block, so its rows are the ones
-    ``_draw(reference, phi, n, rng)`` gives on that stream; the slots take
-    one pass per phi and the placement one loop for the whole block."""
+    k-th with global index ``first + k`` and stream
+    ``default_rng([seed, first + k])``, which draws its reference
+    (``uniform_preference``) and then its ``(n, m)`` uniforms."""
     n, m, samples = shape.n, shape.bundle_count, config.samples
     x = np.empty((hi - lo, n, m))
-    refs = [_replicate(config.seed, first + k, out) for k, out in zip(range(lo, hi), x)]
+    refs = []
+    for k, out in zip(range(lo, hi), x):
+        rng = np.random.default_rng([config.seed, first + k])
+        refs.append(uniform_preference(shape, rng).indices)
+        rng.random(out=out)
     x = x.reshape(-1, m)
     # the slots of each phi's rows of the block, one pass per phi
     for phi_idx in range(lo // samples, (hi - 1) // samples + 1):
@@ -192,7 +165,7 @@ def uniform_preference(shape: DomainShape, rng: np.random.Generator) -> Preferen
     ``Preference._build``, unchecked: ``from_indices`` is for indices a
     caller gives."""
     # a list shuffle makes the same swaps, from the same draws, as
-    # rng.permutation, without the array and its conversion
+    # Generator.permutation, without the array and its conversion
     indices = list(range(shape.bundle_count))
     rng.shuffle(indices)
     return Preference.__new__(Preference)._build(shape, tuple(indices))

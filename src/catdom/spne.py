@@ -10,13 +10,13 @@ The game is solved one level at a time, from the last round back to the
 first. Round t's choice is a digit: the chosen item's rank among the items
 its category still holds, with radix ``n - k`` once ``k`` of them are gone. A
 state entering round t is the mixed-radix number of the digits chosen before
-it, so level t holds exactly the product of the earlier radices, the count
-``_level_sizes`` yields; ``state_space_size`` sums those counts in closed
-form, and every state is solved once. A category's digits are the Lehmer code
-of the sequence of its items, so the leaf level (each agent's final bundle
-index after every complete play) is a sum of one lexicographic permutation
-table per category, laid onto that category's round axes. Each level back
-keeps, for every state, the child the round's agent ranks best.
+it, so level t holds exactly the product of the earlier radices;
+``state_space_size`` sums those products, and every state is solved once. A
+category's digits are the Lehmer code of the sequence of its items, so the
+leaf level (each agent's final bundle index after every complete play) is a
+sum of one lexicographic permutation table per category, laid onto that
+category's round axes. Each level back keeps, for every state, the child the
+round's agent ranks best.
 
 The state cap bounds the arrays as well as the work: the last pick of every
 category has radix 1, so the leaf level is no larger than the last decision
@@ -45,14 +45,6 @@ def _radices(order: PickingOrder):
     for _, category in order.rounds:
         yield left[category]
         left[category] -= 1
-
-
-def _level_sizes(order: PickingOrder):
-    """Number of reachable decision states entering each round, in order."""
-    level = 1
-    for radix in _radices(order):
-        yield level
-        level *= radix
 
 
 def _solve_levels(order: PickingOrder, profile: Profile) -> np.ndarray:
@@ -112,5 +104,11 @@ def solve_spne(
 
 
 def state_space_size(order: PickingOrder) -> int:
-    """Number of distinct reachable decision states plus one terminal class."""
-    return 1 + sum(_level_sizes(order))
+    """Number of distinct reachable decision states plus one terminal class:
+    the states entering each round, the product of the earlier rounds'
+    radices, summed over the rounds."""
+    states = level = 1
+    for radix in _radices(order):
+        states += level
+        level *= radix
+    return states

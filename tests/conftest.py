@@ -6,12 +6,14 @@ pessimistic agent with slack 2 in both categories, and a profile whose
 serial-dictatorship outcome differs from the mixed-order outcome.
 """
 
+import itertools
 import math
 
 import pytest
 
 import catdom as cd
 from catdom import MallowsParams, Preference, ValidationError
+from catdom.mallows import _place, _slots
 
 
 def pref_of(shape, rows):
@@ -57,7 +59,7 @@ def _count_inversions(seq: list[int]) -> int:
 def mallows_pmf(params: MallowsParams, ranking: Preference) -> float:
     """Exact probability of one ranking; the normalizer has the closed form
     prod_k (1 + phi + ... + phi**(k-1)), each factor (phi**k - 1) / (phi - 1)
-    formed with ``expm1`` as in ``_draw`` (k at phi = 1)."""
+    formed with ``expm1`` as in ``_slots`` (k at phi = 1)."""
     m = params.reference.shape.bundle_count
     log_phi = math.log(params.phi)
     z = math.prod(
@@ -65,6 +67,20 @@ def mallows_pmf(params: MallowsParams, ranking: Preference) -> float:
         for k in range(1, m + 1)
     )
     return params.phi ** kendall_tau(ranking, params.reference) / z
+
+
+def batched_draw(reference, phi, count, rng):
+    """``count`` independent repeated-insertion draws around the bundle
+    indices ``reference``, from one ``rng.random((count, m))`` (row by row
+    the same numbers as ``count`` calls of ``rng.random(m)``), as a
+    ``(count, m)`` unsigned block, one draw per row: the sampler's slot and
+    placement steps on a block of draws around one reference. A
+    ``sample_mallows`` draw is the single row of ``count = 1``, and each
+    replicate's rows in the study's block are the ``count = n`` rows on the
+    replicate's stream after its reference."""
+    x = rng.random((count, len(reference)))
+    _slots(x, phi)
+    return _place(x, itertools.repeat(reference, count))
 
 
 SHAPE_3X2 = cd.DomainShape(3, 2)

@@ -1187,8 +1187,8 @@ class TestExperiment:
             raise AssertionError("Mallows draw made before the capacity guard")
 
         monkeypatch.setattr("catdom.mallows.sample_mallows", fail)
-        # the study's draw: each replicate's stream starts here
-        monkeypatch.setattr("catdom.mallows._replicate", fail)
+        # the study's draw: each replicate's stream starts with its reference
+        monkeypatch.setattr("catdom.mallows.uniform_preference", fail)
         code = main(["experiment", "--n", "3,1001", "--phi", "0.5", "--samples", "4"])
         captured = capsys.readouterr()
         assert code == 2

@@ -13,9 +13,7 @@ from hypothesis import given, settings, strategies as st
 import catdom as cd
 from catdom import adversarial, axioms, bounds, domain, engine, mallows, orders, spne
 from catdom.domain import CAPACITY_LIMIT, AllocationCheck, build_position_masks
-from catdom.mallows import _draw
-
-from conftest import SHAPE_2X2, SHAPE_3X2, pref_of
+from conftest import SHAPE_2X2, SHAPE_3X2, batched_draw, pref_of
 
 
 class TestDomainShape:
@@ -403,7 +401,7 @@ class TestPreference:
         shape = cd.DomainShape(n, p)
         table = domain.bundle_table(shape)
         ref = cd.uniform_preference(shape, np.random.default_rng(n))
-        block = _draw(ref.indices, 0.5, 3, np.random.default_rng(p))
+        block = batched_draw(ref.indices, 0.5, 3, np.random.default_rng(p))
         prefs = [ref, *(cd.Preference.from_indices(shape, row) for row in block.tolist())]
         for pref in prefs:
             assert [pref.rank_of(table[idx]) for idx in pref.indices] == list(
@@ -559,7 +557,7 @@ class TestPositionMasks:
         """A replicate's draw with its masks filled from the draw's block,
         against the same rankings rebuilt and masked from their tuples."""
         ref = cd.uniform_preference(shape, np.random.default_rng([seed, 1]))
-        block = _draw(ref.indices, 0.5, shape.n, np.random.default_rng(seed))
+        block = batched_draw(ref.indices, 0.5, shape.n, np.random.default_rng(seed))
         drawn = [cd.Preference.from_indices(shape, row) for row in block.tolist()]
         domain._fill_masks(drawn, block)
         # the same block as a native index gives the same masks

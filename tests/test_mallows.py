@@ -17,12 +17,11 @@ from catdom.mallows import (
     ExperimentConfig,
     MechanismConfig,
     _cell_stats,
-    _draw,
     results_to_csv,
     run_experiment,
 )
 
-from conftest import kendall_tau, mallows_pmf
+from conftest import batched_draw, kendall_tau, mallows_pmf
 
 
 def line_shape(m):
@@ -53,8 +52,8 @@ def rim_oracle(params, rng):
 
 def list_insert_draw(params, count, rng):
     """The sampler's insertion step with ``list.insert``: the same slots as
-    ``_draw`` from one ``rng.random((count, m))``, each row's bundle indices
-    inserted into a list, one list of indices per draw."""
+    ``batched_draw`` from one ``rng.random((count, m))``, each row's bundle
+    indices inserted into a list, one list of indices per draw."""
     below = np.arange(params.reference.shape.bundle_count, dtype=float)
     x = rng.random((count, len(below)))
     if params.phi == 1:
@@ -73,9 +72,10 @@ def list_insert_draw(params, count, rng):
 
 
 def draw_prefs(params, count, rng):
-    """``_draw``'s block as preferences, each row through the checked path."""
+    """``batched_draw``'s block as preferences, each row through the checked
+    path."""
     ref = params.reference
-    block = _draw(ref.indices, params.phi, count, rng)
+    block = batched_draw(ref.indices, params.phi, count, rng)
     return [cd.Preference.from_indices(ref.shape, row) for row in block.tolist()]
 
 
@@ -356,7 +356,7 @@ class TestSampler:
 
     def check_draw_against_list_insert(self, params, count, seed):
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        block = _draw(params.reference.indices, params.phi, count, rng)
+        block = batched_draw(params.reference.indices, params.phi, count, rng)
         assert block.shape == (count, params.reference.shape.bundle_count)
         assert block.dtype.kind == "u"
         assert block.tolist() == list_insert_draw(params, count, oracle_rng)
@@ -392,7 +392,7 @@ class TestSampler:
         shape = cd.DomainShape(n, p)
         for seed, phi in enumerate(self.UNCHECKED_PHIS):
             ref = cd.uniform_preference(shape, np.random.default_rng([seed, 4]))
-            block = _draw(ref.indices, phi, 4, np.random.default_rng(seed))
+            block = batched_draw(ref.indices, phi, 4, np.random.default_rng(seed))
             for row in block.tolist():
                 assert sorted(row) == sorted(ref.indices), (seed, phi)
 
@@ -536,28 +536,38 @@ class TestExperiment:
 
     @pytest.mark.parametrize("n,p", [(2, 2), (3, 4), (4, 6)])
     def test_reference_uses_the_stream_as_uniform_preference(self, monkeypatch, n, p):
-        # each replicate's reference and the uniforms its stream goes on to
-        # write into the block, as _replicate returns and writes them
-        seen = []
-        replicate = mallows._replicate
+        # each replicate's reference, with its stream's state when it was
+        # drawn, and the uniforms the block holds before its slots are taken
+        references, blocks = [], []
+        uniform, slots = mallows.uniform_preference, mallows._slots
 
-        def recording_replicate(seed, index, out):
-            reference = replicate(seed, index, out)
-            seen.append((seed, index, reference, out.copy()))
-            return reference
+        def recording_uniform(shape, rng):
+            state = rng.bit_generator.state
+            references.append((state, uniform(shape, rng)))
+            return references[-1][1]
 
-        monkeypatch.setattr(mallows, "_replicate", recording_replicate)
+        def recording_slots(x, phi):
+            blocks.append(x.copy())
+            slots(x, phi)
+
+        monkeypatch.setattr(mallows, "uniform_preference", recording_uniform)
+        monkeypatch.setattr(mallows, "_slots", recording_slots)
         config = ExperimentConfig(p=p, n_values=(n,), phis=(0.5,), samples=2, seed=11)
         run_experiment(config)
         shape = cd.DomainShape(n, p)
-        assert [(seed, index) for seed, index, _, _ in seen] == [(11, 0), (11, 1)]
-        for _, index, reference, uniforms in seen:
+        m = shape.bundle_count
+        assert len(references) == 2
+        [uniforms] = blocks  # both replicates in one block
+        assert uniforms.shape == (2 * n, m)
+        for index, (state, reference) in enumerate(references):
+            # drawn first on the replicate's stream, default_rng([11, index])
             rng = np.random.default_rng([11, index])
-            assert reference == list(cd.uniform_preference(shape, rng).indices)
+            assert state == rng.bit_generator.state
+            assert reference.indices == cd.uniform_preference(shape, rng).indices
             # the rng state after the reference is unchanged: the uniforms
             # are its next draws
-            assert uniforms.shape == (n, shape.bundle_count)
-            assert np.array_equal(uniforms, rng.random((n, shape.bundle_count)))
+            want = rng.random((n, m))
+            assert np.array_equal(uniforms[index * n : (index + 1) * n], want)
 
     @pytest.mark.parametrize("phi", TestSampler.UNCHECKED_PHIS)
     def test_replicate_plays_the_checked_build_of_its_draw(self, monkeypatch, phi):
@@ -624,7 +634,8 @@ class TestExperiment:
     def test_study_block_rows_are_each_replicates_draw(self, n, p, samples, lo, hi):
         # the study's block, each phi's rows slotted as one slice and every
         # row placed around its own replicate's reference, is row by row
-        # what _draw gives on each replicate's stream
+        # what batched_draw gives on each replicate's stream after its
+        # reference, the permutation uniform_preference draws
         phis = (1e-6, 0.5, 1.0)
         config = ExperimentConfig(p=p, n_values=(n,), phis=phis, samples=samples, seed=19)
         shape = cd.DomainShape(n, p)
@@ -635,7 +646,7 @@ class TestExperiment:
         for k in range(lo, hi):
             rng = np.random.default_rng([19, first + k])
             reference = rng.permutation(m).tolist()
-            want = _draw(reference, phis[k // samples], n, rng)
+            want = batched_draw(reference, phis[k // samples], n, rng)
             assert want.dtype == block.dtype
             assert np.array_equal(block[(k - lo) * n : (k - lo + 1) * n], want)
 
@@ -745,3 +756,80 @@ class TestGoldenStreams:
         assert _sha256("\n".join(lines)) == (
             "3d92ce7fb2e561a92caffb65fa8de6453699467787df94681b036130c7657117"
         )
+
+
+# The study's expectations at 2x2, exactly: (family, behavior) to the
+# expected utilitarian and egalitarian realized rank, per phi.
+EXACT_2X2 = {
+    Fraction(1, 2): {
+        ("sd", "opt"): (Fraction(17156, 4725), Fraction(12431, 4725)),
+        ("sd", "pess"): (Fraction(18731, 4725), Fraction(25681, 9450)),
+        ("balanced", "opt"): (Fraction(719, 189), Fraction(23159, 9450)),
+        ("balanced", "pess"): (Fraction(17912, 4725), Fraction(2234, 945)),
+    },
+    Fraction(1): {
+        ("sd", "opt"): (Fraction(7, 2), Fraction(5, 2)),
+        ("sd", "pess"): (Fraction(23, 6), Fraction(31, 12)),
+        ("balanced", "opt"): (Fraction(11, 3), Fraction(85, 36)),
+        ("balanced", "pess"): (Fraction(11, 3), Fraction(41, 18)),
+    },
+}
+
+
+# written out, so the oracle does not take its grid from the code it checks
+DEFAULT_GRID_TOKENS = (("sd", "opt"), ("sd", "pess"), ("balanced", "opt"), ("balanced", "pess"))
+
+
+def exact_study_2x2(phi):
+    """Each default-grid mechanism's expected utilitarian and egalitarian
+    realized rank at 2x2 under the study's population, by enumeration: the
+    reference uniform over the 24 rankings, each of the 576 profiles
+    weighted by the product of its two rankings' Mallows probabilities
+    around it, phi**d / Z with a ``Fraction`` phi, and played by
+    ``run_csam``."""
+    shape = cd.DomainShape(2, 2)
+    rankings = [cd.Preference(shape, perm) for perm in itertools.permutations(shape.bundles())]
+    weights = []
+    for reference in rankings:
+        row = [phi ** kendall_tau(ranking, reference) for ranking in rankings]
+        total = sum(row)
+        weights.append([w / total for w in row])
+    pairs = list(itertools.product(range(len(rankings)), repeat=2))
+    prob = [sum(row[a] * row[b] for row in weights) / len(rankings) for a, b in pairs]
+    assert sum(prob) == 1
+    out = {}
+    for family, behavior in DEFAULT_GRID_TOKENS:
+        order = (cd.serial_dictatorship_order if family == "sd" else cd.balanced_order)([1, 2], 2)
+        behaviors = [cd.OPTIMISTIC if behavior == "opt" else cd.PESSIMISTIC] * 2
+        util = egal = Fraction(0)
+        for weight, (a, b) in zip(prob, pairs):
+            prefs = (rankings[a], rankings[b])
+            allocation, _ = cd.run_csam(order, cd.Profile(shape, prefs), behaviors)
+            ranks = [pref.rank_of(allocation[j]) for j, pref in enumerate(prefs, 1)]
+            util += weight * sum(ranks)
+            egal += weight * max(ranks)
+        out[(family, behavior)] = (util, egal)
+    return out
+
+
+class TestExactExpectation:
+    @pytest.mark.parametrize("phi", list(EXACT_2X2))
+    def test_exact_2x2_expectations(self, phi):
+        assert exact_study_2x2(phi) == EXACT_2X2[phi]
+
+    def test_study_estimates_the_exact_expectations(self):
+        # 16 statistics, each |z| <= 3.42: a two-sided 1% family-wise level
+        # under a Bonferroni split (0.01 / 16 per statistic). Seeds 1 to 30
+        # all passed, the largest |z| 3.04; seed 1 is the first of them.
+        phis = (0.5, 1.0)
+        config = ExperimentConfig(p=2, n_values=(2,), phis=phis, samples=4000, seed=1)
+        results = run_experiment(config)
+        assert len(results) == 8
+        for r in results:
+            util, egal = EXACT_2X2[Fraction(r.phi)][(r.mechanism, r.behavior)]
+            for mean, ci, exact in (
+                (r.mean_utilitarian, r.ci_utilitarian, util),
+                (r.mean_egalitarian, r.ci_egalitarian, egal),
+            ):
+                z = (mean - float(exact)) / (ci / 1.96)
+                assert abs(z) <= 3.42, (r, float(exact), z)
