@@ -249,13 +249,21 @@ def _permute_bundle(bundle: Bundle, category: int, perm: tuple[int, ...]) -> Bun
     return bundle[: category - 1] + (perm[item - 1],) + bundle[category:]
 
 
+def _profile(shape: DomainShape, preferences: tuple[Preference, ...]) -> Profile:
+    """A profile of rankings an audit built at ``shape`` itself (a walk
+    position, a misreport, a relabeling), so ``Profile``'s caller check is
+    skipped."""
+    return Profile.__new__(Profile)._build(shape, preferences)
+
+
 def _relabeled(obj: Preference | Profile, category: int, perm: tuple) -> Preference | Profile:
     """``obj``, a checked preference or profile, with the items of
     ``category`` relabeled by ``perm``, a checked permutation. A ranking's
     bundle indices mapped through ``_relabel_map`` are a permutation of them
     again, so each relabeled ranking is built unchecked."""
     if isinstance(obj, Profile):
-        return Profile(obj.shape, [_relabeled(pref, category, perm) for pref in obj.preferences])
+        prefs = tuple(_relabeled(pref, category, perm) for pref in obj.preferences)
+        return _profile(obj.shape, prefs)
     relabel = _relabel_map(obj.shape, category, perm).__getitem__
     return Preference.__new__(Preference)._build(obj.shape, tuple(map(relabel, obj.indices)))
 
@@ -303,12 +311,12 @@ def _audit(
                 f"{mode.budget} checks, the budget"
             )
         rng, coverage = None, "exhaustive"
-        walk = map(partial(Profile, shape), itertools.product(all_rankings(shape), repeat=shape.n))
+        walk = map(partial(_profile, shape), itertools.product(all_rankings(shape), repeat=shape.n))
     else:
         rng = np.random.default_rng(mode.seed)
         coverage = f"sampled(count={mode.count}, seed={mode.seed})"
         walk = (
-            Profile(shape, [uniform_preference(shape, rng) for _ in shape.agents()])
+            _profile(shape, tuple(uniform_preference(shape, rng) for _ in shape.agents()))
             for _ in range(mode.count)
         )
     checked = [0] * len(axioms)
@@ -345,7 +353,7 @@ def _deviations(mechanism: DirectMechanism, shape: DomainShape) -> _Cases:
         if rng is not None:
             j = int(rng.integers(1, shape.n + 1))
             deviation = uniform_preference(shape, rng)
-            misreport = Profile(shape, reports[: j - 1] + (deviation,) + reports[j:])
+            misreport = _profile(shape, reports[: j - 1] + (deviation,) + reports[j:])
             yield 1, (profile, j, deviation, mechanism.apply(profile), mechanism.apply(misreport))
             return
         if k not in outcomes:
@@ -360,7 +368,7 @@ def _deviations(mechanism: DirectMechanism, shape: DomainShape) -> _Cases:
                     continue
                 key = k + (dev - own) * stride
                 if key not in outcomes:
-                    misreport = Profile(shape, reports[: j - 1] + (deviation,) + reports[j:])
+                    misreport = _profile(shape, reports[: j - 1] + (deviation,) + reports[j:])
                     outcomes[key] = mechanism.apply(misreport)
                 yield 1, (profile, j, deviation, base, outcomes[key])
 

@@ -425,8 +425,17 @@ class Profile:
                     )
         except AttributeError:  # an entry with no shape: a valid profile pays nothing
             raise _invalid(f"agent {j} preference must be a Preference", pref) from None
+        self._build(shape, prefs)
+
+    def _build(self, shape: DomainShape, preferences: tuple[Preference, ...]) -> Profile:
+        """The one build path, from a tuple of n preferences of ``shape``:
+        checked by ``__init__`` when a caller gave them, unchecked when the
+        package built them at that shape (the audits' profiles, misreports
+        and relabelings; called on ``Profile.__new__(Profile)``). Returns the
+        profile."""
         self.shape = shape
-        self.preferences = prefs
+        self.preferences = preferences
+        return self
 
     def pref(self, agent: int) -> Preference:
         if not (type(agent) is int and 1 <= agent <= self.shape.n):

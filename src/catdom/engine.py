@@ -14,30 +14,35 @@ with per-agent behaviors:
 
 An agent's consistency state is a Python-int bitset over her ranking
 positions: bit ``r`` is set while ``order[r]`` agrees with her own picks and
-uses only items still available in her open categories. One play
-(``_play``) keeps one per agent, all bits set at the start, and builds every
-agent's position masks in one call (``build_position_masks``). When agent j
-takes item d of category c, j keeps only the positions holding d, and each
-agent who picks c in a later round (``PickingOrder._later_pickers``) loses
-them. The agents who picked c earlier need no update: each kept only the
-positions holding her own item e of c, and e != d, since her pick took e
-off every other bitset, so none of her positions holds d (a bundle has one
-item per category). That is n(n-1)/2 updates per category in place of n**2,
-and every bitset after every round is what updating all n would give. The
+uses only items still available in her open categories. One play loop
+(``_play``) plays a block of profiles on one order and behavior list, from
+their per-category mask views (``_views``, built once per block and shared
+by every order and behavior list played on it). It keeps one bitset per
+agent and profile, all bits set at the start, and runs round by round: the
+round's picker, category, later pickers and behavior are read once, then
+the pick kernel runs on each profile. When agent j takes item d of
+category c, j keeps only the positions holding d, and each agent who picks
+c in a later round (``PickingOrder._later_pickers``) loses them. The agents
+who picked c earlier need no update: each kept only the positions holding
+her own item e of c, and e != d, since her pick took e off every other
+bitset, so none of her positions holds d (a bundle has one item per
+category). That is n(n-1)/2 updates per category in place of n**2, and
+every bitset after every round is what updating all n would give. The
 bitsets are the play's only record of what is left: an item of a category
 still open for an agent is available exactly when her bitset meets its
-position mask. One pick kernel reads the state and returns raw data: the
-optimistic pick is the lowest set bit; the pessimistic pick takes the
-highest set bit per candidate item, its worst bit length, and the
-candidate whose worst bit is lowest wins. After the last round each
-bitset has one bit left, the agent's bundle, and its bit length is her
-rank. The public choice functions build the bitset from scratch
+position mask. One pick kernel (``_pick``) reads the state and returns the
+item: the optimistic pick is the lowest set bit; the pessimistic pick
+takes the highest set bit per candidate item, its worst bit length, and
+the candidate whose worst bit is lowest wins, and it records the worst
+bit lengths only for a caller that asks. After the last round each bitset
+has one bit left, the agent's bundle, and its bit length is her rank. The
+public choice functions build the bitset from scratch
 (``_consistency_mask``) and call the same kernel.
 
-``run_csam`` turns the play into a trace: per round, the available items of
-the round's category and, for a pessimistic pick, the comparison behind it.
-``_realized_ranks`` plays without a trace and returns the ranks only, for
-the Mallows study.
+``run_csam`` plays a block of one profile and turns it into a trace: per
+round, the available items of the round's category and, for a pessimistic
+pick, the comparison behind it. ``_realized_ranks`` plays a block without a
+trace and returns the ranks only, for the Mallows study.
 
 Whole-bundle serial dictatorship has one scan, ``_serial_picks``, behind
 ``direct_serial_dictatorship`` and every serial dictatorship of ``axioms``:
@@ -149,31 +154,35 @@ def _consistency_mask(
 
 
 def _pick(
-    pref: Preference, table: Sequence[Bundle], cons: int, category: int, pessimistic: bool
-) -> tuple[int, dict[int, int] | None]:
-    """The pick kernel: the item taken in ``category`` and, for a pessimistic
-    agent, each candidate's worst bit length (the 1-based ranking position of
-    its worst consistent bundle). ``cons`` is the agent's consistency bitset
-    with ``category`` held to its available items; ``table`` is the shape's
-    ``bundle_table``."""
+    indices: Sequence[int], masks: Sequence[int], table: Sequence[Bundle], cons: int,
+    category: int, pessimistic: bool, worst: dict[int, int] | None = None,
+) -> int:
+    """The pick kernel: the item taken in ``category`` by an agent whose
+    ranking is ``indices`` and whose masks of the category's items are
+    ``masks``. ``cons`` is her consistency bitset with ``category`` held to
+    its available items; ``table`` is the shape's ``bundle_table``. A
+    pessimistic pick fills ``worst``, when given, with each candidate's
+    worst bit length (the 1-based ranking position of its worst consistent
+    bundle)."""
     if not pessimistic:
         if not cons:
             raise ValidationError("no consistent available bundle; available sets exhausted")
         # the lowest set bit is the best consistent bundle
-        return table[pref.indices[(cons & -cons).bit_length() - 1]][category - 1], None
-    worst: dict[int, int] = {}
-    item = least = 0
-    for d, bits in enumerate(pref.position_masks[category - 1], 1):
+        return table[indices[(cons & -cons).bit_length() - 1]][category - 1]
+    item = least = d = 0
+    for bits in masks:
+        d += 1
         # the highest set bit is the candidate's worst consistent bundle
         length = (cons & bits).bit_length()
         if length:
-            worst[d] = length
+            if worst is not None:
+                worst[d] = length
             # distinct candidates have distinct worst bundles: a unique argmin
             if not least or length < least:
                 item, least = d, length
-    if not worst:
+    if not item:
         raise ValidationError(f"category {category} has no available items")
-    return item, worst
+    return item
 
 
 def _comparison(
@@ -191,7 +200,8 @@ def optimistic_choice(
 ) -> int:
     """Component of the best consistent available bundle in ``category``."""
     mask = _consistency_mask(pref, picks, available)
-    return _pick(pref, bundle_table(pref.shape), mask, category, False)[0]
+    masks = pref.position_masks[category - 1]
+    return _pick(pref.indices, masks, bundle_table(pref.shape), mask, category, False)
 
 
 def pessimistic_comparison(
@@ -202,8 +212,9 @@ def pessimistic_comparison(
 ) -> dict[int, Bundle]:
     """Worst consistent available bundle per candidate item of ``category``."""
     mask = _consistency_mask(pref, picks, available, category)
-    table = bundle_table(pref.shape)
-    return _comparison(pref, table, _pick(pref, table, mask, category, True)[1])
+    table, worst = bundle_table(pref.shape), {}
+    _pick(pref.indices, pref.position_masks[category - 1], table, mask, category, True, worst)
+    return _comparison(pref, table, worst)
 
 
 def pessimistic_choice(
@@ -214,7 +225,8 @@ def pessimistic_choice(
 ) -> int:
     """The candidate of ``category`` whose worst consistent bundle is best."""
     mask = _consistency_mask(pref, picks, available, category)
-    return _pick(pref, bundle_table(pref.shape), mask, category, True)[0]
+    masks = pref.position_masks[category - 1]
+    return _pick(pref.indices, masks, bundle_table(pref.shape), mask, category, True)
 
 
 def _check_behaviors(shape, behaviors: Sequence[Behavior]) -> tuple[Behavior, ...]:
@@ -238,57 +250,80 @@ def _check_behaviors(shape, behaviors: Sequence[Behavior]) -> tuple[Behavior, ..
     return bs
 
 
+def _views(profiles: Sequence[Sequence[Preference]]) -> tuple[list, list]:
+    """A block of checked profiles, each n preferences of one shape, as
+    ``_play`` reads them: ``masks[c][b][a]`` holds agent ``a + 1``'s masks of
+    the items of category ``c + 1`` in profile ``b``, and ``indices[a][b]``
+    her ranking there. Builds the masks the preferences lack in one call."""
+    build_position_masks([pref for prefs in profiles for pref in prefs])
+    masks = list(zip(*(zip(*(pref.position_masks for pref in prefs)) for prefs in profiles)))
+    indices = list(zip(*((pref.indices for pref in prefs) for prefs in profiles)))
+    return masks, indices
+
+
 def _play(
-    order: PickingOrder, profile: Profile, behaviors: tuple[Behavior, ...]
-) -> Iterator[tuple[int, dict[int, int] | None, list[int]]]:
-    """Play checked inputs round by round. Yields, per round, the item taken,
-    the kernel's worst bit lengths for a pessimistic pick (None otherwise),
-    and the running consistency bitsets after the round, ``cons[j - 1]`` for
-    agent ``j`` (one list, updated in place). Builds every agent's position
-    masks in one call first. A scripted item is on the table exactly when
-    the picker's bitset meets its mask: its category is open for her, and
-    each of her other open categories still holds an item."""
+    order: PickingOrder, views: tuple[list, list], behaviors: tuple[Behavior, ...],
+    comparisons: bool = False,
+) -> Iterator[tuple[list[int], list[dict[int, int] | None], list[list[int]]]]:
+    """Play checked inputs round by round on a block of profiles, given by
+    their ``_views``, all with the same order and behaviors. Yields, per
+    round, the item taken in each profile, each profile's worst bit lengths
+    of the pick when ``comparisons`` is set and the picker is pessimistic
+    (None otherwise), and the running consistency bitsets after the round,
+    ``cons[b][j - 1]`` for agent ``j`` in profile ``b``, updated in place.
+    The round's picker, category, later pickers and behavior are read once
+    per round, then the pick kernel runs on each profile. A scripted item is
+    on the table exactly when the picker's bitset meets its mask: its
+    category is open for her, and each of her other open categories still
+    holds an item. A script refused in any profile ends the play at that
+    round, with the first such profile's remaining items."""
+    masks, indices = views
     shape = order.shape
-    n, table, prefs = shape.n, bundle_table(shape), profile.preferences
-    build_position_masks(prefs)
-    # by_category[c][a]: agent a + 1's masks of the items of category c + 1
-    by_category = list(zip(*(pref.position_masks for pref in prefs)))
+    n, table, size = shape.n, bundle_table(shape), len(indices[0])
     scripts = [iter(b.picks) if isinstance(b, Scripted) else None for b in behaviors]
     pessimistic = [isinstance(b, Pessimistic) for b in behaviors]
-    cons = [(1 << shape.bundle_count) - 1] * n
+    cons = [[(1 << shape.bundle_count) - 1] * n for _ in range(size)]
+    nothing = [None] * size
     for t, ((j, i), later) in enumerate(zip(order.rounds, order._later_pickers), 1):
-        a, c = j - 1, i - 1
-        script, row = scripts[a], by_category[c]
-        worst = None
-        if script is not None:
-            item = next(script)
-            if not (1 <= item <= n and cons[a] & row[a][item - 1]):
-                left = [d for d, bits in enumerate(row[a], 1) if cons[a] & bits]
+        a = j - 1
+        script, pess = scripts[a], pessimistic[a]
+        worst = [{} for _ in nothing] if comparisons and pess else nothing
+        item = None if script is None else next(script)
+        items = []
+        for row, state, ranking, into in zip(masks[i - 1], cons, indices[a], worst):
+            mine, bits = row[a], state[a]
+            if script is None:
+                item = _pick(ranking, mine, table, bits, i, pess, into)
+            elif not (1 <= item <= n and bits & mine[item - 1]):
+                left = [d for d, m in enumerate(mine, 1) if bits & m]
                 raise ExecutionError(
                     f"round {t}: scripted item {_REPR.repr(item)} of category {i} is not available "
                     f"(remaining {left})"
                 )
-        else:
-            item, worst = _pick(prefs[a], table, cons[a], i, pessimistic[a])
-        # the taker keeps only bundles with the item, the category's later
-        # pickers lose them (its earlier pickers hold none of them)
-        d = item - 1
-        cons[a] &= row[a][d]
-        for k in later:
-            cons[k] &= ~row[k][d]
-        yield item, worst, cons
+            items.append(item)
+            # the taker keeps only bundles with the item, the category's
+            # later pickers lose them (its earlier pickers hold none of them)
+            d = item - 1
+            state[a] = bits & mine[d]
+            for k in later:
+                state[k] &= ~row[k][d]
+        yield items, worst, cons
 
 
-def _bundles(shape, prefs: Sequence[Preference], cons: Sequence[int]) -> list[Bundle]:
-    """The one bundle left in each agent's final bitset, agent 1 first,
-    checked to partition every category."""
-    table = bundle_table(shape)
-    bundles = [table[pref.indices[bits.bit_length() - 1]] for pref, bits in zip(prefs, cons)]
-    # table bundles are well formed, so distinct items per category is validity
-    if any(len(set(items)) < shape.n for items in zip(*bundles)):
-        check = validate_allocation(shape, Allocation(dict(enumerate(bundles, 1))))
+def _held(shape, indices: Sequence[Sequence[int]], cons: Sequence[int]) -> list[int]:
+    """The index of the one bundle left in each agent's final bitset, agent
+    1 first, ``indices[j - 1]`` agent j's ranking, checked to partition
+    every category."""
+    held = [ranking[bits.bit_length() - 1] for ranking, bits in zip(indices, cons)]
+    # a bundle sets one item bit per category, so n bundles partition every
+    # category exactly when their item bits add up to all n*p bits: a
+    # shared item would carry
+    bits = _item_bits(shape)
+    if sum([bits[idx] for idx in held]) != (1 << shape.n * shape.p) - 1:
+        table = bundle_table(shape)
+        check = validate_allocation(shape, Allocation({j: table[x] for j, x in enumerate(held, 1)}))
         raise AssertionError(f"engine produced an invalid allocation: {check.detail}")
-    return bundles
+    return held
 
 
 def run_csam(
@@ -308,26 +343,29 @@ def run_csam(
     table, prefs = bundle_table(shape), profile.preferences
     left = [list(shape.agents()) for _ in shape.categories()]
     records: list[RoundRecord] = []
-    play = _play(order, profile, _check_behaviors(shape, behaviors))
-    for t, ((j, i), (item, worst, cons)) in enumerate(zip(order.rounds, play), 1):
+    # a block of one profile, with the comparisons behind pessimistic picks
+    play = _play(order, _views([prefs]), _check_behaviors(shape, behaviors), True)
+    for t, ((j, i), ([item], [worst], [cons])) in enumerate(zip(order.rounds, play), 1):
         comparison = None if worst is None else _comparison(prefs[j - 1], table, worst)
         records.append(RoundRecord(t, j, i, item, tuple(left[i - 1]), comparison))
         left[i - 1].remove(item)
     # every agent has picked in every category: one consistent bundle is left
-    allocation = Allocation(dict(enumerate(_bundles(shape, prefs, cons), 1)))
-    trace = ExecutionTrace(tuple(records), (1 + shape.n * shape.p) * shape.n)
-    return allocation, trace
+    held = _held(shape, [pref.indices for pref in prefs], cons)
+    allocation = Allocation({j: table[idx] for j, idx in enumerate(held, 1)})
+    return allocation, ExecutionTrace(tuple(records), (1 + shape.n * shape.p) * shape.n)
 
 
 def _realized_ranks(
-    order: PickingOrder, profile: Profile, behaviors: tuple[Behavior, ...]
-) -> list[int]:
-    """``run_csam`` on checked inputs without a trace: each agent's rank of
-    her bundle, the bit length of her final bitset."""
-    for _, _, cons in _play(order, profile, behaviors):
+    order: PickingOrder, views: tuple[list, list], behaviors: tuple[Behavior, ...]
+) -> list[list[int]]:
+    """``run_csam`` on a block of checked profiles, their ``_views``, without
+    a trace: per profile, each agent's rank of her bundle, the bit length of
+    her final bitset."""
+    for _, _, cons in _play(order, views, behaviors):
         pass
-    _bundles(order.shape, profile.preferences, cons)
-    return [bits.bit_length() for bits in cons]
+    for rankings, state in zip(zip(*views[1]), cons):
+        _held(order.shape, rankings, state)
+    return [[bits.bit_length() for bits in state] for state in cons]
 
 
 def _serial_picks(

@@ -20,10 +20,12 @@ ranks for sequential mechanisms under profiles drawn from a shared Mallows
 population (one ``uniform_preference`` reference per replicate, one draw per
 agent, the same profile fed to every mechanism configuration, each played
 without a trace). Each replicate keeps its own stream, but the study draws
-in blocks (``_study_block``): per shape, as many replicates as fit in
-``_STUDY_BLOCK`` uniforms and ``_STUDY_ROWS`` draws, across phis, one at
-least, with one slot pass per phi, one placement loop and one mask build
-(``domain._fill_masks``).
+and plays in blocks (``_study_block``): per shape, as many replicates as
+fit in ``_STUDY_BLOCK`` uniforms and ``_STUDY_ROWS`` draws, across phis,
+one at least, with one slot pass per phi, one placement loop and one mask
+build (``domain._fill_masks``). The block's mask views (``engine._views``)
+are built once, and each mechanism plays the whole block round by round
+(``engine._realized_ranks``).
 """
 
 from __future__ import annotations
@@ -42,14 +44,13 @@ from .domain import (
     CapacityError,
     DomainShape,
     Preference,
-    Profile,
     ValidationError,
     _REPR,
     _check_seed,
     _fill_masks,
     _invalid,
 )
-from .engine import _BEHAVIORS, _realized_ranks
+from .engine import _BEHAVIORS, _realized_ranks, _views
 from .orders import balanced_order, serial_dictatorship_order
 
 # the order families by their study token
@@ -297,11 +298,11 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentResult]:
                 Preference.__new__(Preference)._build(shape, tuple(row)) for row in block.tolist()
             ]
             _fill_masks(prefs, block)  # from the block, not from the tuples
-            for k in range(lo, hi):
-                phi_idx, rep = divmod(k, samples)
-                profile = Profile(shape, prefs[(k - lo) * n : (k - lo + 1) * n])
-                for c_idx, (order, behaviors, report) in enumerate(plays):
-                    ranks = _realized_ranks(order, profile, behaviors)
+            # every replicate's mask views once, shared by every mechanism
+            views = _views([prefs[r : r + n] for r in range(0, len(prefs), n)])
+            for c_idx, (order, behaviors, report) in enumerate(plays):
+                for k, ranks in enumerate(_realized_ranks(order, views, behaviors), lo):
+                    phi_idx, rep = divmod(k, samples)
                     if report is not None:
                         for j, rank in enumerate(ranks, 1):
                             if rank > report.bound(j):

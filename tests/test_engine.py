@@ -259,6 +259,14 @@ class TestLargerShapes:
             assert (picks, available) == state
 
 
+def play_one(order, profile, behaviors, comparisons=True):
+    """``engine._play`` on a block of one profile, as per-round ``(item,
+    worst, cons)`` triples of that profile."""
+    play = engine._play(order, engine._views([profile.preferences]), behaviors, comparisons)
+    for [item], [worst], [cons] in play:
+        yield item, worst, cons
+
+
 def check_running_state(order, profile, kinds):
     """Play through ``engine._play``, asserting after every round that each
     agent's running bitset equals the from-scratch rebuild
@@ -268,7 +276,7 @@ def check_running_state(order, profile, kinds):
     picks = {j: {} for j in shape.agents()}
     available = {i: set(shape.agents()) for i in shape.categories()}
     rounds = []
-    play = engine._play(order, profile, tuple(kind_behaviors(kinds)))
+    play = play_one(order, profile, tuple(kind_behaviors(kinds)))
     for (j, i), (item, worst, cons) in zip(order.rounds, play):
         rounds.append((j, i, item, tuple(sorted(available[i])), worst))
         picks[j][i] = item
@@ -316,9 +324,11 @@ class TestRunningState:
 
 
 def eager_play(order, profile, behaviors):
-    """``engine._play`` with every agent's bitset updated at every pick, the
-    picker's included: the oracle for the play, which updates only the
-    agents who pick the round's category later."""
+    """One profile's play with every agent's bitset updated at every pick,
+    the picker's included, and every pessimistic pick's worst bit lengths:
+    the oracle for ``engine._play``, which plays a block of profiles round
+    by round and updates only the agents who pick the round's category
+    later."""
     shape = order.shape
     n, table, prefs = shape.n, cd.domain.bundle_table(shape), profile.preferences
     by_category = list(zip(*(pref.position_masks for pref in prefs)))
@@ -338,7 +348,8 @@ def eager_play(order, profile, behaviors):
                     f"(remaining {left})"
                 )
         else:
-            item, worst = engine._pick(prefs[a], table, cons[a], i, pessimistic[a])
+            worst = {} if pessimistic[a] else None
+            item = engine._pick(prefs[a].indices, row[a], table, cons[a], i, pessimistic[a], worst)
         d = item - 1
         keep = cons[a] & row[a][d]
         for k in range(n):
@@ -359,13 +370,32 @@ def play_rounds(play):
     return rounds, None
 
 
-def check_play_against_eager(order, profile, kinds):
-    """``engine._play`` and ``eager_play`` agree in every round, up to the
-    same refusal if a script makes one; returns the refusal."""
+def check_play_against_eager(order, profiles, kinds, comparisons=True):
+    """``engine._play`` on a block of ``profiles`` equals ``eager_play`` on
+    each of them, round by round: every item, every pessimistic pick's worst
+    bit lengths when ``comparisons`` is set (None otherwise), and every
+    bitset after every round. A block stops at the first round a profile
+    refuses, with the refusal of the first such profile in the block;
+    returns it, or None."""
     behaviors = tuple(kind_behaviors(kinds))
-    played = play_rounds(engine._play(order, profile, behaviors))
-    assert played == play_rounds(eager_play(order, profile, behaviors))
-    return played[1]
+    eager = [play_rounds(eager_play(order, profile, behaviors)) for profile in profiles]
+    refused = [(len(rounds), b) for b, (rounds, refusal) in enumerate(eager) if refusal]
+    stop, first = min(refused, default=(len(order.rounds), None))
+    views = engine._views([profile.preferences for profile in profiles])
+    played, refusal = [], None
+    try:
+        for items, worst, cons in engine._play(order, views, behaviors, comparisons):
+            played.append((list(items), list(worst), [list(state) for state in cons]))
+    except cd.ExecutionError as exc:
+        refusal = str(exc)
+    assert refusal == (None if first is None else eager[first][1])
+    assert len(played) == stop
+    for t, (items, worst, cons) in enumerate(played):
+        for b, (rounds, _) in enumerate(eager):
+            item, eager_worst, eager_cons = rounds[t]
+            assert (items[b], cons[b]) == (item, eager_cons), (t + 1, b)
+            assert worst[b] == (eager_worst if comparisons else None), (t + 1, b)
+    return refusal
 
 
 def spoil_script(kinds, rng):
@@ -381,22 +411,62 @@ def spoil_script(kinds, rng):
     return [tuple(picks) if a == j else k for a, k in enumerate(kinds)]
 
 
+def block_of(profile, kinds, size, rng, feasible=False):
+    """``profile`` and ``size - 1`` more of its shape. Each other profile
+    redraws either the scripted agents' rankings only, so it plays the same
+    picks and every script stays feasible, or every ranking, so a script
+    may be refused in it. With ``feasible`` set and some agent scripted,
+    every other profile redraws the scripted rankings only."""
+    shape = profile.shape
+    bundles = list(shape.bundles())
+    keep = feasible and any(isinstance(kind, tuple) for kind in kinds)
+    block = [profile]
+    for _ in range(size - 1):
+        every = not keep and rng.random() < 0.5
+        prefs = []
+        for pref, kind in zip(profile.preferences, kinds):
+            if every or isinstance(kind, tuple):
+                rng.shuffle(bundles)
+                pref = cd.Preference(shape, bundles)
+            prefs.append(pref)
+        block.append(cd.Profile(shape, prefs))
+    return block
+
+
 class TestLazyPlay:
     @settings(max_examples=150, deadline=None)
-    @given(mixed_instance_strategy(), st.randoms(use_true_random=False))
-    def test_matches_eager_play(self, instance, rng):
+    @given(
+        mixed_instance_strategy(),
+        st.sampled_from([1, 2, 7]),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_eager_play(self, instance, size, comparisons, rng):
         order, profile, kinds = instance
-        check_play_against_eager(order, profile, kinds)
-        check_play_against_eager(order, profile, spoil_script(kinds, rng))
+        block = block_of(profile, kinds, size, rng)
+        check_play_against_eager(order, block, kinds, comparisons)
+        check_play_against_eager(order, block, spoil_script(kinds, rng), comparisons)
 
-    @pytest.mark.parametrize("n,p", [(6, 2), (4, 3), (3, 4), (2, 6)])
-    def test_matches_eager_play_larger(self, n, p):
+    @pytest.mark.parametrize(
+        "n,p,seeds",
+        [
+            pytest.param(n, p, seeds, id=f"{n}-{p}")
+            for n, p, seeds in [
+                (6, 2, 12), (4, 3, 12), (3, 4, 12), (2, 6, 12), (4, 6, 3), (12, 2, 4)
+            ]
+        ],
+    )
+    def test_matches_eager_play_larger(self, n, p, seeds):
         refusals = 0
-        for seed in range(12):
+        for seed in range(seeds):
+            rng, comparisons = random.Random(seed), seed % 2 == 1
             order, profile, kinds = seeded_instance(n, p, seed)
-            assert check_play_against_eager(order, profile, kinds) is None
-            spoiled = spoil_script(kinds, random.Random(seed))
-            refusals += check_play_against_eager(order, profile, spoiled) is not None
+            for size in (1, 2, 7):
+                block = block_of(profile, kinds, size, rng, feasible=True)
+                assert check_play_against_eager(order, block, kinds, comparisons) is None
+                block = block_of(profile, kinds, size, rng)
+                spoiled = spoil_script(kinds, rng)
+                refusals += check_play_against_eager(order, block, spoiled, comparisons) is not None
         # some spoiled script reached the "not available" refusal
         assert refusals
 
@@ -404,26 +474,71 @@ class TestLazyPlay:
         # rounds (1,1) (2,2) (3,1) (3,2) (2,1) (1,2), agents 0-based
         assert mixed_order_3x2._later_pickers == ((2, 1), (2, 0), (1,), (0,), (), ())
 
+    def test_script_refused_in_a_later_profile(self, mixed_order_3x2, profile_3x2):
+        # agent 3 replays her picks (3, 3) of the first profile; in the
+        # second, agent 1 ranks (3, 3) first and takes item 3 of category 1
+        # in round 1, so the block stops at round 3 with the second
+        # profile's refusal
+        _, trace = cd.run_csam(mixed_order_3x2, profile_3x2, MIXED_BEHAVIORS_3X2)
+        script = tuple(r.item for r in trace.rounds if r.agent == 3)
+        assert script == (3, 3)
+        shape = profile_3x2.shape
+        first = cd.Preference(shape, reversed(list(shape.bundles())))
+        other = cd.Profile(shape, [first, *profile_3x2.preferences[1:]])
+        refusal = check_play_against_eager(
+            mixed_order_3x2, [profile_3x2, other], ["opt", "opt", script]
+        )
+        assert refusal == (
+            "round 3: scripted item 3 of category 1 is not available (remaining [1, 2])"
+        )
 
-def check_realized_ranks(order, profile, kinds):
-    """``engine._realized_ranks`` equals ``rank_of`` on ``run_csam``'s
-    allocation, agent by agent."""
+
+def check_realized_ranks(order, profiles, kinds):
+    """``engine._realized_ranks`` on a block of ``profiles`` equals
+    ``rank_of`` on ``run_csam``'s allocation, profile by profile and agent
+    by agent."""
     behaviors = tuple(kind_behaviors(kinds))
-    alloc, _ = cd.run_csam(order, profile, behaviors)
-    ranks = [profile.pref(j).rank_of(alloc[j]) for j in order.shape.agents()]
-    assert engine._realized_ranks(order, profile, behaviors) == ranks
+    ranks = []
+    for profile in profiles:
+        alloc, _ = cd.run_csam(order, profile, behaviors)
+        ranks.append([profile.pref(j).rank_of(alloc[j]) for j in order.shape.agents()])
+    views = engine._views([profile.preferences for profile in profiles])
+    assert engine._realized_ranks(order, views, behaviors) == ranks
 
 
 class TestRealizedRanks:
     @settings(max_examples=100, deadline=None)
-    @given(mixed_instance_strategy())
-    def test_bit_lengths_are_ranks(self, instance):
-        check_realized_ranks(*instance)
+    @given(
+        mixed_instance_strategy(), st.sampled_from([1, 2, 7]), st.randoms(use_true_random=False)
+    )
+    def test_bit_lengths_are_ranks(self, instance, size, rng):
+        order, profile, kinds = instance
+        check_realized_ranks(order, block_of(profile, kinds, size, rng, feasible=True), kinds)
 
     @pytest.mark.parametrize("n,p,seeds", [(4, 6, range(3)), (12, 2, range(4))])
     def test_larger_games(self, n, p, seeds):
         for seed in seeds:
-            check_realized_ranks(*seeded_instance(n, p, seed))
+            order, profile, kinds = seeded_instance(n, p, seed)
+            block = block_of(profile, kinds, 2, random.Random(seed), feasible=True)
+            check_realized_ranks(order, block, kinds)
+
+
+class TestHeldCheck:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 3), st.data())
+    def test_refuses_exactly_what_validate_allocation_refuses(self, n, p, data):
+        # each agent's final bitset keeps ranking position 0, her drawn bundle
+        shape = cd.DomainShape(n, p)
+        table = cd.domain.bundle_table(shape)
+        held = data.draw(st.lists(st.integers(0, shape.bundle_count - 1), min_size=n, max_size=n))
+        allocation = cd.Allocation({j: table[idx] for j, idx in enumerate(held, 1)})
+        check = cd.validate_allocation(shape, allocation)
+        rankings, cons = [(idx,) for idx in held], [1] * n
+        if check.ok:
+            assert engine._held(shape, rankings, cons) == held
+        else:
+            with pytest.raises(AssertionError, match=re.escape(check.detail)):
+                engine._held(shape, rankings, cons)
 
 
 class TestScripted:

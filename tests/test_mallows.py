@@ -571,31 +571,36 @@ class TestExperiment:
 
     @pytest.mark.parametrize("phi", TestSampler.UNCHECKED_PHIS)
     def test_replicate_plays_the_checked_build_of_its_draw(self, monkeypatch, phi):
-        # one 4x6 replicate: the profile every mechanism plays holds the
-        # checked build of each row of the block _place returned
-        blocks, profiles = [], []
+        # two 4x6 replicates in one block: every mechanism plays the block's
+        # views, in which replicate r's agents hold the checked build of
+        # rows r * n to r * n + n - 1 of the block _place returned, their
+        # rankings and their position masks
+        blocks, played = [], []
         place, realized_ranks = mallows._place, mallows._realized_ranks
 
         def recording_place(slots, references):
             blocks.append(place(slots, references))
             return blocks[-1]
 
-        def recording_ranks(order, profile, behaviors):
-            profiles.append(profile)
-            return realized_ranks(order, profile, behaviors)
+        def recording_ranks(order, views, behaviors):
+            played.append(views)
+            return realized_ranks(order, views, behaviors)
 
         monkeypatch.setattr(mallows, "_place", recording_place)
         monkeypatch.setattr(mallows, "_realized_ranks", recording_ranks)
-        config = ExperimentConfig(p=6, n_values=(4,), phis=(phi,), samples=1, seed=13)
+        config = ExperimentConfig(p=6, n_values=(4,), phis=(phi,), samples=2, seed=13)
         run_experiment(config)
         shape = cd.DomainShape(4, 6)
         [block] = blocks
         want = [cd.Preference.from_indices(shape, row) for row in block.tolist()]
-        assert len(profiles) == len(DEFAULT_GRID)
-        for profile in profiles:
-            assert list(profile.preferences) == want
-            for pref in profile.preferences:
-                assert set(map(type, pref.indices)) == {int}
+        assert len(played) == len(DEFAULT_GRID)
+        for masks, indices in played:
+            assert [len(rankings) for rankings in indices] == [2] * 4
+            for r, a in itertools.product(range(2), range(4)):
+                pref = want[r * 4 + a]
+                assert indices[a][r] == pref.indices
+                assert set(map(type, indices[a][r])) == {int}
+                assert [by_replicate[r][a] for by_replicate in masks] == list(pref.position_masks)
 
     def test_large_cell_memory_is_bounded(self):
         # 24 replicates of 4x6 drawn in one block held about 27 MiB of
