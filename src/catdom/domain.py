@@ -373,28 +373,32 @@ def build_position_masks(prefs: Sequence[Preference]) -> None:
     (``_fill_masks``)."""
     todo = [pref for pref in prefs if pref._masks is None]
     if todo:
-        m = todo[0].shape.bundle_count
+        shape = todo[0].shape
+        m = shape.bundle_count
         flat = itertools.chain.from_iterable(pref.indices for pref in todo)
-        _fill_masks(todo, np.fromiter(flat, np.intp, len(todo) * m).reshape(len(todo), m))
+        index = np.fromiter(flat, np.intp, len(todo) * m).reshape(len(todo), m)
+        for pref, masks in zip(todo, _fill_masks(shape, index)):
+            pref._masks = masks
 
 
-def _fill_masks(prefs: Sequence[Preference], index: np.ndarray) -> None:
-    """Set ``position_masks`` of every preference in ``prefs`` (all of one
-    shape) from ``index``, whose row ``a`` lists ``prefs[a].indices``: one
-    numpy pass per category, in blocks of preferences when their one-hot
-    rows would pass ``_MASK_BLOCK`` elements."""
-    shape = prefs[0].shape
+def _fill_masks(shape: DomainShape, index: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
+    """The position masks of each row of ``index``, a ``(rows, m)`` block of
+    rankings of ``shape`` as bundle indices, one tuple of mask tuples per
+    row, as ``Preference.position_masks`` holds them: one numpy pass per
+    category, in blocks of rows when their one-hot rows would pass
+    ``_MASK_BLOCK`` elements. The one mask core, behind
+    ``build_position_masks`` and the Mallows study's draw blocks."""
     n = shape.n
     digits = _digit_matrix(shape)
     items = np.arange(n, dtype=digits.dtype)[:, None]
     step = max(1, _MASK_BLOCK // (n * shape.bundle_count))
-    for lo in range(0, len(prefs), step):
-        block = prefs[lo : lo + step]
+    out: list[tuple[tuple[int, ...], ...]] = []
+    for lo in range(0, len(index), step):
         # numpy gathers with a native index several times faster than a uintc one
         rows = index[lo : lo + step].astype(np.intp, copy=False)
-        by_pref: list[list[tuple[int, ...]]] = [[] for _ in block]
+        by_category = []
         for row in digits:
-            # one-hot rows per (preference, item), packed to bytes, bit r first
+            # one-hot rows per (ranking, item), packed to bytes, bit r first
             packed = np.packbits(row[rows][:, None, :] == items, axis=2, bitorder="little")
             width = packed.shape[2]
             data = packed.tobytes()
@@ -402,10 +406,9 @@ def _fill_masks(prefs: Sequence[Preference], index: np.ndarray) -> None:
                 int.from_bytes(data[s : s + width], "little")
                 for s in range(0, len(data), width)
             ]
-            for a, out in enumerate(by_pref):
-                out.append(tuple(masks[a * n : (a + 1) * n]))
-        for pref, out in zip(block, by_pref):
-            pref._masks = tuple(out)
+            by_category.append([tuple(masks[a : a + n]) for a in range(0, len(masks), n)])
+        out += zip(*by_category)
+    return out
 
 
 class Profile:

@@ -16,13 +16,14 @@ An agent's consistency state is a Python-int bitset over her ranking
 positions: bit ``r`` is set while ``order[r]`` agrees with her own picks and
 uses only items still available in her open categories. One play loop
 (``_play``) plays a block of profiles on one order and behavior list, from
-their per-category mask views (``_views``, built once per block and shared
-by every order and behavior list played on it). It keeps one bitset per
-agent and profile, all bits set at the start, and runs round by round: the
-round's picker, category, later pickers and behavior are read once, then
-the pick kernel runs on each profile. When agent j takes item d of
-category c, j keeps only the positions holding d, and each agent who picks
-c in a later round (``PickingOrder._later_pickers``) loses them. The agents
+their per-category mask views (``_views``, built from per-draw index rows
+and masks once per block and shared by every order and behavior list
+played on it). It keeps one bitset per agent and profile, all bits set at
+the start, and runs round by round: the round's picker, category, later
+pickers and behavior are read once, then the pick kernel runs on each
+profile. When agent j takes item d of category c, j keeps only the
+positions holding d, and each agent who picks c in a later round
+(``PickingOrder._later_pickers``) loses them. The agents
 who picked c earlier need no update: each kept only the positions holding
 her own item e of c, and e != d, since her pick took e off every other
 bitset, so none of her positions holds d (a bundle has one item per
@@ -250,15 +251,16 @@ def _check_behaviors(shape, behaviors: Sequence[Behavior]) -> tuple[Behavior, ..
     return bs
 
 
-def _views(profiles: Sequence[Sequence[Preference]]) -> tuple[list, list]:
-    """A block of checked profiles, each n preferences of one shape, as
-    ``_play`` reads them: ``masks[c][b][a]`` holds agent ``a + 1``'s masks of
-    the items of category ``c + 1`` in profile ``b``, and ``indices[a][b]``
-    her ranking there. Builds the masks the preferences lack in one call."""
-    build_position_masks([pref for prefs in profiles for pref in prefs])
-    masks = list(zip(*(zip(*(pref.position_masks for pref in prefs)) for prefs in profiles)))
-    indices = list(zip(*((pref.indices for pref in prefs) for prefs in profiles)))
-    return masks, indices
+def _views(
+    indices: Sequence[Sequence[int]], masks: Sequence[Sequence[Sequence[int]]], n: int
+) -> tuple[list, list]:
+    """A block of checked profiles as ``_play`` reads them, from per-draw
+    index rows and per-draw masks (``Preference.position_masks``), n per
+    profile, agent 1 first: ``masks[c][b][a]`` holds agent ``a + 1``'s
+    masks of the items of category ``c + 1`` in profile ``b``, and
+    ``indices[a][b]`` her ranking there."""
+    masks = list(zip(*(zip(*masks[r : r + n]) for r in range(0, len(masks), n))))
+    return masks, [indices[a::n] for a in range(n)]
 
 
 def _play(
@@ -343,8 +345,11 @@ def run_csam(
     table, prefs = bundle_table(shape), profile.preferences
     left = [list(shape.agents()) for _ in shape.categories()]
     records: list[RoundRecord] = []
+    build_position_masks(prefs)
+    masks = [pref.position_masks for pref in prefs]
+    views = _views([pref.indices for pref in prefs], masks, shape.n)
     # a block of one profile, with the comparisons behind pessimistic picks
-    play = _play(order, _views([prefs]), _check_behaviors(shape, behaviors), True)
+    play = _play(order, views, _check_behaviors(shape, behaviors), True)
     for t, ((j, i), ([item], [worst], [cons])) in enumerate(zip(order.rounds, play), 1):
         comparison = None if worst is None else _comparison(prefs[j - 1], table, worst)
         records.append(RoundRecord(t, j, i, item, tuple(left[i - 1]), comparison))

@@ -11,9 +11,11 @@ so one vectorised step turns a whole block of uniforms into insertion slots
 (``_slots``), and no weight table is kept. One placement loop (``_place``)
 inserts each row's reference bundle indices at its slots, into one row of an
 unsigned index block. Every row is a permutation of its reference's indices
-by construction, so each becomes a ranking through ``Preference._build``
-unchecked, and in the study the block also gives the rankings' position
-masks.
+by construction, so ``sample_mallows`` makes its row a ranking through
+``Preference._build`` unchecked, and the study plays its rows where they
+lie, with no ``Preference``, tuple or list per draw: each ranking is a slice
+of one ``memoryview`` of the block, and the block gives the rankings'
+position masks.
 
 ``run_experiment`` estimates expected utilitarian and egalitarian realized
 ranks for sequential mechanisms under profiles drawn from a shared Mallows
@@ -23,9 +25,9 @@ without a trace). Each replicate keeps its own stream, but the study draws
 and plays in blocks (``_study_block``): per shape, as many replicates as
 fit in ``_STUDY_BLOCK`` uniforms and ``_STUDY_ROWS`` draws, across phis,
 one at least, with one slot pass per phi, one placement loop and one mask
-build (``domain._fill_masks``). The block's mask views (``engine._views``)
-are built once, and each mechanism plays the whole block round by round
-(``engine._realized_ranks``).
+build (``domain._fill_masks``). The block's views (``engine._views``, from
+its row slices and their masks) are built once, and each mechanism plays
+the whole block round by round (``engine._realized_ranks``).
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ _FAMILIES = {"sd": serial_dictatorship_order, "balanced": balanced_order}
 
 # Largest block of uniforms ``run_experiment`` draws at once, in elements
 # and in draws: a block holds whole replicates, n draws of m uniforms each,
-# at least one. Every draw becomes a ranking with its masks, so at small m,
+# at least one. Every draw gets a row view and its masks, so at small m,
 # where the element cap alone lets a block hold 65536 / m draws, the row
 # cap bounds them.
 _STUDY_BLOCK = 1 << 16
@@ -124,7 +126,7 @@ def _place(slots: np.ndarray, references: Iterable[Sequence[int]]) -> np.ndarray
     """Row ``r`` of ``slots`` inserts the ``r``-th reference's elements, in
     order, at its slots: a ``(rows, m)`` unsigned block of bundle indices,
     most preferred first. ``array.insert`` always inserts, so each row is a
-    permutation of its reference."""
+    permutation of its reference, a ranking as it stands."""
     # bundle indices stay below CAPACITY_LIMIT, so fit an unsigned int
     block = array("I")
     for row, reference in zip(slots.astype(np.intp).tolist(), references):
@@ -143,7 +145,9 @@ def _study_block(
     replicate. The shape's replicates run phi by phi, ``samples`` each, the
     k-th with global index ``first + k`` and stream
     ``default_rng([seed, first + k])``, which draws its reference
-    (``uniform_preference``) and then its ``(n, m)`` uniforms."""
+    (``uniform_preference``) and then its ``(n, m)`` uniforms. The study
+    plays the rows from this block, each a slice of one ``memoryview``
+    of it."""
     n, m, samples = shape.n, shape.bundle_count, config.samples
     x = np.empty((hi - lo, n, m))
     refs = []
@@ -294,12 +298,11 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentResult]:
         for lo in range(0, count, step):
             hi = min(count, lo + step)
             block = _study_block(config, shape, first, lo, hi)
-            prefs = [
-                Preference.__new__(Preference)._build(shape, tuple(row)) for row in block.tolist()
-            ]
-            _fill_masks(prefs, block)  # from the block, not from the tuples
-            # every replicate's mask views once, shared by every mechanism
-            views = _views([prefs[r : r + n] for r in range(0, len(prefs), n)])
+            # each draw's ranking a slice of one view of the block, and its
+            # masks; every replicate's views once, shared by every mechanism
+            flat = memoryview(block.reshape(-1))
+            rows = [flat[r : r + m] for r in range(0, len(flat), m)]
+            views = _views(rows, _fill_masks(shape, block), n)
             for c_idx, (order, behaviors, report) in enumerate(plays):
                 for k, ranks in enumerate(_realized_ranks(order, views, behaviors), lo):
                     phi_idx, rep = divmod(k, samples)

@@ -13,6 +13,7 @@ import pytest
 
 import catdom as cd
 from catdom import MallowsParams, Preference, ValidationError
+from catdom.domain import build_position_masks
 from catdom.mallows import _place, _slots
 
 
@@ -81,6 +82,18 @@ def batched_draw(reference, phi, count, rng):
     x = rng.random((count, len(reference)))
     _slots(x, phi)
     return _place(x, itertools.repeat(reference, count))
+
+
+def profile_views(profiles):
+    """A block of profiles, each a sequence of n checked preferences, in
+    the layout ``engine._views`` gives, built per preference: masks from
+    one ``build_position_masks`` call, then each profile's preferences
+    transposed to ``masks[c][b][a]`` and ``indices[a][b]``. The oracle of
+    the views the Mallows study builds from its draw blocks."""
+    build_position_masks([pref for prefs in profiles for pref in prefs])
+    masks = list(zip(*(zip(*(pref.position_masks for pref in prefs)) for prefs in profiles)))
+    indices = list(zip(*((pref.indices for pref in prefs) for prefs in profiles)))
+    return masks, indices
 
 
 SHAPE_3X2 = cd.DomainShape(3, 2)

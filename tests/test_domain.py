@@ -554,21 +554,21 @@ class TestPositionMasks:
     DRAW_SHAPES = [(4, 2), (8, 2), (3, 4), (4, 4), (4, 6)]
 
     def check_masks_from_draw(self, shape, seed):
-        """A replicate's draw with its masks filled from the draw's block,
+        """A replicate's draw block masked by ``_fill_masks``, one tuple of
+        mask tuples per row, against the oracle on each row's ranking and
         against the same rankings rebuilt and masked from their tuples."""
         ref = cd.uniform_preference(shape, np.random.default_rng([seed, 1]))
         block = batched_draw(ref.indices, 0.5, shape.n, np.random.default_rng(seed))
-        drawn = [cd.Preference.from_indices(shape, row) for row in block.tolist()]
-        domain._fill_masks(drawn, block)
-        # the same block as a native index gives the same masks
-        native = [cd.Preference.from_indices(shape, row) for row in block.tolist()]
-        domain._fill_masks(native, block.astype(np.intp))
         assert block.dtype == np.uintc
-        rebuilt = [cd.Preference.from_indices(shape, pref.indices) for pref in drawn]
+        drawn = domain._fill_masks(shape, block)
+        # the same block as a native index gives the same masks
+        native = domain._fill_masks(shape, block.astype(np.intp))
+        rebuilt = [cd.Preference.from_indices(shape, row) for row in block.tolist()]
         build_position_masks(rebuilt)
-        for pref, intp, tuples in zip(drawn, native, rebuilt):
-            want = position_masks_oracle(pref)
-            assert pref._masks == intp._masks == tuples._masks == want, (shape, seed)
+        assert len(drawn) == len(native) == len(rebuilt) == shape.n
+        for masks, intp, tuples in zip(drawn, native, rebuilt):
+            want = position_masks_oracle(tuples)
+            assert masks == intp == tuples._masks == want, (shape, seed)
 
     @pytest.mark.parametrize("n,p", DRAW_SHAPES)
     def test_masks_from_the_draw_block(self, n, p):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import catdom as cd
 from catdom import engine
 
-from conftest import MIXED_BEHAVIORS_3X2, pref_of
+from conftest import MIXED_BEHAVIORS_3X2, pref_of, profile_views
 
 
 def reference_run(order, profile, kinds, comparisons=None):
@@ -259,10 +259,18 @@ class TestLargerShapes:
             assert (picks, available) == state
 
 
+def views_of(profiles):
+    """``engine._views`` of a block of profiles, from their preferences'
+    indices and masks, as ``run_csam`` builds a block of one."""
+    prefs = [pref for profile in profiles for pref in profile.preferences]
+    indices = [pref.indices for pref in prefs]
+    return engine._views(indices, [pref.position_masks for pref in prefs], prefs[0].shape.n)
+
+
 def play_one(order, profile, behaviors, comparisons=True):
     """``engine._play`` on a block of one profile, as per-round ``(item,
     worst, cons)`` triples of that profile."""
-    play = engine._play(order, engine._views([profile.preferences]), behaviors, comparisons)
+    play = engine._play(order, views_of([profile]), behaviors, comparisons)
     for [item], [worst], [cons] in play:
         yield item, worst, cons
 
@@ -381,7 +389,7 @@ def check_play_against_eager(order, profiles, kinds, comparisons=True):
     eager = [play_rounds(eager_play(order, profile, behaviors)) for profile in profiles]
     refused = [(len(rounds), b) for b, (rounds, refusal) in enumerate(eager) if refusal]
     stop, first = min(refused, default=(len(order.rounds), None))
-    views = engine._views([profile.preferences for profile in profiles])
+    views = views_of(profiles)
     played, refusal = [], None
     try:
         for items, worst, cons in engine._play(order, views, behaviors, comparisons):
@@ -502,7 +510,7 @@ def check_realized_ranks(order, profiles, kinds):
     for profile in profiles:
         alloc, _ = cd.run_csam(order, profile, behaviors)
         ranks.append([profile.pref(j).rank_of(alloc[j]) for j in order.shape.agents()])
-    views = engine._views([profile.preferences for profile in profiles])
+    views = views_of(profiles)
     assert engine._realized_ranks(order, views, behaviors) == ranks
 
 
@@ -521,6 +529,22 @@ class TestRealizedRanks:
             order, profile, kinds = seeded_instance(n, p, seed)
             block = block_of(profile, kinds, 2, random.Random(seed), feasible=True)
             check_realized_ranks(order, block, kinds)
+
+
+class TestViews:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        mixed_instance_strategy(), st.sampled_from([1, 2, 7]), st.randoms(use_true_random=False)
+    )
+    def test_matches_the_per_profile_transpose(self, instance, size, rng):
+        # the flat per-draw rows, n per profile, give the layout of each
+        # profile's preferences transposed
+        _, profile, kinds = instance
+        profiles = block_of(profile, kinds, size, rng)
+        masks, indices = views_of(profiles)
+        want_masks, want_indices = profile_views([prof.preferences for prof in profiles])
+        assert masks == want_masks
+        assert [tuple(rankings) for rankings in indices] == want_indices
 
 
 class TestHeldCheck:

@@ -21,7 +21,7 @@ from catdom.mallows import (
     run_experiment,
 )
 
-from conftest import batched_draw, kendall_tau, mallows_pmf
+from conftest import batched_draw, kendall_tau, mallows_pmf, profile_views
 
 
 def line_shape(m):
@@ -598,13 +598,55 @@ class TestExperiment:
             assert [len(rankings) for rankings in indices] == [2] * 4
             for r, a in itertools.product(range(2), range(4)):
                 pref = want[r * 4 + a]
-                assert indices[a][r] == pref.indices
+                assert tuple(indices[a][r]) == pref.indices
                 assert set(map(type, indices[a][r])) == {int}
                 assert [by_replicate[r][a] for by_replicate in masks] == list(pref.position_masks)
 
+    @pytest.mark.parametrize(
+        "n,p,samples,rows",
+        [(2, 2, 4, 6), (4, 2, 5, None), (3, 4, 3, None), (4, 6, 3, None)],
+    )
+    def test_study_plays_the_views_of_its_draws(self, monkeypatch, n, p, samples, rows):
+        # each block's views, as every mechanism plays them, are those of
+        # the block's rows built one Preference per draw, masked by
+        # build_position_masks and transposed profile by profile, with the
+        # same ranks; at 2x2 a 6-row cap makes blocks of three replicates,
+        # one of which holds replicates of both phis
+        if rows is not None:
+            monkeypatch.setattr(mallows, "_STUDY_ROWS", rows)
+        blocks, played = [], []
+        study_block, realized_ranks = mallows._study_block, mallows._realized_ranks
+
+        def recording_block(*args):
+            blocks.append(study_block(*args))
+            return blocks[-1]
+
+        def recording_ranks(order, views, behaviors):
+            ranks = realized_ranks(order, views, behaviors)
+            played.append((len(blocks) - 1, order, behaviors, views, ranks))
+            return ranks
+
+        monkeypatch.setattr(mallows, "_study_block", recording_block)
+        monkeypatch.setattr(mallows, "_realized_ranks", recording_ranks)
+        config = ExperimentConfig(p=p, n_values=(n,), phis=(0.3, 1.0), samples=samples, seed=23)
+        run_experiment(config)
+        shape = cd.DomainShape(n, p)
+        assert sum(len(block) for block in blocks) == 2 * samples * n
+        if rows is not None:
+            assert len(blocks) == 3 and samples % (rows // n)
+        assert len(played) == len(blocks) * len(DEFAULT_GRID)
+        for b, order, behaviors, (masks, indices), ranks in played:
+            prefs = [cd.Preference.from_indices(shape, row) for row in blocks[b].tolist()]
+            want = profile_views([prefs[r : r + n] for r in range(0, len(prefs), n)])
+            assert masks == want[0]
+            assert [tuple(map(tuple, rankings)) for rankings in indices] == want[1]
+            assert {type(x) for rankings in indices for row in rankings for x in row} == {int}
+            assert ranks == realized_ranks(order, want, behaviors)
+
     def test_large_cell_memory_is_bounded(self):
         # 24 replicates of 4x6 drawn in one block held about 27 MiB of
-        # uniforms, slots and index tuples; blocks under the cap peak near 7
+        # uniforms, slots and rankings; blocks under the cap, each played
+        # from views of its index block, peak near 4.5
         config = ExperimentConfig(p=6, n_values=(4,), phis=(0.5,), samples=24, seed=3)
         assert mallows._STUDY_BLOCK < 24 * 4 * 4096
         tracemalloc.start()
@@ -618,7 +660,7 @@ class TestExperiment:
     def test_small_shape_block_memory_is_bounded(self):
         # at 2x2 the element cap alone let one block hold all 8192
         # replicates, 16384 rankings with their masks, which peaked near
-        # 10 MB; under the row cap the blocks peak near 3
+        # 10 MB; under the row cap the blocks peak near 4.5
         config = ExperimentConfig(p=2, n_values=(2,), phis=(0.5,), samples=8192, seed=3)
         assert mallows._STUDY_ROWS < 8192 * 2 <= mallows._STUDY_BLOCK // 4
         tracemalloc.start()
