@@ -298,8 +298,9 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentResult]:
         for lo in range(0, count, step):
             hi = min(count, lo + step)
             block = _study_block(config, shape, first, lo, hi)
-            # each draw's ranking a slice of one view of the block, and its
-            # masks; every replicate's views once, shared by every mechanism
+            # each draw's ranking is a slice of one view of the block (a view
+            # per row costs more memory), beside its masks; every
+            # replicate's views once, shared by every mechanism
             flat = memoryview(block.reshape(-1))
             rows = [flat[r : r + m] for r in range(0, len(flat), m)]
             views = _views(rows, _fill_masks(shape, block), n)
