@@ -74,6 +74,7 @@ from .domain import (
     _REPR,
     _bundle_index,
     _bundle_lookup,
+    _check_category,
     _check_permutation,
     _check_seed,
     _exceeds,
@@ -231,8 +232,7 @@ def apply_category_permutation(obj, category: int, permutation: Sequence[int]):
 
 
 def _check_perm(n: int, p: int, category, perm: tuple) -> None:
-    if not (type(category) is int and 1 <= category <= p):
-        raise ValidationError(f"category {_REPR.repr(category)} outside 1..{p}")
+    _check_category(category, p)
     _check_permutation(perm, n)
 
 

@@ -25,7 +25,7 @@ package builds itself (a shuffled ``range``, a row of a Mallows draw, one of
 ``itertools.permutations``, a relabeled checked ranking) goes straight to
 ``Preference._build``.
 Position masks are filled from a block of index rows, one numpy pass per
-category for many preferences.
+category, and returned category by category, as the engine reads them.
 """
 
 from __future__ import annotations
@@ -95,6 +95,12 @@ def _check_seed(seed) -> None:
     """Reject a seed ``np.random.default_rng`` would refuse, and bools."""
     if not (type(seed) is int and seed >= 0):
         raise _invalid("seed must be a non-negative integer", seed)
+
+
+def _check_category(category, p: int) -> None:
+    """Reject ``category`` unless it is a plain int in ``1..p``."""
+    if not (type(category) is int and 1 <= category <= p):
+        raise ValidationError(f"category {_REPR.repr(category)} outside 1..{p}")
 
 
 def _check_permutation(seq: Sequence, n: int, what: str = "") -> None:
@@ -313,9 +319,11 @@ class Preference:
     def position_masks(self) -> tuple[tuple[int, ...], ...]:
         """Where each item sits in the ranking, as bitsets: bit ``r`` of
         ``position_masks[c][d - 1]`` is set when ``order[r]`` holds item ``d``
-        in category ``c + 1``. Built on first use (``build_position_masks``)."""
+        in category ``c + 1``. Built on first use, from a one-row
+        ``_fill_masks`` block, and kept: a ranking played again reuses them."""
         if self._masks is None:
-            build_position_masks([self])
+            index = np.fromiter(self.indices, np.intp, len(self.indices))[None]
+            self._masks = tuple(by_row[0] for by_row in _fill_masks(self.shape, index))
         return self._masks
 
     def rank_of(self, bundle: Sequence[int]) -> int:
@@ -367,47 +375,28 @@ def _digit_matrix(shape: DomainShape) -> np.ndarray:
     return digits
 
 
-def build_position_masks(prefs: Sequence[Preference]) -> None:
-    """Fill ``position_masks`` of every preference in ``prefs`` (all of one
-    shape) that lacks them, from one block of their bundle indices
-    (``_fill_masks``)."""
-    todo = [pref for pref in prefs if pref._masks is None]
-    if todo:
-        shape = todo[0].shape
-        m = shape.bundle_count
-        flat = itertools.chain.from_iterable(pref.indices for pref in todo)
-        index = np.fromiter(flat, np.intp, len(todo) * m).reshape(len(todo), m)
-        for pref, masks in zip(todo, _fill_masks(shape, index)):
-            pref._masks = masks
-
-
-def _fill_masks(shape: DomainShape, index: np.ndarray) -> list[tuple[tuple[int, ...], ...]]:
+def _fill_masks(shape: DomainShape, index: np.ndarray) -> list[list[tuple[int, ...]]]:
     """The position masks of each row of ``index``, a ``(rows, m)`` block of
-    rankings of ``shape`` as bundle indices, one tuple of mask tuples per
-    row, as ``Preference.position_masks`` holds them: one numpy pass per
-    category, in blocks of rows when their one-hot rows would pass
+    rankings of ``shape`` as bundle indices, category by category:
+    ``masks[c][r]`` holds row ``r``'s masks of the items of category
+    ``c + 1``, as ``Preference.position_masks[c]`` holds them. One numpy
+    pass per category, in blocks of rows when their one-hot rows would pass
     ``_MASK_BLOCK`` elements. The one mask core, behind
-    ``build_position_masks`` and the Mallows study's draw blocks."""
+    ``Preference.position_masks`` and the Mallows study's draw blocks."""
     n = shape.n
     digits = _digit_matrix(shape)
     items = np.arange(n, dtype=digits.dtype)[:, None]
     step = max(1, _MASK_BLOCK // (n * shape.bundle_count))
-    out: list[tuple[tuple[int, ...], ...]] = []
+    out: list[list[tuple[int, ...]]] = [[] for _ in digits]
     for lo in range(0, len(index), step):
         # numpy gathers with a native index several times faster than a uintc one
         rows = index[lo : lo + step].astype(np.intp, copy=False)
-        by_category = []
-        for row in digits:
+        for row, by_row in zip(digits, out):
             # one-hot rows per (ranking, item), packed to bytes, bit r first
             packed = np.packbits(row[rows][:, None, :] == items, axis=2, bitorder="little")
-            width = packed.shape[2]
-            data = packed.tobytes()
-            masks = [
-                int.from_bytes(data[s : s + width], "little")
-                for s in range(0, len(data), width)
-            ]
-            by_category.append([tuple(masks[a : a + n]) for a in range(0, len(masks), n)])
-        out += zip(*by_category)
+            data, w = packed.tobytes(), packed.shape[2]
+            masks = [int.from_bytes(data[s : s + w], "little") for s in range(0, len(data), w)]
+            by_row += [tuple(masks[a : a + n]) for a in range(0, len(masks), n)]
     return out
 
 

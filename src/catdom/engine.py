@@ -16,15 +16,15 @@ An agent's consistency state is a Python-int bitset over her ranking
 positions: bit ``r`` is set while ``order[r]`` agrees with her own picks and
 uses only items still available in her open categories. One play loop
 (``_play``) plays a block of profiles on one order and behavior list, from
-their per-category mask views (``_views``, built from per-draw index rows
-and masks once per block and shared by every order and behavior list
-played on it). It keeps one bitset per agent and profile, all bits set at
-the start, and runs round by round: the round's picker, category, later
-pickers and behavior are read once, then the pick kernel runs on each
-profile. When agent j takes item d of category c, j keeps only the
-positions holding d, and each agent who picks c in a later round
-(``PickingOrder._later_pickers``) loses them. The agents
-who picked c earlier need no update: each kept only the positions holding
+their per-category mask views (``_views``, cut once per block from per-draw
+index rows and their masks by category, ``domain._fill_masks``'s layout,
+and shared by every order and behavior list played on it). It keeps one
+bitset per agent and profile, all bits set at the start, and runs round by
+round: the round's picker, category, later pickers and behavior are read
+once, then the pick kernel runs on each profile. When agent j takes item d
+of category c, j keeps only the positions holding d, and each agent who
+picks c in a later round (``PickingOrder._later_pickers``) loses them. The
+agents who picked c earlier need no update: each kept only the positions holding
 her own item e of c, and e != d, since her pick took e off every other
 bitset, so none of her positions holds d (a bundle has one item per
 category). That is n(n-1)/2 updates per category in place of n**2, and
@@ -37,8 +37,8 @@ takes the highest set bit per candidate item, its worst bit length, and
 the candidate whose worst bit is lowest wins, and it records the worst
 bit lengths only for a caller that asks. After the last round each bitset
 has one bit left, the agent's bundle, and its bit length is her rank. The
-public choice functions build the bitset from scratch
-(``_consistency_mask``) and call the same kernel.
+public choice functions check the category, build the bitset from
+scratch (``_consistency_mask``) and call the same kernel.
 
 ``run_csam`` plays a block of one profile and turns it into a trace: per
 round, the available items of the round's category and, for a pessimistic
@@ -66,9 +66,9 @@ from .domain import (
     Profile,
     ValidationError,
     _REPR,
+    _check_category,
     _check_permutation,
     _item_bits,
-    build_position_masks,
     bundle_table,
     validate_allocation,
 )
@@ -200,6 +200,7 @@ def optimistic_choice(
     category: int,
 ) -> int:
     """Component of the best consistent available bundle in ``category``."""
+    _check_category(category, pref.shape.p)
     mask = _consistency_mask(pref, picks, available)
     masks = pref.position_masks[category - 1]
     return _pick(pref.indices, masks, bundle_table(pref.shape), mask, category, False)
@@ -212,6 +213,7 @@ def pessimistic_comparison(
     category: int,
 ) -> dict[int, Bundle]:
     """Worst consistent available bundle per candidate item of ``category``."""
+    _check_category(category, pref.shape.p)
     mask = _consistency_mask(pref, picks, available, category)
     table, worst = bundle_table(pref.shape), {}
     _pick(pref.indices, pref.position_masks[category - 1], table, mask, category, True, worst)
@@ -225,6 +227,7 @@ def pessimistic_choice(
     category: int,
 ) -> int:
     """The candidate of ``category`` whose worst consistent bundle is best."""
+    _check_category(category, pref.shape.p)
     mask = _consistency_mask(pref, picks, available, category)
     masks = pref.position_masks[category - 1]
     return _pick(pref.indices, masks, bundle_table(pref.shape), mask, category, True)
@@ -255,12 +258,14 @@ def _views(
     indices: Sequence[Sequence[int]], masks: Sequence[Sequence[Sequence[int]]], n: int
 ) -> tuple[list, list]:
     """A block of checked profiles as ``_play`` reads them, from per-draw
-    index rows and per-draw masks (``Preference.position_masks``), n per
-    profile, agent 1 first: ``masks[c][b][a]`` holds agent ``a + 1``'s
-    masks of the items of category ``c + 1`` in profile ``b``, and
-    ``indices[a][b]`` her ranking there."""
-    masks = list(zip(*(zip(*masks[r : r + n]) for r in range(0, len(masks), n))))
-    return masks, [indices[a::n] for a in range(n)]
+    index rows and their masks by category (``domain._fill_masks``'s
+    layout: ``masks[c][r]`` holds draw ``r``'s masks of the items of
+    category ``c + 1``), n draws per profile, agent 1 first. Each
+    category's rows are cut into profiles: ``masks[c][b][a]`` holds agent
+    ``a + 1``'s masks in profile ``b``, and ``indices[a][b]`` her ranking
+    there."""
+    cut = [[rows[r : r + n] for r in range(0, len(rows), n)] for rows in masks]
+    return cut, [indices[a::n] for a in range(n)]
 
 
 def _play(
@@ -345,9 +350,9 @@ def run_csam(
     table, prefs = bundle_table(shape), profile.preferences
     left = [list(shape.agents()) for _ in shape.categories()]
     records: list[RoundRecord] = []
-    build_position_masks(prefs)
-    masks = [pref.position_masks for pref in prefs]
-    views = _views([pref.indices for pref in prefs], masks, shape.n)
+    # each preference's masks, built on first use and kept, by category
+    indices = [pref.indices for pref in prefs]
+    views = _views(indices, list(zip(*(pref.position_masks for pref in prefs))), shape.n)
     # a block of one profile, with the comparisons behind pessimistic picks
     play = _play(order, views, _check_behaviors(shape, behaviors), True)
     for t, ((j, i), ([item], [worst], [cons])) in enumerate(zip(order.rounds, play), 1):
@@ -355,7 +360,7 @@ def run_csam(
         records.append(RoundRecord(t, j, i, item, tuple(left[i - 1]), comparison))
         left[i - 1].remove(item)
     # every agent has picked in every category: one consistent bundle is left
-    held = _held(shape, [pref.indices for pref in prefs], cons)
+    held = _held(shape, indices, cons)
     allocation = Allocation({j: table[idx] for j, idx in enumerate(held, 1)})
     return allocation, ExecutionTrace(tuple(records), (1 + shape.n * shape.p) * shape.n)
 

@@ -28,7 +28,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .domain import DomainShape, ValidationError, _REPR, _check_permutation, _shape_from_json
+from .domain import (
+    DomainShape, ValidationError, _REPR, _check_category, _check_permutation, _shape_from_json
+)
 
 
 class PickingOrder:
@@ -181,8 +183,7 @@ class OrderAnalytics:
 
 def pickers_in_category(order: PickingOrder, category: int) -> tuple[int, ...]:
     """Agents picking from one category, in round order."""
-    if not (type(category) is int and 1 <= category <= order.shape.p):
-        raise ValidationError(f"category {_REPR.repr(category)} outside 1..{order.shape.p}")
+    _check_category(category, order.shape.p)
     return tuple(j for j, i in order.rounds if i == category)
 
 

@@ -9,11 +9,11 @@ serial-dictatorship outcome differs from the mixed-order outcome.
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 import catdom as cd
 from catdom import MallowsParams, Preference, ValidationError
-from catdom.domain import build_position_masks
 from catdom.mallows import _place, _slots
 
 
@@ -84,16 +84,44 @@ def batched_draw(reference, phi, count, rng):
     return _place(x, itertools.repeat(reference, count))
 
 
+def position_masks_oracle(pref):
+    """Per-preference numpy build of ``position_masks``: the item digits
+    peeled off the bundle indices one category at a time, last category
+    first, each item's one-hot row packed to bytes, bit r first."""
+    n = pref.shape.n
+    index = np.array(pref.indices)
+    items = np.arange(n)[:, None]
+    by_category = []
+    for _ in range(pref.shape.p):
+        packed = np.packbits(index % n == items, axis=1, bitorder="little")
+        index //= n
+        by_category.append(tuple(int.from_bytes(row.tobytes(), "little") for row in packed))
+    return tuple(reversed(by_category))
+
+
 def profile_views(profiles):
     """A block of profiles, each a sequence of n checked preferences, in
-    the layout ``engine._views`` gives, built per preference: masks from
-    one ``build_position_masks`` call, then each profile's preferences
-    transposed to ``masks[c][b][a]`` and ``indices[a][b]``. The oracle of
-    the views the Mallows study builds from its draw blocks."""
-    build_position_masks([pref for prefs in profiles for pref in prefs])
-    masks = list(zip(*(zip(*(pref.position_masks for pref in prefs)) for prefs in profiles)))
+    the layout ``engine._views`` gives, built per preference from
+    ``position_masks_oracle``, with tuples for containers:
+    ``masks[c][b][a]`` holds agent ``a + 1``'s masks of the items of
+    category ``c + 1`` in profile ``b``, and ``indices[a][b]`` her ranking
+    there. The oracle of the views ``run_csam`` and the Mallows study
+    build; compare them through ``views_by_value``."""
+    oracles = [[position_masks_oracle(pref) for pref in prefs] for prefs in profiles]
+    masks = [
+        tuple(tuple(by_agent[c] for by_agent in profile) for profile in oracles)
+        for c in range(len(oracles[0][0]))
+    ]
     indices = list(zip(*((pref.indices for pref in prefs) for prefs in profiles)))
     return masks, indices
+
+
+def views_by_value(views):
+    """``engine._views`` output with each container a tuple and each ranking
+    a tuple of its entries, the form ``profile_views`` gives."""
+    masks, indices = views
+    by_value = [tuple(map(tuple, rows)) for rows in masks]
+    return by_value, [tuple(map(tuple, rankings)) for rankings in indices]
 
 
 SHAPE_3X2 = cd.DomainShape(3, 2)

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import catdom as cd
 from catdom import adversarial, axioms, bounds, domain, engine, mallows, orders, spne
-from catdom.domain import CAPACITY_LIMIT, AllocationCheck, build_position_masks
-from conftest import SHAPE_2X2, SHAPE_3X2, batched_draw, pref_of
+from catdom.domain import CAPACITY_LIMIT, AllocationCheck
+from conftest import SHAPE_2X2, SHAPE_3X2, batched_draw, position_masks_oracle, pref_of
 
 
 class TestDomainShape:
@@ -486,21 +486,6 @@ class TestProfile:
         assert first != (a, b)
 
 
-def position_masks_oracle(pref):
-    """Per-preference numpy build of ``position_masks``: the item digits
-    peeled off the bundle indices one category at a time, last category
-    first, each item's one-hot row packed to bytes, bit r first."""
-    n = pref.shape.n
-    index = np.array(pref.indices)
-    items = np.arange(n)[:, None]
-    by_category = []
-    for _ in range(pref.shape.p):
-        packed = np.packbits(index % n == items, axis=1, bitorder="little")
-        index //= n
-        by_category.append(tuple(int.from_bytes(row.tobytes(), "little") for row in packed))
-    return tuple(reversed(by_category))
-
-
 MASK_SHAPES = [(1, 3), (4, 2), (3, 4), (4, 6), (2, 12), (12, 2)]
 
 
@@ -509,54 +494,48 @@ def uniform_prefs(shape, count, seed):
     return [cd.uniform_preference(shape, rng) for _ in range(count)]
 
 
+def by_category(prefs):
+    """The oracle's masks of ``prefs`` in ``_fill_masks``'s layout:
+    ``masks[c][r]`` holds the masks of category ``c + 1`` of ``prefs[r]``."""
+    oracles = [position_masks_oracle(pref) for pref in prefs]
+    return [[masks[c] for masks in oracles] for c in range(prefs[0].shape.p)]
+
+
+def index_block(prefs):
+    """The rankings of ``prefs`` as a ``(rows, m)`` block of bundle indices."""
+    return np.array([pref.indices for pref in prefs])
+
+
 class TestPositionMasks:
     @pytest.mark.parametrize("n,p", MASK_SHAPES)
     def test_batched_build_matches_oracle(self, n, p):
         shape = cd.DomainShape(n, p)
         for seed in range(3):
             prefs = uniform_prefs(shape, n, seed)
-            build_position_masks(prefs)
-            for pref in prefs:
-                assert pref.position_masks == position_masks_oracle(pref), (n, p, seed)
+            masks = domain._fill_masks(shape, index_block(prefs))
+            assert masks == by_category(prefs), (n, p, seed)
 
     @pytest.mark.parametrize("n,p", MASK_SHAPES)
     def test_single_preference_matches_oracle(self, n, p):
-        # the property builds through the same function, for [self]
+        # the property builds through the same function, from a block of one
         for pref in uniform_prefs(cd.DomainShape(n, p), 2, 7):
-            assert pref.position_masks == position_masks_oracle(pref)
-
-    @pytest.mark.parametrize("n,p", [(4, 2), (3, 4), (12, 2)])
-    def test_profiles_with_masks_already_built(self, n, p):
-        # as in a deviation profile: one agent's preference replaced, the
-        # others built by an earlier run, one preference listed twice
-        shape = cd.DomainShape(n, p)
-        base = uniform_prefs(shape, n, 1)
-        build_position_masks(base)
-        built = [pref.position_masks for pref in base]
-        fresh = uniform_prefs(shape, 2, 2)
-        deviation = [fresh[0], *base[1:-1], fresh[1], fresh[1]]
-        build_position_masks(deviation)
-        for pref, masks in zip(base, built):
-            assert pref.position_masks is masks
-        for pref in fresh:
             assert pref.position_masks == position_masks_oracle(pref)
 
     @pytest.mark.parametrize("block", [1, 3 * 3 * 81])
     def test_blocks_of_preferences(self, monkeypatch, block):
         # one preference per block, then three (3 items x 81 bundles each)
         monkeypatch.setattr(domain, "_MASK_BLOCK", block)
-        prefs = uniform_prefs(cd.DomainShape(3, 4), 7, 3)
-        build_position_masks(prefs)
-        for pref in prefs:
-            assert pref.position_masks == position_masks_oracle(pref)
+        shape = cd.DomainShape(3, 4)
+        prefs = uniform_prefs(shape, 7, 3)
+        assert domain._fill_masks(shape, index_block(prefs)) == by_category(prefs)
 
     # the Mallows study's shapes, and the wide benchmark's
     DRAW_SHAPES = [(4, 2), (8, 2), (3, 4), (4, 4), (4, 6)]
 
     def check_masks_from_draw(self, shape, seed):
-        """A replicate's draw block masked by ``_fill_masks``, one tuple of
-        mask tuples per row, against the oracle on each row's ranking and
-        against the same rankings rebuilt and masked from their tuples."""
+        """A replicate's draw block masked by ``_fill_masks``, category by
+        category, against the oracle on each row's ranking; the rankings
+        rebuilt from the rows' tuples mask the same through the property."""
         ref = cd.uniform_preference(shape, np.random.default_rng([seed, 1]))
         block = batched_draw(ref.indices, 0.5, shape.n, np.random.default_rng(seed))
         assert block.dtype == np.uintc
@@ -564,11 +543,11 @@ class TestPositionMasks:
         # the same block as a native index gives the same masks
         native = domain._fill_masks(shape, block.astype(np.intp))
         rebuilt = [cd.Preference.from_indices(shape, row) for row in block.tolist()]
-        build_position_masks(rebuilt)
-        assert len(drawn) == len(native) == len(rebuilt) == shape.n
-        for masks, intp, tuples in zip(drawn, native, rebuilt):
-            want = position_masks_oracle(tuples)
-            assert masks == intp == tuples._masks == want, (shape, seed)
+        want = by_category(rebuilt)
+        assert len(want) == shape.p and {len(rows) for rows in want} == {shape.n}
+        assert drawn == native == want, (shape, seed)
+        for r, pref in enumerate(rebuilt):
+            assert pref.position_masks == tuple(rows[r] for rows in want), (shape, seed)
 
     @pytest.mark.parametrize("n,p", DRAW_SHAPES)
     def test_masks_from_the_draw_block(self, n, p):

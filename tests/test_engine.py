@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 import catdom as cd
 from catdom import engine
 
-from conftest import MIXED_BEHAVIORS_3X2, pref_of, profile_views
+from conftest import (
+    MIXED_BEHAVIORS_3X2, SHAPE_2X2, SHAPE_3X2, pref_of, profile_views, views_by_value,
+)
 
 
 def reference_run(order, profile, kinds, comparisons=None):
@@ -177,6 +179,62 @@ class TestChoiceOracles:
         assert choice == 3
 
 
+CHOICES = [cd.optimistic_choice, cd.pessimistic_choice, cd.pessimistic_comparison]
+
+
+class TestChoiceCategory:
+    # a 2x2 ranking with nothing picked and every item available
+    ROWS = ["12", "11", "22", "21"]
+    AVAILABLE = {1: {1, 2}, 2: {1, 2}}
+
+    @pytest.mark.parametrize("choose", CHOICES)
+    @pytest.mark.parametrize("category", [0, -1, 3, True, 1.0])
+    def test_refuses_a_category_outside_the_shape(self, choose, category):
+        # refused before any mask is read, so none is built
+        pref = pref_of(SHAPE_2X2, self.ROWS)
+        message = f"category {category!r} outside 1..2"
+        with pytest.raises(cd.ValidationError, match=re.escape(message)):
+            choose(pref, {}, self.AVAILABLE, category)
+        assert pref._masks is None
+
+    def test_answers_for_the_category_given(self):
+        pref = pref_of(SHAPE_2X2, self.ROWS)
+        picks, available = {}, self.AVAILABLE
+        assert [cd.optimistic_choice(pref, picks, available, i) for i in (1, 2)] == [1, 2]
+        assert [cd.pessimistic_choice(pref, picks, available, i) for i in (1, 2)] == [1, 2]
+        assert cd.pessimistic_comparison(pref, picks, available, 1) == {1: (1, 1), 2: (2, 1)}
+        assert cd.pessimistic_comparison(pref, picks, available, 2) == {1: (2, 1), 2: (2, 2)}
+
+
+class TestMaskCache:
+    def test_run_csam_builds_each_preferences_masks_once(
+        self, monkeypatch, mixed_order_3x2, profile_3x2
+    ):
+        # a play of preferences that already hold masks builds none (c05
+        # plays each ranking it builds in many profiles)
+        calls = []
+        fill = cd.domain._fill_masks
+
+        def counting_fill(shape, index):
+            calls.append(len(index))
+            return fill(shape, index)
+
+        monkeypatch.setattr(cd.domain, "_fill_masks", counting_fill)
+        prefs = profile_3x2.preferences
+        cd.run_csam(mixed_order_3x2, profile_3x2, MIXED_BEHAVIORS_3X2)
+        assert calls == [1, 1, 1]
+        built = [pref.position_masks for pref in prefs]
+        assert all(pref.position_masks is masks for pref, masks in zip(prefs, built))
+        cd.run_csam(mixed_order_3x2, profile_3x2, MIXED_BEHAVIORS_3X2)
+        assert calls == [1, 1, 1]
+        # one fresh preference in a profile of built ones: one call
+        fresh = cd.Preference.from_indices(SHAPE_3X2, reversed(prefs[0].indices))
+        deviation = cd.Profile(SHAPE_3X2, [fresh, *prefs[1:]])
+        cd.run_csam(mixed_order_3x2, deviation, MIXED_BEHAVIORS_3X2)
+        assert calls == [1, 1, 1, 1]
+        assert all(pref.position_masks is masks for pref, masks in zip(prefs, built))
+
+
 LARGER_SHAPES = [(4, 3), (3, 4), (4, 4), (2, 6)]
 
 
@@ -261,10 +319,10 @@ class TestLargerShapes:
 
 def views_of(profiles):
     """``engine._views`` of a block of profiles, from their preferences'
-    indices and masks, as ``run_csam`` builds a block of one."""
+    indices and masks by category, as ``run_csam`` builds a block of one."""
     prefs = [pref for profile in profiles for pref in profile.preferences]
-    indices = [pref.indices for pref in prefs]
-    return engine._views(indices, [pref.position_masks for pref in prefs], prefs[0].shape.n)
+    masks = list(zip(*(pref.position_masks for pref in prefs)))
+    return engine._views([pref.indices for pref in prefs], masks, prefs[0].shape.n)
 
 
 def play_one(order, profile, behaviors, comparisons=True):
@@ -537,14 +595,13 @@ class TestViews:
         mixed_instance_strategy(), st.sampled_from([1, 2, 7]), st.randoms(use_true_random=False)
     )
     def test_matches_the_per_profile_transpose(self, instance, size, rng):
-        # the flat per-draw rows, n per profile, give the layout of each
-        # profile's preferences transposed
+        # each category's per-draw masks, cut n rows per profile, and the
+        # per-draw rankings hold, by value, the oracle's masks and rankings
+        # of each profile's preferences
         _, profile, kinds = instance
         profiles = block_of(profile, kinds, size, rng)
-        masks, indices = views_of(profiles)
-        want_masks, want_indices = profile_views([prof.preferences for prof in profiles])
-        assert masks == want_masks
-        assert [tuple(rankings) for rankings in indices] == want_indices
+        views = views_by_value(views_of(profiles))
+        assert views == profile_views([prof.preferences for prof in profiles])
 
 
 class TestHeldCheck:

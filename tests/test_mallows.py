@@ -21,7 +21,7 @@ from catdom.mallows import (
     run_experiment,
 )
 
-from conftest import batched_draw, kendall_tau, mallows_pmf, profile_views
+from conftest import batched_draw, kendall_tau, mallows_pmf, profile_views, views_by_value
 
 
 def line_shape(m):
@@ -607,10 +607,10 @@ class TestExperiment:
         [(2, 2, 4, 6), (4, 2, 5, None), (3, 4, 3, None), (4, 6, 3, None)],
     )
     def test_study_plays_the_views_of_its_draws(self, monkeypatch, n, p, samples, rows):
-        # each block's views, as every mechanism plays them, are those of
-        # the block's rows built one Preference per draw, masked by
-        # build_position_masks and transposed profile by profile, with the
-        # same ranks; at 2x2 a 6-row cap makes blocks of three replicates,
+        # each block's views, as every mechanism plays them, hold by value
+        # those of the block's rows built one Preference per draw, masked by
+        # the per-preference oracle and laid out profile by profile, with
+        # the same ranks; at 2x2 a 6-row cap makes blocks of three replicates,
         # one of which holds replicates of both phis
         if rows is not None:
             monkeypatch.setattr(mallows, "_STUDY_ROWS", rows)
@@ -635,12 +635,11 @@ class TestExperiment:
         if rows is not None:
             assert len(blocks) == 3 and samples % (rows // n)
         assert len(played) == len(blocks) * len(DEFAULT_GRID)
-        for b, order, behaviors, (masks, indices), ranks in played:
+        for b, order, behaviors, views, ranks in played:
             prefs = [cd.Preference.from_indices(shape, row) for row in blocks[b].tolist()]
             want = profile_views([prefs[r : r + n] for r in range(0, len(prefs), n)])
-            assert masks == want[0]
-            assert [tuple(map(tuple, rankings)) for rankings in indices] == want[1]
-            assert {type(x) for rankings in indices for row in rankings for x in row} == {int}
+            assert views_by_value(views) == want
+            assert {type(x) for rankings in views[1] for row in rankings for x in row} == {int}
             assert ranks == realized_ranks(order, want, behaviors)
 
     def test_large_cell_memory_is_bounded(self):
