@@ -214,8 +214,8 @@ def apply_category_permutation(obj, category: int, permutation: Sequence[int]):
 
     Accepts a Bundle, Preference, Profile, or Allocation and returns the same
     kind. A bare bundle takes p from its length and n from the
-    permutation's; an allocation takes p from its shortest bundle and n from
-    its agent count.
+    permutation's; an allocation, whose bundles must be tuples or lists,
+    takes p from its shortest bundle and n from its agent count.
     """
     perm = tuple(permutation)
     if isinstance(obj, (Preference, Profile)):
@@ -223,6 +223,9 @@ def apply_category_permutation(obj, category: int, permutation: Sequence[int]):
         return _relabeled(obj, category, perm)
     if isinstance(obj, Allocation):
         bundles = obj.bundles
+        for j, b in bundles.items():
+            if not isinstance(b, (tuple, list)):
+                raise ValidationError(f"agent {j} holds malformed bundle {_REPR.repr(b)}")
         _check_perm(len(bundles), min(map(len, bundles.values()), default=0), category, perm)
         return Allocation({j: _permute_bundle(b, category, perm) for j, b in bundles.items()})
     if isinstance(obj, tuple):
@@ -312,13 +315,15 @@ def _audit(
             )
         rng, coverage = None, "exhaustive"
         walk = map(partial(_profile, shape), itertools.product(all_rankings(shape), repeat=shape.n))
-    else:
+    elif isinstance(mode, Sampled):
         rng = np.random.default_rng(mode.seed)
         coverage = f"sampled(count={mode.count}, seed={mode.seed})"
         walk = (
             _profile(shape, tuple(uniform_preference(shape, rng) for _ in shape.agents()))
             for _ in range(mode.count)
         )
+    else:
+        raise _invalid("audit mode must be Exhaustive or Sampled", mode)
     checked = [0] * len(axioms)
     found: list[Counterexample | None] = [None] * len(axioms)
     stream = itertools.chain.from_iterable(cases(profile, k, rng) for k, profile in enumerate(walk))

@@ -11,6 +11,9 @@ characters.
 Each output document, and the profile that ``worst-case --out`` writes, is
 JSON indented by two spaces, byte for byte what ``json.dumps(doc, indent=2)``
 prints; the ``--trace`` lines are compact ``json.dumps`` records, one a line.
+
+Each ``_cmd_*`` handler returns its stdout text and writes nothing; ``main``
+is the one writer: the text on success, the failure line on stderr.
 """
 
 from __future__ import annotations
@@ -164,8 +167,10 @@ def _dumps(doc, newline: str = "\n") -> str:
     return json.dumps(doc)
 
 
-def _print(doc) -> None:
-    print(_dumps(doc))
+def _document(doc, records=()) -> str:
+    """A command's stdout: one compact JSON line per trace record, then
+    ``doc`` indented."""
+    return "".join(json.dumps(r.to_json()) + "\n" for r in records) + _dumps(doc) + "\n"
 
 
 def _ranks_doc(profile: Profile, allocation: Allocation) -> dict:
@@ -182,21 +187,17 @@ def _ranks_doc(profile: Profile, allocation: Allocation) -> dict:
     }
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> str:
     order = order_from_json(_load_json(args.order))
     profile = profile_from_json(_load_json(args.profile))
     behaviors = _parse_behaviors(args.behaviors, order.shape.n)
     allocation, trace = run_csam(order, profile, behaviors)
-    if args.trace:
-        for record in trace.rounds:
-            print(json.dumps(record.to_json()))
     doc = _ranks_doc(profile, allocation)
     doc["message_count"] = trace.message_count
-    _print(doc)
-    return 0
+    return _document(doc, trace.rounds if args.trace else ())
 
 
-def _cmd_analyze_order(args) -> int:
+def _cmd_analyze_order(args) -> str:
     order = order_from_json(_load_json(args.order))
     analytics = order.analytics
     shape = order.shape
@@ -213,18 +214,16 @@ def _cmd_analyze_order(args) -> int:
         ],
         "message_count": (1 + shape.n * shape.p) * shape.n,
     }
-    _print(doc)
-    return 0
+    return _document(doc)
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> str:
     order = order_from_json(_load_json(args.order))
     behaviors = _parse_behaviors(args.behaviors, order.shape.n)
-    _print(worst_case_report(order, behaviors).to_json())
-    return 0
+    return _document(worst_case_report(order, behaviors).to_json())
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> str:
     behaviors = _parse_behaviors(args.behaviors, args.n)
     result = search_orders(
         args.n,
@@ -235,7 +234,7 @@ def _cmd_search(args) -> int:
         seed=args.seed,
         budget=args.budget,
     )
-    _print(
+    return _document(
         {
             "order": order_to_json(result.order),
             "score": result.score,
@@ -243,10 +242,9 @@ def _cmd_search(args) -> int:
             "evaluated": result.evaluated,
         }
     )
-    return 0
 
 
-def _cmd_worst_case(args) -> int:
+def _cmd_worst_case(args) -> str:
     order = order_from_json(_load_json(args.order))
     behaviors = _parse_behaviors(args.behaviors, order.shape.n)
     profile, allocation, near, report = _witness(order, behaviors)
@@ -258,24 +256,19 @@ def _cmd_worst_case(args) -> int:
     }
     if args.out:
         _write(args.out, _dumps(profile_to_json(profile)))
-    _print(doc)
-    return 0
+    return _document(doc)
 
 
-def _cmd_spne(args) -> int:
+def _cmd_spne(args) -> str:
     order = order_from_json(_load_json(args.order))
     profile = profile_from_json(_load_json(args.profile))
     allocation, trace = solve_spne(
         order, profile, state_cap=args.state_cap, collect_trace=args.trace
     )
-    if args.trace:
-        for step in trace:
-            print(json.dumps(step.to_json()))
     doc = _ranks_doc(profile, allocation)
     if args.states:
         doc["state_space_size"] = state_space_size(order)
-    _print(doc)
-    return 0
+    return _document(doc, trace or ())
 
 
 _MECHANISMS = {
@@ -287,18 +280,17 @@ _MECHANISMS = {
 }
 
 
-def _cmd_check_axioms(args) -> int:
+def _cmd_check_axioms(args) -> str:
     shape = DomainShape(args.n, args.p)
     mechanism = _MECHANISMS[args.mechanism](args.n)
     # checks --count and --seed in exhaustive mode too, which reads neither
     sampled = Sampled(count=args.count, seed=args.seed)
     mode = Exhaustive(budget=args.budget) if args.mode == "exhaustive" else sampled
     verdicts = check_all(mechanism, shape, mode)
-    _print({"mechanism": mechanism.name, "verdicts": [v.to_json() for v in verdicts]})
-    return 0
+    return _document({"mechanism": mechanism.name, "verdicts": [v.to_json() for v in verdicts]})
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> str:
     mechanisms = DEFAULT_GRID
     if args.mechanisms is not None:
         entries = (tok.partition(":") for tok in args.mechanisms.split(","))
@@ -315,9 +307,8 @@ def _cmd_experiment(args) -> int:
     csv_text = results_to_csv(run_experiment(config))
     if args.out:
         _write(args.out, csv_text)
-    else:
-        sys.stdout.write(csv_text)
-    return 0
+        return ""
+    return csv_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -431,15 +422,21 @@ def _failure_line(line: str) -> str:
 
 
 def main(argv=None) -> int:
+    """Run one command; the package's only writer to stdout and stderr. The
+    handler returns the command's stdout, written here only once it has
+    succeeded; a failure writes its one line to stderr and nothing to
+    stdout."""
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        text = args.handler(args)
     except (ValidationError, ExecutionError, ConstructionError) as exc:
         print(_failure_line(f"error: {exc}"), file=sys.stderr)
         return 1
     except CapacityError as exc:
         print(_failure_line(f"refused: {exc}"), file=sys.stderr)
         return 2
+    sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":

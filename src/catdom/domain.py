@@ -166,7 +166,10 @@ class DomainShape:
         return itertools.product(range(1, self.n + 1), repeat=self.p)
 
     def validate_bundle(self, bundle: Sequence[int]) -> Bundle:
-        b = tuple(bundle)
+        try:
+            b = tuple(bundle)
+        except TypeError:
+            raise _invalid("a bundle must be a sequence of items", bundle) from None
         if len(b) != self.p:
             raise ValidationError(
                 f"bundle {_REPR.repr(b)} has {len(b)} components, expected {self.p}"
@@ -502,13 +505,14 @@ def validate_allocation(shape: DomainShape, allocation: Allocation) -> Allocatio
         except TypeError:  # keys of types that do not order, such as 1 and 'x'
             agents = _REPR.repr(list(bundles))
         return AllocationCheck(False, f"agents {agents} do not match 1..{shape.n}")
-    n = shape.n
     rows = list(map(bundles.__getitem__, shape.agents()))
     for j, b in enumerate(rows, 1):
-        if len(b) != shape.p or not all(type(x) is int and 1 <= x <= n for x in b):
+        try:
+            rows[j - 1] = shape.validate_bundle(b)
+        except ValidationError:
             return AllocationCheck(False, f"agent {j} holds malformed bundle {_REPR.repr(b)}")
     for i, items in enumerate(zip(*rows), 1):
-        if len(set(items)) == n:
+        if len(set(items)) == shape.n:
             continue
         # a repeat: name the first agent to hold an item already seen
         seen: dict[int, int] = {}

@@ -33,16 +33,17 @@ bitsets are the play's only record of what is left: an item of a category
 still open for an agent is available exactly when her bitset meets its
 position mask. One pick kernel (``_pick``) reads the state and returns the
 item: the optimistic pick is the lowest set bit; the pessimistic pick
-takes the highest set bit per candidate item, its worst bit length, and
-the candidate whose worst bit is lowest wins, and it records the worst
-bit lengths only for a caller that asks. After the last round each bitset
-has one bit left, the agent's bundle, and its bit length is her rank. The
-public choice functions check the category, build the bitset from
-scratch (``_consistency_mask``) and call the same kernel.
+takes the highest set bit per candidate item, its worst consistent bundle,
+and the candidate whose worst bit is lowest wins. For a caller that asks,
+it records each candidate's worst bundle: that record is the comparison a
+trace prints. After the last round each bitset has one bit left, the
+agent's bundle, and its bit length is her rank. The public choice
+functions share one body (``_choice``): check the category, build the
+bitset from scratch (``_consistency_mask``) and call the same kernel.
 
 ``run_csam`` plays a block of one profile and turns it into a trace: per
 round, the available items of the round's category and, for a pessimistic
-pick, the comparison behind it. ``_realized_ranks`` plays a block without a
+pick, the kernel's comparison. ``_realized_ranks`` plays a block without a
 trace and returns the ranks only, for the Mallows study.
 
 Whole-bundle serial dictatorship has one scan, ``_serial_picks``, behind
@@ -144,10 +145,13 @@ def _consistency_mask(
     """Bitset over ranking positions, built from scratch: bit ``r`` is set
     when ``pref.order[r]`` agrees with the agent's own picks and uses only
     available items in her open categories. ``open_category`` is held to its
-    available items even when picked."""
+    available items even when picked; an open category that ``available``
+    does not list is refused."""
     mask = (1 << pref.shape.bundle_count) - 1
     for i, by_item in enumerate(pref.position_masks, 1):
-        items = (picks[i],) if i != open_category and i in picks else available[i]
+        items = (picks[i],) if i != open_category and i in picks else available.get(i)
+        if items is None:
+            raise ValidationError(f"no available items given for open category {i}")
         allowed = [bits for d, bits in enumerate(by_item, 1) if d in items]
         if len(allowed) < len(by_item):
             mask &= functools.reduce(operator.or_, allowed, 0)
@@ -156,15 +160,14 @@ def _consistency_mask(
 
 def _pick(
     indices: Sequence[int], masks: Sequence[int], table: Sequence[Bundle], cons: int,
-    category: int, pessimistic: bool, worst: dict[int, int] | None = None,
+    category: int, pessimistic: bool, worst: dict[int, Bundle] | None = None,
 ) -> int:
     """The pick kernel: the item taken in ``category`` by an agent whose
     ranking is ``indices`` and whose masks of the category's items are
     ``masks``. ``cons`` is her consistency bitset with ``category`` held to
     its available items; ``table`` is the shape's ``bundle_table``. A
     pessimistic pick fills ``worst``, when given, with each candidate's
-    worst bit length (the 1-based ranking position of its worst consistent
-    bundle)."""
+    worst consistent bundle: the comparison behind the pick."""
     if not pessimistic:
         if not cons:
             raise ValidationError("no consistent available bundle; available sets exhausted")
@@ -177,7 +180,7 @@ def _pick(
         length = (cons & bits).bit_length()
         if length:
             if worst is not None:
-                worst[d] = length
+                worst[d] = table[indices[length - 1]]
             # distinct candidates have distinct worst bundles: a unique argmin
             if not least or length < least:
                 item, least = d, length
@@ -186,11 +189,17 @@ def _pick(
     return item
 
 
-def _comparison(
-    pref: Preference, table: Sequence[Bundle], worst: Mapping[int, int]
-) -> dict[int, Bundle]:
-    """The kernel's worst bit lengths as candidate-to-worst-bundle pairs."""
-    return {d: table[pref.indices[length - 1]] for d, length in worst.items()}
+def _choice(
+    pref: Preference, picks: Mapping[int, int], available: Mapping[int, set[int]],
+    category: int, pessimistic: bool, worst: dict[int, Bundle] | None = None,
+) -> int:
+    """The public choice functions' one body: check the category, build the
+    bitset from scratch and run the pick kernel. A pessimistic agent holds
+    ``category`` to its available items even when she has picked in it."""
+    _check_category(category, pref.shape.p)
+    mask = _consistency_mask(pref, picks, available, category if pessimistic else None)
+    masks = pref.position_masks[category - 1]
+    return _pick(pref.indices, masks, bundle_table(pref.shape), mask, category, pessimistic, worst)
 
 
 def optimistic_choice(
@@ -200,10 +209,7 @@ def optimistic_choice(
     category: int,
 ) -> int:
     """Component of the best consistent available bundle in ``category``."""
-    _check_category(category, pref.shape.p)
-    mask = _consistency_mask(pref, picks, available)
-    masks = pref.position_masks[category - 1]
-    return _pick(pref.indices, masks, bundle_table(pref.shape), mask, category, False)
+    return _choice(pref, picks, available, category, False)
 
 
 def pessimistic_comparison(
@@ -213,11 +219,9 @@ def pessimistic_comparison(
     category: int,
 ) -> dict[int, Bundle]:
     """Worst consistent available bundle per candidate item of ``category``."""
-    _check_category(category, pref.shape.p)
-    mask = _consistency_mask(pref, picks, available, category)
-    table, worst = bundle_table(pref.shape), {}
-    _pick(pref.indices, pref.position_masks[category - 1], table, mask, category, True, worst)
-    return _comparison(pref, table, worst)
+    worst: dict[int, Bundle] = {}
+    _choice(pref, picks, available, category, True, worst)
+    return worst
 
 
 def pessimistic_choice(
@@ -227,10 +231,7 @@ def pessimistic_choice(
     category: int,
 ) -> int:
     """The candidate of ``category`` whose worst consistent bundle is best."""
-    _check_category(category, pref.shape.p)
-    mask = _consistency_mask(pref, picks, available, category)
-    masks = pref.position_masks[category - 1]
-    return _pick(pref.indices, masks, bundle_table(pref.shape), mask, category, True)
+    return _choice(pref, picks, available, category, True)
 
 
 def _check_behaviors(shape, behaviors: Sequence[Behavior]) -> tuple[Behavior, ...]:
@@ -271,13 +272,14 @@ def _views(
 def _play(
     order: PickingOrder, views: tuple[list, list], behaviors: tuple[Behavior, ...],
     comparisons: bool = False,
-) -> Iterator[tuple[list[int], list[dict[int, int] | None], list[list[int]]]]:
+) -> Iterator[tuple[list[int], list[dict[int, Bundle] | None], list[list[int]]]]:
     """Play checked inputs round by round on a block of profiles, given by
     their ``_views``, all with the same order and behaviors. Yields, per
-    round, the item taken in each profile, each profile's worst bit lengths
-    of the pick when ``comparisons`` is set and the picker is pessimistic
-    (None otherwise), and the running consistency bitsets after the round,
-    ``cons[b][j - 1]`` for agent ``j`` in profile ``b``, updated in place.
+    round, the item taken in each profile, each profile's comparison behind
+    the pick (each candidate's worst consistent bundle) when ``comparisons``
+    is set and the picker is pessimistic (None otherwise), and the running
+    consistency bitsets after the round, ``cons[b][j - 1]`` for agent ``j``
+    in profile ``b``, updated in place.
     The round's picker, category, later pickers and behavior are read once
     per round, then the pick kernel runs on each profile. A scripted item is
     on the table exactly when the picker's bitset meets its mask: its
@@ -355,8 +357,7 @@ def run_csam(
     views = _views(indices, list(zip(*(pref.position_masks for pref in prefs))), shape.n)
     # a block of one profile, with the comparisons behind pessimistic picks
     play = _play(order, views, _check_behaviors(shape, behaviors), True)
-    for t, ((j, i), ([item], [worst], [cons])) in enumerate(zip(order.rounds, play), 1):
-        comparison = None if worst is None else _comparison(prefs[j - 1], table, worst)
+    for t, ((j, i), ([item], [comparison], [cons])) in enumerate(zip(order.rounds, play), 1):
         records.append(RoundRecord(t, j, i, item, tuple(left[i - 1]), comparison))
         left[i - 1].remove(item)
     # every agent has picked in every category: one consistent bundle is left

@@ -707,6 +707,9 @@ class TestCategoryPermutation:
                 (2, 1),
                 r"bundle \('1', 2\) holds item '1' outside 1..2",
             ),
+            # a bundle that is not a sequence raised TypeError
+            (cd.Allocation({1: 5, 2: (1, 1)}), 1, (2, 1), "agent 1 holds malformed bundle 5"),
+            (cd.Allocation({1: (1, 2), 2: None}), 1, (2, 1), "agent 2 holds malformed bundle None"),
         ],
     )
     def test_bad_arguments_rejected(self, obj, category, perm, message):
@@ -998,6 +1001,32 @@ class TestExhaustiveVerdicts:
         # in the Pareto audit, three in the neutrality audit (the profile and
         # its one relabeling in each of two categories)
         assert len(applied) == 576 + 3 * 576 + 576 == 2880
+
+
+class TestAuditModes:
+    @pytest.mark.parametrize("mode", [None, "exhaustive", Exhaustive, {"count": 5, "seed": 0}])
+    @pytest.mark.parametrize(
+        "check",
+        [
+            check_strategy_proofness,
+            check_non_bossiness,
+            check_category_wise_neutrality,
+            check_pareto_optimality,
+            check_all,
+        ],
+    )
+    def test_unknown_mode_refused_before_any_profile(self, check, mode):
+        # each of these raised AttributeError on the missing seed
+        applied = []
+
+        def counting(profile):
+            applied.append(profile)
+            return sd_direct([1, 2]).fn(profile)
+
+        mechanism = cd.DirectMechanism("counting", counting)
+        with pytest.raises(cd.ValidationError, match="audit mode must be Exhaustive or Sampled"):
+            check(mechanism, SHAPE_2X2, mode)
+        assert applied == []
 
 
 class TestSampledVerdicts:

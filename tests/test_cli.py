@@ -662,6 +662,48 @@ def test_every_subcommand_has_a_valid_base_run(game_files):
         assert run_quietly([game_files.get(a, a) for a in argv])[0] == 0
 
 
+# The stdout of the two trace commands on the 2x2 game, as the CI's
+# console-script step pins it out of process.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["run", "--order", "ORDER", "--profile", "PROFILE", "--behaviors", "pess,opt", "--trace"],
+            "22f2dec451617a7f973e8fb6893a36b2fba2f32226da64fee44092b0bf94091f",
+        ),
+        (
+            ["spne", "--order", "ORDER", "--profile", "PROFILE", "--trace", "--states"],
+            "1b4fdca7a0c9c0e4633c023ae9d7f790250cc7c75a1f34b494c8de7fb9b4b32d",
+        ),
+    ],
+)
+def test_trace_stdout_pinned(game_files, argv, digest):
+    code, out, err = run_quietly([game_files.get(a, a) for a in argv])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_each_handler_returns_its_stdout(capsys, tmp_path, game_files):
+    """A handler writes nothing: it returns the text ``main`` writes, and
+    ``""`` when ``experiment --out`` sends the CSV to a file."""
+    out_path = tmp_path / "results.csv"
+    runs = [
+        *_BASE_RUNS.values(),
+        _BASE_RUNS["run"] + ["--trace"],
+        _BASE_RUNS["spne"] + ["--trace", "--states"],
+        EXPERIMENT + ["--out", str(out_path)],
+    ]
+    texts = []
+    for argv in runs:
+        argv = [game_files.get(a, a) for a in argv]
+        args = cli.build_parser().parse_args(argv)
+        texts.append(args.handler(args))
+        assert capsys.readouterr() == ("", ""), argv
+        assert type(texts[-1]) is str, argv
+        assert run_quietly(argv) == (0, texts[-1], ""), argv
+    assert texts[-1] == "" and out_path.read_text().startswith("mechanism,")
+
+
 # Values no flag accepts: over 300 characters, or holding a control
 # character. No digit, no ``inf`` or ``nan`` and no behavior, family or
 # choice name can be spelled from the alphabet.

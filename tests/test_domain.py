@@ -668,6 +668,37 @@ class TestAllocation:
         assert count == 4
 
 
+class TestBundleNotASequence:
+    """A bundle that is not a sequence of items is refused as bad input:
+    each of these raised ``TypeError`` before."""
+
+    NOT_A_SEQUENCE = cd.Allocation({1: 5, 2: (1, 1)})
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: SHAPE_2X2.validate_bundle(5),
+            lambda: cd.encode_bundle(SHAPE_2X2, 5),
+            lambda: cd.Preference.from_indices(SHAPE_2X2, range(4)).rank_of(None),
+            lambda: cd.allocation_from_json(SHAPE_2X2, {"bundles": {"1": 5}}),
+        ],
+        ids=["validate-bundle", "encode-bundle", "rank-of", "allocation-from-json"],
+    )
+    def test_refused(self, call):
+        with pytest.raises(cd.ValidationError, match="a bundle must be a sequence of items, got"):
+            call()
+
+    def test_validate_allocation_reports_it(self):
+        check = cd.validate_allocation(SHAPE_2X2, self.NOT_A_SEQUENCE)
+        assert check == AllocationCheck(False, "agent 1 holds malformed bundle 5")
+
+    @pytest.mark.parametrize("rank", [cd.utilitarian_rank, cd.egalitarian_rank])
+    def test_welfare_refuses_it(self, game_profile_2x2, rank):
+        message = "invalid allocation: agent 1 holds malformed bundle 5"
+        with pytest.raises(cd.ValidationError, match=message):
+            rank(game_profile_2x2, self.NOT_A_SEQUENCE)
+
+
 def reference_validate_allocation(shape, allocation):
     """``validate_allocation`` before its one-pass bit check: the full
     element-by-element check, kept as its oracle. Items are plain ints only,

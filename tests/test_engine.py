@@ -205,6 +205,25 @@ class TestChoiceCategory:
         assert cd.pessimistic_comparison(pref, picks, available, 1) == {1: (1, 1), 2: (2, 1)}
         assert cd.pessimistic_comparison(pref, picks, available, 2) == {1: (2, 1), 2: (2, 2)}
 
+    @pytest.mark.parametrize("choose", CHOICES)
+    @pytest.mark.parametrize(
+        "picks, available, missing",
+        [({}, {1: {1, 2}}, 2), ({}, {2: {1, 2}}, 1), ({1: 1}, {1: {2}}, 2)],
+    )
+    def test_refuses_available_items_missing_for_an_open_category(
+        self, choose, picks, available, missing
+    ):
+        # a KeyError before
+        pref = pref_of(SHAPE_2X2, self.ROWS)
+        message = f"no available items given for open category {missing}"
+        with pytest.raises(cd.ValidationError, match=message):
+            choose(pref, picks, available, 1)
+
+    def test_picked_categories_need_no_available_items(self):
+        pref = pref_of(SHAPE_2X2, self.ROWS)
+        assert cd.optimistic_choice(pref, {1: 2}, {2: {1, 2}}, 2) == 2
+        assert cd.pessimistic_comparison(pref, {1: 2}, {2: {1, 2}}, 2) == {1: (2, 1), 2: (2, 2)}
+
 
 class TestMaskCache:
     def test_run_csam_builds_each_preferences_masks_once(
@@ -360,13 +379,8 @@ def check_running_state(order, profile, kinds):
     assert [(r.agent, r.category, r.item, r.available) for r in trace.rounds] == [
         r[:4] for r in rounds
     ]
-    for (j, _, _, _, worst), comparison in zip(rounds, comparisons):
-        if comparison is None:
-            assert worst is None
-        else:
-            # each candidate's worst bit length is its worst bundle's rank
-            pref = profile.pref(j)
-            assert worst == {d: pref.rank_of(b) for d, b in comparison.items()}
+    # the kernel records the comparison itself: each candidate's worst bundle
+    assert [r[4] for r in rounds] == comparisons
 
 
 @st.composite
@@ -391,10 +405,10 @@ class TestRunningState:
 
 def eager_play(order, profile, behaviors):
     """One profile's play with every agent's bitset updated at every pick,
-    the picker's included, and every pessimistic pick's worst bit lengths:
-    the oracle for ``engine._play``, which plays a block of profiles round
-    by round and updates only the agents who pick the round's category
-    later."""
+    the picker's included, and every pessimistic pick's comparison (each
+    candidate's worst consistent bundle): the oracle for ``engine._play``,
+    which plays a block of profiles round by round and updates only the
+    agents who pick the round's category later."""
     shape = order.shape
     n, table, prefs = shape.n, cd.domain.bundle_table(shape), profile.preferences
     by_category = list(zip(*(pref.position_masks for pref in prefs)))
@@ -425,7 +439,7 @@ def eager_play(order, profile, behaviors):
 
 
 def play_rounds(play):
-    """Each round's item, worst bit lengths and a copy of every bitset, and
+    """Each round's item, comparison and a copy of every bitset, and
     the message of the refusal that ended the play, or None."""
     rounds = []
     try:
@@ -438,8 +452,8 @@ def play_rounds(play):
 
 def check_play_against_eager(order, profiles, kinds, comparisons=True):
     """``engine._play`` on a block of ``profiles`` equals ``eager_play`` on
-    each of them, round by round: every item, every pessimistic pick's worst
-    bit lengths when ``comparisons`` is set (None otherwise), and every
+    each of them, round by round: every item, every pessimistic pick's
+    comparison when ``comparisons`` is set (None otherwise), and every
     bitset after every round. A block stops at the first round a profile
     refuses, with the refusal of the first such profile in the block;
     returns it, or None."""

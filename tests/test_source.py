@@ -127,6 +127,59 @@ def test_detects_a_repr_conversion():
     assert repr_conversions(trees) == ["a.py:5", "a.py:8", "b.py:1"]
 
 
+def stream_writes(trees):
+    """``module:line`` of every ``print`` call, and every ``write`` call on
+    ``sys.stdout`` or ``sys.stderr``, outside ``main`` of ``cli.py``: the
+    package's one writer to the standard streams."""
+    found = []
+    for module, tree in trees.items():
+        mains = [
+            node for node in tree.body
+            if module == "cli.py" and isinstance(node, ast.FunctionDef) and node.name == "main"
+        ]
+        inside = {id(node) for main in mains for node in ast.walk(main)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in inside:
+                continue
+            func = node.func
+            printed = isinstance(func, ast.Name) and func.id == "print"
+            written = (
+                isinstance(func, ast.Attribute)
+                and func.attr == "write"
+                and isinstance(func.value, ast.Attribute)
+                and func.value.attr in ("stdout", "stderr")
+                and isinstance(func.value.value, ast.Name)
+                and func.value.value.id == "sys"
+            )
+            if printed or written:
+                found.append(f"{module}:{node.lineno}")
+    return sorted(found)
+
+
+def test_only_cli_main_writes_to_the_standard_streams():
+    assert stream_writes(src_trees()) == []
+
+
+def test_detects_a_write_outside_cli_main():
+    trees = {
+        "cli.py": ast.parse(
+            "import sys\n\n"
+            "def _print(doc):\n    print(doc)\n\n"
+            "def _cmd(args):\n    sys.stdout.write(args)\n    return ''\n\n"
+            "def main(argv=None):\n"
+            "    sys.stdout.write(_cmd(argv))\n"
+            "    print('error', file=sys.stderr)\n"
+            "    def inner():\n        sys.stderr.write('x')\n"
+        ),
+        "engine.py": ast.parse(
+            "import sys\n\n"
+            "def main():\n    print('not the cli')\n\n"
+            "def save(fh, text):\n    fh.write(text)\n    sys.stderr.write(text)\n"
+        ),
+    }
+    assert stream_writes(trees) == ["cli.py:4", "cli.py:7", "engine.py:4", "engine.py:8"]
+
+
 # the package's public names; adding or removing one fails here until this
 # list is changed on purpose
 PUBLIC_NAMES = [
