@@ -23,6 +23,7 @@ import json
 import re
 import sys
 from functools import cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
@@ -143,17 +144,32 @@ def _dumps(doc, newline: str = "\n") -> str:
     """``json.dumps(doc, indent=2)``, byte for byte, without json's
     pure-Python encoder (CPython's C encoder ignores ``indent``): containers
     are walked here, scalars go through json's C encoder. ``newline`` is the
-    line break and indent that precede ``doc``'s closing bracket."""
+    line break and indent that precede ``doc``'s closing bracket.
+
+    A list of plain ints is joined from their reprs. A matrix, a list whose
+    elements are all lists or tuples of one width and whose items are all
+    plain ints (``type(x) is int``), is written in one ``%`` format: one
+    ``%d`` row template with its indents, repeated for every row and filled
+    from the flattened items; a profile's rankings are such matrices. Bools
+    and int subclasses (json writes them by their own rules), ragged rows,
+    empty rows and rows of other types are walked element by element."""
     if isinstance(doc, str):
         return encode_basestring_ascii(doc)
     if isinstance(doc, (list, tuple)):
         if not doc:
             return "[]"
         inner = newline + "  "
-        if set(map(type, doc)) == {int}:
-            items = map(int.__repr__, doc)
-        else:
-            items = [_dumps(x, inner) for x in doc]
+        kinds = set(map(type, doc))
+        if kinds == {int}:
+            return "[" + inner + ("," + inner).join(map(int.__repr__, doc)) + newline + "]"
+        if kinds <= {list, tuple} and len(widths := set(map(len, doc))) == 1:
+            flat = tuple(chain.from_iterable(doc))
+            # no items (empty rows) leaves the set empty, not {int}
+            if set(map(type, flat)) == {int}:
+                cell = "," + inner + "  %d"
+                row = "[" + inner + "  %d" + cell * (widths.pop() - 1) + inner + "]"
+                return ("[" + inner + ("," + inner).join([row] * len(doc)) + newline + "]") % flat
+        items = [_dumps(x, inner) for x in doc]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(doc, dict):
         if not doc:

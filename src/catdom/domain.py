@@ -33,9 +33,9 @@ from __future__ import annotations
 import itertools
 import reprlib
 import weakref
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -166,10 +166,14 @@ class DomainShape:
         return itertools.product(range(1, self.n + 1), repeat=self.p)
 
     def validate_bundle(self, bundle: Sequence[int]) -> Bundle:
-        try:
-            b = tuple(bundle)
-        except TypeError:
-            raise _invalid("a bundle must be a sequence of items", bundle) from None
+        """``bundle`` as a tuple, if it is a sequence (a ``collections.abc
+        .Sequence``, such as a tuple, a list or a ``range``) of ``p`` plain
+        ints in ``1..n``. A set, a dict or an iterator is refused, not
+        iterated into some order; so is a numpy row, which is no
+        ``Sequence``."""
+        if not isinstance(bundle, Sequence):
+            raise _invalid("a bundle must be a sequence of items", bundle)
+        b = tuple(bundle)
         if len(b) != self.p:
             raise ValidationError(
                 f"bundle {_REPR.repr(b)} has {len(b)} components, expected {self.p}"
@@ -275,9 +279,15 @@ class Preference:
 
     def __init__(self, shape: DomainShape, order: Iterable[Sequence[int]]):
         try:
-            seq = tuple(map(tuple, order))
+            seq = tuple(order)
         except TypeError as exc:
             raise ValidationError(f"preference must list bundles of items: {exc}") from None
+        if not set(map(type, seq)) <= {list, tuple}:
+            # the sequence check of validate_bundle, before any bundle is read
+            for bundle in seq:
+                if not isinstance(bundle, Sequence):
+                    raise _invalid("preference must list bundles of items", bundle)
+        seq = tuple(map(tuple, seq))
         if len(seq) != shape.bundle_count:
             raise ValidationError(
                 f"preference lists {len(seq)} bundles, expected all {shape.bundle_count}"

@@ -1289,8 +1289,20 @@ _SCALARS = st.one_of(
     _STRINGS,
 )
 _KEYS = st.one_of(_STRINGS, st.integers(), st.floats(), st.booleans(), st.none())
+_MATRIX_ITEMS = st.one_of(st.integers(), st.integers(min_value=-(2**200), max_value=2**200))
+
+
+def _matrix_rows(width):
+    row = st.lists(_MATRIX_ITEMS, min_size=width, max_size=width)
+    return st.lists(st.one_of(row, row.map(tuple)), min_size=1, max_size=8)
+
+
+# rows of one width >= 1, lists and tuples mixed, items plain ints: the
+# writer's one-format path
+_MATRIX_ROWS = st.integers(min_value=1, max_value=5).flatmap(_matrix_rows)
+_MATRICES = st.one_of(_MATRIX_ROWS, _MATRIX_ROWS.map(tuple))
 _DOCUMENTS = st.recursive(
-    _SCALARS,
+    st.one_of(_SCALARS, _MATRICES),
     lambda children: st.one_of(
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
@@ -1326,6 +1338,48 @@ def test_writer_empty_and_nested_empty_containers():
         assert cli._dumps(doc) == json.dumps(doc, indent=2)
 
 
+def _near_miss(rows, miss, data):
+    """``rows``, a matrix, with one bool or ``_Int`` item, or one row of
+    another width or empty, at a drawn place."""
+    rows = list(rows)
+    r = data.draw(st.integers(0, len(rows) - 1))
+    if miss in ("bool", "int subclass"):
+        row = list(rows[r])
+        c = data.draw(st.integers(0, len(row) - 1))
+        row[c] = data.draw(st.booleans()) if miss == "bool" else _Int(row[c])
+        rows[r] = data.draw(st.sampled_from([row, tuple(row)]))
+    else:
+        width = len(rows[0]) + 1 if miss == "ragged row" else 0
+        rows.insert(r, data.draw(st.sampled_from([[7] * width, (7,) * width])))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MATRIX_ROWS, st.sampled_from(["bool", "int subclass", "ragged row", "empty row"]), st.data())
+def test_writer_walks_what_is_no_int_matrix(rows, miss, data):
+    # the walk writes each row through its own call; the one-format path none
+    for doc, walked in ((rows, False), (_near_miss(rows, miss, data), True)):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            dumps = cli._dumps
+
+            def spy(x, *rest):
+                calls.append(id(x))
+                return dumps(x, *rest)
+
+            mp.setattr(cli, "_dumps", spy)
+            assert cli._dumps(doc) == json.dumps(doc, indent=2)
+        if walked:
+            assert set(map(id, doc)) <= set(calls)
+        else:
+            assert calls == [id(doc)]
+
+
+def test_writer_walks_empty_rows():
+    for doc in ([[]], [[], []], ([], ()), [[], [1]], [[1], []]):
+        assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+
 def spy_documents(monkeypatch):
     """The documents handed to the writer at top level, in order."""
     docs = []
@@ -1350,11 +1404,14 @@ class TestPrintedBytes:
         game_order.write_text(json.dumps(cd.order_to_json(game_order_2x2)))
         game_profile = tmp_path / "game-profile.json"
         game_profile.write_text(json.dumps(cd.profile_to_json(game_profile_2x2)))
+        order_4x4 = tmp_path / "order-4x4.json"
+        order_4x4.write_text(json.dumps(cd.order_to_json(cd.balanced_order([1, 2, 3, 4], 4))))
         return {
             "ORDER": order_file,
             "PROFILE": profile_file,
             "GAME_ORDER": str(game_order),
             "GAME_PROFILE": str(game_profile),
+            "ORDER_4X4": str(order_4x4),
         }
 
     ARGV = {
@@ -1366,6 +1423,8 @@ class TestPrintedBytes:
         "search-random": ["search", "--n", "3", "--p", "2", "--behaviors", "opt,pess,opt",
                           "--mode", "random", "--budget", "50", "--seed", "4"],
         "worst-case": ["worst-case", "--order", "ORDER", "--behaviors", "opt,opt,pess"],
+        # the witness of the paper's balanced 4x4 order: 4 rankings of 256 bundles
+        "worst-case-4x4": ["worst-case", "--order", "ORDER_4X4", "--behaviors", "opt,pess,opt,pess"],
         "spne": ["spne", "--order", "GAME_ORDER", "--profile", "GAME_PROFILE",
                  "--trace", "--states"],
         "check-axioms": ["check-axioms", "--mechanism", "sd", "--n", "2", "--p", "2"],

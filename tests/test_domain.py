@@ -670,9 +670,17 @@ class TestAllocation:
 
 class TestBundleNotASequence:
     """A bundle that is not a sequence of items is refused as bad input:
-    each of these raised ``TypeError`` before."""
+    a value that is not iterable, and an iterable that is no sequence (a
+    set, a dict, an iterator), which iterated would read as some bundle."""
 
     NOT_A_SEQUENCE = cd.Allocation({1: 5, 2: (1, 1)})
+    # each read in iteration order would be the bundle (1, 2)
+    ITERABLES = pytest.mark.parametrize(
+        "make",
+        [lambda: {2, 1}, lambda: frozenset({2, 1}), lambda: {1: "x", 2: "y"}, lambda: iter([1, 2])],
+        ids=["set", "frozenset", "dict", "iterator"],
+    )
+    REFUSED = "a bundle must be a sequence of items, got"
 
     @pytest.mark.parametrize(
         "call",
@@ -697,6 +705,44 @@ class TestBundleNotASequence:
         message = "invalid allocation: agent 1 holds malformed bundle 5"
         with pytest.raises(cd.ValidationError, match=message):
             rank(game_profile_2x2, self.NOT_A_SEQUENCE)
+
+    @ITERABLES
+    def test_validate_bundle_refuses_an_iterable(self, make):
+        with pytest.raises(cd.ValidationError, match=self.REFUSED):
+            SHAPE_2X2.validate_bundle(make())
+
+    @ITERABLES
+    def test_encode_bundle_refuses_an_iterable(self, make):
+        with pytest.raises(cd.ValidationError, match=self.REFUSED):
+            cd.encode_bundle(SHAPE_2X2, make())
+
+    @ITERABLES
+    def test_rank_of_refuses_an_iterable(self, make):
+        pref = cd.Preference.from_indices(SHAPE_2X2, range(4))
+        with pytest.raises(cd.ValidationError, match=self.REFUSED):
+            pref.rank_of(make())
+
+    @ITERABLES
+    def test_preference_refuses_an_iterable(self, make):
+        with pytest.raises(cd.ValidationError, match="preference must list bundles of items, got"):
+            cd.Preference(SHAPE_2X2, [(1, 1), make(), (2, 1), (2, 2)])
+
+    @ITERABLES
+    def test_allocation_from_json_refuses_an_iterable(self, make):
+        with pytest.raises(cd.ValidationError, match=self.REFUSED):
+            cd.allocation_from_json(SHAPE_2X2, {"bundles": {"1": make(), "2": [2, 1]}})
+
+    @ITERABLES
+    def test_validate_allocation_reports_an_iterable(self, make):
+        check = cd.validate_allocation(SHAPE_2X2, cd.Allocation({1: make(), 2: (2, 1)}))
+        assert not check.ok
+        assert check.detail.startswith("agent 1 holds malformed bundle ")
+
+    def test_a_range_is_a_sequence_and_a_numpy_row_is_not(self):
+        assert SHAPE_2X2.validate_bundle(range(2, 0, -1)) == (2, 1)
+        assert cd.encode_bundle(SHAPE_2X2, range(2, 0, -1)) == 2
+        with pytest.raises(cd.ValidationError, match=self.REFUSED):
+            SHAPE_2X2.validate_bundle(np.array([2, 1]))
 
 
 def reference_validate_allocation(shape, allocation):
