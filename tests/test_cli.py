@@ -1334,7 +1334,8 @@ def test_writer_refuses_what_json_refuses(doc, bad, data):
 
 
 def test_writer_empty_and_nested_empty_containers():
-    for doc in ([], (), {}, [[]], [{}], {"a": []}, {"a": {}}, [[], {}, ()], {"": [[[]]]}):
+    for doc in ([], (), {}, [[]], [{}], {"a": []}, {"a": {}}, [[], {}, ()], {"": [[[]]]},
+                [[], []], ([], ()), [[], [1]], [[1], []]):
         assert cli._dumps(doc) == json.dumps(doc, indent=2)
 
 
@@ -1373,11 +1374,6 @@ def test_writer_walks_what_is_no_int_matrix(rows, miss, data):
             assert set(map(id, doc)) <= set(calls)
         else:
             assert calls == [id(doc)]
-
-
-def test_writer_walks_empty_rows():
-    for doc in ([[]], [[], []], ([], ()), [[], [1]], [[1], []]):
-        assert cli._dumps(doc) == json.dumps(doc, indent=2)
 
 
 def spy_documents(monkeypatch):
